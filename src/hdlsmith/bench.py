@@ -17,14 +17,22 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from enum import Enum
+from operator import attrgetter
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .backends import BackendRegistry
 from .core import DesignTask, TokenUsage
 from .edatools import DEFAULT_SIM_TIMEOUT
 from .prompts import FeedbackMode
-from .search import Evaluator, ModelSchedule, SearchConfig, pass_at_budget, run_search
+from .search import (
+    FINAL_ITERATION,
+    Evaluator,
+    ModelSchedule,
+    SearchConfig,
+    pass_at_budget,
+    run_search,
+)
 
 PROMPT_SUFFIX = "_prompt.sv"
 TESTBENCH_SUFFIX = "_tb.sv"
@@ -137,11 +145,11 @@ def load_suite(directory: str | Path) -> list[DesignTask]:
 
 def describe_schedule(sched: ModelSchedule) -> str:
     def start_key(entry):
-        return (entry.start_iteration == -1, entry.start_iteration)
+        return (entry.start_iteration == FINAL_ITERATION, entry.start_iteration)
 
     parts = []
     for entry in sorted(sched.entries, key=start_key):
-        where = "final" if entry.start_iteration == -1 else str(entry.start_iteration)
+        where = "final" if entry.start_iteration == FINAL_ITERATION else str(entry.start_iteration)
         parts.append(f"{entry.model.model_id}@{where}")
     return ", ".join(parts)
 
@@ -292,53 +300,64 @@ class ReportFormat(Enum):
     JSON = "json"
 
 
-_CSV_COLUMNS = [
-    "num_candidates",
-    "max_depth",
-    "mode",
-    "schedule",
-    "task",
-    "success",
-    "queries_used",
-    "input_tokens",
-    "output_tokens",
-    "cost_usd",
-    "best_rank",
-    "category",
-    "subcategory",
-]
+class _Field(NamedTuple):
+    """One report column: its name, its JSON value read from the dataclass,
+    and the decoder from that value or its CSV cell."""
+
+    name: str
+    get: Callable[[object], object]
+    decode: Callable[[object], object]
 
 
-def _result_to_dict(result: SuiteResult) -> dict:
-    summary = {
+def _optional(decode: Callable[[object], object]) -> Callable[[object], object]:
+    return lambda value: None if value in (None, "") else decode(value)
+
+
+# Column order is the CSV header order and the JSON key order.
+_PARAM_FIELDS = (
+    _Field("num_candidates", attrgetter("num_candidates"), int),
+    _Field("max_depth", attrgetter("max_depth"), int),
+    _Field("mode", lambda params: params.mode.value, FeedbackMode),
+    _Field("schedule", attrgetter("schedule"), str),
+)
+_ROW_FIELDS = (
+    _Field("task", attrgetter("task_name"), str),
+    _Field("success", attrgetter("success"), lambda value: value in (True, "true")),
+    _Field("queries_used", attrgetter("queries_used"), int),
+    _Field("input_tokens", attrgetter("tokens.input_tokens"), int),
+    _Field("output_tokens", attrgetter("tokens.output_tokens"), int),
+    _Field("cost_usd", lambda row: str(row.cost_usd), Decimal),
+    _Field("best_rank", attrgetter("best_rank"), _optional(float)),
+    _Field("category", attrgetter("category"), _optional(str)),
+    _Field("subcategory", attrgetter("subcategory"), _optional(str)),
+)
+
+
+def _encode(fields: tuple[_Field, ...], obj: object) -> dict:
+    return {f.name: f.get(obj) for f in fields}
+
+
+def _decode(fields: tuple[_Field, ...], record: dict) -> list:
+    return [f.decode(record[f.name]) for f in fields]
+
+
+def _cell(value: object) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return "" if value is None else str(value)
+
+
+def _task_row(task, success, queries_used, input_tokens, output_tokens, *rest) -> TaskRow:
+    return TaskRow(task, success, queries_used, TokenUsage(input_tokens, output_tokens), *rest)
+
+
+def _summary(result: SuiteResult) -> dict:
+    return {
         "success_percent": success_percent(result),
         "avg_tokens_all": average_tokens(result),
         "avg_tokens_success": average_tokens(result, successes_only=True),
         "avg_cost_all": _decimal_str(average_cost(result)),
         "avg_cost_success": _decimal_str(average_cost(result, successes_only=True)),
-    }
-    return {
-        "params": {
-            "num_candidates": result.params.num_candidates,
-            "max_depth": result.params.max_depth,
-            "mode": result.params.mode.value,
-            "schedule": result.params.schedule,
-        },
-        "summary": summary,
-        "per_task": [
-            {
-                "task": row.task_name,
-                "success": row.success,
-                "queries_used": row.queries_used,
-                "input_tokens": row.tokens.input_tokens,
-                "output_tokens": row.tokens.output_tokens,
-                "cost_usd": str(row.cost_usd),
-                "best_rank": row.best_rank,
-                "category": row.category,
-                "subcategory": row.subcategory,
-            }
-            for row in result.per_task
-        ],
     }
 
 
@@ -346,46 +365,27 @@ def _decimal_str(value: Decimal | None) -> str | None:
     return str(value) if value is not None else None
 
 
-def _row_from_dict(entry: dict) -> TaskRow:
-    return TaskRow(
-        task_name=entry["task"],
-        success=bool(entry["success"]),
-        queries_used=int(entry["queries_used"]),
-        tokens=TokenUsage(int(entry["input_tokens"]), int(entry["output_tokens"])),
-        cost_usd=Decimal(entry["cost_usd"]),
-        best_rank=entry["best_rank"],
-        category=entry["category"],
-        subcategory=entry["subcategory"],
-    )
-
-
 def render_report(results: Sequence[SuiteResult], format: ReportFormat) -> str:
     """Serialize suite results deterministically (byte-stable across runs)."""
     if format is ReportFormat.JSON:
-        payload = {"results": [_result_to_dict(r) for r in results]}
+        payload = {
+            "results": [
+                {
+                    "params": _encode(_PARAM_FIELDS, result.params),
+                    "summary": _summary(result),
+                    "per_task": [_encode(_ROW_FIELDS, row) for row in result.per_task],
+                }
+                for result in results
+            ]
+        }
         return json.dumps(payload, indent=2) + "\n"
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(_CSV_COLUMNS)
+    writer.writerow(f.name for f in _PARAM_FIELDS + _ROW_FIELDS)
     for result in results:
+        params = [_cell(f.get(result.params)) for f in _PARAM_FIELDS]
         for row in result.per_task:
-            writer.writerow(
-                [
-                    result.params.num_candidates,
-                    result.params.max_depth,
-                    result.params.mode.value,
-                    result.params.schedule,
-                    row.task_name,
-                    "true" if row.success else "false",
-                    row.queries_used,
-                    row.tokens.input_tokens,
-                    row.tokens.output_tokens,
-                    str(row.cost_usd),
-                    repr(row.best_rank) if row.best_rank is not None else "",
-                    row.category or "",
-                    row.subcategory or "",
-                ]
-            )
+            writer.writerow(params + [_cell(f.get(row)) for f in _ROW_FIELDS])
     return out.getvalue()
 
 
@@ -404,36 +404,15 @@ def load_report(path: str | Path, format: ReportFormat | None = None) -> list[Su
         format = ReportFormat.CSV if path.suffix.lower() == ".csv" else ReportFormat.JSON
     text = path.read_text()
     if format is ReportFormat.JSON:
-        payload = json.loads(text)
-        results = []
-        for entry in payload["results"]:
-            params = SuiteParams(
-                int(entry["params"]["num_candidates"]),
-                int(entry["params"]["max_depth"]),
-                FeedbackMode(entry["params"]["mode"]),
-                entry["params"]["schedule"],
+        return [
+            SuiteResult(
+                SuiteParams(*_decode(_PARAM_FIELDS, entry["params"])),
+                tuple(_task_row(*_decode(_ROW_FIELDS, row)) for row in entry["per_task"]),
             )
-            rows = tuple(_row_from_dict(row) for row in entry["per_task"])
-            results.append(SuiteResult(params, rows))
-        return results
-    reader = csv.DictReader(io.StringIO(text))
+            for entry in json.loads(text)["results"]
+        ]
     grouped: dict[SuiteParams, list[TaskRow]] = {}
-    for record in reader:
-        params = SuiteParams(
-            int(record["num_candidates"]),
-            int(record["max_depth"]),
-            FeedbackMode(record["mode"]),
-            record["schedule"],
-        )
-        row = TaskRow(
-            task_name=record["task"],
-            success=record["success"] == "true",
-            queries_used=int(record["queries_used"]),
-            tokens=TokenUsage(int(record["input_tokens"]), int(record["output_tokens"])),
-            cost_usd=Decimal(record["cost_usd"]),
-            best_rank=float(record["best_rank"]) if record["best_rank"] else None,
-            category=record["category"] or None,
-            subcategory=record["subcategory"] or None,
-        )
-        grouped.setdefault(params, []).append(row)
+    for record in csv.DictReader(io.StringIO(text)):
+        params = SuiteParams(*_decode(_PARAM_FIELDS, record))
+        grouped.setdefault(params, []).append(_task_row(*_decode(_ROW_FIELDS, record)))
     return [SuiteResult(params, tuple(rows)) for params, rows in grouped.items()]

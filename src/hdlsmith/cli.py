@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -23,31 +22,10 @@ from .bench import (
     run_suite,
     success_percent,
 )
-from .core import Termination
+from .core import Termination, format_usd
 from .faketools import offline_evaluate
 from .prompts import FeedbackMode
 from .search import FINAL_ITERATION, ModelSchedule, ScheduleEntry
-
-
-def _parse_override(raw: str) -> tuple[list[str], object]:
-    if "=" not in raw:
-        raise argparse.ArgumentTypeError(f"override must look like key.path=value: {raw!r}")
-    key, _, value = raw.partition("=")
-    try:
-        parsed = json.loads(value)
-    except json.JSONDecodeError:
-        parsed = value
-    return key.split("."), parsed
-
-
-def _apply_overrides(document: dict, overrides: list[str]) -> dict:
-    for raw in overrides:
-        path, value = _parse_override(raw)
-        node = document
-        for part in path[:-1]:
-            node = node.setdefault(part, {})
-        node[path[-1]] = value
-    return document
 
 
 def _registry_with_backend(spec: str | None):
@@ -84,11 +62,7 @@ def _parse_model(spec: str):
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    config_path = Path(args.config)
-    document = json.loads(config_path.read_text())
-    if args.override:
-        document = _apply_overrides(document, args.override)
-    cfg = runcfg.parse_config(document, base_dir=config_path.parent)
+    cfg = runcfg.load_config(args.config, args.override)
     backends = _registry_with_backend(args.backend)
     evaluator = offline_evaluate if args.offline_tools else None
     trace = runcfg.execute_run(cfg, backends, evaluator=evaluator)
@@ -99,7 +73,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     totals = trace.ledger.totals
     print(
         f"Totals: {totals.input_tokens} input tokens, "
-        f"{totals.output_tokens} output tokens, {runcfg.format_usd(totals.cost_usd)}"
+        f"{totals.output_tokens} output tokens, {format_usd(totals.cost_usd)}"
     )
     print(f"Output directory: {cfg.outdir}")
     return 0 if trace.termination is Termination.ALL_TESTS_PASSED else 1

@@ -11,7 +11,7 @@ import re
 from dataclasses import dataclass
 from decimal import Decimal
 from enum import Enum
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 _IDENTIFIER_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
@@ -131,6 +131,7 @@ class EvalOutcome:
     ``mismatches``/``samples`` are present exactly when the candidate
     simulated and its testbench printed a parseable summary. ``diagnosis``
     carries the one-line crash/timeout note that feeds the repair prompt.
+    ``module_src`` is the module the evaluation extracted from the reply.
     """
 
     kind: OutcomeKind
@@ -140,6 +141,7 @@ class EvalOutcome:
     samples: int | None = None
     per_output_hints: tuple[OutputHint, ...] = ()
     diagnosis: str | None = None
+    module_src: str | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "compile_messages", tuple(self.compile_messages))
@@ -246,7 +248,8 @@ def compare_candidates(a: CandidateResponse, b: CandidateResponse) -> int:
     return 0
 
 
-def best_candidate(candidates: list[CandidateResponse]) -> CandidateResponse:
+def best_candidate(candidates: Sequence[CandidateResponse]) -> CandidateResponse:
+    """The minimum under :func:`candidate_order_key`."""
     if not candidates:
         raise ValueError("cannot pick a best candidate from an empty batch")
     return min(candidates, key=candidate_order_key)

@@ -90,7 +90,6 @@ class ToolchainConfig:
     runtime: str = "vvp"
     language_flags: tuple[str, ...] = ("-g2012",)
     extra_flags: tuple[str, ...] = ()
-    expected_version: str | None = None
 
 
 DEFAULT_TOOLS = ToolchainConfig()
@@ -258,6 +257,9 @@ def evaluate(
 ) -> EvalOutcome:
     """Full pipeline for one candidate: extract, compile, simulate, classify.
 
+    The returned outcome carries the extracted module, so callers never
+    extract a second time.
+
     A parsed testbench summary always yields ``SIMULATED`` (warnings do not
     demote it); a warned compile with no summary is ``COMPILE_WARNED_NO_SIM``;
     a clean compile whose simulation crashed, hung or stayed silent is
@@ -280,7 +282,11 @@ def evaluate(
 
     compiled = compile_fn(extraction.module_src, task.testbench_src, workdir, task.name)
     if compiled.status is CompileStatus.ERROR:
-        outcome = EvalOutcome(OutcomeKind.COMPILE_ERROR, compile_messages=compiled.raw_messages)
+        outcome = EvalOutcome(
+            OutcomeKind.COMPILE_ERROR,
+            compile_messages=compiled.raw_messages,
+            module_src=extraction.module_src,
+        )
         _write_candidate_log(workdir, task, extraction.source, compiled, None, outcome)
         return outcome
 
@@ -294,12 +300,14 @@ def evaluate(
             mismatches=summary.total_mismatches,
             samples=summary.total_samples,
             per_output_hints=summary.hints,
+            module_src=extraction.module_src,
         )
     elif compiled.status is CompileStatus.OK_WITH_WARNINGS:
         outcome = EvalOutcome(
             OutcomeKind.COMPILE_WARNED_NO_SIM,
             compile_messages=compiled.raw_messages,
             sim_stdout=sim.stdout,
+            module_src=extraction.module_src,
         )
     else:
         outcome = EvalOutcome(
@@ -307,6 +315,7 @@ def evaluate(
             compile_messages=compiled.raw_messages,
             sim_stdout=sim.stdout,
             diagnosis=_diagnose(sim, timeout),
+            module_src=extraction.module_src,
         )
     _write_candidate_log(workdir, task, extraction.source, compiled, sim, outcome)
     return outcome

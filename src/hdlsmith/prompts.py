@@ -78,6 +78,9 @@ NO_MODULE_FEEDBACK = (
     "No Verilog module was found in the previous response. " + FORMAT_REMINDER
 )
 
+# Stands in for an empty chosen reply, since a window message cannot be empty.
+EMPTY_REPLY_PLACEHOLDER = "(empty response)"
+
 _MISMATCH_LINE_RE = re.compile(r"^Mismatches: \d+ in \d+ samples\s*$")
 
 

@@ -13,17 +13,10 @@ import warnings
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from typing import IO, Mapping
+from typing import IO, Mapping, Sequence
 
 from .backends import BackendRegistry, default_registry, lookup_model
-from .core import (
-    DesignTask,
-    EvalOutcome,
-    OutcomeKind,
-    SearchTrace,
-    compute_cost,
-    format_usd,
-)
+from .core import DesignTask, EvalOutcome, OutcomeKind, SearchTrace, format_usd
 from .edatools import (
     DEFAULT_SIM_TIMEOUT,
     DEFAULT_TOOLS,
@@ -55,8 +48,6 @@ __all__ = [
     "write_run_log",
     "trace_shape",
     "scan_output_tree",
-    "compute_cost",
-    "format_usd",
 ]
 
 
@@ -160,11 +151,13 @@ def _parse_mode(value: object, path: str) -> FeedbackMode:
     return aliases[value.lower()]
 
 
-def load_config(path: str | Path) -> RunConfig:
+def load_config(path: str | Path, overrides: Sequence[str] = ()) -> RunConfig:
     """Load and validate a JSON run configuration file.
 
-    Referenced prompt/testbench paths are resolved relative to the config
-    file and must exist. Unknown keys are warnings, not errors.
+    ``overrides`` are ``key.path=value`` strings applied to the document
+    before validation. Referenced prompt/testbench paths are resolved
+    relative to the config file and must exist. Unknown keys are warnings,
+    not errors.
     """
     path = Path(path)
     try:
@@ -173,7 +166,34 @@ def load_config(path: str | Path) -> RunConfig:
         raise MissingFileError(str(path), str(exc)) from exc
     except json.JSONDecodeError as exc:
         raise TypeMismatchError(str(path), f"not valid JSON: {exc}") from exc
-    return parse_config(raw, base_dir=path.parent)
+    return parse_config(_apply_overrides(raw, overrides), base_dir=path.parent)
+
+
+def _parse_override(raw: str) -> tuple[list[str], object]:
+    # The value is JSON when it parses as JSON and a plain string otherwise.
+    key, sep, value = raw.partition("=")
+    if not sep or not key:
+        raise TypeMismatchError(key or raw, "override must look like key.path=value")
+    try:
+        parsed = json.loads(value)
+    except json.JSONDecodeError:
+        parsed = value
+    return key.split("."), parsed
+
+
+def _apply_overrides(document: object, overrides: Sequence[str]) -> object:
+    for raw in overrides:
+        path, value = _parse_override(raw)
+        node = document
+        for depth, part in enumerate(path):
+            if not isinstance(node, dict):
+                key_path = ".".join(path[:depth]) or "<root>"
+                raise TypeMismatchError(key_path, "expected a JSON object")
+            if depth == len(path) - 1:
+                node[part] = value
+            else:
+                node = node.setdefault(part, {})
+    return document
 
 
 def parse_config(raw: object, base_dir: Path | None = None) -> RunConfig:
@@ -202,17 +222,13 @@ def parse_config(raw: object, base_dir: Path | None = None) -> RunConfig:
         raise TypeMismatchError("general.mixed-model", "expected a boolean")
 
     entries = _parse_schedule_entries(raw.get("mixed-model"))
-    if mixed_flag:
-        if not entries:
-            raise InvalidScheduleError("mixed-model", "mixed-model is enabled but no entries exist")
-        _check_schedule_invariants(entries)
 
     mode = general.get("feedback_mode", "succinct")
     sim_timeout = general.get("sim_timeout", DEFAULT_SIM_TIMEOUT)
     if isinstance(sim_timeout, bool) or not isinstance(sim_timeout, (int, float)) or sim_timeout <= 0:
         raise TypeMismatchError("general.sim_timeout", "expected a positive number")
 
-    return RunConfig(
+    cfg = RunConfig(
         prompt=prompt,
         name=_require_str(general, "name", "general"),
         testbench=testbench,
@@ -227,6 +243,13 @@ def parse_config(raw: object, base_dir: Path | None = None) -> RunConfig:
         feedback_mode=_parse_mode(mode, "general.feedback_mode"),
         sim_timeout=float(sim_timeout),
     )
+    if mixed_flag:
+        # ModelSchedule holds the schedule invariants; model lookup never fails.
+        try:
+            build_schedule(cfg)
+        except ValueError as exc:
+            raise InvalidScheduleError("mixed-model", str(exc)) from exc
+    return cfg
 
 
 def _parse_schedule_entries(section: object) -> tuple[RawScheduleEntry, ...]:
@@ -254,17 +277,6 @@ def _parse_schedule_entries(section: object) -> tuple[RawScheduleEntry, ...]:
             )
         )
     return tuple(entries)
-
-
-def _check_schedule_invariants(entries: tuple[RawScheduleEntry, ...]) -> None:
-    sentinels = [e for e in entries if e.start_iteration == -1]
-    starts = [e.start_iteration for e in entries if e.start_iteration != -1]
-    if len(sentinels) > 1:
-        raise InvalidScheduleError("mixed-model", "more than one final-iteration entry")
-    if len(set(starts)) != len(starts):
-        raise InvalidScheduleError("mixed-model", "duplicate start_iteration values")
-    if 0 not in starts:
-        raise InvalidScheduleError("mixed-model", "an entry with start_iteration 0 is required")
 
 
 def build_schedule(cfg: RunConfig) -> ModelSchedule:

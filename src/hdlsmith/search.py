@@ -33,12 +33,12 @@ from .core import (
     SearchTrace,
     Termination,
     TokenUsage,
-    candidate_order_key,
+    best_candidate,
     compute_cost,
     rank_outcome,
 )
-from .extract import extract_module
 from .prompts import (
+    EMPTY_REPLY_PLACEHOLDER,
     Conversation,
     FeedbackMode,
     estimate_tokens,
@@ -140,6 +140,7 @@ def model_for_iteration(sched: ModelSchedule, iteration: int, max_depth: int) ->
     return max(applicable, key=lambda e: e.start_iteration).model
 
 
+# An evaluator's outcome carries the module it extracted (None for NO_MODULE).
 Evaluator = Callable[[str, DesignTask, Path, float], EvalOutcome]
 
 
@@ -206,24 +207,27 @@ def run_search(
         ledger_entries.extend(
             LedgerEntry(depth, c.index, model.model_id, c.usage, c.cost_usd) for c in candidates
         )
-        chosen_index = min(range(len(candidates)), key=lambda i: candidate_order_key(candidates[i]))
+        chosen = best_candidate(candidates)
         nodes.append(
-            DepthNode(depth, model.family, model.model_id, tuple(candidates), chosen_index, fallback)
+            DepthNode(depth, model.family, model.model_id, tuple(candidates), chosen.index, fallback)
         )
 
-        chosen = candidates[chosen_index]
         if chosen.rank.value == 1.0:
             termination = Termination.ALL_TESTS_PASSED
             break
         if depth == cfg.max_depth:
             break
         conversation = next_conversation(
-            conversation, chosen.raw_text, feedback_text(chosen.outcome), cfg.feedback_mode
+            conversation,
+            chosen.raw_text or EMPTY_REPLY_PLACEHOLDER,
+            feedback_text(chosen.outcome),
+            cfg.feedback_mode,
         )
 
+    best = best_candidate([node.chosen for node in nodes]) if nodes else None
     return SearchTrace(
         nodes=tuple(nodes),
-        best_overall=_best_overall(nodes),
+        best_overall=(best.depth, best.index) if best is not None else None,
         termination=termination,
         ledger=CostLedger(tuple(ledger_entries)),
     )
@@ -258,7 +262,7 @@ def _evaluate_batch(
         outcome = evaluator(text, task, workdir, cfg.sim_timeout)
         return CandidateResponse(
             raw_text=text,
-            module_src=extract_module(text).module_src,
+            module_src=outcome.module_src,
             usage=usage,
             cost_usd=compute_cost(usage, model),
             outcome=outcome,
@@ -272,17 +276,6 @@ def _evaluate_batch(
         return [evaluate_one(item) for item in items]
     with ThreadPoolExecutor(max_workers=cfg.eval_workers) as pool:
         return list(pool.map(evaluate_one, items))
-
-
-def _best_overall(nodes: list[DepthNode]) -> tuple[int, int] | None:
-    best: CandidateResponse | None = None
-    for node in nodes:
-        for candidate in node.candidates:
-            if best is None or candidate_order_key(candidate) < candidate_order_key(best):
-                best = candidate
-    if best is None:
-        return None
-    return (best.depth, best.index)
 
 
 def pass_at_budget(trace: SearchTrace) -> tuple[int, bool]:

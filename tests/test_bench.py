@@ -366,6 +366,71 @@ class TestReports:
         results = [make_result([True, False, True])]
         assert render_report(results, ReportFormat.JSON) == render_report(results, ReportFormat.JSON)
 
+    def test_render_golden_bytes(self):
+        params = SuiteParams(5, 10, FeedbackMode.FULL_CONTEXT, "gpt-4o-mini@0, gpt-4o@final")
+        rows = (
+            TaskRow("adder", True, 7, TokenUsage(1200, 340), Decimal("0.0004140000"), 1.0,
+                    "arithmetic", "adders"),
+            TaskRow("mux", False, 55, TokenUsage(9000, 2500), Decimal("0.00285"), None, None, None),
+        )
+        results = [SuiteResult(params, rows)]
+        assert render_report(results, ReportFormat.JSON) == GOLDEN_JSON
+        assert render_report(results, ReportFormat.CSV) == GOLDEN_CSV
+
+
+GOLDEN_JSON = """\
+{
+  "results": [
+    {
+      "params": {
+        "num_candidates": 5,
+        "max_depth": 10,
+        "mode": "full_context",
+        "schedule": "gpt-4o-mini@0, gpt-4o@final"
+      },
+      "summary": {
+        "success_percent": 50.0,
+        "avg_tokens_all": 6520.0,
+        "avg_tokens_success": 1540.0,
+        "avg_cost_all": "0.0016320000",
+        "avg_cost_success": "0.0004140000"
+      },
+      "per_task": [
+        {
+          "task": "adder",
+          "success": true,
+          "queries_used": 7,
+          "input_tokens": 1200,
+          "output_tokens": 340,
+          "cost_usd": "0.0004140000",
+          "best_rank": 1.0,
+          "category": "arithmetic",
+          "subcategory": "adders"
+        },
+        {
+          "task": "mux",
+          "success": false,
+          "queries_used": 55,
+          "input_tokens": 9000,
+          "output_tokens": 2500,
+          "cost_usd": "0.00285",
+          "best_rank": null,
+          "category": null,
+          "subcategory": null
+        }
+      ]
+    }
+  ]
+}
+"""
+
+GOLDEN_CSV = (
+    "num_candidates,max_depth,mode,schedule,task,success,queries_used,"
+    "input_tokens,output_tokens,cost_usd,best_rank,category,subcategory\n"
+    '5,10,full_context,"gpt-4o-mini@0, gpt-4o@final",adder,true,7,1200,340,0.0004140000,1.0,arithmetic,adders\n'
+    '5,10,full_context,"gpt-4o-mini@0, gpt-4o@final",mux,false,55,9000,2500,0.00285,,,\n'
+)
+
 
 def _load_from_text(text: str, format: ReportFormat):
     import tempfile

@@ -142,8 +142,9 @@ class TestLoadConfig:
         document = json.loads(json.dumps(EXAMPLE_CONFIG))
         document["general"]["mixed-model"] = True
         mutate(document["mixed-model"])
-        with pytest.raises(InvalidScheduleError):
+        with pytest.raises(InvalidScheduleError) as excinfo:
             load_config(write_config(tmp_path, document))
+        assert excinfo.value.key_path == "mixed-model"
 
     def test_feedback_mode_parsing(self, tmp_path):
         document = json.loads(json.dumps(EXAMPLE_CONFIG))
@@ -156,6 +157,23 @@ class TestLoadConfig:
         path.write_text("{not json")
         with pytest.raises(TypeMismatchError):
             load_config(path)
+
+    def test_overrides_apply_before_validation(self, tmp_path):
+        path = write_config(tmp_path)
+        cfg = load_config(path, ["general.num_candidates=2", "general.model_id=mock"])
+        assert cfg.num_candidates == 2 and cfg.model_id == "mock"
+        with pytest.raises(TypeMismatchError) as excinfo:
+            load_config(path, ["general.num_candidates=two"])
+        assert excinfo.value.key_path == "general.num_candidates"
+
+    def test_malformed_override_is_config_error(self, tmp_path):
+        path = write_config(tmp_path)
+        with pytest.raises(TypeMismatchError) as excinfo:
+            load_config(path, ["general.num_candidates"])
+        assert excinfo.value.key_path == "general.num_candidates"
+        with pytest.raises(TypeMismatchError) as excinfo:
+            load_config(path, ["general.name.first=x"])
+        assert excinfo.value.key_path == "general.name"
 
 
 class TestRunLogGrammar:
@@ -367,6 +385,16 @@ class TestCli:
             ]
         )
         assert code == 1
+
+    def test_run_missing_config_is_config_error(self, tmp_path):
+        with pytest.raises(MissingFileError):
+            cli_main(["run", "--config", str(tmp_path / "missing.json")])
+
+    def test_run_malformed_config_is_config_error(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text("{not json")
+        with pytest.raises(TypeMismatchError):
+            cli_main(["run", "--config", str(path)])
 
     def test_bench_cli_writes_report(self, tmp_path, capsys):
         suite = tmp_path / "suite"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import sys
 from decimal import Decimal
 
 import pytest
@@ -15,9 +16,16 @@ from hdlsmith.backends import (
     MockBackend,
     lookup_model,
 )
-from hdlsmith.core import DesignTask, Termination, candidate_order_key
+from hdlsmith.core import DesignTask, OutcomeKind, Termination, candidate_order_key
+from hdlsmith.extract import extract_module
 from hdlsmith.faketools import offline_evaluate, passing_reply, reply_with_module
-from hdlsmith.prompts import FeedbackMode, Role, feedback_text
+from hdlsmith.prompts import (
+    EMPTY_REPLY_PLACEHOLDER,
+    NO_MODULE_FEEDBACK,
+    FeedbackMode,
+    Role,
+    feedback_text,
+)
 from hdlsmith.runcfg import write_run_log
 from hdlsmith.search import (
     FINAL_ITERATION,
@@ -194,6 +202,35 @@ class TestTraceShape:
         totals = trace.ledger.totals
         assert totals.input_tokens == 9 * 100
         assert totals.cost_usd == Decimal(0)  # mock model is unpriced
+
+    def test_extraction_runs_once_per_candidate(self, task, tmp_path, monkeypatch):
+        calls = []
+
+        def counting_extract(raw):
+            calls.append(raw)
+            return extract_module(raw)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("hdlsmith") and getattr(module, "extract_module", None) is extract_module:
+                monkeypatch.setattr(module, "extract_module", counting_extract)
+        script = {
+            ("top_module", 0, 0): reply_with_module("mismatches=5 samples=10"),
+            ("top_module", 0, 1): reply_with_module("compile-error"),
+            ("top_module", 1, 2): reply_with_module("mismatches=1 samples=10", fenced=False),
+        }
+        trace, _ = run_mock_search(task, tmp_path, k=3, d=1, script=script)
+        assert len(trace.all_candidates()) == 6
+        assert len(calls) == 6
+
+    def test_empty_reply_is_a_no_module_candidate(self, task, tmp_path):
+        backend = MockBackend({}, default_reply="")
+        trace, _ = run_mock_search(task, tmp_path, k=2, d=2, backend=backend)
+        assert trace.termination is Termination.MAX_DEPTH_REACHED
+        kinds = [c.outcome.kind for c in trace.all_candidates()]
+        assert kinds == [OutcomeKind.NO_MODULE] * 6
+        window = backend.calls[1].conversation.messages
+        assert window[-2].content == EMPTY_REPLY_PLACEHOLDER
+        assert window[-1].content == NO_MODULE_FEEDBACK
 
     def test_determinism_two_runs_identical(self, task, tmp_path):
         script = {("top_module", 2, 0): passing_reply()}
