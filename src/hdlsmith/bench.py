@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .backends import BackendRegistry
-from .core import DesignTask, TokenUsage
+from .core import DesignTask, SearchTrace, TokenUsage
 from .edatools import DEFAULT_SIM_TIMEOUT
 from .prompts import FeedbackMode
 from .search import (
@@ -111,13 +111,25 @@ def load_suite(directory: str | Path) -> list[DesignTask]:
     """Load every prompt/testbench pair in a suite directory, sorted by name.
 
     Tasks missing either file are reported and skipped; an optional manifest
-    maps task names to category/subcategory tags.
+    maps task names to category/subcategory tags. A manifest that is not a
+    JSON object, or an entry that is not one, is reported and its tasks load
+    untagged.
     """
     directory = Path(directory)
     manifest = {}
     manifest_path = directory / MANIFEST_NAME
     if manifest_path.is_file():
-        manifest = json.loads(manifest_path.read_text())
+        try:
+            manifest = json.loads(manifest_path.read_text())
+            problem = None if isinstance(manifest, dict) else "not a JSON object"
+        except json.JSONDecodeError as exc:
+            problem = f"not valid JSON ({exc})"
+        if problem is not None:
+            warnings.warn(
+                f"suite manifest {manifest_path} ignored, every task loads untagged: {problem}",
+                stacklevel=2,
+            )
+            manifest = {}
     prompt_stems = {p.name[: -len(PROMPT_SUFFIX)]: p for p in directory.glob(f"*{PROMPT_SUFFIX}")}
     tb_stems = {p.name[: -len(TESTBENCH_SUFFIX)]: p for p in directory.glob(f"*{TESTBENCH_SUFFIX}")}
     for stem in sorted(set(prompt_stems) ^ set(tb_stems)):
@@ -126,6 +138,12 @@ def load_suite(directory: str | Path) -> list[DesignTask]:
     tasks = []
     for stem in sorted(set(prompt_stems) & set(tb_stems)):
         tags = manifest.get(stem, {})
+        if not isinstance(tags, dict):
+            warnings.warn(
+                f"suite task {stem!r} loads untagged: its manifest entry is not a JSON object",
+                stacklevel=2,
+            )
+            tags = {}
         try:
             tasks.append(
                 DesignTask(
@@ -167,9 +185,17 @@ def run_suite(
 ) -> list[SuiteResult]:
     """Run every task at every grid point and summarize per-task traces.
 
+    Grid points that share ``(num_candidates, mode)`` share searches: each
+    task is searched once at the group's deepest d and every shallower point
+    reads the prefix of that trace (:meth:`SearchTrace.upto`). A schedule
+    with a final-iteration model serves depth d with a different model at
+    each d, so then every d is searched. Only the searched trees are written
+    under ``workdir``, one ``k<k>_d<d>_<mode>`` directory per search.
+
     A failing task (tool or configuration error) is recorded as unsuccessful
-    and the suite continues. Tasks inside one grid point may run concurrently
-    up to ``parallelism``; aggregation order stays the task order.
+    at every point its search serves and the suite continues. Tasks of one
+    search may run concurrently up to ``parallelism``; aggregation order
+    stays the task order.
     """
     grid = list(grid)
     if not grid:
@@ -179,48 +205,72 @@ def run_suite(
     root = Path(workdir) if workdir is not None else Path(tempfile.mkdtemp(prefix="suite_"))
     schedule_desc = describe_schedule(schedule)
 
-    results = []
-    for point in grid:
-        point_dir = root / f"k{point.num_candidates}_d{point.max_depth}_{point.mode.value}"
+    def search_all(k: int, d: int, mode: FeedbackMode) -> list[SearchTrace | None]:
+        """One search per task, in task order; None where the search raised."""
 
-        def run_task(task: DesignTask) -> TaskRow:
+        def search(task: DesignTask) -> SearchTrace | None:
             cfg = SearchConfig(
-                num_candidates=point.num_candidates,
-                max_depth=point.max_depth,
-                feedback_mode=point.mode,
+                num_candidates=k,
+                max_depth=d,
+                feedback_mode=mode,
                 sim_timeout=sim_timeout,
-                outdir=point_dir / task.name,
+                outdir=root / f"k{k}_d{d}_{mode.value}" / task.name,
             )
             try:
-                trace = run_search(task, cfg, schedule, backends, evaluator=evaluator)
+                return run_search(task, cfg, schedule, backends, evaluator=evaluator)
             except Exception as exc:
                 warnings.warn(f"task {task.name!r} failed: {exc}", stacklevel=2)
-                return TaskRow(
-                    task.name, False, 0, TokenUsage(0, 0), Decimal(0), None,
-                    task.category, task.subcategory,
-                )
-            queries, success = pass_at_budget(trace)
-            totals = trace.ledger.totals
-            best = trace.best()
-            return TaskRow(
-                task_name=task.name,
-                success=success,
-                queries_used=queries,
-                tokens=TokenUsage(totals.input_tokens, totals.output_tokens),
-                cost_usd=totals.cost_usd,
-                best_rank=best.rank.value if best is not None else None,
-                category=task.category,
-                subcategory=task.subcategory,
-            )
+                return None
 
         if parallelism > 1:
             with ThreadPoolExecutor(max_workers=parallelism) as pool:
-                rows = list(pool.map(run_task, tasks))
-        else:
-            rows = [run_task(task) for task in tasks]
-        params = SuiteParams(point.num_candidates, point.max_depth, point.mode, schedule_desc)
-        results.append(SuiteResult(params, tuple(rows)))
+                return list(pool.map(search, tasks))
+        return [search(task) for task in tasks]
+
+    groups: dict[tuple[int, FeedbackMode], set[int]] = {}
+    for point in grid:
+        groups.setdefault((point.num_candidates, point.mode), set()).add(point.max_depth)
+    run_depths = {
+        group: sorted(depths) if schedule.final_model is not None else [max(depths)]
+        for group, depths in groups.items()
+    }
+    traces = {
+        (k, mode, d): search_all(k, d, mode)
+        for (k, mode), depths in run_depths.items()
+        for d in depths
+    }
+
+    results = []
+    for point in grid:
+        k, d, mode = point.num_candidates, point.max_depth, point.mode
+        run_d = min(run for run in run_depths[k, mode] if run >= d)
+        rows = tuple(
+            _task_summary(task, trace.upto(d) if trace is not None else None)
+            for task, trace in zip(tasks, traces[k, mode, run_d])
+        )
+        results.append(SuiteResult(SuiteParams(k, d, mode, schedule_desc), rows))
     return results
+
+
+def _task_summary(task: DesignTask, trace: SearchTrace | None) -> TaskRow:
+    if trace is None:
+        return TaskRow(
+            task.name, False, 0, TokenUsage(0, 0), Decimal(0), None,
+            task.category, task.subcategory,
+        )
+    queries, success = pass_at_budget(trace)
+    totals = trace.ledger.totals
+    best = trace.best()
+    return TaskRow(
+        task_name=task.name,
+        success=success,
+        queries_used=queries,
+        tokens=TokenUsage(totals.input_tokens, totals.output_tokens),
+        cost_usd=totals.cost_usd,
+        best_rank=best.rank.value if best is not None else None,
+        category=task.category,
+        subcategory=task.subcategory,
+    )
 
 
 def _percent(successes: int, total: int) -> float:

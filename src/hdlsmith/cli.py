@@ -155,7 +155,12 @@ def main(argv: list[str] | None = None) -> int:
     bench_p.set_defaults(func=_cmd_bench)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except runcfg.ConfigError as exc:
+        # str(exc) starts with the key path of the offending setting.
+        print(f"hdlsmith: configuration error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

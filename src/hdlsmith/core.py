@@ -338,6 +338,38 @@ class SearchTrace:
     def __post_init__(self) -> None:
         object.__setattr__(self, "nodes", tuple(self.nodes))
 
+    @classmethod
+    def from_nodes(
+        cls, nodes: Sequence[DepthNode], termination: Termination, ledger: CostLedger
+    ) -> "SearchTrace":
+        """A trace whose ``best_overall`` is the best chosen candidate of ``nodes``."""
+        best = best_candidate([node.chosen for node in nodes]) if nodes else None
+        return cls(
+            nodes=tuple(nodes),
+            best_overall=(best.depth, best.index) if best is not None else None,
+            termination=termination,
+            ledger=ledger,
+        )
+
+    def upto(self, depth: int) -> "SearchTrace":
+        """The trace a search with maximum depth ``depth`` would have produced.
+
+        Greedy search makes a shallower search the prefix of a deeper one, as
+        long as the schedule has no final-iteration model. A trace that went
+        on past ``depth``, or whose backend failed only after it, ends with
+        ``MAX_DEPTH_REACHED``; otherwise the termination is kept.
+        """
+        if depth < 0:
+            raise ValueError("depth must be non-negative")
+        nodes = self.nodes[: depth + 1]
+        termination = self.termination
+        if len(self.nodes) > depth + 1 or (
+            len(self.nodes) == depth + 1 and termination is Termination.BACKEND_ERROR
+        ):
+            termination = Termination.MAX_DEPTH_REACHED
+        ledger = CostLedger(tuple(e for e in self.ledger.entries if e.depth <= depth))
+        return SearchTrace.from_nodes(nodes, termination, ledger)
+
     def all_candidates(self) -> list[CandidateResponse]:
         return [c for node in self.nodes for c in node.candidates]
 

@@ -95,6 +95,9 @@ class ToolchainConfig:
 DEFAULT_TOOLS = ToolchainConfig()
 
 DEFAULT_SIM_TIMEOUT = 60.0
+# Fixed, not the caller's simulation timeout: sweeps set that to fractions of
+# a second, and a slow compiler start must not turn a good module into an error.
+COMPILE_TIMEOUT = 60.0
 
 _HINT_RE = re.compile(
     r"^Hint: Output '([^']+)' has (\d+) mismatches\. "
@@ -159,7 +162,8 @@ def compile_design(
 
     Exit code 0 with no warning lines is ``OK``; exit 0 with warnings is
     ``OK_WITH_WARNINGS``; anything else is ``ERROR`` with the tool's
-    diagnostics attached.
+    diagnostics attached. A compiler still running after ``COMPILE_TIMEOUT``
+    seconds is killed and the result is an ``ERROR`` saying so.
     """
     module_path, tb_path = write_candidate_sources(module_src, testbench_src, workdir, top_name)
     artifact = workdir / f"{top_name}.vvp"
@@ -173,7 +177,12 @@ def compile_design(
         tb_path.name,
     ]
     try:
-        proc = subprocess.run(argv, cwd=workdir, capture_output=True, text=True)
+        proc = subprocess.run(
+            argv, cwd=workdir, capture_output=True, text=True, timeout=COMPILE_TIMEOUT
+        )
+    except subprocess.TimeoutExpired:
+        message = f"error: compile timed out after {COMPILE_TIMEOUT:g} seconds and was killed"
+        return CompileResult(CompileStatus.ERROR, (("error", message),), None)
     except FileNotFoundError as exc:
         raise ToolNotFoundError(f"compiler not found: {tools.compiler}") from exc
     except OSError as exc:

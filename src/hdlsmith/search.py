@@ -224,13 +224,7 @@ def run_search(
             cfg.feedback_mode,
         )
 
-    best = best_candidate([node.chosen for node in nodes]) if nodes else None
-    return SearchTrace(
-        nodes=tuple(nodes),
-        best_overall=(best.depth, best.index) if best is not None else None,
-        termination=termination,
-        ledger=CostLedger(tuple(ledger_entries)),
-    )
+    return SearchTrace.from_nodes(nodes, termination, CostLedger(tuple(ledger_entries)))
 
 
 def _window_for_call(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import json
+from collections import Counter
 from decimal import Decimal
 from pathlib import Path
 
@@ -24,6 +25,7 @@ from hdlsmith.bench import (
     average_cost,
     average_tokens,
     category_rollup,
+    describe_schedule,
     export_report,
     load_report,
     load_suite,
@@ -33,10 +35,10 @@ from hdlsmith.bench import (
     success_percent,
     suite_pareto_point,
 )
-from hdlsmith.core import TokenUsage
-from hdlsmith.faketools import offline_evaluate, passing_reply
+from hdlsmith.core import Termination, TokenUsage
+from hdlsmith.faketools import offline_evaluate, passing_reply, reply_with_module
 from hdlsmith.prompts import FeedbackMode
-from hdlsmith.search import ModelSchedule
+from hdlsmith.search import FINAL_ITERATION, ModelSchedule, ScheduleEntry, SearchConfig, run_search
 from hdlsmith.backends import lookup_model
 
 
@@ -77,6 +79,24 @@ class TestLoadSuite:
         tasks = {t.name: t for t in load_suite(suite)}
         assert tasks["adder"].category == "arithmetic"
         assert tasks["mux"].category is None
+
+    def test_non_object_manifest_entry_loads_task_untagged(self, tmp_path):
+        manifest = {"adder": "arith", "mux": {"category": "logic"}}
+        suite = make_suite_dir(tmp_path, manifest=manifest)
+        with pytest.warns(UserWarning, match="'adder' loads untagged"):
+            tasks = {t.name: t for t in load_suite(suite)}
+        assert sorted(tasks) == ["adder", "counter", "mux"]
+        assert (tasks["adder"].category, tasks["adder"].subcategory) == (None, None)
+        assert tasks["mux"].category == "logic"
+
+    @pytest.mark.parametrize("text", ["{not json", '["adder"]', '"arith"'])
+    def test_unusable_manifest_loads_every_task_untagged(self, tmp_path, text):
+        suite = make_suite_dir(tmp_path)
+        (suite / "manifest.json").write_text(text)
+        with pytest.warns(UserWarning, match="manifest.json ignored"):
+            tasks = load_suite(suite)
+        assert [t.name for t in tasks] == ["adder", "counter", "mux"]
+        assert all(t.category is None and t.subcategory is None for t in tasks)
 
     def test_unmatched_prompt_is_skipped_with_warning(self, tmp_path):
         suite = make_suite_dir(tmp_path)
@@ -163,6 +183,118 @@ class TestRunSuite:
             evaluator=offline_evaluate, workdir=tmp_path / "w2", parallelism=3,
         )
         assert serial == parallel
+
+
+PRICED_MOCK = lookup_model("gpt-4o-mini", "mock")
+SWEEP_GRID = [
+    GridPoint(k, d, mode)
+    for mode in FeedbackMode
+    for k in (1, 2)
+    for d in (3, 0, 5, 1)  # out of order: rows keep the grid order
+]
+SWEEP_SCRIPT = {
+    # adder passes at depth 3, but only with k >= 2.
+    **{("adder", depth, 0): reply_with_module(f"mismatches={9 - depth} samples=10", "adder")
+       for depth in range(6)},
+    ("adder", 1, 1): reply_with_module("compile-error", "adder"),
+    ("adder", 3, 1): passing_reply(name="adder"),
+    ("counter", 0, 0): passing_reply(name="counter"),
+    ("mux", 2, 0): reply_with_module("hang", "mux"),
+    ("mux", 4, 1): reply_with_module("mismatches=1 samples=10", "mux"),
+}
+
+
+def sweep_backend() -> MockBackend:
+    return MockBackend(SWEEP_SCRIPT, tokens_per_reply=TokenUsage(120, 45))
+
+
+def reference_sweep(tasks, grid, schedule, outdir: Path) -> list[SuiteResult]:
+    """The naive sweep: one search per task per grid point, summarized here."""
+    results = []
+    for point in grid:
+        rows = []
+        for task in tasks:
+            cfg = SearchConfig(point.num_candidates, point.max_depth, point.mode,
+                               outdir=outdir / f"{point}" / task.name)
+            trace = run_search(task, cfg, schedule, {"mock": sweep_backend()},
+                               evaluator=offline_evaluate)
+            totals = trace.ledger.totals
+            best = trace.best()
+            rows.append(TaskRow(
+                task.name,
+                trace.termination is Termination.ALL_TESTS_PASSED,
+                len(trace.all_candidates()),
+                TokenUsage(totals.input_tokens, totals.output_tokens),
+                totals.cost_usd,
+                best.rank.value if best is not None else None,
+                task.category,
+                task.subcategory,
+            ))
+        params = SuiteParams(point.num_candidates, point.max_depth, point.mode,
+                             describe_schedule(schedule))
+        results.append(SuiteResult(params, tuple(rows)))
+    return results
+
+
+class TestPrefixSweep:
+    """A grid sweep runs each (k, mode) once at its deepest d."""
+
+    def sweep(self, tmp_path, schedule):
+        manifest = {"adder": {"category": "arithmetic"}}
+        tasks = load_suite(make_suite_dir(tmp_path, manifest=manifest))
+        backend = sweep_backend()
+        results = run_suite(
+            tasks, SWEEP_GRID, schedule, {"mock": backend},
+            evaluator=offline_evaluate, workdir=tmp_path / "work",
+        )
+        reference = reference_sweep(tasks, SWEEP_GRID, schedule, tmp_path / "reference")
+        return results, reference, backend
+
+    @pytest.mark.parametrize("format", list(ReportFormat))
+    def test_report_matches_search_per_grid_point(self, tmp_path, format):
+        results, reference, _ = self.sweep(tmp_path, ModelSchedule.single(PRICED_MOCK))
+        assert render_report(results, format) == render_report(reference, format)
+        successes = [success_percent(r) for r in results if r.params.num_candidates == 2]
+        assert successes == [66.7, 33.3, 66.7, 33.3] * 2
+
+    def test_one_search_per_task_per_group(self, tmp_path):
+        _, _, backend = self.sweep(tmp_path, ModelSchedule.single(PRICED_MOCK))
+        searches = Counter((c.task_name, c.num_candidates) for c in backend.calls if c.depth == 0)
+        # One search per mode for every task and k.
+        assert searches == {(task, k): 2 for task in ("adder", "counter", "mux") for k in (1, 2)}
+        assert sorted(p.name for p in (tmp_path / "work").iterdir()) == [
+            "k1_d5_full_context", "k1_d5_succinct", "k2_d5_full_context", "k2_d5_succinct",
+        ]
+
+    def test_final_model_schedule_searches_every_depth(self, tmp_path):
+        schedule = ModelSchedule((
+            ScheduleEntry(0, PRICED_MOCK),
+            ScheduleEntry(FINAL_ITERATION, lookup_model("gpt-4o", "mock")),
+        ))
+        results, reference, backend = self.sweep(tmp_path, schedule)
+        assert render_report(results, ReportFormat.JSON) == render_report(reference, ReportFormat.JSON)
+        assert sum(c.depth == 0 for c in backend.calls) == 3 * len(SWEEP_GRID)
+        assert len(list((tmp_path / "work").iterdir())) == len(SWEEP_GRID)
+
+    def test_failed_deepest_search_fails_every_depth(self, tmp_path):
+        tasks = load_suite(make_suite_dir(tmp_path, stems=("alpha", "beta")))
+
+        def evaluator(text, task, workdir, timeout):
+            if task.name == "alpha" and "iter3" in workdir.parts:
+                raise RuntimeError("tool exploded")
+            return offline_evaluate(text, task, workdir, timeout)
+
+        grid = [GridPoint(1, 0), GridPoint(1, 1), GridPoint(1, 5)]
+        with pytest.warns(UserWarning, match="alpha") as caught:
+            results = run_suite(
+                tasks, grid, ModelSchedule.single(PRICED_MOCK), {"mock": MockBackend({})},
+                evaluator=evaluator, workdir=tmp_path / "work",
+            )
+        assert len(caught) == 1
+        for result in results:
+            alpha, beta = result.per_task
+            assert (alpha.success, alpha.queries_used, alpha.best_rank) == (False, 0, None)
+            assert beta.queries_used == result.params.max_depth + 1
 
 
 class TestSuccessPercent:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import shutil
+import time
 from pathlib import Path
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import SAMPLE_HINTS, SAMPLE_SUMMARY_OUTPUT, SAMPLE_TOTALS
+from hdlsmith import edatools
 from hdlsmith.core import DesignTask, OutcomeKind
 from hdlsmith.edatools import (
     CompileResult,
@@ -243,6 +245,24 @@ class TestRealDriverWithFakeBinaries:
     def test_version_banner(self, tmp_path):
         tools = write_fake_binaries(tmp_path)
         assert tool_version(tools) == "Fake Verilog Compiler 99.0"
+
+    def test_hanging_compiler_is_killed_at_compile_timeout(self, task, tmp_path, monkeypatch):
+        compiler = tmp_path / "slow_iverilog"
+        # exec, so the kill reaches the sleeping process that holds the pipes.
+        compiler.write_text("#!/bin/sh\nexec sleep 30\n")
+        compiler.chmod(0o755)
+        tools = ToolchainConfig(compiler=str(compiler), runtime=str(compiler))
+        monkeypatch.setattr(edatools, "COMPILE_TIMEOUT", 0.2)
+        start = time.monotonic()
+        result = compile_design("module top_module(); endmodule", "module tb(); endmodule",
+                                tmp_path / "c0", "top_module", tools)
+        assert time.monotonic() - start < 10
+        assert result.status is CompileStatus.ERROR
+        assert result.messages == (("error", "error: compile timed out after 0.2 seconds and was killed"),)
+        outcome = evaluate("module top_module(); endmodule", task, tmp_path / "r0",
+                           timeout=10.0, tools=tools)
+        assert outcome.kind is OutcomeKind.COMPILE_ERROR
+        assert "compile timed out" in outcome.compile_messages[0]
 
 
 def _mux_task(module_fixture: str) -> tuple[DesignTask, str]:

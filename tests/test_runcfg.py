@@ -386,15 +386,30 @@ class TestCli:
         )
         assert code == 1
 
-    def test_run_missing_config_is_config_error(self, tmp_path):
-        with pytest.raises(MissingFileError):
-            cli_main(["run", "--config", str(tmp_path / "missing.json")])
+    def test_run_missing_config_is_config_error(self, tmp_path, capsys):
+        missing = tmp_path / "missing.json"
+        assert cli_main(["run", "--config", str(missing)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"hdlsmith: configuration error: {missing}: ")
+        assert captured.err.count("\n") == 1
 
-    def test_run_malformed_config_is_config_error(self, tmp_path):
+    def test_run_malformed_config_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
-        with pytest.raises(TypeMismatchError):
-            cli_main(["run", "--config", str(path)])
+        assert cli_main(["run", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"hdlsmith: configuration error: {path}: ")
+        assert err.count("\n") == 1
+
+    def test_run_bad_override_names_key_path(self, tmp_path, capsys):
+        config_path = write_config(tmp_path)
+        code = cli_main(["run", "--config", str(config_path),
+                         "--override", "general.num_candidates=many"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("hdlsmith: configuration error: general.num_candidates")
+        assert err.count("\n") == 1
 
     def test_bench_cli_writes_report(self, tmp_path, capsys):
         suite = tmp_path / "suite"

@@ -14,9 +14,10 @@ from hdlsmith.backends import (
     BackendError,
     ContextOverflowError,
     MockBackend,
+    TransportError,
     lookup_model,
 )
-from hdlsmith.core import DesignTask, OutcomeKind, Termination, candidate_order_key
+from hdlsmith.core import DesignTask, ModelSpec, OutcomeKind, Termination, candidate_order_key
 from hdlsmith.extract import extract_module
 from hdlsmith.faketools import offline_evaluate, passing_reply, reply_with_module
 from hdlsmith.prompts import (
@@ -374,3 +375,108 @@ class TestParallelEvaluation:
             task, tmp_path / "pooled", k=4, d=1, script=script, eval_workers=4
         )
         assert serial == pooled
+
+
+class _ScriptedFailureBackend:
+    """A mock backend that raises at one depth: on every request there, or
+    (``once``) only on the first, as a provider rejecting one long prompt."""
+
+    def __init__(self, script, fail_at_depth, exc, once):
+        self.inner = MockBackend(script)
+        self.fail_at_depth, self.exc, self.once = fail_at_depth, exc, once
+        self.failed = False
+
+    def generate(self, req):
+        if req.depth == self.fail_at_depth and not (self.once and self.failed):
+            self.failed = True
+            raise self.exc
+        return self.inner.generate(req)
+
+
+PREFIX_REPLIES = (
+    passing_reply(),
+    reply_with_module("mismatches=3 samples=10"),
+    reply_with_module("mismatches=7 samples=10"),
+    reply_with_module("compile-error"),
+    reply_with_module("hang"),
+    "I am unable to help with that request.",
+    "",
+)
+PREFIX_FAILURES = (
+    None,
+    ("overflow", ContextOverflowError("prompt is too long"), False),
+    ("overflow once", ContextOverflowError("prompt is too long"), True),
+    ("transport", TransportError("connection reset"), False),
+)
+
+
+@st.composite
+def prefix_cases(draw):
+    k = draw(st.integers(1, 3))
+    d = draw(st.integers(0, 4))
+    replies = {
+        ("top_module", depth, index): draw(st.sampled_from(PREFIX_REPLIES))
+        for depth in range(d + 1)
+        for index in range(k)
+    }
+    failure = draw(st.sampled_from(PREFIX_FAILURES))
+    fail_at = draw(st.integers(0, d + 1))
+    mode = draw(st.sampled_from(list(FeedbackMode)))
+    # A small window makes full-context histories fall back to the succinct shape.
+    window = draw(st.sampled_from([128_000, 120]))
+    entries = [ScheduleEntry(0, ModelSpec("mock", "small", 0, 0, window))]
+    if d > 0 and draw(st.booleans()):
+        entries.append(ScheduleEntry(draw(st.integers(1, d)), lookup_model("later")))
+    return k, d, replies, failure, fail_at, mode, ModelSchedule(tuple(entries))
+
+
+class TestPrefixTraces:
+    """``run_search(d).upto(d')`` is the trace of a depth-d' search."""
+
+    @staticmethod
+    def search(task, case, depth, outdir):
+        k, _, replies, failure, fail_at, mode, schedule = case
+        if failure is None:
+            backend = MockBackend(replies)
+        else:
+            backend = _ScriptedFailureBackend(replies, fail_at, failure[1], failure[2])
+        cfg = SearchConfig(num_candidates=k, max_depth=depth, feedback_mode=mode,
+                           sim_timeout=60.0, outdir=outdir)
+        return run_search(task, cfg, schedule, {"mock": backend}, evaluator=offline_evaluate)
+
+    @given(case=prefix_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_prefix_of_deep_search_equals_shallow_search(self, case, tmp_path_factory):
+        task = DesignTask("top_module", "design prompt", "module tb(); endmodule")
+        outdir = tmp_path_factory.mktemp("prefix")
+        d = case[1]
+        deep = self.search(task, case, d, outdir)
+        assert deep.upto(d) == deep
+        for shallow_d in range(d + 1):
+            assert deep.upto(shallow_d) == self.search(task, case, shallow_d, outdir)
+
+    @pytest.mark.parametrize("depth, termination", [
+        (0, Termination.MAX_DEPTH_REACHED),
+        (1, Termination.MAX_DEPTH_REACHED),
+        (2, Termination.BACKEND_ERROR),
+        (4, Termination.BACKEND_ERROR),
+    ])
+    def test_backend_error_after_prefix_is_not_inherited(self, task, tmp_path, depth, termination):
+        def search(d):
+            backend = _ScriptedFailureBackend({}, 2, BackendError("boom"), False)
+            return run_search(task, search_config(1, d, tmp_path), single_schedule(),
+                              {"mock": backend}, evaluator=offline_evaluate)
+
+        prefix = search(4).upto(depth)
+        assert prefix.termination is termination
+        assert prefix == search(depth)
+
+    def test_passed_prefix_keeps_its_termination(self, task, tmp_path):
+        script = {("top_module", 1, 0): passing_reply()}
+        trace, _ = run_mock_search(task, tmp_path, k=1, d=5, script=script)
+        assert trace.upto(1) == trace
+        assert trace.upto(0).termination is Termination.MAX_DEPTH_REACHED
+        assert trace.upto(0).best_overall == (0, 0)
+        assert pass_at_budget(trace.upto(0)) == (1, False)
+        with pytest.raises(ValueError):
+            trace.upto(-1)
