@@ -15,8 +15,10 @@ import random
 import subprocess
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from decimal import Decimal
+from functools import partial
 from pathlib import Path
 from typing import Callable, Mapping, Protocol
 
@@ -75,11 +77,15 @@ class GenerationRequest:
             raise ValueError("num_candidates must be at least 1")
 
 
+# One candidate: the reply text and the usage its provider reported for it.
+Reply = tuple[str, TokenUsage]
+
+
 @dataclass(frozen=True)
 class GenerationBatch:
-    """Reply texts with per-reply token usage, in request order."""
+    """Reply texts with per-reply token usage, in the order the replies arrived."""
 
-    replies: tuple[tuple[str, TokenUsage], ...]
+    replies: tuple[Reply, ...]
     model_id: str
 
     def __post_init__(self) -> None:
@@ -150,6 +156,38 @@ def backoff_delay(policy: RetryPolicy, retry_index: int, rng: random.Random) -> 
     """
     half = policy.base_delay * policy.factor**retry_index / 2.0
     return half + rng.random() * half
+
+
+def _fan_out(request: Callable[[], Reply], k: int) -> tuple[Reply, ...]:
+    """Make ``k`` identical candidate requests: one alone, then k-1 at once.
+
+    The first request goes alone so that a rejection every request would get
+    (context overflow, bad credentials, throttling) costs one request, not k.
+    Replies are returned in arrival order: the requests are indistinguishable,
+    and a provider that serves one request at a time then yields the same
+    order as a serial loop. If any request fails, its error is raised only
+    after every in-flight request has returned, so no thread outlives the call.
+    """
+    first = request()
+    if k == 1:
+        return (first,)
+    arrived: list[tuple[Reply | None, Exception | None]] = []
+
+    def attempt() -> None:
+        # list.append is atomic, so the list records arrival order.
+        try:
+            arrived.append((request(), None))
+        except Exception as exc:
+            arrived.append((None, exc))
+
+    with ThreadPoolExecutor(max_workers=k - 1) as pool:
+        futures = [pool.submit(attempt) for _ in range(k - 1)]
+    for future in futures:
+        future.result()  # re-raises anything ``attempt`` does not catch
+    for _, error in arrived:
+        if error is not None:
+            raise error
+    return (first, *(reply for reply, _ in arrived))
 
 
 # Transport signature: (url, headers, json_body) -> (status_code, payload).
@@ -241,12 +279,10 @@ class _HttpBackend:
     def generate(self, req: GenerationRequest) -> GenerationBatch:
         # Providers report usage per call, not per choice, so each candidate
         # is its own request to keep usage attributable per reply.
-        replies = []
-        for _ in range(req.num_candidates):
-            replies.append(self._single_completion(req))
-        return GenerationBatch(tuple(replies), req.model.model_id)
+        replies = _fan_out(partial(self._single_completion, req), req.num_candidates)
+        return GenerationBatch(replies, req.model.model_id)
 
-    def _single_completion(self, req: GenerationRequest) -> tuple[str, TokenUsage]:
+    def _single_completion(self, req: GenerationRequest) -> Reply:
         raise NotImplementedError
 
 
@@ -256,7 +292,7 @@ class ChatCompletionsBackend(_HttpBackend):
     def __init__(self, base_url: str = "https://api.openai.com/v1", api_key_env: str = "OPENAI_API_KEY", **kwargs):
         super().__init__(base_url=base_url, api_key_env=api_key_env, **kwargs)
 
-    def _single_completion(self, req: GenerationRequest) -> tuple[str, TokenUsage]:
+    def _single_completion(self, req: GenerationRequest) -> Reply:
         headers = {
             "Authorization": f"Bearer {self._api_key()}",
             "Content-Type": "application/json",
@@ -300,7 +336,7 @@ class MessagesBackend(_HttpBackend):
                 merged.append({"role": role, "content": msg.content})
         return merged
 
-    def _single_completion(self, req: GenerationRequest) -> tuple[str, TokenUsage]:
+    def _single_completion(self, req: GenerationRequest) -> Reply:
         headers = {
             "x-api-key": self._api_key(),
             "anthropic-version": self.api_version,
@@ -329,8 +365,9 @@ class MessagesBackend(_HttpBackend):
 class CommandBackend:
     """Local-process hook: pipe the rendered conversation to a command.
 
-    One subprocess per candidate; stdout is the reply. Usage is estimated at
-    ~4 characters per token since there is no provider report.
+    One subprocess per candidate, started like HTTP requests (see
+    ``_fan_out``); stdout is the reply. Usage is estimated at ~4 characters
+    per token since there is no provider report.
     """
 
     argv: tuple[str, ...]
@@ -341,26 +378,25 @@ class CommandBackend:
         return "\n\n".join(f"[{m.role.value}]\n{m.content}" for m in conv.messages)
 
     def generate(self, req: GenerationRequest) -> GenerationBatch:
-        prompt = self._render(req.conversation)
-        replies = []
-        for _ in range(req.num_candidates):
-            try:
-                proc = subprocess.run(
-                    list(self.argv),
-                    input=prompt,
-                    capture_output=True,
-                    text=True,
-                    timeout=self.timeout,
-                )
-            except subprocess.TimeoutExpired as exc:
-                raise TransportError(f"local model timed out after {self.timeout:g}s") from exc
-            except OSError as exc:
-                raise TransportError(str(exc)) from exc
-            if proc.returncode != 0:
-                raise TransportError(f"local model exited {proc.returncode}: {proc.stderr.strip()}")
-            usage = TokenUsage(math.ceil(len(prompt) / 4), math.ceil(len(proc.stdout) / 4))
-            replies.append((proc.stdout, usage))
-        return GenerationBatch(tuple(replies), req.model.model_id)
+        replies = _fan_out(partial(self._run, self._render(req.conversation)), req.num_candidates)
+        return GenerationBatch(replies, req.model.model_id)
+
+    def _run(self, prompt: str) -> Reply:
+        try:
+            proc = subprocess.run(
+                list(self.argv),
+                input=prompt,
+                capture_output=True,
+                text=True,
+                timeout=self.timeout,
+            )
+        except subprocess.TimeoutExpired as exc:
+            raise TransportError(f"local model timed out after {self.timeout:g}s") from exc
+        except OSError as exc:
+            raise TransportError(str(exc)) from exc
+        if proc.returncode != 0:
+            raise TransportError(f"local model exited {proc.returncode}: {proc.stderr.strip()}")
+        return proc.stdout, TokenUsage(math.ceil(len(prompt) / 4), math.ceil(len(proc.stdout) / 4))
 
 
 @dataclass(frozen=True)

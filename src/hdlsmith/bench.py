@@ -112,8 +112,8 @@ def load_suite(directory: str | Path) -> list[DesignTask]:
 
     Tasks missing either file are reported and skipped; an optional manifest
     maps task names to category/subcategory tags. A manifest that is not a
-    JSON object, or an entry that is not one, is reported and its tasks load
-    untagged.
+    JSON object, an entry that is not one, or an entry whose tags are not
+    non-empty strings is reported and its tasks load untagged.
     """
     directory = Path(directory)
     manifest = {}
@@ -139,10 +139,18 @@ def load_suite(directory: str | Path) -> list[DesignTask]:
     for stem in sorted(set(prompt_stems) & set(tb_stems)):
         tags = manifest.get(stem, {})
         if not isinstance(tags, dict):
-            warnings.warn(
-                f"suite task {stem!r} loads untagged: its manifest entry is not a JSON object",
-                stacklevel=2,
-            )
+            problem = "its manifest entry is not a JSON object"
+        elif any(
+            tags.get(key) is not None and not (isinstance(tags[key], str) and tags[key])
+            for key in ("category", "subcategory")
+        ):
+            # Reports store tags as text with "" for none, so only a non-empty
+            # string survives a report round trip.
+            problem = f"its category and subcategory must be non-empty strings, got {tags!r}"
+        else:
+            problem = None
+        if problem is not None:
+            warnings.warn(f"suite task {stem!r} loads untagged: {problem}", stacklevel=2)
             tags = {}
         try:
             tasks.append(

@@ -49,8 +49,14 @@ def _parse_grid(raw: str) -> list[tuple[int, int]]:
         key, _, values = clause.partition("=")
         key = key.strip()
         if key not in axes or not values:
-            raise SystemExit(f"bad grid clause {clause!r}; expected k=... or d=...")
-        axes[key] = [int(v) for v in values.split(",")]
+            raise runcfg.ConfigError("--grid", f"bad clause {clause!r}; expected k=... or d=...")
+        try:
+            axes[key] = [int(v) for v in values.split(",")]
+        except ValueError:
+            raise runcfg.ConfigError("--grid", f"{clause!r}: {key} values must be integers") from None
+        lowest = 1 if key == "k" else 0  # k candidates per depth, d repair depths
+        if min(axes[key]) < lowest:
+            raise runcfg.ConfigError("--grid", f"{clause!r}: {key} must be at least {lowest}")
     return [(k, d) for k in axes["k"] for d in axes["d"]]
 
 
@@ -80,11 +86,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    mode = FeedbackMode.SUCCINCT if args.mode == "succinct" else FeedbackMode.FULL_CONTEXT
+    grid = [GridPoint(k, d, mode) for k, d in _parse_grid(args.grid)]
     tasks = load_suite(args.suite)
     backends = _registry_with_backend(args.backend)
     evaluator = offline_evaluate if args.offline_tools else None
-    mode = FeedbackMode.SUCCINCT if args.mode == "succinct" else FeedbackMode.FULL_CONTEXT
-    grid = [GridPoint(k, d, mode) for k, d in _parse_grid(args.grid)]
 
     entries = [ScheduleEntry(0, _parse_model(args.model))]
     if args.final_model:

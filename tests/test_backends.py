@@ -6,6 +6,7 @@ import json
 import random
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -59,6 +60,10 @@ class StubTransport:
         if isinstance(item, Exception):
             raise item
         return item
+
+
+def fan_out_request(k):
+    return GenerationRequest(two_turn_conversation(), lookup_model("gpt-4o-mini"), k)
 
 
 def chat_payload(text="reply", prompt_tokens=10, completion_tokens=20):
@@ -139,12 +144,15 @@ class TestChatCompletionsBackend:
 
     def test_per_reply_usage_matches_provider_reports(self, monkeypatch):
         # Usage is attributable because each reply came from its own call.
-        reports = [(11, 21), (12, 22), (13, 23)]
-        transport = StubTransport([(200, chat_payload("r", i, o)) for i, o in reports])
+        # Replies come back in arrival order, so pair each text with its usage.
+        canned = {("r0", 11, 21), ("r1", 12, 22), ("r2", 13, 23)}
+        transport = StubTransport([(200, chat_payload(*report)) for report in sorted(canned)])
         backend = self.make_backend(transport, monkeypatch)
         req = GenerationRequest(two_turn_conversation(), lookup_model("gpt-4o-mini"), 3)
         batch = backend.generate(req)
-        assert [(u.input_tokens, u.output_tokens) for _, u in batch.replies] == reports
+        pairs = [(text, u.input_tokens, u.output_tokens) for text, u in batch.replies]
+        assert len(pairs) == 3
+        assert set(pairs) == canned
 
     def test_rate_limited_twice_then_success(self, monkeypatch):
         delays = []
@@ -218,6 +226,129 @@ class TestChatCompletionsBackend:
         assert text == "```verilog\nmodule top_module(); endmodule\n```"
         assert usage == TokenUsage(396, 241)
 
+    # A depth's k requests: one probe request, then k-1 concurrent ones.
+
+    def test_probe_alone_then_the_rest_in_flight_together(self, monkeypatch):
+        k = 5
+        barrier = threading.Barrier(k - 1, timeout=5)
+        events = []
+        calls = iter(range(k))
+
+        def transport(url, headers, body):
+            n = next(calls)
+            events.append(("start", n))
+            if n > 0:
+                # Times out (and fails the call) unless all k-1 are in flight.
+                barrier.wait()
+            events.append(("end", n))
+            return 200, chat_payload(f"r{n}")
+
+        batch = self.make_backend(transport, monkeypatch).generate(fan_out_request(k))
+        assert events[:2] == [("start", 0), ("end", 0)]
+        assert len(events) == 2 * k
+        assert batch.replies[0][0] == "r0"
+        assert sorted(text for text, _ in batch.replies) == [f"r{n}" for n in range(k)]
+
+    @pytest.mark.parametrize(
+        "status, payload, error",
+        [
+            (400, {"error": {"code": "context_length_exceeded", "message": "too big"}}, ContextOverflowError),
+            (401, {"error": {"message": "bad key"}}, AuthError),
+        ],
+    )
+    def test_rejected_probe_costs_one_request(self, monkeypatch, status, payload, error):
+        transport = StubTransport([(status, payload)] + [(200, chat_payload())] * 4)
+        backend = self.make_backend(transport, monkeypatch)
+        with pytest.raises(error):
+            backend.generate(fan_out_request(5))
+        assert len(transport.requests) == 1
+
+    def test_exhausted_retries_raise_after_every_request_returns(self, monkeypatch):
+        k, attempts = 3, 3
+        lock = threading.Lock()
+        calls = []
+        doomed = []  # the thread that makes the first fanned-out request
+        slow_done = threading.Event()
+
+        def transport(url, headers, body):
+            # The first fanned-out request fails on every attempt; its retries
+            # run on its thread, which may then take the other request.
+            me = threading.get_ident()
+            with lock:
+                calls.append(me)
+                if len(calls) == 1:
+                    return 200, chat_payload("probe")
+                if not doomed:
+                    doomed.append(me)
+                fail = me == doomed[0] and calls.count(me) <= attempts
+            if fail:
+                return 503, {}
+            time.sleep(0.2)
+            slow_done.set()
+            return 200, chat_payload("slow")
+
+        backend = self.make_backend(transport, monkeypatch, retry=RetryPolicy(attempts=attempts))
+        threads_before = threading.active_count()
+        with pytest.raises(TransportError):
+            backend.generate(fan_out_request(k))
+        assert slow_done.is_set()
+        assert threading.active_count() == threads_before
+        assert len(calls) == 1 + attempts + (k - 2)
+
+    def test_serial_provider_replies_in_answer_order(self, monkeypatch):
+        # A provider with one slot answers one request at a time; its answer
+        # ordinals are the order in which the replies arrive.
+        k = 4
+        server = threading.Lock()
+        answered = iter(range(k))
+
+        def transport(url, headers, body):
+            with server:
+                time.sleep(0.05)
+                return 200, chat_payload(f"answer {next(answered)}")
+
+        batch = self.make_backend(transport, monkeypatch).generate(fan_out_request(k))
+        assert [text for text, _ in batch.replies] == [f"answer {n}" for n in range(k)]
+
+    def test_replies_in_arrival_order_not_request_order(self, monkeypatch):
+        # Each fanned-out request answers later than the ones sent after it.
+        k = 4
+        lock = threading.Lock()
+        started = iter(range(k))
+        finished = iter(range(k))
+
+        def transport(url, headers, body):
+            time.sleep(0.05 * (k - next(started)))
+            with lock:
+                return 200, chat_payload(f"arrival {next(finished)}")
+
+        batch = self.make_backend(transport, monkeypatch).generate(fan_out_request(k))
+        assert [text for text, _ in batch.replies] == [f"arrival {n}" for n in range(k)]
+
+    def test_no_reply_lost_under_fast_thread_switching(self, monkeypatch):
+        k = 16  # more workers than cores
+        calls = iter(range(50 * k))
+        backend = self.make_backend(lambda *_: (200, chat_payload(f"r{next(calls)}")), monkeypatch)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(50):
+                texts = [text for text, _ in backend.generate(fan_out_request(k)).replies]
+                assert len(set(texts)) == k
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_single_candidate_starts_no_thread(self, monkeypatch):
+        seen = []
+
+        def transport(url, headers, body):
+            seen.append((threading.current_thread() is threading.main_thread(), threading.active_count()))
+            return 200, chat_payload()
+
+        threads_before = threading.active_count()
+        self.make_backend(transport, monkeypatch).generate(fan_out_request(1))
+        assert seen == [(True, threads_before)]
+
 
 class TestMessagesBackend:
     def make_backend(self, transport, monkeypatch):
@@ -285,6 +416,17 @@ class TestCommandBackend:
         req = GenerationRequest(two_turn_conversation(), lookup_model("local-model", "local"), 1)
         with pytest.raises(TransportError):
             backend.generate(req)
+
+    def test_candidates_run_concurrently(self):
+        k, delay = 3, 0.5
+        backend = CommandBackend(("/bin/sh", "-c", f"sleep {delay}; echo 'module m(); endmodule'"))
+        req = GenerationRequest(two_turn_conversation(), lookup_model("local-model", "local"), k)
+        start = time.perf_counter()
+        batch = backend.generate(req)
+        elapsed = time.perf_counter() - start
+        assert len(batch.replies) == k
+        assert all("module m()" in text for text, _ in batch.replies)
+        assert elapsed < k * delay
 
 
 class TestRetryPolicy:

@@ -89,6 +89,25 @@ class TestLoadSuite:
         assert (tasks["adder"].category, tasks["adder"].subcategory) == (None, None)
         assert tasks["mux"].category == "logic"
 
+    @pytest.mark.parametrize(
+        "entry", [{"category": 3}, {"category": "arith", "subcategory": ["adders"]}, {"category": ""}]
+    )
+    def test_non_string_tag_loads_task_untagged(self, tmp_path, entry):
+        manifest = {"adder": entry, "mux": {"category": "logic", "subcategory": "muxes"}}
+        suite = make_suite_dir(tmp_path, manifest=manifest)
+        with pytest.warns(UserWarning, match="'adder' loads untagged: its category and subcategory"):
+            tasks = {t.name: t for t in load_suite(suite)}
+        assert (tasks["adder"].category, tasks["adder"].subcategory) == (None, None)
+        assert (tasks["mux"].category, tasks["mux"].subcategory) == ("logic", "muxes")
+        rows = tuple(
+            make_row(t.name, category=t.category, subcategory=t.subcategory) for t in tasks.values()
+        )
+        results = [SuiteResult(SuiteParams(1, 0, FeedbackMode.SUCCINCT, "mock@0"), rows)]
+        for fmt in ReportFormat:
+            path = tmp_path / f"report.{fmt.value}"
+            export_report(results, fmt, path)
+            assert load_report(path) == results
+
     @pytest.mark.parametrize("text", ["{not json", '["adder"]', '"arith"'])
     def test_unusable_manifest_loads_every_task_untagged(self, tmp_path, text):
         suite = make_suite_dir(tmp_path)

@@ -411,6 +411,30 @@ class TestCli:
         assert err.startswith("hdlsmith: configuration error: general.num_candidates")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "grid, detail",
+        [
+            ("k=a", "'k=a': k values must be integers"),
+            ("k=1,;d=0", "'k=1,': k values must be integers"),
+            ("k=0", "'k=0': k must be at least 1"),
+            ("k=1;d=0,-1", "'d=0,-1': d must be at least 0"),
+            ("n=3", "bad clause 'n=3'"),
+        ],
+    )
+    def test_bench_bad_grid_is_usage_error(self, tmp_path, capsys, grid, detail):
+        suite = tmp_path / "suite"
+        suite.mkdir()
+        (suite / "alpha_prompt.sv").write_text("// build alpha")
+        (suite / "alpha_tb.sv").write_text("module tb(); endmodule")
+        out = tmp_path / "report.json"
+        code = cli_main(["bench", "--suite", str(suite), "--grid", grid, "--out", str(out), "--offline-tools"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"hdlsmith: configuration error: --grid: {detail}")
+        assert captured.err.count("\n") == 1
+        assert not out.exists()
+
     def test_bench_cli_writes_report(self, tmp_path, capsys):
         suite = tmp_path / "suite"
         suite.mkdir()
