@@ -57,12 +57,24 @@ class UnknownModelFamilyError(BackendError):
     pass
 
 
+# One candidate: the reply text and the usage its provider reported for it.
+Reply = tuple[str, TokenUsage]
+
+
 @dataclass(frozen=True)
 class GenerationRequest:
     """One request for ``num_candidates`` completions of a conversation.
 
     ``task_name``/``depth`` are attribution metadata: scripted backends key
     replies on them and call records carry them.
+
+    ``on_reply``, when set, is called once per reply as ``on_reply(index,
+    reply)`` as soon as that reply has its arrival index, on the thread that
+    received it, so the caller can work on each reply while the others are
+    still in flight. The HTTP and command backends call it, also for the
+    replies of a call that then raises; backends that produce every reply at
+    once (``MockBackend``) never do, so the caller handles every reply it was
+    not handed. It takes no part in equality.
     """
 
     conversation: Conversation
@@ -71,14 +83,11 @@ class GenerationRequest:
     sampling: Mapping[str, object] = field(default_factory=dict)
     task_name: str | None = None
     depth: int | None = None
+    on_reply: Callable[[int, Reply], None] | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.num_candidates < 1:
             raise ValueError("num_candidates must be at least 1")
-
-
-# One candidate: the reply text and the usage its provider reported for it.
-Reply = tuple[str, TokenUsage]
 
 
 @dataclass(frozen=True)
@@ -158,36 +167,50 @@ def backoff_delay(policy: RetryPolicy, retry_index: int, rng: random.Random) -> 
     return half + rng.random() * half
 
 
-def _fan_out(request: Callable[[], Reply], k: int) -> tuple[Reply, ...]:
+def _fan_out(
+    request: Callable[[], Reply], k: int, on_reply: Callable[[int, Reply], None] | None = None
+) -> tuple[Reply, ...]:
     """Make ``k`` identical candidate requests: one alone, then k-1 at once.
 
     The first request goes alone so that a rejection every request would get
     (context overflow, bad credentials, throttling) costs one request, not k.
-    Replies are returned in arrival order: the requests are indistinguishable,
-    and a provider that serves one request at a time then yields the same
-    order as a serial loop. If any request fails, its error is raised only
-    after every in-flight request has returned, so no thread outlives the call.
+    Replies are indexed and returned in arrival order: the requests are
+    indistinguishable, and a provider that serves one request at a time then
+    yields the same order as a serial loop. ``on_reply(index, reply)`` runs
+    on the thread that received the reply, right after it got its index; the
+    first reply's runs on the calling thread once the others are in flight.
+    If any request fails, its error is raised only after every in-flight
+    request has returned and been handed to ``on_reply``, so no thread
+    outlives the call.
     """
+    deliver = on_reply or (lambda index, reply: None)
     first = request()
     if k == 1:
+        deliver(0, first)
         return (first,)
-    arrived: list[tuple[Reply | None, Exception | None]] = []
+    replies = [first]
+    errors: list[Exception] = []
+    lock = threading.Lock()
 
     def attempt() -> None:
-        # list.append is atomic, so the list records arrival order.
         try:
-            arrived.append((request(), None))
+            reply = request()
         except Exception as exc:
-            arrived.append((None, exc))
+            errors.append(exc)
+            return
+        with lock:
+            index = len(replies)
+            replies.append(reply)
+        deliver(index, reply)
 
     with ThreadPoolExecutor(max_workers=k - 1) as pool:
         futures = [pool.submit(attempt) for _ in range(k - 1)]
+        deliver(0, first)
     for future in futures:
         future.result()  # re-raises anything ``attempt`` does not catch
-    for _, error in arrived:
-        if error is not None:
-            raise error
-    return (first, *(reply for reply, _ in arrived))
+    if errors:
+        raise errors[0]
+    return tuple(replies)
 
 
 # Transport signature: (url, headers, json_body) -> (status_code, payload).
@@ -279,7 +302,7 @@ class _HttpBackend:
     def generate(self, req: GenerationRequest) -> GenerationBatch:
         # Providers report usage per call, not per choice, so each candidate
         # is its own request to keep usage attributable per reply.
-        replies = _fan_out(partial(self._single_completion, req), req.num_candidates)
+        replies = _fan_out(partial(self._single_completion, req), req.num_candidates, req.on_reply)
         return GenerationBatch(replies, req.model.model_id)
 
     def _single_completion(self, req: GenerationRequest) -> Reply:
@@ -378,7 +401,7 @@ class CommandBackend:
         return "\n\n".join(f"[{m.role.value}]\n{m.content}" for m in conv.messages)
 
     def generate(self, req: GenerationRequest) -> GenerationBatch:
-        replies = _fan_out(partial(self._run, self._render(req.conversation)), req.num_candidates)
+        replies = _fan_out(partial(self._run, self._render(req.conversation)), req.num_candidates, req.on_reply)
         return GenerationBatch(replies, req.model.model_id)
 
     def _run(self, prompt: str) -> Reply:

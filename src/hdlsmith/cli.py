@@ -15,6 +15,7 @@ from .backends import (
     lookup_model,
 )
 from .bench import (
+    EmptySuiteError,
     GridPoint,
     ReportFormat,
     export_report,
@@ -88,7 +89,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     mode = FeedbackMode.SUCCINCT if args.mode == "succinct" else FeedbackMode.FULL_CONTEXT
     grid = [GridPoint(k, d, mode) for k, d in _parse_grid(args.grid)]
-    tasks = load_suite(args.suite)
+    if not Path(args.suite).is_dir():
+        raise runcfg.ConfigError("--suite", f"no such directory: {args.suite}")
+    try:
+        tasks = load_suite(args.suite)
+    except EmptySuiteError as exc:
+        raise runcfg.ConfigError("--suite", str(exc)) from None
     backends = _registry_with_backend(args.backend)
     evaluator = offline_evaluate if args.offline_tools else None
 

@@ -350,7 +350,9 @@ def scan_output_tree(outdir: str | Path) -> list[list[str]]:
     """Reconstruct the tree shape from a materialized output directory.
 
     Reads each ``iter<N>/response<M>/log.txt`` back; the result matches
-    :func:`trace_shape` of the trace that produced the directory.
+    :func:`trace_shape` of the trace that produced the directory, except
+    that a depth whose backend call failed after some replies arrived keeps
+    those replies' directories without having a node in the trace.
     """
 
     def numbered(parent: Path, prefix: str) -> list[Path]:

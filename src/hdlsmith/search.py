@@ -10,16 +10,19 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from . import edatools
 from .backends import (
+    Backend,
     BackendError,
     BackendRegistry,
     ContextOverflowError,
     GenerationBatch,
     GenerationRequest,
+    Reply,
     supports_system_role,
 )
 from .core import (
@@ -32,7 +35,6 @@ from .core import (
     ModelSpec,
     SearchTrace,
     Termination,
-    TokenUsage,
     best_candidate,
     compute_cost,
     rank_outcome,
@@ -54,7 +56,13 @@ FINAL_ITERATION = -1  # sentinel start_iteration marking the final-pass model
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Search parameters: k candidates per depth, maximum depth d, window mode."""
+    """Search parameters: k candidates per depth, maximum depth d, window mode.
+
+    ``eval_workers`` bounds the pool that evaluates replies a backend returns
+    all at once (``MockBackend``); the HTTP and command backends hand each
+    reply over as it arrives, and it is evaluated on the thread that
+    received it.
+    """
 
     num_candidates: int
     max_depth: int
@@ -155,9 +163,11 @@ def run_search(
     """Run the greedy tree search for one task and return the full trace.
 
     Candidate ``i`` at depth ``n`` is evaluated inside
-    ``outdir/iter<n>/response<i>``. A backend failure terminates the trace
-    with partial results preserved; at most ``k * (d + 1)`` candidates are
-    ever generated.
+    ``outdir/iter<n>/response<i>``, as soon as its reply arrives when the
+    backend hands replies to ``GenerationRequest.on_reply``. A backend
+    failure terminates the trace with partial results preserved, and the
+    replies the failed depth already paid for stay in the ledger; at most
+    ``k * (d + 1)`` candidates are ever generated.
     """
     if evaluator is None:
         evaluator = edatools.evaluate
@@ -181,32 +191,27 @@ def run_search(
             task_name=task.name,
             depth=depth,
         )
-        try:
-            batch = backend.generate(request)
-        except ContextOverflowError:
+        evaluate = partial(_evaluate_one, task, cfg, model, depth, evaluator)
+        batch, error, arrived = _generate(backend, request, evaluate)
+        # Replies that a failed call delivered were paid for: they get ledger
+        # entries at this depth, but are not candidates.
+        if isinstance(error, ContextOverflowError) and not fallback and len(conversation.messages) > 4:
             # One failover retry with the succinct window; if that cannot
             # shrink the prompt (or already failed), the depth is lost.
-            if fallback or len(conversation.messages) <= 4:
-                termination = Termination.BACKEND_ERROR
-                break
+            ledger_entries.extend(_ledger_entries(arrived.values(), model))
             conv_call, fallback = succinct_window(conversation), True
             request = replace(
                 request,
                 conversation=flatten_for_backend(conv_call, supports_system_role(model)),
             )
-            try:
-                batch = backend.generate(request)
-            except BackendError:
-                termination = Termination.BACKEND_ERROR
-                break
-        except BackendError:
+            batch, error, arrived = _generate(backend, request, evaluate)
+        if error is not None:
+            ledger_entries.extend(_ledger_entries(arrived.values(), model))
             termination = Termination.BACKEND_ERROR
             break
 
-        candidates = _evaluate_batch(batch, task, cfg, model, depth, evaluator)
-        ledger_entries.extend(
-            LedgerEntry(depth, c.index, model.model_id, c.usage, c.cost_usd) for c in candidates
-        )
+        candidates = _evaluate_batch(batch, arrived, evaluate, cfg.eval_workers)
+        ledger_entries.extend(_ledger_entries(candidates, model))
         chosen = best_candidate(candidates)
         nodes.append(
             DepthNode(depth, model.family, model.model_id, tuple(candidates), chosen.index, fallback)
@@ -242,41 +247,93 @@ def _window_for_call(
     return conversation, False
 
 
-def _evaluate_batch(
-    batch: GenerationBatch,
+def _evaluate_one(
     task: DesignTask,
     cfg: SearchConfig,
     model: ModelSpec,
     depth: int,
     evaluator: Evaluator,
-) -> list[CandidateResponse]:
-    def evaluate_one(item: tuple[int, tuple[str, TokenUsage]]) -> CandidateResponse:
-        index, (text, usage) = item
-        workdir = cfg.outdir / f"iter{depth}" / f"response{index}"
-        outcome = evaluator(text, task, workdir, cfg.sim_timeout)
-        return CandidateResponse(
-            raw_text=text,
-            module_src=outcome.module_src,
-            usage=usage,
-            cost_usd=compute_cost(usage, model),
-            outcome=outcome,
-            rank=rank_outcome(outcome),
-            depth=depth,
-            index=index,
-        )
+    index: int,
+    reply: Reply,
+) -> CandidateResponse:
+    text, usage = reply
+    workdir = cfg.outdir / f"iter{depth}" / f"response{index}"
+    outcome = evaluator(text, task, workdir, cfg.sim_timeout)
+    return CandidateResponse(
+        raw_text=text,
+        module_src=outcome.module_src,
+        usage=usage,
+        cost_usd=compute_cost(usage, model),
+        outcome=outcome,
+        rank=rank_outcome(outcome),
+        depth=depth,
+        index=index,
+    )
 
-    items = list(enumerate(batch.replies))
-    if cfg.eval_workers == 1 or len(items) == 1:
-        return [evaluate_one(item) for item in items]
-    with ThreadPoolExecutor(max_workers=cfg.eval_workers) as pool:
-        return list(pool.map(evaluate_one, items))
+
+def _ledger_entries(candidates: Iterable[CandidateResponse], model: ModelSpec) -> list[LedgerEntry]:
+    return [
+        LedgerEntry(c.depth, c.index, model.model_id, c.usage, c.cost_usd)
+        for c in sorted(candidates, key=lambda c: c.index)
+    ]
+
+
+def _generate(
+    backend: Backend, request: GenerationRequest, evaluate: Callable[[int, Reply], CandidateResponse]
+) -> tuple[GenerationBatch | None, BackendError | None, dict[int, CandidateResponse]]:
+    """One ``generate`` call whose replies are evaluated as they arrive.
+
+    Returns the batch (``None`` if the call failed), the backend error, and
+    the evaluations of the replies the backend delivered through
+    ``GenerationRequest.on_reply``, keyed by index. An evaluator error is
+    raised as is once the call is over, so it never passes for a backend
+    failure.
+    """
+    arrived: dict[int, CandidateResponse] = {}
+    failures: list[Exception] = []
+
+    def on_reply(index: int, reply: Reply) -> None:
+        try:
+            arrived[index] = evaluate(index, reply)
+        except Exception as exc:
+            failures.append(exc)
+
+    batch = error = None
+    try:
+        batch = backend.generate(replace(request, on_reply=on_reply))
+    except BackendError as exc:
+        error = exc
+    finally:
+        if failures:
+            raise failures[0]
+    return batch, error, arrived
+
+
+def _evaluate_batch(
+    batch: GenerationBatch,
+    arrived: dict[int, CandidateResponse],
+    evaluate: Callable[[int, Reply], CandidateResponse],
+    workers: int,
+) -> list[CandidateResponse]:
+    # Replies a backend returned without handing them to ``on_reply`` are
+    # evaluated here, serially or on a pool of ``workers``.
+    missing = [item for item in enumerate(batch.replies) if item[0] not in arrived]
+    if workers == 1 or len(missing) <= 1:
+        evaluated = [evaluate(index, reply) for index, reply in missing]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            evaluated = list(pool.map(evaluate, *zip(*missing)))
+    arrived.update((c.index, c) for c in evaluated)
+    return [arrived[index] for index in range(len(batch.replies))]
 
 
 def pass_at_budget(trace: SearchTrace) -> tuple[int, bool]:
     """Queries actually consumed and whether the search succeeded.
 
-    The comparable zero-shot budget for a ``(k, d)`` search is ``k * (d + 1)``
-    candidates; traces that exit early consume fewer.
+    Every billed reply counts, including those of a depth whose backend call
+    failed, which are ledger entries without being candidates. The comparable
+    zero-shot budget for a ``(k, d)`` search is ``k * (d + 1)`` candidates;
+    traces that exit early consume fewer.
     """
-    used = sum(len(node.candidates) for node in trace.nodes)
+    used = len(trace.ledger.entries)
     return used, trace.termination is Termination.ALL_TESTS_PASSED

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import threading
 from decimal import Decimal
 
 import pytest
@@ -31,6 +32,20 @@ SAMPLE_HINTS = [
     ("counting", 233794, 130),
     ("done", 524, 20130),
 ]
+
+
+@pytest.fixture
+def no_thread_leak():
+    """Fail a test that leaves more threads running than it started with.
+
+    Replies are requested and evaluated on fan-out threads; every one of them
+    must be joined before ``generate`` or ``run_search`` returns or raises.
+    Modules opt in with ``pytestmark = pytest.mark.usefixtures("no_thread_leak")``.
+    """
+    before = threading.active_count()
+    yield
+    leaked = threading.active_count() - before
+    assert leaked <= 0, f"{leaked} thread(s) still running after the test"
 
 
 @pytest.fixture

@@ -35,6 +35,8 @@ from hdlsmith.prompts import Conversation, FeedbackMode, Message, Role
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
+pytestmark = pytest.mark.usefixtures("no_thread_leak")
+
 
 def two_turn_conversation() -> Conversation:
     return Conversation(
@@ -62,8 +64,21 @@ class StubTransport:
         return item
 
 
-def fan_out_request(k):
-    return GenerationRequest(two_turn_conversation(), lookup_model("gpt-4o-mini"), k)
+def fan_out_request(k, on_reply=None):
+    return GenerationRequest(two_turn_conversation(), lookup_model("gpt-4o-mini"), k, on_reply=on_reply)
+
+
+class ReplyLog:
+    """An ``on_reply`` hook that records (index, reply, on the main thread?)."""
+
+    def __init__(self):
+        self.handed = []
+
+    def __call__(self, index, reply):
+        self.handed.append((index, reply, threading.current_thread() is threading.main_thread()))
+
+    def by_index(self):
+        return {index: reply for index, reply, _ in self.handed}
 
 
 def chat_payload(text="reply", prompt_tokens=10, completion_tokens=20):
@@ -349,6 +364,95 @@ class TestChatCompletionsBackend:
         self.make_backend(transport, monkeypatch).generate(fan_out_request(1))
         assert seen == [(True, threads_before)]
 
+    # Each reply goes to the request's ``on_reply`` as soon as it has its index.
+
+    def test_each_reply_handed_over_once_with_its_arrival_index(self, monkeypatch):
+        k = 4
+        calls = iter(range(k))
+        backend = self.make_backend(lambda *_: (200, chat_payload(f"r{next(calls)}")), monkeypatch)
+        log = ReplyLog()
+        batch = backend.generate(fan_out_request(k, log))
+        assert len(log.handed) == k
+        assert log.by_index() == dict(enumerate(batch.replies))
+        # The probe's reply is handled on the calling thread, the rest on the
+        # threads that received them.
+        assert sorted((index, on_main) for index, _, on_main in log.handed) == [
+            (index, index == 0) for index in range(k)
+        ]
+
+    def test_single_candidate_handed_over_on_the_calling_thread(self, monkeypatch):
+        log = ReplyLog()
+        batch = self.make_backend(lambda *_: (200, chat_payload("only")), monkeypatch).generate(
+            fan_out_request(1, log)
+        )
+        assert log.handed == [(0, batch.replies[0], True)]
+
+    def test_probe_handled_while_the_others_are_in_flight(self, monkeypatch):
+        k = 3
+        calls = iter(range(k))
+        others_sent = threading.Semaphore(0)
+        probe_handled = threading.Event()
+        log = ReplyLog()
+
+        def transport(url, headers, body):
+            n = next(calls)
+            if n > 0:
+                others_sent.release()
+                # Fails the request unless the probe is handled meanwhile.
+                assert probe_handled.wait(5)
+            return 200, chat_payload(f"r{n}")
+
+        def on_reply(index, reply):
+            log(index, reply)
+            if index == 0:
+                # Fails unless the other requests went out first.
+                assert all(others_sent.acquire(timeout=5) for _ in range(k - 1))
+                probe_handled.set()
+
+        batch = self.make_backend(transport, monkeypatch).generate(fan_out_request(k, on_reply))
+        assert log.handed[0] == (0, batch.replies[0], True)
+        assert log.by_index() == dict(enumerate(batch.replies))
+
+    def test_slow_handling_does_not_change_arrival_indices(self, monkeypatch):
+        # r1 arrives before r2 but is still being handled when r2 arrives.
+        k = 3
+        calls = iter(range(k))
+
+        def transport(url, headers, body):
+            n = next(calls)
+            if n == 2:
+                time.sleep(0.1)
+            return 200, chat_payload(f"r{n}")
+
+        handled = {}
+
+        def on_reply(index, reply):
+            if reply[0] == "r1":
+                time.sleep(0.3)
+            handled[index] = reply
+
+        batch = self.make_backend(transport, monkeypatch).generate(fan_out_request(k, on_reply))
+        assert [text for text, _ in batch.replies] == ["r0", "r1", "r2"]
+        assert handled == dict(enumerate(batch.replies))
+
+    def test_replies_of_a_failed_fan_out_are_handed_over_before_it_raises(self, monkeypatch):
+        k = 3
+        calls = iter(range(k))
+
+        def transport(url, headers, body):
+            n = next(calls)
+            return (503, {}) if n == 2 else (200, chat_payload(f"r{n}"))
+
+        backend = self.make_backend(transport, monkeypatch, retry=RetryPolicy(attempts=1))
+        log = ReplyLog()
+        with pytest.raises(TransportError):
+            backend.generate(fan_out_request(k, log))
+        assert sorted((index, reply[0]) for index, reply, _ in log.handed) == [(0, "r0"), (1, "r1")]
+
+    def test_on_reply_takes_no_part_in_equality(self):
+        assert fan_out_request(2, ReplyLog()) == fan_out_request(2)
+        assert "on_reply" not in repr(fan_out_request(2, ReplyLog()))
+
 
 class TestMessagesBackend:
     def make_backend(self, transport, monkeypatch):
@@ -427,6 +531,13 @@ class TestCommandBackend:
         assert len(batch.replies) == k
         assert all("module m()" in text for text, _ in batch.replies)
         assert elapsed < k * delay
+
+    def test_replies_handed_over_as_they_arrive(self):
+        backend = CommandBackend((sys.executable, "-c", "print('module m(); endmodule')"))
+        log = ReplyLog()
+        req = GenerationRequest(two_turn_conversation(), lookup_model("local-model", "local"), 2, on_reply=log)
+        batch = backend.generate(req)
+        assert log.by_index() == dict(enumerate(batch.replies))
 
 
 class TestRetryPolicy:

@@ -435,6 +435,26 @@ class TestCli:
         assert captured.err.count("\n") == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "make_suite, detail",
+        [
+            (lambda path: None, "no such directory: {suite}"),
+            (lambda path: path.write_text("not a directory"), "no such directory: {suite}"),
+            (lambda path: path.mkdir(), "no usable tasks in {suite}"),
+        ],
+        ids=["missing", "file", "empty"],
+    )
+    def test_bench_unusable_suite_is_config_error(self, tmp_path, capsys, make_suite, detail):
+        suite = tmp_path / "suite"
+        make_suite(suite)
+        out = tmp_path / "report.json"
+        code = cli_main(["bench", "--suite", str(suite), "--out", str(out), "--offline-tools"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"hdlsmith: configuration error: --suite: {detail.format(suite=suite)}\n"
+        assert not out.exists()
+
     def test_bench_cli_writes_report(self, tmp_path, capsys):
         suite = tmp_path / "suite"
         suite.mkdir()

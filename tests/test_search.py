@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import io
 import sys
+import threading
+import time
 from decimal import Decimal
 
 import pytest
@@ -12,8 +14,10 @@ from hypothesis import strategies as st
 
 from hdlsmith.backends import (
     BackendError,
+    ChatCompletionsBackend,
     ContextOverflowError,
     MockBackend,
+    RetryPolicy,
     TransportError,
     lookup_model,
 )
@@ -27,7 +31,7 @@ from hdlsmith.prompts import (
     Role,
     feedback_text,
 )
-from hdlsmith.runcfg import write_run_log
+from hdlsmith.runcfg import scan_output_tree, trace_shape, write_run_log
 from hdlsmith.search import (
     FINAL_ITERATION,
     ModelSchedule,
@@ -39,6 +43,8 @@ from hdlsmith.search import (
 )
 
 MOCK_MODEL = lookup_model("mock")
+
+pytestmark = pytest.mark.usefixtures("no_thread_leak")
 
 
 def single_schedule() -> ModelSchedule:
@@ -480,3 +486,226 @@ class TestPrefixTraces:
         assert pass_at_budget(trace.upto(0)) == (1, False)
         with pytest.raises(ValueError):
             trace.upto(-1)
+
+
+def chat_payload(text, prompt_tokens=100, completion_tokens=100):
+    return {
+        "choices": [{"message": {"content": text}}],
+        "usage": {"prompt_tokens": prompt_tokens, "completion_tokens": completion_tokens},
+    }
+
+
+def run_http_search(task, tmp_path, monkeypatch, transport, *, k, d, model=MOCK_MODEL,
+                    evaluator=offline_evaluate, mode=FeedbackMode.SUCCINCT, attempts=1):
+    """``run_search`` through a real chat-completions backend over ``transport``."""
+    monkeypatch.setenv("OPENAI_API_KEY", "test-key")
+    backend = ChatCompletionsBackend(
+        transport=transport, retry=RetryPolicy(attempts=attempts), sleep=lambda _: None
+    )
+    return run_search(
+        task, search_config(k, d, tmp_path, mode), ModelSchedule.single(model),
+        {model.family: backend}, evaluator=evaluator,
+    )
+
+
+def delayed(evaluator, seconds):
+    def evaluate(text, task, workdir, timeout):
+        time.sleep(seconds)
+        return evaluator(text, task, workdir, timeout)
+    return evaluate
+
+
+class TestArrivalEvaluation:
+    """Replies from a fanned-out backend are evaluated as they arrive."""
+
+    def test_one_slot_provider_matches_a_serial_mock_run(self, task, tmp_path, monkeypatch):
+        # A provider that answers one request at a time hands the replies
+        # over in the order a serial loop would index them.
+        k, d = 3, 2
+        texts = [
+            reply_with_module("mismatches=4 samples=10"), "no module here", reply_with_module("hang"),
+            reply_with_module("compile-error"), reply_with_module("mismatches=9 samples=10"), "",
+            reply_with_module("warning"), passing_reply(), reply_with_module("crash"),
+        ]
+        replies = iter(texts)
+        server = threading.Lock()
+
+        def transport(url, headers, body):
+            with server:
+                time.sleep(0.02)
+                return 200, chat_payload(next(replies))
+
+        served = run_http_search(task, tmp_path / "http", monkeypatch, transport, k=k, d=d)
+        script = {("top_module", n // k, n % k): text for n, text in enumerate(texts)}
+        mocked, _ = run_mock_search(task, tmp_path / "mock", k=k, d=d, script=script)
+        assert served == mocked
+        assert served.termination is Termination.ALL_TESTS_PASSED
+        assert scan_output_tree(tmp_path / "http" / "out") == scan_output_tree(tmp_path / "mock" / "out")
+        logs = []
+        for trace in (served, mocked):
+            sink = io.StringIO()
+            write_run_log(trace, sink)
+            logs.append(sink.getvalue())
+        assert logs[0] == logs[1]
+
+    def test_probe_evaluated_while_the_others_are_in_flight(self, task, tmp_path, monkeypatch):
+        k = 3
+        calls = iter(range(k))
+        others_sent = threading.Semaphore(0)
+        probe_evaluated = threading.Event()
+
+        def transport(url, headers, body):
+            n = next(calls)
+            if n > 0:
+                others_sent.release()
+                # Fails the request unless the probe is evaluated meanwhile.
+                assert probe_evaluated.wait(5)
+            return 200, chat_payload(reply_with_module(f"mismatches={n + 1} samples=10"))
+
+        def evaluator(text, task, workdir, timeout):
+            if workdir.name == "response0":
+                # Fails unless the other requests went out first.
+                assert all(others_sent.acquire(timeout=5) for _ in range(k - 1))
+                probe_evaluated.set()
+            return offline_evaluate(text, task, workdir, timeout)
+
+        trace = run_http_search(task, tmp_path, monkeypatch, transport, k=k, d=0, evaluator=evaluator)
+        assert trace.termination is Termination.MAX_DEPTH_REACHED
+        assert len(trace.nodes[0].candidates) == k
+
+    def test_depth_overlaps_evaluation_with_requests(self, task, tmp_path, monkeypatch):
+        # Serially a depth costs the probe's round trip, then the others',
+        # then k evaluations: 2L + kE. Overlapped it is about 2L + E.
+        k, latency, evaluation = 4, 0.2, 0.15
+
+        def transport(url, headers, body):
+            time.sleep(latency)
+            return 200, chat_payload(reply_with_module("mismatches=1 samples=10"))
+
+        start = time.perf_counter()
+        trace = run_http_search(
+            task, tmp_path, monkeypatch, transport, k=k, d=0,
+            evaluator=delayed(offline_evaluate, evaluation),
+        )
+        elapsed = time.perf_counter() - start
+        assert len(trace.nodes[0].candidates) == k
+        assert elapsed < 2 * latency + 2 * evaluation
+
+    def test_indices_follow_arrival_not_evaluation_end(self, task, tmp_path, monkeypatch):
+        # The first fanned-out reply is still being evaluated when the second
+        # arrives and finishes; it keeps the lower index all the same.
+        calls = iter(range(3))
+        texts = ["probe", "first", "second"]
+
+        def transport(url, headers, body):
+            n = next(calls)
+            if n == 2:
+                time.sleep(0.1)
+            return 200, chat_payload(reply_with_module(f"mismatches={n} samples=10") + f"\n{texts[n]}")
+
+        def evaluator(text, task, workdir, timeout):
+            if text.endswith("first"):
+                time.sleep(0.3)
+            return offline_evaluate(text, task, workdir, timeout)
+
+        trace = run_http_search(task, tmp_path, monkeypatch, transport, k=3, d=0, evaluator=evaluator)
+        candidates = trace.nodes[0].candidates
+        assert [c.raw_text.rsplit("\n", 1)[1] for c in candidates] == texts
+        assert [c.index for c in candidates] == [0, 1, 2]
+        assert [c.outcome.mismatches for c in candidates] == [0, 1, 2]
+
+    @pytest.mark.parametrize("request_fails", [False, True], ids=["replies", "failed request"])
+    def test_evaluator_error_on_a_fan_out_thread_is_raised(self, task, tmp_path, monkeypatch, request_fails):
+        calls = iter(range(3))
+
+        def transport(url, headers, body):
+            n = next(calls)
+            if n == 2 and request_fails:
+                return 503, {}
+            return 200, chat_payload(reply_with_module("mismatches=1 samples=10") + f"\nreply {n}")
+
+        def evaluator(text, task, workdir, timeout):
+            if threading.current_thread() is not threading.main_thread():
+                raise OSError("disk full")
+            return offline_evaluate(text, task, workdir, timeout)
+
+        threads_before = threading.active_count()
+        with pytest.raises(OSError, match="disk full"):
+            run_http_search(task, tmp_path, monkeypatch, transport, k=3, d=1, evaluator=evaluator)
+        assert threading.active_count() == threads_before
+
+    def test_overflow_failover_evaluates_only_the_retry_as_candidates(self, task, tmp_path, monkeypatch):
+        # At depth 2 the full window (6 messages) gets one reply through, then
+        # a rejection; the succinct retry's replies are the depth's candidates.
+        k = 2
+        full_window_calls = iter(range(k))
+        served = iter(range(100))
+
+        def transport(url, headers, body):
+            n = next(served)
+            if len(body["messages"]) == 6 and next(full_window_calls) > 0:
+                return 400, {"error": {"code": "context_length_exceeded", "message": "too long"}}
+            marker = "paid" if len(body["messages"]) == 6 else f"reply {n}"
+            return 200, chat_payload(reply_with_module("mismatches=1 samples=10") + f"\n{marker}", 10, 20)
+
+        trace = run_http_search(
+            task, tmp_path, monkeypatch, transport, k=k, d=2, mode=FeedbackMode.FULL_CONTEXT,
+            model=lookup_model("gpt-4o-mini"),
+        )
+        assert trace.termination is Termination.MAX_DEPTH_REACHED
+        node = trace.nodes[2]
+        assert node.context_fallback
+        assert len(node.candidates) == k
+        assert not any(c.raw_text.endswith("paid") for c in trace.all_candidates())
+        assert [(e.depth, e.index) for e in trace.ledger.entries] == [
+            (0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 0), (2, 1),
+        ]
+        assert pass_at_budget(trace) == (7, False)
+        assert trace.ledger.totals[:2] == (70, 140)
+
+
+class TestPaidReplies:
+    """Replies a failed depth already paid for stay in the ledger."""
+
+    def failing_at_depth_one(self, task, tmp_path, monkeypatch):
+        # Depth 0 gets all k replies; at depth 1 the third request fails for
+        # good after the other two were answered (and billed).
+        k = 3
+        served = iter(range(100))
+
+        def transport(url, headers, body):
+            n = next(served)
+            if n == 5:
+                return 503, {}
+            return 200, chat_payload(reply_with_module("mismatches=1 samples=10"), 10 + n, 20)
+
+        return run_http_search(
+            task, tmp_path, monkeypatch, transport, k=k, d=3, model=lookup_model("gpt-4o-mini")
+        )
+
+    def test_failed_fan_out_keeps_paid_replies_in_the_ledger(self, task, tmp_path, monkeypatch):
+        trace = self.failing_at_depth_one(task, tmp_path, monkeypatch)
+        assert trace.termination is Termination.BACKEND_ERROR
+        assert len(trace.nodes) == 1
+        assert trace.best_overall == (0, trace.nodes[0].chosen_index)
+        assert [(e.depth, e.index) for e in trace.ledger.entries] == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1)]
+        assert pass_at_budget(trace) == (5, False)
+        totals = trace.ledger.totals
+        assert (totals.input_tokens, totals.output_tokens) == (10 + 11 + 12 + 13 + 14, 5 * 20)
+        model = lookup_model("gpt-4o-mini")
+        assert totals.cost_usd == (
+            totals.input_tokens * model.price_in + totals.output_tokens * model.price_out
+        ) / Decimal(10**6)
+        # The paid replies were evaluated when they arrived; their workdirs stay.
+        paid_shape = [[OutcomeKind.SIMULATED.value] * 2]
+        assert scan_output_tree(tmp_path / "out") == trace_shape(trace) + paid_shape
+
+    def test_prefix_keeps_paid_replies_only_from_the_failed_depth_on(self, task, tmp_path, monkeypatch):
+        trace = self.failing_at_depth_one(task, tmp_path, monkeypatch)
+        for depth in (1, 2):
+            assert trace.upto(depth).ledger == trace.ledger
+            assert trace.upto(depth).nodes == trace.nodes
+        shallow = trace.upto(0)
+        assert shallow.termination is Termination.MAX_DEPTH_REACHED
+        assert [(e.depth, e.index) for e in shallow.ledger.entries] == [(0, 0), (0, 1), (0, 2)]
+        assert pass_at_budget(shallow) == (3, False)
