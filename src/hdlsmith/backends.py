@@ -25,7 +25,7 @@ from typing import Callable, Mapping, Protocol
 import requests
 
 from .core import ModelSpec, TokenUsage
-from .prompts import Conversation, Role
+from .prompts import Conversation, Role, estimate_tokens
 
 CHAT_COMPLETIONS_FAMILY = "ChatGPT"
 MESSAGES_FAMILY = "Claude"
@@ -71,10 +71,13 @@ class GenerationRequest:
     ``on_reply``, when set, is called once per reply as ``on_reply(index,
     reply)`` as soon as that reply has its arrival index, on the thread that
     received it, so the caller can work on each reply while the others are
-    still in flight. The HTTP and command backends call it, also for the
-    replies of a call that then raises; backends that produce every reply at
-    once (``MockBackend``) never do, so the caller handles every reply it was
-    not handed. It takes no part in equality.
+    still in flight. The calling thread is handed one reply: the probe's,
+    once the other requests have gone out, or, when the call does not probe
+    (see ``_fan_out``), that of the request it made itself. The HTTP and
+    command backends call it, also for the replies of a call that then
+    raises; backends that produce every reply at once (``MockBackend``) never
+    do, so the caller handles every reply it was not handed. It takes no part
+    in equality.
     """
 
     conversation: Conversation
@@ -167,45 +170,100 @@ def backoff_delay(policy: RetryPolicy, retry_index: int, rng: random.Random) -> 
     return half + rng.random() * half
 
 
-def _fan_out(
-    request: Callable[[], Reply], k: int, on_reply: Callable[[int, Reply], None] | None = None
-) -> tuple[Reply, ...]:
-    """Make ``k`` identical candidate requests: one alone, then k-1 at once.
+# A window whose estimate is within this share of the model's context limit
+# is probed: the estimate ignores per-message overhead, so a provider may
+# count such a window over the limit and reject every request for it.
+NEAR_LIMIT_MARGIN = 0.10
+# Requests of one ``generate`` call in flight at once; the others queue.
+MAX_IN_FLIGHT = 8
 
-    The first request goes alone so that a rejection every request would get
-    (context overflow, bad credentials, throttling) costs one request, not k.
-    Replies are indexed and returned in arrival order: the requests are
-    indistinguishable, and a provider that serves one request at a time then
-    yields the same order as a serial loop. ``on_reply(index, reply)`` runs
-    on the thread that received the reply, right after it got its index; the
-    first reply's runs on the calling thread once the others are in flight.
-    If any request fails, its error is raised only after every in-flight
-    request has returned and been handed to ``on_reply``, so no thread
-    outlives the call.
+
+class _ProbeRule:
+    """Whether a call's k requests start with one probe request, per backend.
+
+    A probe goes alone, so that a rejection every request of the call would
+    get (bad credentials, throttling, a window over the context limit) costs
+    one request, not k; it also costs a round trip. So a call probes only
+    where such a rejection is likely: while no request of this backend has
+    succeeded yet, on the next call after any request was rejected (that
+    call reads and clears the flag), and for a window within
+    ``NEAR_LIMIT_MARGIN`` of the model's context limit.
     """
-    deliver = on_reply or (lambda index, reply: None)
-    first = request()
-    if k == 1:
-        deliver(0, first)
-        return (first,)
-    replies = [first]
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._proven = False
+        self._wary = False
+
+    def should_probe(self, req: GenerationRequest) -> bool:
+        limit = req.model.max_context_tokens
+        near_limit = estimate_tokens(req.conversation) >= (1 - NEAR_LIMIT_MARGIN) * limit
+        with self._lock:
+            wary, self._wary = self._wary, False
+            return wary or not self._proven or near_limit
+
+    def saw_reply(self) -> None:
+        with self._lock:
+            self._proven = True
+
+    def saw_rejection(self) -> None:
+        with self._lock:
+            self._wary = True
+
+
+def _fan_out(req: GenerationRequest, request: Callable[[], Reply], rule: _ProbeRule) -> tuple[Reply, ...]:
+    """Make ``req.num_candidates`` identical requests, all at once or after a probe.
+
+    When ``rule`` asks for a probe, one request goes alone and, if it
+    succeeds, the other k-1 go out at once; otherwise all k go out at once,
+    one of them from the calling thread. At most ``MAX_IN_FLIGHT`` requests
+    are in flight; the others queue. Replies are indexed and returned in
+    arrival order: the requests are indistinguishable, and a provider that
+    serves one request at a time then yields the same order as a serial
+    loop. ``req.on_reply(index, reply)`` runs on the thread that received
+    the reply, right after it got its index; a probe's reply is received on
+    the calling thread and handed over there once the others are submitted.
+    If any request fails, its error is raised only after every in-flight
+    request has returned and been handed over, so no thread outlives the
+    call.
+    """
+    k = req.num_candidates
+    deliver = req.on_reply or (lambda index, reply: None)
+    replies: list[Reply] = []
     errors: list[Exception] = []
     lock = threading.Lock()
 
-    def attempt() -> None:
+    def receive() -> tuple[int, Reply] | None:
         try:
             reply = request()
         except Exception as exc:
+            rule.saw_rejection()
             errors.append(exc)
-            return
+            return None
+        rule.saw_reply()
         with lock:
-            index = len(replies)
             replies.append(reply)
-        deliver(index, reply)
+            return len(replies) - 1, reply
 
-    with ThreadPoolExecutor(max_workers=k - 1) as pool:
+    def attempt() -> None:
+        received = receive()
+        if received is not None:
+            deliver(*received)
+
+    # Decide on the probe once, up front: the pool threads are appending to
+    # ``replies`` while the calling thread makes its own request.
+    probe = receive() if rule.should_probe(req) or k == 1 else None
+    if errors:
+        raise errors[0]
+    if k == 1:
+        deliver(*probe)
+        return tuple(replies)
+    with ThreadPoolExecutor(max_workers=min(k, MAX_IN_FLIGHT) - 1) as pool:
         futures = [pool.submit(attempt) for _ in range(k - 1)]
-        deliver(0, first)
+        if probe is None:
+            attempt()
+        else:
+            deliver(*probe)
     for future in futures:
         future.result()  # re-raises anything ``attempt`` does not catch
     if errors:
@@ -280,6 +338,7 @@ class _HttpBackend:
         self.retry = retry
         self._sleep = sleep
         self._rng = rng or random.Random()
+        self._probe = _ProbeRule()
 
     def _api_key(self) -> str:
         key = os.environ.get(self.api_key_env)
@@ -294,6 +353,7 @@ class _HttpBackend:
                 _raise_for_status(status, payload)
                 return payload
             except (RateLimitedError, TransportError):
+                self._probe.saw_rejection()
                 if attempt + 1 == self.retry.attempts:
                     raise
                 self._sleep(backoff_delay(self.retry, attempt, self._rng))
@@ -302,7 +362,7 @@ class _HttpBackend:
     def generate(self, req: GenerationRequest) -> GenerationBatch:
         # Providers report usage per call, not per choice, so each candidate
         # is its own request to keep usage attributable per reply.
-        replies = _fan_out(partial(self._single_completion, req), req.num_candidates, req.on_reply)
+        replies = _fan_out(req, partial(self._single_completion, req), self._probe)
         return GenerationBatch(replies, req.model.model_id)
 
     def _single_completion(self, req: GenerationRequest) -> Reply:
@@ -395,13 +455,14 @@ class CommandBackend:
 
     argv: tuple[str, ...]
     timeout: float = 300.0
+    _probe: _ProbeRule = field(default_factory=_ProbeRule, init=False, repr=False, compare=False)
 
     @staticmethod
     def _render(conv: Conversation) -> str:
         return "\n\n".join(f"[{m.role.value}]\n{m.content}" for m in conv.messages)
 
     def generate(self, req: GenerationRequest) -> GenerationBatch:
-        replies = _fan_out(partial(self._run, self._render(req.conversation)), req.num_candidates, req.on_reply)
+        replies = _fan_out(req, partial(self._run, self._render(req.conversation)), self._probe)
         return GenerationBatch(replies, req.model.model_id)
 
     def _run(self, prompt: str) -> Reply:

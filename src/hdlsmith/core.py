@@ -85,9 +85,6 @@ class TokenUsage:
         return self.input_tokens + self.output_tokens
 
 
-ZERO_USAGE = TokenUsage(0, 0)
-
-
 @dataclass(frozen=True)
 class ModelSpec:
     """A model identity plus its pricing and context-window limits.

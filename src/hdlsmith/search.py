@@ -8,6 +8,7 @@ and otherwise reports the best candidate seen anywhere in the tree.
 
 from __future__ import annotations
 
+import shutil
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -204,6 +205,7 @@ def run_search(
                 request,
                 conversation=flatten_for_backend(conv_call, supports_system_role(model)),
             )
+            evaluate = partial(evaluate, clear_workdir=True)
             batch, error, arrived = _generate(backend, request, evaluate)
         if error is not None:
             ledger_entries.extend(_ledger_entries(arrived.values(), model))
@@ -255,9 +257,15 @@ def _evaluate_one(
     evaluator: Evaluator,
     index: int,
     reply: Reply,
+    *,
+    clear_workdir: bool = False,
 ) -> CandidateResponse:
+    # A failover retry evaluates into the workdirs whose replies the rejected
+    # call may already have written; the candidate's files replace theirs.
     text, usage = reply
     workdir = cfg.outdir / f"iter{depth}" / f"response{index}"
+    if clear_workdir and workdir.exists():
+        shutil.rmtree(workdir)
     outcome = evaluator(text, task, workdir, cfg.sim_timeout)
     return CandidateResponse(
         raw_text=text,

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import json
+import math
 import random
+import shlex
 import sys
 import threading
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -14,6 +17,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hdlsmith.backends import (
+    MAX_IN_FLIGHT,
+    NEAR_LIMIT_MARGIN,
     AuthError,
     BackendError,
     ChatCompletionsBackend,
@@ -453,6 +458,148 @@ class TestChatCompletionsBackend:
         assert fan_out_request(2, ReplyLog()) == fan_out_request(2)
         assert "on_reply" not in repr(fan_out_request(2, ReplyLog()))
 
+    def test_requests_in_flight_are_capped(self, monkeypatch):
+        k = MAX_IN_FLIGHT + 4
+        lock = threading.Lock()
+        calls = iter(range(2 * k))
+        inflight = [0]
+        peaks = []
+
+        def transport(url, headers, body):
+            with lock:
+                inflight[0] += 1
+                peaks[-1] = max(peaks[-1], inflight[0])
+                n = next(calls)
+            time.sleep(0.02)
+            with lock:
+                inflight[0] -= 1
+            return 200, chat_payload(f"r{n}")
+
+        backend = self.make_backend(transport, monkeypatch)
+        for _ in range(2):  # a probing call, then one on the proven backend
+            peaks.append(0)
+            log = ReplyLog()
+            batch = backend.generate(fan_out_request(k, log))
+            assert len({text for text, _ in batch.replies}) == k
+            assert sorted(index for index, _, _ in log.handed) == list(range(k))
+            assert log.by_index() == dict(enumerate(batch.replies))
+        assert max(peaks) <= MAX_IN_FLIGHT
+        assert peaks[1] == MAX_IN_FLIGHT  # without a probe the cap fills up
+
+
+def messages_payload(text="reply"):
+    return {"content": [{"type": "text", "text": text}], "usage": {"input_tokens": 10, "output_tokens": 20}}
+
+
+OVERFLOW = (400, {"error": {"code": "context_length_exceeded", "message": "too long"}})
+
+
+class LoggingTransport:
+    """Answers after a short wait and logs when each request starts and ends.
+
+    A call probed if its first request ended before a second one started.
+    Scripted ``statuses`` answer the next requests; a request whose messages
+    hold ``reject_chars`` characters or more is rejected as too long.
+    """
+
+    def __init__(self, payload, latency=0.05):
+        self.payload = payload
+        self.latency = latency
+        self.events = []
+        self.statuses = []
+        self.reject_chars = math.inf
+        self.lock = threading.Lock()
+
+    def __call__(self, url, headers, body):
+        with self.lock:
+            self.events.append("start")
+            status = self.statuses.pop(0) if self.statuses else 200
+        time.sleep(self.latency)
+        with self.lock:
+            self.events.append("end")
+        if sum(len(m["content"]) for m in body["messages"]) >= self.reject_chars:
+            return OVERFLOW
+        return status, self.payload(f"r{len(self.events)}") if status == 200 else {}
+
+    def call(self, backend, req):
+        """Run one ``generate`` call; returns whether it probed."""
+        self.events = []
+        batch = backend.generate(req)
+        assert len(batch.replies) == req.num_candidates
+        return self.events[:2] == ["start", "end"]
+
+
+def window(chars):
+    return Conversation((Message(Role.USER, "x" * chars),), FeedbackMode.SUCCINCT)
+
+
+@pytest.fixture(params=["chat", "messages"])
+def http_family(request, monkeypatch):
+    """(backend factory, payload builder, model) for each HTTP family."""
+    if request.param == "chat":
+        monkeypatch.setenv("OPENAI_API_KEY", "test-key")
+        return ChatCompletionsBackend, chat_payload, lookup_model("gpt-4o-mini")
+    monkeypatch.setenv("ANTHROPIC_API_KEY", "test-key")
+    return MessagesBackend, messages_payload, lookup_model("claude-3-haiku")
+
+
+class TestProbeRule:
+    """A call probes only where a rejection every request would share is likely."""
+
+    def make(self, http_family, transport):
+        factory, _, model = http_family
+        backend = factory(transport=transport, sleep=lambda _: None, rng=random.Random(7))
+        return backend, model
+
+    def test_proven_backend_sends_all_k_at_once(self, http_family):
+        k = 4
+        barrier = threading.Barrier(k, timeout=5)
+        calls = iter(range(k + 1))
+        senders = {}
+
+        def transport(url, headers, body):
+            n = next(calls)
+            if n > 0:
+                # Times out (and fails the call) unless all k are in flight.
+                barrier.wait()
+                senders[f"r{n}"] = threading.current_thread() is threading.main_thread()
+            return 200, http_family[1](f"r{n}")
+
+        backend, model = self.make(http_family, transport)
+        backend.generate(GenerationRequest(two_turn_conversation(), model, 1))
+        log = ReplyLog()
+        batch = backend.generate(GenerationRequest(two_turn_conversation(), model, k, on_reply=log))
+        assert log.by_index() == dict(enumerate(batch.replies))
+        # The calling thread made one request and is handed that reply.
+        on_main = [reply[0] for _, reply, main in log.handed if main]
+        assert on_main == [text for text, main in senders.items() if main]
+        assert len(on_main) == 1
+
+    def test_call_after_a_rejection_probes_and_the_next_does_not(self, http_family):
+        transport = LoggingTransport(http_family[1])
+        backend, model = self.make(http_family, transport)
+        req = GenerationRequest(two_turn_conversation(), model, 3)
+        assert transport.call(backend, req)  # unproven credentials
+        assert not transport.call(backend, req)
+        transport.statuses.append(429)  # one request is throttled, then retried
+        assert not transport.call(backend, req)
+        assert transport.call(backend, req)
+        assert not transport.call(backend, req)
+
+    def test_near_limit_window_probes_and_its_rejection_costs_one_request(self, http_family):
+        transport = LoggingTransport(http_family[1])
+        backend, model = self.make(http_family, transport)
+        model = replace(model, max_context_tokens=1000)
+        edge = math.ceil((1 - NEAR_LIMIT_MARGIN) * model.max_context_tokens)  # in tokens of 4 chars
+        assert transport.call(backend, GenerationRequest(window(4), model, 3))  # unproven
+        assert not transport.call(backend, GenerationRequest(window(4 * (edge - 1)), model, 3))
+        assert transport.call(backend, GenerationRequest(window(4 * edge), model, 3))
+        transport.reject_chars = 4 * edge
+        transport.events = []
+        with pytest.raises(ContextOverflowError):
+            backend.generate(GenerationRequest(window(4 * edge), model, 5))
+        assert transport.events == ["start", "end"]  # the rejection cost one request
+
 
 class TestMessagesBackend:
     def make_backend(self, transport, monkeypatch):
@@ -538,6 +685,30 @@ class TestCommandBackend:
         req = GenerationRequest(two_turn_conversation(), lookup_model("local-model", "local"), 2, on_reply=log)
         batch = backend.generate(req)
         assert log.by_index() == dict(enumerate(batch.replies))
+
+    def test_probes_first_call_and_after_a_failed_run(self, tmp_path):
+        # Each run logs its start and end; the run that removes the ``fail``
+        # directory exits 3. A call probed if its first run ended first.
+        log, fail = tmp_path / "log", tmp_path / "fail"
+        script = (
+            f"echo start >> {shlex.quote(str(log))}; sleep 0.1; echo end >> {shlex.quote(str(log))}; "
+            f"if rmdir {shlex.quote(str(fail))} 2>/dev/null; then exit 3; fi; echo 'module m(); endmodule'"
+        )
+        backend = CommandBackend(("/bin/sh", "-c", script))
+        req = GenerationRequest(two_turn_conversation(), lookup_model("local-model", "local"), 2)
+
+        def probed():
+            log.write_text("")
+            assert len(backend.generate(req).replies) == 2
+            return log.read_text().split()[:2] == ["start", "end"]
+
+        assert probed()
+        assert not probed()
+        fail.mkdir()
+        with pytest.raises(TransportError):
+            backend.generate(req)
+        assert probed()
+        assert not probed()
 
 
 class TestRetryPolicy:

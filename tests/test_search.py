@@ -663,6 +663,34 @@ class TestArrivalEvaluation:
         assert pass_at_budget(trace) == (7, False)
         assert trace.ledger.totals[:2] == (70, 140)
 
+    def test_overflow_failover_leaves_only_the_retry_files(self, task, tmp_path, monkeypatch):
+        # By depth 2 the backend is proven, so the full window's k requests go
+        # out at once: one delivers a module, the other is rejected. The
+        # succinct retry's replies hold no module, so they write only a log.
+        k = 2
+        full_window_calls = iter(range(k))
+        rejected = threading.Event()
+
+        def transport(url, headers, body):
+            if len(body["messages"]) == 6 and next(full_window_calls) > 0:
+                rejected.set()
+                return 400, {"error": {"code": "context_length_exceeded", "message": "too long"}}
+            if rejected.is_set():
+                return 200, chat_payload("no module here")
+            return 200, chat_payload(reply_with_module("mismatches=1 samples=10"))
+
+        trace = run_http_search(
+            task, tmp_path, monkeypatch, transport, k=k, d=2, mode=FeedbackMode.FULL_CONTEXT,
+            model=lookup_model("gpt-4o-mini"),
+        )
+        assert rejected.is_set()
+        assert trace.nodes[2].context_fallback
+        assert [c.outcome.kind for c in trace.nodes[2].candidates] == [OutcomeKind.NO_MODULE] * k
+        for index in range(k):
+            workdir = tmp_path / "out" / "iter2" / f"response{index}"
+            assert sorted(p.name for p in workdir.iterdir()) == ["log.txt"]
+        assert scan_output_tree(tmp_path / "out") == trace_shape(trace)
+
 
 class TestPaidReplies:
     """Replies a failed depth already paid for stay in the ledger."""
