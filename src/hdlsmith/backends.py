@@ -71,13 +71,13 @@ class GenerationRequest:
     ``on_reply``, when set, is called once per reply as ``on_reply(index,
     reply)`` as soon as that reply has its arrival index, on the thread that
     received it, so the caller can work on each reply while the others are
-    still in flight. The calling thread is handed one reply: the probe's,
-    once the other requests have gone out, or, when the call does not probe
-    (see ``_fan_out``), that of the request it made itself. The HTTP and
-    command backends call it, also for the replies of a call that then
-    raises; backends that produce every reply at once (``MockBackend``) never
-    do, so the caller handles every reply it was not handed. It takes no part
-    in equality.
+    still in flight. Every built-in backend calls it, the HTTP and command
+    backends also for the replies of a call that then raises. Their calling
+    thread is handed one reply: the probe's, once the other requests have
+    gone out, or, when the call does not probe (see ``_fan_out``), that of
+    the request it made itself. ``MockBackend`` hands every reply over on
+    the calling thread, in index order. A reply returned but never handed
+    over is the caller's to handle. It takes no part in equality.
     """
 
     conversation: Conversation
@@ -526,6 +526,9 @@ class MockBackend:
             (self.script.get((req.task_name, req.depth, i), self.default_reply), self.tokens_per_reply)
             for i in range(req.num_candidates)
         )
+        if req.on_reply is not None:
+            for index, reply in enumerate(replies):
+                req.on_reply(index, reply)
         return GenerationBatch(replies, req.model.model_id)
 
 
@@ -534,21 +537,32 @@ def load_mock_script(path: str | Path) -> MockBackend:
 
     Schema: ``{"default_reply": str, "tokens_per_reply": {"input_tokens": n,
     "output_tokens": n}, "replies": {"<task>/<depth>/<index>": str}}``; all
-    keys optional.
+    keys optional. A file that cannot be read raises ``OSError``; one that
+    does not follow the schema raises ``ValueError`` naming the file.
     """
-    data = json.loads(Path(path).read_text())
+    path = Path(path)
+    try:
+        data = json.loads(path.read_text())
+    except ValueError as exc:
+        raise ValueError(f"{path}: not a JSON file: {exc}") from None
+    if not isinstance(data, dict) or not isinstance(data.get("replies", {}), dict):
+        raise ValueError(f'{path}: a mock script must be a JSON object whose "replies" is an object')
     script: dict[tuple[str, int, int], str] = {}
     for key, text in data.get("replies", {}).items():
-        task_name, depth, index = key.rsplit("/", 2)
-        script[(task_name, int(depth), int(index))] = text
+        try:
+            task_name, depth, index = key.rsplit("/", 2)
+            script[(task_name, int(depth), int(index))] = text
+        except ValueError:
+            raise ValueError(f"{path}: reply key {key!r} is not <task>/<depth>/<index>") from None
+    default_reply = data.get("default_reply", DEFAULT_MOCK_REPLY)
     tokens = data.get("tokens_per_reply", {})
-    return MockBackend(
-        script,
-        tokens_per_reply=TokenUsage(
-            int(tokens.get("input_tokens", 100)), int(tokens.get("output_tokens", 100))
-        ),
-        default_reply=data.get("default_reply", DEFAULT_MOCK_REPLY),
-    )
+    try:
+        usage = TokenUsage(int(tokens.get("input_tokens", 100)), int(tokens.get("output_tokens", 100)))
+    except (AttributeError, TypeError, ValueError):
+        raise ValueError(f"{path}: tokens_per_reply needs integer input_tokens and output_tokens") from None
+    if not all(isinstance(text, str) for text in (*script.values(), default_reply)):
+        raise ValueError(f"{path}: every reply must be a string")
+    return MockBackend(script, tokens_per_reply=usage, default_reply=default_reply)
 
 
 BackendRegistry = Mapping[str, Backend]

@@ -30,6 +30,7 @@ from .search import (
     Evaluator,
     ModelSchedule,
     SearchConfig,
+    backend_for,
     pass_at_budget,
     run_search,
 )
@@ -200,16 +201,18 @@ def run_suite(
     each d, so then every d is searched. Only the searched trees are written
     under ``workdir``, one ``k<k>_d<d>_<mode>`` directory per search.
 
-    A failing task (tool or configuration error) is recorded as unsuccessful
+    A model family with no backend raises ``KeyError`` before any search; a
+    failing task (tool or configuration error) is recorded as unsuccessful
     at every point its search serves and the suite continues. Tasks of one
-    search may run concurrently up to ``parallelism``; aggregation order
-    stays the task order.
+    search run concurrently up to ``parallelism``, aggregated in task order.
     """
     grid = list(grid)
     if not grid:
         raise ValueError("parameter grid is empty")
     if not tasks:
         raise EmptySuiteError("no tasks to run")
+    for entry in schedule.entries:
+        backend_for(backends, entry.model)
     root = Path(workdir) if workdir is not None else Path(tempfile.mkdtemp(prefix="suite_"))
     schedule_desc = describe_schedule(schedule)
 

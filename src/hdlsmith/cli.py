@@ -26,18 +26,22 @@ from .bench import (
 from .core import Termination, format_usd
 from .faketools import offline_evaluate
 from .prompts import FeedbackMode
-from .search import FINAL_ITERATION, ModelSchedule, ScheduleEntry
+from .search import FINAL_ITERATION, ModelSchedule, ScheduleEntry, backend_for
 
 
 def _registry_with_backend(spec: str | None):
     if spec is None:
         return default_registry()
     kind, _, arg = spec.partition(":")
-    if kind == "mock":
-        if not arg:
-            raise SystemExit("--backend mock requires a script path: mock:<script.json>")
-        return default_registry(**{MOCK_FAMILY: load_mock_script(arg)})
-    raise SystemExit(f"unknown backend spec {spec!r}")
+    if kind != "mock" or not arg:
+        raise runcfg.ConfigError("--backend", f"bad spec {spec!r}; expected mock:<script.json>")
+    try:
+        mock = load_mock_script(arg)
+    except OSError as exc:
+        raise runcfg.ConfigError("--backend", f"cannot read {arg}: {exc.strerror or exc}") from None
+    except ValueError as exc:
+        raise runcfg.ConfigError("--backend", str(exc)) from None
+    return default_registry(**{MOCK_FAMILY: mock})
 
 
 def _parse_grid(raw: str) -> list[tuple[int, int]]:
@@ -61,10 +65,10 @@ def _parse_grid(raw: str) -> list[tuple[int, int]]:
     return [(k, d) for k in axes["k"] for d in axes["d"]]
 
 
-def _parse_model(spec: str):
+def _parse_model(spec: str, flag: str):
     family, sep, model_id = spec.partition(":")
     if not sep:
-        raise SystemExit(f"model spec must be family:model_id, got {spec!r}")
+        raise runcfg.ConfigError(flag, f"bad spec {spec!r}; expected FAMILY:ID")
     return lookup_model(model_id, family)
 
 
@@ -96,20 +100,22 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     except EmptySuiteError as exc:
         raise runcfg.ConfigError("--suite", str(exc)) from None
     backends = _registry_with_backend(args.backend)
+    backends.setdefault(MOCK_FAMILY, MockBackend({}))  # serves the default --model
     evaluator = offline_evaluate if args.offline_tools else None
 
-    entries = [ScheduleEntry(0, _parse_model(args.model))]
+    entries = [ScheduleEntry(0, _parse_model(args.model, "--model"))]
     if args.final_model:
-        entries.append(ScheduleEntry(FINAL_ITERATION, _parse_model(args.final_model)))
-    schedule = ModelSchedule(tuple(entries))
-    if any(e.model.family == MOCK_FAMILY for e in entries) and MOCK_FAMILY not in backends:
-        backends = dict(backends)
-        backends[MOCK_FAMILY] = MockBackend({})
+        entries.append(ScheduleEntry(FINAL_ITERATION, _parse_model(args.final_model, "--final-model")))
+    for flag, entry in zip(("--model", "--final-model"), entries):
+        try:
+            backend_for(backends, entry.model)
+        except KeyError as exc:
+            raise runcfg.ConfigError(flag, exc.args[0]) from None
 
     results = run_suite(
         tasks,
         grid,
-        schedule,
+        ModelSchedule(tuple(entries)),
         backends,
         evaluator=evaluator,
         workdir=args.workdir,

@@ -9,11 +9,10 @@ and otherwise reports the best candidate seen anywhere in the tree.
 from __future__ import annotations
 
 import shutil
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable
 
 from . import edatools
 from .backends import (
@@ -21,7 +20,6 @@ from .backends import (
     BackendError,
     BackendRegistry,
     ContextOverflowError,
-    GenerationBatch,
     GenerationRequest,
     Reply,
     supports_system_role,
@@ -57,21 +55,13 @@ FINAL_ITERATION = -1  # sentinel start_iteration marking the final-pass model
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Search parameters: k candidates per depth, maximum depth d, window mode.
-
-    ``eval_workers`` bounds the pool that evaluates replies a backend returns
-    all at once (``MockBackend``); the HTTP and command backends hand each
-    reply over as it arrives, and it is evaluated on the thread that
-    received it.
-    """
+    """Search parameters: k candidates per depth, maximum depth d, window mode."""
 
     num_candidates: int
     max_depth: int
     feedback_mode: FeedbackMode = FeedbackMode.SUCCINCT
     sim_timeout: float = edatools.DEFAULT_SIM_TIMEOUT
     outdir: Path = Path("output_dir")
-    eval_workers: int = 1
-    sampling: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "outdir", Path(self.outdir))
@@ -79,8 +69,6 @@ class SearchConfig:
             raise ValueError("num_candidates must be at least 1")
         if self.max_depth < 0:
             raise ValueError("max_depth must be non-negative")
-        if self.eval_workers < 1:
-            raise ValueError("eval_workers must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -164,8 +152,8 @@ def run_search(
     """Run the greedy tree search for one task and return the full trace.
 
     Candidate ``i`` at depth ``n`` is evaluated inside
-    ``outdir/iter<n>/response<i>``, as soon as its reply arrives when the
-    backend hands replies to ``GenerationRequest.on_reply``. A backend
+    ``outdir/iter<n>/response<i>`` when the backend hands its reply to
+    ``GenerationRequest.on_reply`` (else once the call returns). A backend
     failure terminates the trace with partial results preserved, and the
     replies the failed depth already paid for stay in the ledger; at most
     ``k * (d + 1)`` candidates are ever generated.
@@ -179,41 +167,36 @@ def run_search(
 
     for depth in range(cfg.max_depth + 1):
         model = model_for_iteration(sched, depth, cfg.max_depth)
-        backend = backends.get(model.family)
-        if backend is None:
-            raise KeyError(f"no backend registered for model family {model.family!r}")
+        backend = backend_for(backends, model)
 
         conv_call, fallback = _window_for_call(conversation, model, cfg.feedback_mode)
         request = GenerationRequest(
             conversation=flatten_for_backend(conv_call, supports_system_role(model)),
             model=model,
             num_candidates=cfg.num_candidates,
-            sampling=cfg.sampling,
             task_name=task.name,
             depth=depth,
         )
         evaluate = partial(_evaluate_one, task, cfg, model, depth, evaluator)
-        batch, error, arrived = _generate(backend, request, evaluate)
+        candidates, error = _generate(backend, request, evaluate)
         # Replies that a failed call delivered were paid for: they get ledger
         # entries at this depth, but are not candidates.
         if isinstance(error, ContextOverflowError) and not fallback and len(conversation.messages) > 4:
             # One failover retry with the succinct window; if that cannot
             # shrink the prompt (or already failed), the depth is lost.
-            ledger_entries.extend(_ledger_entries(arrived.values(), model))
+            ledger_entries.extend(_ledger_entries(candidates, model))
             conv_call, fallback = succinct_window(conversation), True
             request = replace(
                 request,
                 conversation=flatten_for_backend(conv_call, supports_system_role(model)),
             )
             evaluate = partial(evaluate, clear_workdir=True)
-            batch, error, arrived = _generate(backend, request, evaluate)
+            candidates, error = _generate(backend, request, evaluate)
+        ledger_entries.extend(_ledger_entries(candidates, model))
         if error is not None:
-            ledger_entries.extend(_ledger_entries(arrived.values(), model))
             termination = Termination.BACKEND_ERROR
             break
 
-        candidates = _evaluate_batch(batch, arrived, evaluate, cfg.eval_workers)
-        ledger_entries.extend(_ledger_entries(candidates, model))
         chosen = best_candidate(candidates)
         nodes.append(
             DepthNode(depth, model.family, model.model_id, tuple(candidates), chosen.index, fallback)
@@ -280,27 +263,26 @@ def _evaluate_one(
 
 
 def _ledger_entries(candidates: Iterable[CandidateResponse], model: ModelSpec) -> list[LedgerEntry]:
-    return [
-        LedgerEntry(c.depth, c.index, model.model_id, c.usage, c.cost_usd)
-        for c in sorted(candidates, key=lambda c: c.index)
-    ]
+    return [LedgerEntry(c.depth, c.index, model.model_id, c.usage, c.cost_usd) for c in candidates]
 
 
 def _generate(
     backend: Backend, request: GenerationRequest, evaluate: Callable[[int, Reply], CandidateResponse]
-) -> tuple[GenerationBatch | None, BackendError | None, dict[int, CandidateResponse]]:
+) -> tuple[list[CandidateResponse], BackendError | None]:
     """One ``generate`` call whose replies are evaluated as they arrive.
 
-    Returns the batch (``None`` if the call failed), the backend error, and
-    the evaluations of the replies the backend delivered through
-    ``GenerationRequest.on_reply``, keyed by index. An evaluator error is
-    raised as is once the call is over, so it never passes for a backend
-    failure.
+    Returns the evaluated replies in index order (for a failed call, those
+    delivered before it failed) and the backend error, if any. Replies
+    returned without being handed to ``GenerationRequest.on_reply`` are
+    evaluated here, serially. The first evaluator error stops evaluation and
+    is raised as is once the call is over, never passing for a backend error.
     """
     arrived: dict[int, CandidateResponse] = {}
     failures: list[Exception] = []
 
     def on_reply(index: int, reply: Reply) -> None:
+        if failures:
+            return  # the error discards this depth; do not write its workdirs
         try:
             arrived[index] = evaluate(index, reply)
         except Exception as exc:
@@ -314,25 +296,18 @@ def _generate(
     finally:
         if failures:
             raise failures[0]
-    return batch, error, arrived
+    for index, reply in enumerate(batch.replies if batch is not None else ()):
+        if index not in arrived:
+            arrived[index] = evaluate(index, reply)
+    return [arrived[index] for index in sorted(arrived)], error
 
 
-def _evaluate_batch(
-    batch: GenerationBatch,
-    arrived: dict[int, CandidateResponse],
-    evaluate: Callable[[int, Reply], CandidateResponse],
-    workers: int,
-) -> list[CandidateResponse]:
-    # Replies a backend returned without handing them to ``on_reply`` are
-    # evaluated here, serially or on a pool of ``workers``.
-    missing = [item for item in enumerate(batch.replies) if item[0] not in arrived]
-    if workers == 1 or len(missing) <= 1:
-        evaluated = [evaluate(index, reply) for index, reply in missing]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            evaluated = list(pool.map(evaluate, *zip(*missing)))
-    arrived.update((c.index, c) for c in evaluated)
-    return [arrived[index] for index in range(len(batch.replies))]
+def backend_for(backends: BackendRegistry, model: ModelSpec) -> Backend:
+    """The backend serving ``model``'s family; ``KeyError`` if none is registered."""
+    backend = backends.get(model.family)
+    if backend is None:
+        raise KeyError(f"no backend registered for model family {model.family!r}")
+    return backend
 
 
 def pass_at_budget(trace: SearchTrace) -> tuple[int, bool]:

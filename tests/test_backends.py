@@ -120,6 +120,33 @@ class TestMockBackend:
         second = MockBackend(script).generate(req)
         assert first == second
 
+    def test_replies_handed_over_in_index_order_on_the_calling_thread(self):
+        script = {("t", 0, i): f"r{i}" for i in range(3)}
+        handed = []
+        req = GenerationRequest(two_turn_conversation(), lookup_model("mock"), 3, task_name="t", depth=0)
+        batch = MockBackend(script).generate(
+            replace(req, on_reply=lambda index, reply: handed.append((index, reply, threading.current_thread())))
+        )
+        assert batch == MockBackend(script).generate(req)
+        assert handed == [(i, reply, threading.current_thread()) for i, reply in enumerate(batch.replies)]
+        assert [text for _, (text, _), _ in handed] == ["r0", "r1", "r2"]
+
+    def test_replies_handed_over_outside_the_lock(self):
+        # Another call (a concurrent task's) completes while a reply is handled.
+        backend = MockBackend({})
+        req = GenerationRequest(two_turn_conversation(), lookup_model("mock"), 1, task_name="t", depth=0)
+        other = threading.Thread(target=backend.generate, args=(req,))
+        other_finished = []
+
+        def on_reply(index, reply):
+            other.start()
+            other.join(2)
+            other_finished.append(not other.is_alive())
+
+        backend.generate(replace(req, on_reply=on_reply))
+        other.join(5)
+        assert other_finished == [True]
+
     def test_calls_are_recorded(self):
         backend = MockBackend({})
         req = GenerationRequest(two_turn_conversation(), lookup_model("mock"), 2, task_name="t", depth=3)
@@ -737,3 +764,28 @@ class TestMockScriptFile:
         batch = backend.generate(req)
         assert batch.replies[0] == ("module m(); endmodule", TokenUsage(9, 11))
         assert batch.replies[1] == ("nope", TokenUsage(9, 11))
+
+    @pytest.mark.parametrize(
+        "text, detail",
+        [
+            ("{not json", "not a JSON file"),
+            ("[1, 2]", 'a mock script must be a JSON object whose "replies" is an object'),
+            ('{"replies": ["a"]}', 'a mock script must be a JSON object whose "replies" is an object'),
+            ('{"replies": {"a/0": "x"}}', "reply key 'a/0' is not <task>/<depth>/<index>"),
+            ('{"replies": {"a/b/0": "x"}}', "reply key 'a/b/0' is not <task>/<depth>/<index>"),
+            ('{"replies": {"a/0/0": 3}}', "every reply must be a string"),
+            ('{"default_reply": null}', "every reply must be a string"),
+            ('{"tokens_per_reply": [1]}', "tokens_per_reply needs integer input_tokens and output_tokens"),
+            ('{"tokens_per_reply": {"input_tokens": "many"}}', "tokens_per_reply needs integer"),
+        ],
+    )
+    def test_malformed_script_names_the_file(self, tmp_path, text, detail):
+        path = tmp_path / "script.json"
+        path.write_text(text)
+        with pytest.raises(ValueError) as info:
+            load_mock_script(path)
+        assert str(info.value).startswith(f"{path}: {detail}")
+
+    def test_missing_script_raises_os_error(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            load_mock_script(tmp_path / "missing.json")

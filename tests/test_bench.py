@@ -190,6 +190,20 @@ class TestRunSuite:
         assert rows["alpha"].success is False and rows["alpha"].queries_used == 0
         assert rows["beta"].queries_used == 1
 
+    @pytest.mark.parametrize("start", [0, FINAL_ITERATION], ids=["model", "final model"])
+    def test_family_without_backend_raises_before_any_search(self, tmp_path, start):
+        # Start 0 replaces the mock model; the final-iteration entry joins it.
+        entries = {0: lookup_model("mock"), start: lookup_model("bar", "foo")}
+        schedule = ModelSchedule(tuple(ScheduleEntry(s, model) for s, model in entries.items()))
+        backend = MockBackend({})
+        with pytest.raises(KeyError, match="no backend registered for model family 'foo'"):
+            run_suite(
+                load_suite(make_suite_dir(tmp_path)), [GridPoint(1, 1)], schedule, {"mock": backend},
+                evaluator=offline_evaluate, workdir=tmp_path / "work",
+            )
+        assert backend.calls == []
+        assert not (tmp_path / "work").exists()
+
     def test_parallel_matches_serial(self, tmp_path):
         tasks = load_suite(make_suite_dir(tmp_path))
         script = {("counter", 0, 0): passing_reply(name="counter")}

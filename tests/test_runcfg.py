@@ -455,6 +455,71 @@ class TestCli:
         assert captured.err == f"hdlsmith: configuration error: --suite: {detail.format(suite=suite)}\n"
         assert not out.exists()
 
+    @staticmethod
+    def bench_argv(tmp_path, *extra):
+        suite = tmp_path / "suite"
+        suite.mkdir(exist_ok=True)
+        (suite / "alpha_prompt.sv").write_text("// build alpha")
+        (suite / "alpha_tb.sv").write_text("module tb(); endmodule")
+        return ["bench", "--suite", str(suite), "--out", str(tmp_path / "report.json"), "--offline-tools", *extra]
+
+    @staticmethod
+    def assert_config_error(capsys, tmp_path, message):
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"hdlsmith: configuration error: {message}")
+        assert captured.err.count("\n") == 1
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("command", ["run", "bench"])
+    @pytest.mark.parametrize(
+        "make_script, detail",
+        [
+            (lambda path: None, "cannot read {path}: No such file or directory"),
+            (lambda path: path.mkdir(), "cannot read {path}: Is a directory"),
+            (lambda path: path.write_text("{not json"), "{path}: not a JSON file"),
+            (lambda path: path.write_text("[]"), "{path}: a mock script must be a JSON object"),
+            (
+                lambda path: path.write_text(json.dumps({"replies": {"a/0": "x"}})),
+                "{path}: reply key 'a/0' is not <task>/<depth>/<index>",
+            ),
+        ],
+        ids=["missing", "directory", "not json", "not an object", "bad key"],
+    )
+    def test_bad_mock_script_is_config_error(self, tmp_path, capsys, command, make_script, detail):
+        script = tmp_path / "script.json"
+        make_script(script)
+        if command == "run":
+            argv = ["run", "--config", str(write_config(tmp_path)), "--backend", f"mock:{script}"]
+        else:
+            argv = self.bench_argv(tmp_path, "--backend", f"mock:{script}")
+        assert cli_main(argv) == 2
+        self.assert_config_error(capsys, tmp_path, f"--backend: {detail.format(path=script)}")
+
+    @pytest.mark.parametrize(
+        "flag, spec, detail",
+        [
+            ("--model", "nocolon", "bad spec 'nocolon'; expected FAMILY:ID"),
+            ("--final-model", "x", "bad spec 'x'; expected FAMILY:ID"),
+            ("--backend", "foo", "bad spec 'foo'; expected mock:<script.json>"),
+            ("--backend", "mock", "bad spec 'mock'; expected mock:<script.json>"),
+            ("--backend", "mock:", "bad spec 'mock:'; expected mock:<script.json>"),
+        ],
+    )
+    def test_bench_bad_spec_is_config_error(self, tmp_path, capsys, flag, spec, detail):
+        assert cli_main(self.bench_argv(tmp_path, flag, spec)) == 2
+        self.assert_config_error(capsys, tmp_path, f"{flag}: {detail}")
+
+    def test_run_bad_backend_spec_is_config_error(self, tmp_path, capsys):
+        assert cli_main(["run", "--config", str(write_config(tmp_path)), "--backend", "foo"]) == 2
+        self.assert_config_error(capsys, tmp_path, "--backend: bad spec 'foo'; expected mock:<script.json>")
+
+    @pytest.mark.parametrize("flag", ["--model", "--final-model"])
+    def test_bench_model_family_without_backend_is_config_error(self, tmp_path, capsys, flag):
+        assert cli_main(self.bench_argv(tmp_path, flag, "foo:bar", "--workdir", str(tmp_path / "work"))) == 2
+        self.assert_config_error(capsys, tmp_path, f"{flag}: no backend registered for model family 'foo'\n")
+        assert not (tmp_path / "work").exists()
+
     def test_bench_cli_writes_report(self, tmp_path, capsys):
         suite = tmp_path / "suite"
         suite.mkdir()

@@ -6,6 +6,7 @@ import io
 import sys
 import threading
 import time
+from dataclasses import replace
 from decimal import Decimal
 
 import pytest
@@ -51,22 +52,22 @@ def single_schedule() -> ModelSchedule:
     return ModelSchedule.single(MOCK_MODEL)
 
 
-def search_config(k, d, tmp_path, mode=FeedbackMode.SUCCINCT, **kwargs) -> SearchConfig:
+def search_config(k, d, tmp_path, mode=FeedbackMode.SUCCINCT) -> SearchConfig:
     return SearchConfig(
         num_candidates=k, max_depth=d, feedback_mode=mode,
-        sim_timeout=60.0, outdir=tmp_path / "out", **kwargs,
+        sim_timeout=60.0, outdir=tmp_path / "out",
     )
 
 
 def run_mock_search(task, tmp_path, *, k, d, script=None, backend=None,
-                    mode=FeedbackMode.SUCCINCT, schedule=None, **cfg_kwargs):
+                    mode=FeedbackMode.SUCCINCT, schedule=None, evaluator=offline_evaluate):
     backend = backend if backend is not None else MockBackend(script or {})
     trace = run_search(
         task,
-        search_config(k, d, tmp_path, mode, **cfg_kwargs),
+        search_config(k, d, tmp_path, mode),
         schedule or single_schedule(),
         {"mock": backend},
-        evaluator=offline_evaluate,
+        evaluator=evaluator,
     )
     return trace, backend
 
@@ -373,14 +374,63 @@ class TestBackendFailures:
             )
 
 
-class TestParallelEvaluation:
-    def test_worker_pool_matches_serial_trace(self, task, tmp_path):
-        script = {("top_module", 0, i): reply_with_module(f"mismatches={i} samples=10") for i in range(4)}
-        serial, _ = run_mock_search(task, tmp_path / "serial", k=4, d=1, script=script)
-        pooled, _ = run_mock_search(
-            task, tmp_path / "pooled", k=4, d=1, script=script, eval_workers=4
+class _ReturnOnlyBackend:
+    """A third-party backend: returns its batch, never calls ``on_reply``."""
+
+    def __init__(self, script):
+        self.inner = MockBackend(script)
+
+    def generate(self, req):
+        return self.inner.generate(replace(req, on_reply=None))
+
+
+class TestReplyHandOver:
+    """Every reply is evaluated once, whether it is handed over or returned."""
+
+    SCRIPT = {
+        ("top_module", n // 3, n % 3): text
+        for n, text in enumerate([
+            reply_with_module("mismatches=4 samples=10"), "no module here", reply_with_module("hang"),
+            reply_with_module("compile-error"), "", reply_with_module("mismatches=2 samples=10"),
+            reply_with_module("warning"), reply_with_module("crash"), passing_reply(),
+        ])
+    }
+
+    def test_returned_replies_match_handed_over_replies(self, task, tmp_path):
+        threads = set()
+
+        def evaluator(text, task, workdir, timeout):
+            threads.add(threading.current_thread())
+            return offline_evaluate(text, task, workdir, timeout)
+
+        cfg = search_config(3, 2, tmp_path / "returned")
+        returned = run_search(
+            task, cfg, single_schedule(), {"mock": _ReturnOnlyBackend(self.SCRIPT)}, evaluator=evaluator
         )
-        assert serial == pooled
+        assert threads == {threading.current_thread()}
+        handed, _ = run_mock_search(task, tmp_path / "handed", k=3, d=2, script=self.SCRIPT)
+        assert returned == handed
+        assert returned.ledger == handed.ledger
+        assert returned.termination is Termination.ALL_TESTS_PASSED
+        assert scan_output_tree(tmp_path / "returned" / "out") == scan_output_tree(tmp_path / "handed" / "out")
+        logs = []
+        for trace in (returned, handed):
+            sink = io.StringIO()
+            write_run_log(trace, sink)
+            logs.append(sink.getvalue())
+        assert logs[0] == logs[1]
+
+    def test_first_evaluator_error_stops_the_depth(self, task, tmp_path):
+        calls = []
+
+        def evaluator(text, task, workdir, timeout):
+            calls.append(workdir.name)
+            raise OSError("disk full")
+
+        with pytest.raises(OSError, match="disk full"):
+            run_mock_search(task, tmp_path, k=3, d=1, evaluator=evaluator)
+        assert calls == ["response0"]
+        assert not (tmp_path / "out" / "iter0" / "response1").exists()
 
 
 class _ScriptedFailureBackend:
