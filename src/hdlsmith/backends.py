@@ -22,8 +22,6 @@ from functools import partial
 from pathlib import Path
 from typing import Callable, Mapping, Protocol
 
-import requests
-
 from .core import ModelSpec, TokenUsage
 from .prompts import Conversation, Role, estimate_tokens
 
@@ -276,6 +274,13 @@ Transport = Callable[[str, Mapping[str, str], Mapping[str, object]], tuple[int, 
 
 
 def requests_transport(url: str, headers: Mapping[str, str], body: Mapping[str, object]) -> tuple[int, dict]:
+    """POST ``body`` as JSON; return the status and the reply's JSON object,
+    or ``{"raw": text}`` for a reply that is not a JSON object."""
+    # Imported here, not at module scope: loading the HTTP client costs more
+    # than the rest of the package's start-up, and only a process that sends
+    # a request needs it.
+    import requests
+
     try:
         resp = requests.post(url, headers=dict(headers), json=body, timeout=120.0)
     except requests.RequestException as exc:
@@ -283,19 +288,26 @@ def requests_transport(url: str, headers: Mapping[str, str], body: Mapping[str, 
     try:
         payload = resp.json()
     except ValueError:
+        payload = None
+    if not isinstance(payload, dict):
         payload = {"raw": resp.text}
     return resp.status_code, payload
 
 
-def _error_message(payload: dict) -> str:
-    err = payload.get("error")
+def _error_field(payload: object) -> object:
+    # An injected transport may hand back any JSON value, not only an object.
+    return payload.get("error") if isinstance(payload, dict) else None
+
+
+def _error_message(payload: object) -> str:
+    err = _error_field(payload)
     if isinstance(err, dict):
         return str(err.get("message", err))
     return str(err or payload)
 
 
-def _looks_like_overflow(payload: dict) -> bool:
-    err = payload.get("error")
+def _looks_like_overflow(payload: object) -> bool:
+    err = _error_field(payload)
     code = err.get("code", "") if isinstance(err, dict) else ""
     message = _error_message(payload).lower()
     return (
@@ -306,7 +318,7 @@ def _looks_like_overflow(payload: dict) -> bool:
     )
 
 
-def _raise_for_status(status: int, payload: dict) -> None:
+def _raise_for_status(status: int, payload: object) -> None:
     if status in (401, 403):
         raise AuthError(_error_message(payload))
     if status == 429:
@@ -392,7 +404,7 @@ class ChatCompletionsBackend(_HttpBackend):
             text = payload["choices"][0]["message"]["content"]
             usage = payload.get("usage", {})
             tokens = TokenUsage(int(usage.get("prompt_tokens", 0)), int(usage.get("completion_tokens", 0)))
-        except (KeyError, IndexError, TypeError) as exc:
+        except (AttributeError, KeyError, IndexError, TypeError, ValueError) as exc:
             raise TransportError(f"malformed completion payload: {exc}") from exc
         return str(text), tokens
 
@@ -439,7 +451,7 @@ class MessagesBackend(_HttpBackend):
             )
             usage = payload.get("usage", {})
             tokens = TokenUsage(int(usage.get("input_tokens", 0)), int(usage.get("output_tokens", 0)))
-        except (KeyError, TypeError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise TransportError(f"malformed messages payload: {exc}") from exc
         return text, tokens
 

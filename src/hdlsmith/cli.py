@@ -24,6 +24,7 @@ from .bench import (
     success_percent,
 )
 from .core import Termination, format_usd
+from .edatools import ToolIoError, ToolNotFoundError
 from .faketools import offline_evaluate
 from .prompts import FeedbackMode
 from .search import FINAL_ITERATION, ModelSchedule, ScheduleEntry, backend_for
@@ -93,6 +94,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     mode = FeedbackMode.SUCCINCT if args.mode == "succinct" else FeedbackMode.FULL_CONTEXT
     grid = [GridPoint(k, d, mode) for k, d in _parse_grid(args.grid)]
+    if args.parallel < 1:
+        raise runcfg.ConfigError("--parallel", f"{args.parallel}: must be at least 1")
     if not Path(args.suite).is_dir():
         raise runcfg.ConfigError("--suite", f"no such directory: {args.suite}")
     try:
@@ -179,6 +182,9 @@ def main(argv: list[str] | None = None) -> int:
         # str(exc) starts with the key path of the offending setting.
         print(f"hdlsmith: configuration error: {exc}", file=sys.stderr)
         return 2
+    except (ToolNotFoundError, ToolIoError) as exc:
+        print(f"hdlsmith: tool error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ sources, the compiled artifact and a per-candidate log.
 from __future__ import annotations
 
 import re
+import shutil
 import subprocess
 import time
 from dataclasses import dataclass
@@ -104,6 +105,15 @@ _HINT_RE = re.compile(
     r"First mismatch occurred at time (\d+)\.?\s*$"
 )
 _TOTAL_RE = re.compile(r"^Mismatches: (\d+) in (\d+) samples\s*$")
+
+
+def require_tools(tools: ToolchainConfig = DEFAULT_TOOLS) -> None:
+    """Raise ``ToolNotFoundError`` unless both the compiler and the runtime
+    resolve to executables (a name on ``PATH`` or a path)."""
+    if shutil.which(tools.compiler) is None:
+        raise ToolNotFoundError(f"compiler not found: {tools.compiler}")
+    if shutil.which(tools.runtime) is None:
+        raise ToolNotFoundError(f"simulation runtime not found: {tools.runtime}")
 
 
 def tool_version(tools: ToolchainConfig = DEFAULT_TOOLS) -> str | None:

@@ -22,6 +22,7 @@ from .edatools import (
     DEFAULT_TOOLS,
     ToolchainConfig,
     evaluate,
+    require_tools,
     tool_version,
 )
 from .prompts import FeedbackMode
@@ -313,12 +314,15 @@ def execute_run(
     and artifact files as far as its evaluation got, plus a per-candidate
     log) and the top-level run log. A partial tree is left on disk when the
     run aborts. When the real toolchain is in use, its version banner heads
-    the run log so warning-text classifications stay traceable.
+    the run log so warning-text classifications stay traceable, and a
+    compiler or runtime that cannot be found raises ``ToolNotFoundError``
+    before the output directory is created or any reply is requested.
     """
     if backends is None:
         backends = default_registry()
     version = None
     if evaluator is None:
+        require_tools(tools)
         evaluator = partial(evaluate, tools=tools)
         version = tool_version(tools)
     task = load_task(cfg)

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import random
 import shlex
+import subprocess
 import sys
 import threading
 import time
@@ -13,6 +15,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+import requests
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -33,6 +36,7 @@ from hdlsmith.backends import (
     backoff_delay,
     load_mock_script,
     lookup_model,
+    requests_transport,
     supports_system_role,
 )
 from hdlsmith.core import ModelSpec, TokenUsage
@@ -628,6 +632,50 @@ class TestProbeRule:
         assert transport.events == ["start", "end"]  # the rejection cost one request
 
 
+class TestMalformedPayloads:
+    """A payload of the wrong shape fails its request with a ``BackendError``.
+
+    The status still picks the error class; the payload only fills the
+    message, whatever JSON value the transport handed back.
+    """
+
+    @pytest.mark.parametrize(
+        "http_family, status, payload, error",
+        [
+            ("chat", 200, {"choices": [{"message": {"content": "ok"}}], "usage": None}, TransportError),
+            ("chat", 200, {"choices": [{"message": {"content": "ok"}}], "usage": [1]}, TransportError),
+            ("chat", 200, {"choices": [{"message": {"content": "ok"}}], "usage": {"prompt_tokens": "many"}},
+             TransportError),
+            ("chat", 200, ["choices"], TransportError),
+            ("messages", 200, {"content": [{"type": "text", "text": "ok"}], "usage": None}, TransportError),
+            ("messages", 200, {"content": ["ok"], "usage": {}}, TransportError),
+            ("messages", 200, {"content": [{"type": "text", "text": "ok"}], "usage": {"input_tokens": -1}},
+             TransportError),
+            ("messages", 200, "oops", TransportError),
+            ("chat", 500, [], TransportError),
+            ("messages", 500, [], TransportError),
+            ("chat", 400, "oops", BackendError),
+            ("messages", 400, "oops", BackendError),
+            ("chat", 401, ["denied"], AuthError),
+            ("messages", 429, None, RateLimitedError),
+        ],
+        indirect=["http_family"],
+    )
+    def test_malformed_payload_is_a_backend_error(self, http_family, status, payload, error):
+        factory, _, model = http_family
+        transport = StubTransport([(status, payload)] * 2)
+        backend = factory(transport=transport, retry=RetryPolicy(attempts=2), sleep=lambda _: None)
+        with pytest.raises(BackendError) as info:
+            backend.generate(GenerationRequest(two_turn_conversation(), model, 1))
+        assert type(info.value) is error
+
+    def test_error_status_message_quotes_a_non_object_payload(self, monkeypatch):
+        monkeypatch.setenv("OPENAI_API_KEY", "test-key")
+        backend = ChatCompletionsBackend(transport=StubTransport([(400, "oops")]))
+        with pytest.raises(BackendError, match="^unexpected status 400: oops$"):
+            backend.generate(fan_out_request(1))
+
+
 class TestMessagesBackend:
     def make_backend(self, transport, monkeypatch):
         monkeypatch.setenv("ANTHROPIC_API_KEY", "test-key-456")
@@ -789,3 +837,77 @@ class TestMockScriptFile:
     def test_missing_script_raises_os_error(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_mock_script(tmp_path / "missing.json")
+
+
+class FakeResponse:
+    def __init__(self, status_code, text):
+        self.status_code = status_code
+        self.text = text
+
+    def json(self):
+        return json.loads(self.text)
+
+
+class TestRequestsTransport:
+    """The HTTP transport, with ``requests.post`` replaced: no network needed."""
+
+    def test_request_and_reply_pass_through(self, monkeypatch):
+        sent = []
+
+        def post(url, **kwargs):
+            sent.append((url, kwargs))
+            return FakeResponse(201, '{"id": "x", "choices": []}')
+
+        monkeypatch.setattr(requests, "post", post)
+        headers = {"Authorization": "Bearer k"}
+        body = {"model": "m", "messages": []}
+        assert requests_transport("https://example.test/v1", headers, body) == (
+            201, {"id": "x", "choices": []}
+        )
+        assert sent == [("https://example.test/v1", {"headers": headers, "json": body, "timeout": 120.0})]
+
+    def test_request_exception_is_transport_error(self, monkeypatch):
+        def post(url, **kwargs):
+            raise requests.ConnectionError("connection refused")
+
+        monkeypatch.setattr(requests, "post", post)
+        with pytest.raises(TransportError, match="connection refused"):
+            requests_transport("https://example.test/v1", {}, {})
+
+    @pytest.mark.parametrize("text", ["<html>Bad Gateway</html>", "", "[1, 2]", '"oops"', "null", "3"])
+    def test_body_that_is_not_a_json_object_comes_back_raw(self, monkeypatch, text):
+        monkeypatch.setattr(requests, "post", lambda url, **kwargs: FakeResponse(502, text))
+        assert requests_transport("https://example.test/v1", {}, {}) == (502, {"raw": text})
+
+
+# Run in a fresh interpreter: the test process itself has long imported requests.
+IMPORT_GUARD = """
+import sys
+
+import hdlsmith, hdlsmith.cli
+from hdlsmith.backends import ChatCompletionsBackend, GenerationRequest, default_registry, lookup_model
+from hdlsmith.prompts import Conversation, FeedbackMode, Message, Role
+
+assert "requests" not in sys.modules, "loaded by importing hdlsmith"
+default_registry()
+payload = {"choices": [{"message": {"content": "ok"}}], "usage": {}}
+backend = ChatCompletionsBackend(transport=lambda url, headers, body: (200, payload))
+conversation = Conversation((Message(Role.USER, "hi"),), FeedbackMode.SUCCINCT)
+batch = backend.generate(GenerationRequest(conversation, lookup_model("gpt-4o-mini"), 1))
+assert batch.replies[0][0] == "ok"
+assert "requests" not in sys.modules, "loaded by a request through an injected transport"
+"""
+
+
+def test_http_client_is_not_loaded_until_a_request_is_sent():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    pythonpath = os.environ.get("PYTHONPATH")
+    env = {
+        **os.environ,
+        "PYTHONPATH": src + os.pathsep + pythonpath if pythonpath else src,
+        "OPENAI_API_KEY": "test-key",
+    }
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_GUARD], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr

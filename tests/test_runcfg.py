@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+from dataclasses import replace
 from decimal import Decimal
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from hdlsmith.core import (
     TokenUsage,
     compute_cost,
 )
+from hdlsmith.edatools import ToolNotFoundError
 from hdlsmith.faketools import offline_evaluate, passing_reply, reply_with_module
 from hdlsmith.prompts import FeedbackMode
 from hdlsmith.runcfg import (
@@ -342,6 +344,23 @@ class TestExecuteRun:
         assert text.startswith("Tool version: Fake Verilog Compiler 99.0\n")
         assert trace.best().outcome.kind is OutcomeKind.SIMULATED
 
+    @pytest.mark.parametrize(
+        "missing, message",
+        [("compiler", "compiler not found: {tool}"), ("runtime", "simulation runtime not found: {tool}")],
+    )
+    def test_missing_tool_raises_before_any_request(self, tmp_path, missing, message):
+        from test_edatools import write_fake_binaries
+
+        absent = str(tmp_path / "no-such-tool")
+        tools = replace(write_fake_binaries(tmp_path), **{missing: absent})
+        cfg = self.run_config(tmp_path)
+        backend = MockBackend({})
+        with pytest.raises(ToolNotFoundError) as info:
+            execute_run(cfg, {"mock": backend}, tools=tools)
+        assert str(info.value) == message.format(tool=absent)
+        assert backend.calls == []
+        assert not cfg.outdir.exists()
+
 
 class TestCli:
     def write_mock_script(self, tmp_path, replies: dict[str, str]) -> Path:
@@ -385,6 +404,25 @@ class TestCli:
             ]
         )
         assert code == 1
+
+    def test_run_without_toolchain_is_tool_error(self, tmp_path, capsys, monkeypatch):
+        config_path = write_config(tmp_path)
+        script = self.write_mock_script(tmp_path, {})
+        monkeypatch.setenv("PATH", str(tmp_path / "empty-bin"))
+        code = cli_main(
+            [
+                "run",
+                "--config", str(config_path),
+                "--override", "general.model_family=mock",
+                "--override", "general.model_id=mock",
+                "--backend", f"mock:{script}",
+            ]
+        )
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "hdlsmith: tool error: compiler not found: iverilog\n"
+        assert not (tmp_path / "output_dir").exists()
 
     def test_run_missing_config_is_config_error(self, tmp_path, capsys):
         missing = tmp_path / "missing.json"
@@ -518,6 +556,12 @@ class TestCli:
     def test_bench_model_family_without_backend_is_config_error(self, tmp_path, capsys, flag):
         assert cli_main(self.bench_argv(tmp_path, flag, "foo:bar", "--workdir", str(tmp_path / "work"))) == 2
         self.assert_config_error(capsys, tmp_path, f"{flag}: no backend registered for model family 'foo'\n")
+        assert not (tmp_path / "work").exists()
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_bench_parallel_below_one_is_config_error(self, tmp_path, capsys, value):
+        assert cli_main(self.bench_argv(tmp_path, "--parallel", value, "--workdir", str(tmp_path / "work"))) == 2
+        self.assert_config_error(capsys, tmp_path, f"--parallel: {value}: must be at least 1\n")
         assert not (tmp_path / "work").exists()
 
     def test_bench_cli_writes_report(self, tmp_path, capsys):
