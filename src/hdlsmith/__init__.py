@@ -22,7 +22,6 @@ from .backends import (
     default_registry,
     load_mock_script,
     lookup_model,
-    supports_system_role,
 )
 from .bench import (
     EmptySuiteError,

@@ -23,11 +23,10 @@ from pathlib import Path
 from typing import Callable, Mapping, Protocol
 
 from .core import ModelSpec, TokenUsage
-from .prompts import Conversation, Role, estimate_tokens
+from .prompts import Conversation, Role, estimate_tokens, flatten_for_backend
 
 CHAT_COMPLETIONS_FAMILY = "ChatGPT"
 MESSAGES_FAMILY = "Claude"
-LOCAL_FAMILY = "local"
 MOCK_FAMILY = "mock"
 
 
@@ -49,10 +48,6 @@ class TransportError(BackendError):
 
 class ContextOverflowError(BackendError):
     """The prompt exceeded the model's context window; signals window fallback."""
-
-
-class UnknownModelFamilyError(BackendError):
-    pass
 
 
 # One candidate: the reply text and the usage its provider reported for it.
@@ -104,23 +99,6 @@ class GenerationBatch:
 
 class Backend(Protocol):
     def generate(self, req: GenerationRequest) -> GenerationBatch: ...
-
-
-_SYSTEM_ROLE_SUPPORT = {
-    CHAT_COMPLETIONS_FAMILY: True,
-    # The messages family gets its system text as a preemptive user turn.
-    MESSAGES_FAMILY: False,
-    LOCAL_FAMILY: True,
-    MOCK_FAMILY: True,
-}
-
-
-def supports_system_role(model: ModelSpec) -> bool:
-    """Capability lookup: can this family take a native system message?"""
-    try:
-        return _SYSTEM_ROLE_SUPPORT[model.family]
-    except KeyError:
-        raise UnknownModelFamilyError(f"unknown model family {model.family!r}") from None
 
 
 MODEL_CATALOG: dict[str, ModelSpec] = {
@@ -406,7 +384,12 @@ class ChatCompletionsBackend(_HttpBackend):
             tokens = TokenUsage(int(usage.get("prompt_tokens", 0)), int(usage.get("completion_tokens", 0)))
         except (AttributeError, KeyError, IndexError, TypeError, ValueError) as exc:
             raise TransportError(f"malformed completion payload: {exc}") from exc
-        return str(text), tokens
+        # A refusal or a tool call carries no text: an empty, still billed reply.
+        if text is None:
+            text = ""
+        if not isinstance(text, str):
+            raise TransportError(f"malformed completion payload: content is {type(text).__name__}")
+        return text, tokens
 
 
 class MessagesBackend(_HttpBackend):
@@ -420,10 +403,10 @@ class MessagesBackend(_HttpBackend):
 
     @staticmethod
     def _wire_messages(conv: Conversation) -> list[dict]:
-        # System turns were flattened upstream; merge consecutive same-role
-        # turns because the wire format requires strict alternation.
+        # The system text goes as a leading user turn; consecutive same-role
+        # turns merge because the wire format requires strict alternation.
         merged: list[dict] = []
-        for msg in conv.messages:
+        for msg in flatten_for_backend(conv).messages:
             role = "assistant" if msg.role is Role.ASSISTANT else "user"
             if merged and merged[-1]["role"] == role:
                 merged[-1]["content"] += "\n\n" + msg.content

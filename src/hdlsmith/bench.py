@@ -23,7 +23,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .backends import BackendRegistry
 from .core import DesignTask, SearchTrace, TokenUsage
-from .edatools import DEFAULT_SIM_TIMEOUT
+from .edatools import DEFAULT_SIM_TIMEOUT, require_tools
 from .prompts import FeedbackMode
 from .search import (
     FINAL_ITERATION,
@@ -201,10 +201,12 @@ def run_suite(
     each d, so then every d is searched. Only the searched trees are written
     under ``workdir``, one ``k<k>_d<d>_<mode>`` directory per search.
 
-    A model family with no backend raises ``KeyError`` before any search; a
-    failing task (tool or configuration error) is recorded as unsuccessful
-    at every point its search serves and the suite continues. Tasks of one
-    search run concurrently up to ``parallelism``, aggregated in task order.
+    A model family with no backend raises ``KeyError``, and with the default
+    evaluator a compiler or runtime that cannot be found raises
+    ``ToolNotFoundError``, before any search; a task whose search fails
+    otherwise is recorded as unsuccessful at every point its search serves
+    and the suite continues. Tasks of one search run concurrently up to
+    ``parallelism``, aggregated in task order.
     """
     grid = list(grid)
     if not grid:
@@ -213,6 +215,8 @@ def run_suite(
         raise EmptySuiteError("no tasks to run")
     for entry in schedule.entries:
         backend_for(backends, entry.model)
+    if evaluator is None:
+        require_tools()
     root = Path(workdir) if workdir is not None else Path(tempfile.mkdtemp(prefix="suite_"))
     schedule_desc = describe_schedule(schedule)
 

@@ -41,9 +41,9 @@ class Message:
 class Conversation:
     """An ordered message list plus the window mode it evolves under.
 
-    The first message is the system prompt; backends without system-role
-    support receive it re-labelled as a leading user message (see
-    :func:`flatten_for_backend`).
+    The first message is the system prompt; every backend receives the
+    conversation as is, and one whose wire format has no system role sends
+    it as a leading user message (see :func:`flatten_for_backend`).
     """
 
     messages: tuple[Message, ...]
@@ -162,13 +162,13 @@ def _output_tail(stdout: str, max_lines: int = 20) -> str:
     return "\n".join(lines[-max_lines:])
 
 
-def flatten_for_backend(conv: Conversation, supports_system_role: bool) -> Conversation:
-    """Adapt a conversation for a backend without system-role support.
+def flatten_for_backend(conv: Conversation) -> Conversation:
+    """Adapt a conversation for a wire format without a system role.
 
     The system message becomes a preemptive user message; everything else
     keeps its order and role.
     """
-    if supports_system_role or conv.messages[0].role is not Role.SYSTEM:
+    if conv.messages[0].role is not Role.SYSTEM:
         return conv
     head = Message(Role.USER, conv.messages[0].content)
     return Conversation((head,) + conv.messages[1:], conv.mode)

@@ -31,6 +31,7 @@ from .search import (
     ModelSchedule,
     ScheduleEntry,
     SearchConfig,
+    backend_for,
     run_search,
 )
 
@@ -315,11 +316,19 @@ def execute_run(
     log) and the top-level run log. A partial tree is left on disk when the
     run aborts. When the real toolchain is in use, its version banner heads
     the run log so warning-text classifications stay traceable, and a
-    compiler or runtime that cannot be found raises ``ToolNotFoundError``
+    compiler or runtime that cannot be found raises ``ToolNotFoundError``,
+    and a scheduled model family with no backend raises ``ConfigError``,
     before the output directory is created or any reply is requested.
     """
     if backends is None:
         backends = default_registry()
+    schedule = build_schedule(cfg)
+    for entry in schedule.entries:
+        try:
+            backend_for(backends, entry.model)
+        except KeyError as exc:
+            key_path = "mixed-model" if cfg.mixed_model else "general.model_family"
+            raise ConfigError(key_path, exc.args[0]) from None
     version = None
     if evaluator is None:
         require_tools(tools)
@@ -337,7 +346,7 @@ def execute_run(
     log_path = cfg.log if cfg.log.is_absolute() else cfg.outdir / cfg.log
     # On a tool/backend exception the partial tree stays on disk for
     # post-mortem inspection; only completed traces get the top-level log.
-    trace = run_search(task, search_cfg, build_schedule(cfg), backends, evaluator=evaluator)
+    trace = run_search(task, search_cfg, schedule, backends, evaluator=evaluator)
     with open(log_path, "w") as sink:
         if version:
             sink.write(f"Tool version: {version}\n")

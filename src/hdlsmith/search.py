@@ -22,7 +22,6 @@ from .backends import (
     ContextOverflowError,
     GenerationRequest,
     Reply,
-    supports_system_role,
 )
 from .core import (
     CandidateResponse,
@@ -44,7 +43,6 @@ from .prompts import (
     FeedbackMode,
     estimate_tokens,
     feedback_text,
-    flatten_for_backend,
     initial_conversation,
     next_conversation,
     succinct_window,
@@ -171,7 +169,7 @@ def run_search(
 
         conv_call, fallback = _window_for_call(conversation, model, cfg.feedback_mode)
         request = GenerationRequest(
-            conversation=flatten_for_backend(conv_call, supports_system_role(model)),
+            conversation=conv_call,
             model=model,
             num_candidates=cfg.num_candidates,
             task_name=task.name,
@@ -186,10 +184,7 @@ def run_search(
             # shrink the prompt (or already failed), the depth is lost.
             ledger_entries.extend(_ledger_entries(candidates, model))
             conv_call, fallback = succinct_window(conversation), True
-            request = replace(
-                request,
-                conversation=flatten_for_backend(conv_call, supports_system_role(model)),
-            )
+            request = replace(request, conversation=conv_call)
             evaluate = partial(evaluate, clear_workdir=True)
             candidates, error = _generate(backend, request, evaluate)
         ledger_entries.extend(_ledger_entries(candidates, model))

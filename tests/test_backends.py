@@ -37,9 +37,8 @@ from hdlsmith.backends import (
     load_mock_script,
     lookup_model,
     requests_transport,
-    supports_system_role,
 )
-from hdlsmith.core import ModelSpec, TokenUsage
+from hdlsmith.core import TokenUsage
 from hdlsmith.prompts import Conversation, FeedbackMode, Message, Role
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -158,24 +157,6 @@ class TestMockBackend:
         assert len(backend.calls) == 1
         call = backend.calls[0]
         assert (call.task_name, call.depth, call.num_candidates) == ("t", 3, 2)
-
-
-class TestCapabilities:
-    def test_chat_completions_family_supports_system_role(self):
-        assert supports_system_role(lookup_model("gpt-4o")) is True
-
-    def test_messages_family_does_not(self):
-        assert supports_system_role(lookup_model("claude-3-haiku")) is False
-
-    def test_mock_supports(self):
-        assert supports_system_role(lookup_model("anything-unknown")) is True
-
-    def test_unknown_family_errors(self):
-        from decimal import Decimal
-
-        spec = ModelSpec("NoSuchFamily", "m", Decimal(0), Decimal(0), 100)
-        with pytest.raises(BackendError):
-            supports_system_role(spec)
 
 
 class TestChatCompletionsBackend:
@@ -647,6 +628,8 @@ class TestMalformedPayloads:
             ("chat", 200, {"choices": [{"message": {"content": "ok"}}], "usage": {"prompt_tokens": "many"}},
              TransportError),
             ("chat", 200, ["choices"], TransportError),
+            ("chat", 200, {"choices": [{"message": {"content": 5}}], "usage": {}}, TransportError),
+            ("chat", 200, {"choices": [{"message": {"content": ["ok"]}}], "usage": {}}, TransportError),
             ("messages", 200, {"content": [{"type": "text", "text": "ok"}], "usage": None}, TransportError),
             ("messages", 200, {"content": ["ok"], "usage": {}}, TransportError),
             ("messages", 200, {"content": [{"type": "text", "text": "ok"}], "usage": {"input_tokens": -1}},
@@ -669,6 +652,13 @@ class TestMalformedPayloads:
             backend.generate(GenerationRequest(two_turn_conversation(), model, 1))
         assert type(info.value) is error
 
+    def test_null_content_is_an_empty_billed_reply(self, monkeypatch):
+        # A refusal or a tool call carries no text, and is paid for all the same.
+        monkeypatch.setenv("OPENAI_API_KEY", "test-key")
+        transport = StubTransport([(200, chat_payload(None, 5, 7))])
+        batch = ChatCompletionsBackend(transport=transport).generate(fan_out_request(1))
+        assert batch.replies == (("", TokenUsage(5, 7)),)
+
     def test_error_status_message_quotes_a_non_object_payload(self, monkeypatch):
         monkeypatch.setenv("OPENAI_API_KEY", "test-key")
         backend = ChatCompletionsBackend(transport=StubTransport([(400, "oops")]))
@@ -682,14 +672,12 @@ class TestMessagesBackend:
         return MessagesBackend(transport=transport, sleep=lambda _: None, rng=random.Random(7))
 
     def test_recorded_fixture_replay(self, monkeypatch):
-        from hdlsmith.prompts import flatten_for_backend
-
+        # The canonical conversation goes in; the backend sends its system
+        # text as a leading user turn.
         fixture = json.loads((FIXTURES / "messages_exchange.json").read_text())
         transport = StubTransport([(fixture["response"]["status"], fixture["response"]["body"])])
         backend = self.make_backend(transport, monkeypatch)
-        model = lookup_model("claude-3-haiku")
-        conv = flatten_for_backend(two_turn_conversation(), supports_system_role(model))
-        batch = backend.generate(GenerationRequest(conv, model, 1))
+        batch = backend.generate(GenerationRequest(two_turn_conversation(), lookup_model("claude-3-haiku"), 1))
         sent = transport.requests[0]
         expected = fixture["request"]
         assert sent["url"] == expected["url"]

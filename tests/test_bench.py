@@ -36,6 +36,7 @@ from hdlsmith.bench import (
     suite_pareto_point,
 )
 from hdlsmith.core import Termination, TokenUsage
+from hdlsmith.edatools import ToolNotFoundError
 from hdlsmith.faketools import offline_evaluate, passing_reply, reply_with_module
 from hdlsmith.prompts import FeedbackMode
 from hdlsmith.search import FINAL_ITERATION, ModelSchedule, ScheduleEntry, SearchConfig, run_search
@@ -200,6 +201,27 @@ class TestRunSuite:
             run_suite(
                 load_suite(make_suite_dir(tmp_path)), [GridPoint(1, 1)], schedule, {"mock": backend},
                 evaluator=offline_evaluate, workdir=tmp_path / "work",
+            )
+        assert backend.calls == []
+        assert not (tmp_path / "work").exists()
+
+    def test_any_registered_family_is_served(self, tmp_path):
+        tasks = load_suite(make_suite_dir(tmp_path, stems=("adder",)))
+        backend = MockBackend({("adder", 1, 0): passing_reply(name="adder")})
+        results = run_suite(
+            tasks, [GridPoint(1, 2)], ModelSchedule.single(lookup_model("m", "mylocal")),
+            {"mylocal": backend}, evaluator=offline_evaluate, workdir=tmp_path / "work",
+        )
+        row = results[0].per_task[0]
+        assert (row.success, row.queries_used) == (True, 2)
+
+    def test_missing_toolchain_raises_before_any_query(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("PATH", str(tmp_path / "empty-bin"))
+        backend = MockBackend({})
+        with pytest.raises(ToolNotFoundError, match="compiler not found: iverilog"):
+            run_suite(
+                load_suite(make_suite_dir(tmp_path)), [GridPoint(3, 1)], self.schedule(),
+                {"mock": backend}, workdir=tmp_path / "work",
             )
         assert backend.calls == []
         assert not (tmp_path / "work").exists()

@@ -154,13 +154,15 @@ class TestFeedbackText:
 
 
 class TestFlatten:
-    def test_identity_when_supported(self, task):
-        conv = initial_conversation(task, FeedbackMode.SUCCINCT)
-        assert flatten_for_backend(conv, True) is conv
+    def test_identity_without_system_message(self):
+        conv = Conversation(
+            (Message(Role.USER, "design"), Message(Role.ASSISTANT, "reply")), FeedbackMode.SUCCINCT
+        )
+        assert flatten_for_backend(conv) is conv
 
     def test_system_becomes_leading_user(self, task):
         conv = initial_conversation(task, FeedbackMode.SUCCINCT)
-        flat = flatten_for_backend(conv, False)
+        flat = flatten_for_backend(conv)
         assert [m.role for m in flat.messages] == [Role.USER, Role.USER]
         assert flat.messages[0].content == system_prompt()
         assert flat.messages[1].content == task.prompt_text
@@ -174,7 +176,7 @@ class TestFlatten:
     def test_role_multiset_preserved_modulo_system(self, tail):
         messages = [Message(Role.SYSTEM, "sys")] + [Message(r, c) for r, c in tail]
         conv = Conversation(tuple(messages), FeedbackMode.FULL_CONTEXT)
-        flat = flatten_for_backend(conv, False)
+        flat = flatten_for_backend(conv)
         assert len(flat.messages) == len(conv.messages)
         assert [m.content for m in flat.messages] == [m.content for m in conv.messages]
         assert [m.role for m in flat.messages[1:]] == [m.role for m in conv.messages[1:]]

@@ -27,6 +27,7 @@ from hdlsmith.edatools import ToolNotFoundError
 from hdlsmith.faketools import offline_evaluate, passing_reply, reply_with_module
 from hdlsmith.prompts import FeedbackMode
 from hdlsmith.runcfg import (
+    ConfigError,
     InvalidScheduleError,
     MissingFileError,
     MissingKeyError,
@@ -362,6 +363,29 @@ class TestExecuteRun:
         assert not cfg.outdir.exists()
 
 
+    def test_any_registered_family_is_served(self, tmp_path):
+        cfg = replace(self.run_config(tmp_path, k=1, d=0), model_family="mylocal")
+        backend = MockBackend({("top_module", 0, 0): passing_reply()})
+        trace = execute_run(cfg, {"mylocal": backend}, evaluator=offline_evaluate)
+        assert trace.termination is Termination.ALL_TESTS_PASSED
+        assert "Model type: mylocal\n" in (cfg.outdir / "log.txt").read_text()
+
+    @pytest.mark.parametrize(
+        "mixed_model, key_path, family",
+        # The mixed-model entries name the ChatGPT family.
+        [(False, "general.model_family", "local"), (True, "mixed-model", "ChatGPT")],
+    )
+    def test_family_without_backend_raises_before_the_outdir(self, tmp_path, mixed_model, key_path, family):
+        cfg = replace(self.run_config(tmp_path), model_family="local", mixed_model=mixed_model)
+        backend = MockBackend({})
+        with pytest.raises(ConfigError) as info:
+            execute_run(cfg, {"mock": backend}, evaluator=offline_evaluate)
+        assert info.value.key_path == key_path
+        assert str(info.value) == f"{key_path}: no backend registered for model family {family!r}"
+        assert backend.calls == []
+        assert not cfg.outdir.exists()
+
+
 class TestCli:
     def write_mock_script(self, tmp_path, replies: dict[str, str]) -> Path:
         path = tmp_path / "script.json"
@@ -423,6 +447,31 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == "hdlsmith: tool error: compiler not found: iverilog\n"
         assert not (tmp_path / "output_dir").exists()
+
+    def test_run_family_without_backend_is_config_error(self, tmp_path, capsys):
+        # No backend serves the local family unless a program registers one.
+        config_path = write_config(tmp_path)
+        code = cli_main(["run", "--config", str(config_path),
+                         "--override", "general.model_family=local", "--offline-tools"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "hdlsmith: configuration error: general.model_family: "
+            "no backend registered for model family 'local'\n"
+        )
+        assert not (tmp_path / "output_dir").exists()
+
+    def test_bench_without_toolchain_is_tool_error(self, tmp_path, capsys, monkeypatch):
+        argv = [arg for arg in self.bench_argv(tmp_path, "--workdir", str(tmp_path / "work"))
+                if arg != "--offline-tools"]
+        monkeypatch.setenv("PATH", str(tmp_path / "empty-bin"))
+        assert cli_main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "hdlsmith: tool error: compiler not found: iverilog\n"
+        assert not (tmp_path / "work").exists()
+        assert not (tmp_path / "report.json").exists()
 
     def test_run_missing_config_is_config_error(self, tmp_path, capsys):
         missing = tmp_path / "missing.json"

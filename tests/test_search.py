@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import io
+import os
 import sys
+import tempfile
 import threading
 import time
 from dataclasses import replace
 from decimal import Decimal
+from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -17,12 +21,21 @@ from hdlsmith.backends import (
     BackendError,
     ChatCompletionsBackend,
     ContextOverflowError,
+    MessagesBackend,
     MockBackend,
     RetryPolicy,
     TransportError,
     lookup_model,
 )
-from hdlsmith.core import DesignTask, ModelSpec, OutcomeKind, Termination, candidate_order_key
+from hdlsmith.core import (
+    DesignTask,
+    ModelSpec,
+    OutcomeKind,
+    Termination,
+    TokenUsage,
+    candidate_order_key,
+    compute_cost,
+)
 from hdlsmith.extract import extract_module
 from hdlsmith.faketools import offline_evaluate, passing_reply, reply_with_module
 from hdlsmith.prompts import (
@@ -31,6 +44,8 @@ from hdlsmith.prompts import (
     FeedbackMode,
     Role,
     feedback_text,
+    initial_conversation,
+    system_prompt,
 )
 from hdlsmith.runcfg import scan_output_tree, trace_shape, write_run_log
 from hdlsmith.search import (
@@ -372,6 +387,30 @@ class TestBackendFailures:
                 task, search_config(1, 0, tmp_path), single_schedule(),
                 {}, evaluator=offline_evaluate,
             )
+
+    def test_any_registered_family_is_served(self, task, tmp_path):
+        # The registry alone decides which families exist.
+        backend = MockBackend({("top_module", 1, 0): passing_reply()})
+        trace = run_search(
+            task, search_config(1, 2, tmp_path), ModelSchedule.single(lookup_model("m", "mylocal")),
+            {"mylocal": backend}, evaluator=offline_evaluate,
+        )
+        assert trace.termination is Termination.ALL_TESTS_PASSED
+        assert [node.model_family for node in trace.nodes] == ["mylocal", "mylocal"]
+        assert len(backend.calls) == 2
+
+    @pytest.mark.parametrize("model", ["gpt-4o-mini", "claude-3-haiku"])
+    def test_every_family_gets_the_canonical_conversation(self, task, tmp_path, model):
+        model = lookup_model(model)
+        backend = MockBackend({})
+        run_search(
+            task, search_config(1, 1, tmp_path), ModelSchedule.single(model),
+            {model.family: backend}, evaluator=offline_evaluate,
+        )
+        assert backend.calls[0].conversation == initial_conversation(task, FeedbackMode.SUCCINCT)
+        assert [m.role for m in backend.calls[1].conversation.messages] == [
+            Role.SYSTEM, Role.USER, Role.ASSISTANT, Role.USER,
+        ]
 
 
 class _ReturnOnlyBackend:
@@ -787,3 +826,131 @@ class TestPaidReplies:
         assert shallow.termination is Termination.MAX_DEPTH_REACHED
         assert [(e.depth, e.index) for e in shallow.ledger.entries] == [(0, 0), (0, 1), (0, 2)]
         assert pass_at_budget(shallow) == (3, False)
+
+
+class TestWireConversations:
+    """What the HTTP families put on the wire for a search's windows."""
+
+    def test_messages_family_sends_the_system_text_as_a_user_turn(self, task, tmp_path, monkeypatch):
+        monkeypatch.setenv("ANTHROPIC_API_KEY", "test-key")
+        bodies = []
+
+        def transport(url, headers, body):
+            bodies.append(body)
+            return 200, {"content": [{"type": "text", "text": "no module"}], "usage": {}}
+
+        model = lookup_model("claude-3-haiku")
+        backend = MessagesBackend(transport=transport, sleep=lambda _: None)
+        run_search(task, search_config(1, 1, tmp_path), ModelSchedule.single(model),
+                   {model.family: backend}, evaluator=offline_evaluate)
+        assert bodies[0]["messages"] == [
+            {"role": "user", "content": system_prompt() + "\n\n" + task.prompt_text},
+        ]
+        assert [m["role"] for m in bodies[1]["messages"]] == ["user", "assistant", "user"]
+
+    def test_null_content_is_an_empty_billed_reply(self, task, tmp_path, monkeypatch):
+        bodies = []
+
+        def transport(url, headers, body):
+            bodies.append(body)
+            return 200, chat_payload(None, 5, 7)
+
+        trace = run_http_search(task, tmp_path, monkeypatch, transport, k=1, d=1)
+        assert [c.raw_text for c in trace.all_candidates()] == ["", ""]
+        assert {c.rank.value for c in trace.all_candidates()} == {-2}
+        assert bodies[1]["messages"][-2] == {"role": "assistant", "content": EMPTY_REPLY_PLACEHOLDER}
+        assert [e.usage for e in trace.ledger.entries] == [TokenUsage(5, 7)] * 2
+
+
+FENCE = "```"
+MATRIX_REPLIES = st.one_of(
+    st.sampled_from([
+        "",
+        None,  # a null content: an empty reply
+        f"{FENCE}verilog\nmodule top_module();\n  // eda: pass\nendmodule",  # unclosed fence
+        f"{FENCE}\n{FENCE}verilog\nmodule top_module(); endmodule\n{FENCE}\n{FENCE}",  # nested fences
+        "/* module top_module(); endmodule */ no module here",
+        "// module top_module();\n/* endmodule */",
+    ]),
+    st.text(max_size=200),
+    st.sampled_from(["hang", "crash", "silent", "pass", "compile-error", "warning",
+                     "mismatches=3 samples=10"]).map(reply_with_module),
+    # A module padded to up to 64 KB.
+    st.tuples(st.sampled_from([1_000, 16 * 1024, 64 * 1024]), st.sampled_from(["x", "é", "\n", "\U0001f600"]))
+    .map(lambda size_char: reply_with_module("mismatches=1 samples=10") + size_char[1] * size_char[0]),
+)
+MATRIX_STATUSES = {
+    429: {},
+    503: {},
+    500: {"error": {"message": "internal"}},
+    401: {"error": {"message": "invalid api key"}},
+    400: {"error": {"code": "context_length_exceeded", "message": "too long"}},
+}
+
+
+class _FaultTransport:
+    """Answers request ``n`` with ``faults[n]``, a window of more than four
+    messages with 400 when ``long_windows_overflow``, and else 200 with the
+    next reply and a usage of its own, recorded as billed."""
+
+    def __init__(self, faults, replies, long_windows_overflow):
+        self.faults, self.replies = faults, replies
+        self.long_windows_overflow = long_windows_overflow
+        self.requests = 0
+        self.billed: list[TokenUsage] = []
+        self.lock = threading.Lock()
+
+    def __call__(self, url, headers, body):
+        with self.lock:
+            n = self.requests
+            self.requests += 1
+            if self.long_windows_overflow and len(body["messages"]) > 4:
+                return 400, MATRIX_STATUSES[400]
+            if n in self.faults:
+                return self.faults[n], MATRIX_STATUSES[self.faults[n]]
+            usage = TokenUsage(1 + len(self.billed), 1000 + len(self.billed))
+            text = self.replies[len(self.billed) % len(self.replies)]
+            self.billed.append(usage)
+        return 200, chat_payload(text, usage.input_tokens, usage.output_tokens)
+
+
+class TestFaultMatrix:
+    """No reply, tool outcome or transport failure makes a search raise."""
+
+    @given(
+        k=st.integers(1, 3),
+        d=st.integers(0, 2),
+        mode=st.sampled_from(list(FeedbackMode)),
+        window=st.sampled_from([128_000, 200]),  # 200 tokens: a depth-2 full window falls back
+        replies=st.lists(MATRIX_REPLIES, min_size=1, max_size=6),
+        # Request positions, so a fault can hit a probe, a fan-out or a retry.
+        faults=st.dictionaries(st.integers(0, 12), st.sampled_from(list(MATRIX_STATUSES)), max_size=3),
+        long_windows_overflow=st.booleans(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_search_survives_any_fault(self, k, d, mode, window, replies, faults, long_windows_overflow):
+        task = DesignTask("top_module", "// design prompt\nmodule top_module();", "module tb(); endmodule")
+        model = replace(lookup_model("gpt-4o-mini"), max_context_tokens=window)
+        transport = _FaultTransport(faults, replies, long_windows_overflow)
+        backend = ChatCompletionsBackend(
+            transport=transport, retry=RetryPolicy(attempts=2), sleep=lambda _: None
+        )
+        threads = threading.active_count()
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ, {"OPENAI_API_KEY": "test-key"}):
+            outdir = Path(tmp) / "out"
+            cfg = SearchConfig(num_candidates=k, max_depth=d, feedback_mode=mode, sim_timeout=1.0, outdir=outdir)
+            trace = run_search(task, cfg, ModelSchedule.single(model), {model.family: backend},
+                               evaluator=offline_evaluate)
+            scanned = scan_output_tree(outdir) if outdir.exists() else []
+        assert threading.active_count() == threads
+        assert len(trace.all_candidates()) <= k * (d + 1)
+        # Every 200 answer, and only those, is in the ledger (billed in input_tokens order).
+        assert sorted((e.usage for e in trace.ledger.entries), key=lambda u: u.input_tokens) == transport.billed
+        assert all(e.cost_usd == compute_cost(e.usage, model) for e in trace.ledger.entries)
+        # A failed depth keeps the directories of the replies it paid for.
+        shape = trace_shape(trace)
+        assert scanned[:len(shape)] == shape
+        kept = scanned[len(shape):]
+        if trace.termination is not Termination.BACKEND_ERROR:
+            assert kept == []
+        assert len(kept) <= 1 and all(None not in row and len(row) <= k for row in kept)
