@@ -203,10 +203,11 @@ def run_suite(
 
     A model family with no backend raises ``KeyError``, and with the default
     evaluator a compiler or runtime that cannot be found raises
-    ``ToolNotFoundError``, before any search; a task whose search fails
-    otherwise is recorded as unsuccessful at every point its search serves
-    and the suite continues. Tasks of one search run concurrently up to
-    ``parallelism``, aggregated in task order.
+    ``ToolNotFoundError``, before any search. Any error a search raises, such
+    as an evaluator or tool I/O error, ends the sweep and is raised here. Tasks
+    of one search run concurrently up to ``parallelism``, aggregated in task
+    order; after an error the queued ones are cancelled and the running ones
+    finish before it is raised.
     """
     grid = list(grid)
     if not grid:
@@ -220,10 +221,10 @@ def run_suite(
     root = Path(workdir) if workdir is not None else Path(tempfile.mkdtemp(prefix="suite_"))
     schedule_desc = describe_schedule(schedule)
 
-    def search_all(k: int, d: int, mode: FeedbackMode) -> list[SearchTrace | None]:
-        """One search per task, in task order; None where the search raised."""
+    def search_all(k: int, d: int, mode: FeedbackMode) -> list[SearchTrace]:
+        """One search per task, in task order."""
 
-        def search(task: DesignTask) -> SearchTrace | None:
+        def search(task: DesignTask) -> SearchTrace:
             cfg = SearchConfig(
                 num_candidates=k,
                 max_depth=d,
@@ -231,11 +232,7 @@ def run_suite(
                 sim_timeout=sim_timeout,
                 outdir=root / f"k{k}_d{d}_{mode.value}" / task.name,
             )
-            try:
-                return run_search(task, cfg, schedule, backends, evaluator=evaluator)
-            except Exception as exc:
-                warnings.warn(f"task {task.name!r} failed: {exc}", stacklevel=2)
-                return None
+            return run_search(task, cfg, schedule, backends, evaluator=evaluator)
 
         if parallelism > 1:
             with ThreadPoolExecutor(max_workers=parallelism) as pool:
@@ -260,19 +257,13 @@ def run_suite(
         k, d, mode = point.num_candidates, point.max_depth, point.mode
         run_d = min(run for run in run_depths[k, mode] if run >= d)
         rows = tuple(
-            _task_summary(task, trace.upto(d) if trace is not None else None)
-            for task, trace in zip(tasks, traces[k, mode, run_d])
+            _task_summary(task, trace.upto(d)) for task, trace in zip(tasks, traces[k, mode, run_d])
         )
         results.append(SuiteResult(SuiteParams(k, d, mode, schedule_desc), rows))
     return results
 
 
-def _task_summary(task: DesignTask, trace: SearchTrace | None) -> TaskRow:
-    if trace is None:
-        return TaskRow(
-            task.name, False, 0, TokenUsage(0, 0), Decimal(0), None,
-            task.category, task.subcategory,
-        )
+def _task_summary(task: DesignTask, trace: SearchTrace) -> TaskRow:
     queries, success = pass_at_budget(trace)
     totals = trace.ledger.totals
     best = trace.best()

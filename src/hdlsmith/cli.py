@@ -98,6 +98,11 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         raise runcfg.ConfigError("--parallel", f"{args.parallel}: must be at least 1")
     if not Path(args.suite).is_dir():
         raise runcfg.ConfigError("--suite", f"no such directory: {args.suite}")
+    out = Path(args.out)  # written only after the paid sweep, so checked first
+    if out.is_dir():
+        raise runcfg.ConfigError("--out", f"is a directory: {out}")
+    if not out.parent.is_dir():
+        raise runcfg.ConfigError("--out", f"no such directory: {out.parent}")
     try:
         tasks = load_suite(args.suite)
     except EmptySuiteError as exc:
@@ -124,7 +129,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         workdir=args.workdir,
         parallelism=args.parallel,
     )
-    out = Path(args.out)
     format = ReportFormat.CSV if (args.format or out.suffix.lstrip(".")).lower() == "csv" else ReportFormat.JSON
     export_report(results, format, out)
     for result in results:
@@ -182,7 +186,7 @@ def main(argv: list[str] | None = None) -> int:
         # str(exc) starts with the key path of the offending setting.
         print(f"hdlsmith: configuration error: {exc}", file=sys.stderr)
         return 2
-    except (ToolNotFoundError, ToolIoError) as exc:
+    except (ToolNotFoundError, ToolIoError, OSError) as exc:
         print(f"hdlsmith: tool error: {exc}", file=sys.stderr)
         return 3
 

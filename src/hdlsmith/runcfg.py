@@ -344,8 +344,9 @@ def execute_run(
     )
     cfg.outdir.mkdir(parents=True, exist_ok=True)
     log_path = cfg.log if cfg.log.is_absolute() else cfg.outdir / cfg.log
-    # On a tool/backend exception the partial tree stays on disk for
-    # post-mortem inspection; only completed traces get the top-level log.
+    # A backend error only ends the trace; an evaluator or tool I/O error
+    # raises out of run_search and leaves the partial tree on disk for
+    # post-mortem inspection. Only completed traces get the top-level log.
     trace = run_search(task, search_cfg, schedule, backends, evaluator=evaluator)
     with open(log_path, "w") as sink:
         if version:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import warnings
 from collections import Counter
 from decimal import Decimal
 from pathlib import Path
@@ -36,7 +37,7 @@ from hdlsmith.bench import (
     suite_pareto_point,
 )
 from hdlsmith.core import Termination, TokenUsage
-from hdlsmith.edatools import ToolNotFoundError
+from hdlsmith.edatools import ToolIoError, ToolNotFoundError
 from hdlsmith.faketools import offline_evaluate, passing_reply, reply_with_module
 from hdlsmith.prompts import FeedbackMode
 from hdlsmith.search import FINAL_ITERATION, ModelSchedule, ScheduleEntry, SearchConfig, run_search
@@ -173,23 +174,22 @@ class TestRunSuite:
             assert row.tokens == TokenUsage(4 * 50, 4 * 70)
             assert row.cost_usd == Decimal(0)
 
-    def test_task_failure_recorded_and_suite_continues(self, tmp_path):
-        tasks = load_suite(make_suite_dir(tmp_path, stems=("alpha", "beta")))
+    @pytest.mark.usefixtures("no_thread_leak")
+    @pytest.mark.parametrize("parallelism", [1, 3])
+    def test_task_failure_ends_the_sweep(self, tmp_path, parallelism):
+        tasks = load_suite(make_suite_dir(tmp_path, stems=("a0", "a1", "a2", "a3", "a4", "a5")))
 
-        class ExplodingEvaluator:
-            def __call__(self, text, task, workdir, timeout):
-                if task.name == "alpha":
-                    raise RuntimeError("tool exploded")
-                return offline_evaluate(text, task, workdir, timeout)
+        def evaluator(text, task, workdir, timeout):
+            if task.name == "a2":
+                raise RuntimeError("tool exploded")
+            return offline_evaluate(text, task, workdir, timeout)
 
-        with pytest.warns(UserWarning, match="alpha"):
-            results = run_suite(
-                tasks, [GridPoint(1, 0)], self.schedule(), {"mock": MockBackend({})},
-                evaluator=ExplodingEvaluator(), workdir=tmp_path / "work",
+        # Which other searches start before the error depends on timing.
+        with pytest.raises(RuntimeError, match="tool exploded"):
+            run_suite(
+                tasks, [GridPoint(2, 1)], self.schedule(), {"mock": MockBackend({})},
+                evaluator=evaluator, workdir=tmp_path / "work", parallelism=parallelism,
             )
-        rows = {row.task_name: row for row in results[0].per_task}
-        assert rows["alpha"].success is False and rows["alpha"].queries_used == 0
-        assert rows["beta"].queries_used == 1
 
     @pytest.mark.parametrize("start", [0, FINAL_ITERATION], ids=["model", "final model"])
     def test_family_without_backend_raises_before_any_search(self, tmp_path, start):
@@ -331,25 +331,26 @@ class TestPrefixSweep:
         assert sum(c.depth == 0 for c in backend.calls) == 3 * len(SWEEP_GRID)
         assert len(list((tmp_path / "work").iterdir())) == len(SWEEP_GRID)
 
-    def test_failed_deepest_search_fails_every_depth(self, tmp_path):
+    def test_tool_error_in_deepest_search_ends_the_sweep(self, tmp_path):
         tasks = load_suite(make_suite_dir(tmp_path, stems=("alpha", "beta")))
 
         def evaluator(text, task, workdir, timeout):
             if task.name == "alpha" and "iter3" in workdir.parts:
-                raise RuntimeError("tool exploded")
+                raise ToolIoError("disk full")
             return offline_evaluate(text, task, workdir, timeout)
 
         grid = [GridPoint(1, 0), GridPoint(1, 1), GridPoint(1, 5)]
-        with pytest.warns(UserWarning, match="alpha") as caught:
-            results = run_suite(
-                tasks, grid, ModelSchedule.single(PRICED_MOCK), {"mock": MockBackend({})},
-                evaluator=evaluator, workdir=tmp_path / "work",
-            )
-        assert len(caught) == 1
-        for result in results:
-            alpha, beta = result.per_task
-            assert (alpha.success, alpha.queries_used, alpha.best_rank) == (False, 0, None)
-            assert beta.queries_used == result.params.max_depth + 1
+        backend = MockBackend({})
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ToolIoError, match="disk full"):
+                run_suite(
+                    tasks, grid, ModelSchedule.single(PRICED_MOCK), {"mock": backend},
+                    evaluator=evaluator, workdir=tmp_path / "work",
+                )
+        assert [w.message for w in caught if issubclass(w.category, UserWarning)] == []
+        # The d=5 search of alpha stopped at depth 3; beta's never started.
+        assert [(c.task_name, c.depth) for c in backend.calls] == [("alpha", d) for d in range(4)]
 
 
 class TestSuccessPercent:

@@ -473,6 +473,57 @@ class TestCli:
         assert not (tmp_path / "work").exists()
         assert not (tmp_path / "report.json").exists()
 
+    @staticmethod
+    def assert_tool_error(capsys):
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("hdlsmith: tool error: ")
+        assert captured.err.count("\n") == 1
+
+    def test_run_outdir_under_a_file_is_tool_error(self, tmp_path, capsys):
+        config_path = write_config(tmp_path)
+        (tmp_path / "blocker").write_text("a regular file")
+        script = self.write_mock_script(tmp_path, {"top_module/0/0": passing_reply()})
+        code = cli_main(
+            [
+                "run",
+                "--config", str(config_path),
+                "--override", "general.model_family=mock",
+                "--override", "general.model_id=mock",
+                "--override", f"general.outdir={tmp_path / 'blocker' / 'out'}",
+                "--backend", f"mock:{script}",
+                "--offline-tools",
+            ]
+        )
+        assert code == 3
+        self.assert_tool_error(capsys)
+
+    def test_bench_workdir_under_a_file_is_tool_error(self, tmp_path, capsys):
+        (tmp_path / "blocker").write_text("a regular file")
+        assert cli_main(self.bench_argv(tmp_path, "--workdir", str(tmp_path / "blocker" / "work"))) == 3
+        self.assert_tool_error(capsys)
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize(
+        "out_name, make_out, detail",
+        [
+            ("missing/report.json", lambda path: None, "no such directory: {out.parent}"),
+            ("report", lambda path: path.mkdir(), "is a directory: {out}"),
+        ],
+        ids=["missing directory", "directory"],
+    )
+    def test_bench_unusable_out_is_config_error(self, tmp_path, capsys, out_name, make_out, detail):
+        script = self.write_mock_script(tmp_path, {"alpha/0/0": passing_reply(name="alpha")})
+        out = tmp_path / out_name
+        make_out(out)
+        argv = self.bench_argv(tmp_path, "--backend", f"mock:{script}", "--workdir", str(tmp_path / "work"))
+        argv[argv.index("--out") + 1] = str(out)
+        assert cli_main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"hdlsmith: configuration error: --out: {detail.format(out=out)}\n"
+        assert not (tmp_path / "work").exists()
+
     def test_run_missing_config_is_config_error(self, tmp_path, capsys):
         missing = tmp_path / "missing.json"
         assert cli_main(["run", "--config", str(missing)]) == 2
