@@ -12,10 +12,8 @@ import json
 import math
 import os
 import random
-import subprocess
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from decimal import Decimal
 from functools import partial
@@ -234,6 +232,10 @@ def _fan_out(req: GenerationRequest, request: Callable[[], Reply], rule: _ProbeR
     if k == 1:
         deliver(*probe)
         return tuple(replies)
+    # Imported here, not at module scope: the import takes milliseconds, and
+    # a process that only ever asks for one reply at a time needs no pool.
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=min(k, MAX_IN_FLIGHT) - 1) as pool:
         futures = [pool.submit(attempt) for _ in range(k - 1)]
         if probe is None:
@@ -461,6 +463,8 @@ class CommandBackend:
         return GenerationBatch(replies, req.model.model_id)
 
     def _run(self, prompt: str) -> Reply:
+        import subprocess  # here, not at module scope: only this backend starts processes
+
         try:
             proc = subprocess.run(
                 list(self.argv),

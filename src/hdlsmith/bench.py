@@ -13,7 +13,6 @@ import json
 import math
 import tempfile
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from enum import Enum
@@ -30,8 +29,9 @@ from .search import (
     Evaluator,
     ModelSchedule,
     SearchConfig,
-    backend_for,
+    no_backend_message,
     pass_at_budget,
+    preflight,
     run_search,
 )
 
@@ -214,8 +214,9 @@ def run_suite(
         raise ValueError("parameter grid is empty")
     if not tasks:
         raise EmptySuiteError("no tasks to run")
-    for entry in schedule.entries:
-        backend_for(backends, entry.model)
+    missing = preflight(schedule, backends)
+    if missing is not None:
+        raise KeyError(no_backend_message(missing.model))
     if evaluator is None:
         require_tools()
     root = Path(workdir) if workdir is not None else Path(tempfile.mkdtemp(prefix="suite_"))
@@ -235,6 +236,8 @@ def run_suite(
             return run_search(task, cfg, schedule, backends, evaluator=evaluator)
 
         if parallelism > 1:
+            from concurrent.futures import ThreadPoolExecutor  # only a parallel sweep needs a pool
+
             with ThreadPoolExecutor(max_workers=parallelism) as pool:
                 return list(pool.map(search, tasks))
         return [search(task) for task in tasks]

@@ -14,20 +14,11 @@ from .backends import (
     load_mock_script,
     lookup_model,
 )
-from .bench import (
-    EmptySuiteError,
-    GridPoint,
-    ReportFormat,
-    export_report,
-    load_suite,
-    run_suite,
-    success_percent,
-)
 from .core import Termination, format_usd
 from .edatools import ToolIoError, ToolNotFoundError
 from .faketools import offline_evaluate
 from .prompts import FeedbackMode
-from .search import FINAL_ITERATION, ModelSchedule, ScheduleEntry, backend_for
+from .search import FINAL_ITERATION, ModelSchedule, ScheduleEntry, no_backend_message, preflight
 
 
 def _registry_with_backend(spec: str | None):
@@ -92,6 +83,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    # Imported here so that ``hdlsmith run`` does not load the sweep machinery.
+    from .bench import (
+        EmptySuiteError, GridPoint, ReportFormat, export_report, load_suite, run_suite, success_percent,
+    )
+
     mode = FeedbackMode.SUCCINCT if args.mode == "succinct" else FeedbackMode.FULL_CONTEXT
     grid = [GridPoint(k, d, mode) for k, d in _parse_grid(args.grid)]
     if args.parallel < 1:
@@ -114,16 +110,16 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     entries = [ScheduleEntry(0, _parse_model(args.model, "--model"))]
     if args.final_model:
         entries.append(ScheduleEntry(FINAL_ITERATION, _parse_model(args.final_model, "--final-model")))
-    for flag, entry in zip(("--model", "--final-model"), entries):
-        try:
-            backend_for(backends, entry.model)
-        except KeyError as exc:
-            raise runcfg.ConfigError(flag, exc.args[0]) from None
+    schedule = ModelSchedule(tuple(entries))
+    missing = preflight(schedule, backends)
+    if missing is not None:
+        flag = "--final-model" if missing.start_iteration == FINAL_ITERATION else "--model"
+        raise runcfg.ConfigError(flag, no_backend_message(missing.model))
 
     results = run_suite(
         tasks,
         grid,
-        ModelSchedule(tuple(entries)),
+        schedule,
         backends,
         evaluator=evaluator,
         workdir=args.workdir,
@@ -186,8 +182,11 @@ def main(argv: list[str] | None = None) -> int:
         # str(exc) starts with the key path of the offending setting.
         print(f"hdlsmith: configuration error: {exc}", file=sys.stderr)
         return 2
-    except (ToolNotFoundError, ToolIoError, OSError) as exc:
+    except (ToolNotFoundError, ToolIoError) as exc:
         print(f"hdlsmith: tool error: {exc}", file=sys.stderr)
+        return 3
+    except OSError as exc:
+        print(f"hdlsmith: I/O error: {exc}", file=sys.stderr)
         return 3
 
 

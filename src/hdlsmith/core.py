@@ -235,16 +235,6 @@ def candidate_order_key(candidate: CandidateResponse) -> tuple[float, int, int]:
     return (-candidate.rank.value, candidate.depth, candidate.index)
 
 
-def compare_candidates(a: CandidateResponse, b: CandidateResponse) -> int:
-    """Return -1 when ``a`` is the better candidate, 1 when ``b`` is, else 0."""
-    ka, kb = candidate_order_key(a), candidate_order_key(b)
-    if ka < kb:
-        return -1
-    if ka > kb:
-        return 1
-    return 0
-
-
 def best_candidate(candidates: Sequence[CandidateResponse]) -> CandidateResponse:
     """The minimum under :func:`candidate_order_key`."""
     if not candidates:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import re
 import shutil
-import subprocess
 import time
 from dataclasses import dataclass
 from enum import Enum
@@ -118,6 +117,8 @@ def require_tools(tools: ToolchainConfig = DEFAULT_TOOLS) -> None:
 
 def tool_version(tools: ToolchainConfig = DEFAULT_TOOLS) -> str | None:
     """First line of the compiler's version banner, or None when unavailable."""
+    import subprocess  # here, not at module scope: only a tool run needs it
+
     try:
         proc = subprocess.run(
             [tools.compiler, "-V"], capture_output=True, text=True, timeout=10.0
@@ -175,6 +176,8 @@ def compile_design(
     diagnostics attached. A compiler still running after ``COMPILE_TIMEOUT``
     seconds is killed and the result is an ``ERROR`` saying so.
     """
+    import subprocess
+
     module_path, tb_path = write_candidate_sources(module_src, testbench_src, workdir, top_name)
     artifact = workdir / f"{top_name}.vvp"
     argv = [
@@ -211,6 +214,8 @@ def simulate(
     tools: ToolchainConfig = DEFAULT_TOOLS,
 ) -> SimResult:
     """Run the simulation runtime on a compiled artifact, killing it at timeout."""
+    import subprocess
+
     artifact_path = Path(artifact_path)
     if not artifact_path.exists():
         raise ToolIoError(f"simulation artifact missing: {artifact_path}")

@@ -31,7 +31,8 @@ from .search import (
     ModelSchedule,
     ScheduleEntry,
     SearchConfig,
-    backend_for,
+    no_backend_message,
+    preflight,
     run_search,
 )
 
@@ -318,17 +319,16 @@ def execute_run(
     the run log so warning-text classifications stay traceable, and a
     compiler or runtime that cannot be found raises ``ToolNotFoundError``,
     and a scheduled model family with no backend raises ``ConfigError``,
-    before the output directory is created or any reply is requested.
+    before the output directory is created or any reply is requested. A run
+    log that cannot be opened raises ``OSError`` before any reply, too.
     """
     if backends is None:
         backends = default_registry()
     schedule = build_schedule(cfg)
-    for entry in schedule.entries:
-        try:
-            backend_for(backends, entry.model)
-        except KeyError as exc:
-            key_path = "mixed-model" if cfg.mixed_model else "general.model_family"
-            raise ConfigError(key_path, exc.args[0]) from None
+    missing = preflight(schedule, backends)
+    if missing is not None:
+        key_path = "mixed-model" if cfg.mixed_model else "general.model_family"
+        raise ConfigError(key_path, no_backend_message(missing.model))
     version = None
     if evaluator is None:
         require_tools(tools)
@@ -345,10 +345,10 @@ def execute_run(
     cfg.outdir.mkdir(parents=True, exist_ok=True)
     log_path = cfg.log if cfg.log.is_absolute() else cfg.outdir / cfg.log
     # A backend error only ends the trace; an evaluator or tool I/O error
-    # raises out of run_search and leaves the partial tree on disk for
-    # post-mortem inspection. Only completed traces get the top-level log.
-    trace = run_search(task, search_cfg, schedule, backends, evaluator=evaluator)
+    # raises out of run_search and leaves the partial tree, and an empty
+    # log, on disk for post-mortem inspection.
     with open(log_path, "w") as sink:
+        trace = run_search(task, search_cfg, schedule, backends, evaluator=evaluator)
         if version:
             sink.write(f"Tool version: {version}\n")
         write_run_log(trace, sink)

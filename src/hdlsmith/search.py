@@ -301,8 +301,21 @@ def backend_for(backends: BackendRegistry, model: ModelSpec) -> Backend:
     """The backend serving ``model``'s family; ``KeyError`` if none is registered."""
     backend = backends.get(model.family)
     if backend is None:
-        raise KeyError(f"no backend registered for model family {model.family!r}")
+        raise KeyError(no_backend_message(model))
     return backend
+
+
+def no_backend_message(model: ModelSpec) -> str:
+    return f"no backend registered for model family {model.family!r}"
+
+
+def preflight(sched: ModelSchedule, backends: BackendRegistry) -> ScheduleEntry | None:
+    """The first entry of ``sched`` whose model family has no backend, or None.
+
+    Callers check it before any query and report the entry under their own
+    flag or key path, with :func:`no_backend_message` as the detail.
+    """
+    return next((e for e in sched.entries if backends.get(e.model.family) is None), None)
 
 
 def pass_at_budget(trace: SearchTrace) -> tuple[int, bool]:

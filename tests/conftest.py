@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import threading
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 
@@ -32,6 +36,23 @@ SAMPLE_HINTS = [
     ("counting", 233794, 130),
     ("done", 524, 20130),
 ]
+
+
+def run_fresh(source: str, *args: str, **env: str) -> None:
+    """Run ``source`` with ``args`` as ``sys.argv[1:]`` in a fresh interpreter
+    that imports hdlsmith from ``src/``, with ``env`` added to the
+    environment; fail with its stderr unless it exits 0.
+
+    The test process has long imported every module, so only a fresh
+    interpreter shows which modules an entry point loads.
+    """
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    pythonpath = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + pythonpath if pythonpath else src, **env}
+    proc = subprocess.run(
+        [sys.executable, "-c", source, *args], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.fixture

@@ -4,10 +4,8 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import random
 import shlex
-import subprocess
 import sys
 import threading
 import time
@@ -19,6 +17,7 @@ import requests
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import run_fresh
 from hdlsmith.backends import (
     MAX_IN_FLIGHT,
     NEAR_LIMIT_MARGIN,
@@ -888,14 +887,4 @@ assert "requests" not in sys.modules, "loaded by a request through an injected t
 
 
 def test_http_client_is_not_loaded_until_a_request_is_sent():
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    pythonpath = os.environ.get("PYTHONPATH")
-    env = {
-        **os.environ,
-        "PYTHONPATH": src + os.pathsep + pythonpath if pythonpath else src,
-        "OPENAI_API_KEY": "test-key",
-    }
-    proc = subprocess.run(
-        [sys.executable, "-c", IMPORT_GUARD], env=env, capture_output=True, text=True, timeout=60
-    )
-    assert proc.returncode == 0, proc.stderr
+    run_fresh(IMPORT_GUARD, OPENAI_API_KEY="test-key")

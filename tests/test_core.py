@@ -20,7 +20,8 @@ from hdlsmith.core import (
     OutcomeKind,
     Rank,
     TokenUsage,
-    compare_candidates,
+    best_candidate,
+    candidate_order_key,
     compute_cost,
     format_usd,
     rank_outcome,
@@ -90,33 +91,30 @@ class TestRankOutcome:
         assert value < 1.0
 
 
-class TestCompareCandidates:
+class TestCandidateOrder:
+    """``best_candidate`` is the minimum under ``candidate_order_key``."""
+
+    @staticmethod
+    def assert_better(a, b):
+        assert candidate_order_key(a) < candidate_order_key(b)
+        assert best_candidate([a, b]) is a
+        assert best_candidate([b, a]) is a
+
     def test_sign_ordering(self):
-        a = make_candidate(0.5)
-        b = make_candidate(-1)
-        assert compare_candidates(a, b) == -1
+        self.assert_better(make_candidate(0.5), make_candidate(-1))
 
     def test_index_tie_break(self):
         a = make_candidate(0.3, depth=2, index=1)
         b = make_candidate(0.3, depth=2, index=0)
-        assert compare_candidates(a, b) == 1
+        self.assert_better(b, a)
 
     def test_close_ranks(self):
-        a = make_candidate(1.0)
-        b = make_candidate(0.99)
-        assert compare_candidates(a, b) == -1
+        self.assert_better(make_candidate(1.0), make_candidate(0.99))
 
     def test_depth_tie_break_before_index(self):
         a = make_candidate(0.3, depth=1, index=5)
         b = make_candidate(0.3, depth=2, index=0)
-        assert compare_candidates(a, b) == -1
-
-    @staticmethod
-    def _candidates(draw_values):
-        return [
-            make_candidate(v, depth=d, index=i)
-            for v, d, i in draw_values
-        ]
+        self.assert_better(a, b)
 
     candidate_strategy = st.tuples(
         st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.25, 0.5, 1.0]),
@@ -126,17 +124,19 @@ class TestCompareCandidates:
 
     @given(candidate_strategy, candidate_strategy)
     def test_antisymmetry(self, va, vb):
+        # The choice does not depend on the order the candidates come in.
         a = make_candidate(va[0], depth=va[1], index=va[2])
         b = make_candidate(vb[0], depth=vb[1], index=vb[2])
-        assert compare_candidates(a, b) == -compare_candidates(b, a)
+        assert candidate_order_key(best_candidate([a, b])) == candidate_order_key(best_candidate([b, a]))
 
     @given(candidate_strategy, candidate_strategy, candidate_strategy)
     def test_transitivity(self, va, vb, vc):
         a = make_candidate(va[0], depth=va[1], index=va[2])
         b = make_candidate(vb[0], depth=vb[1], index=vb[2])
         c = make_candidate(vc[0], depth=vc[1], index=vc[2])
-        if compare_candidates(a, b) <= 0 and compare_candidates(b, c) <= 0:
-            assert compare_candidates(a, c) <= 0
+        best = candidate_order_key(best_candidate([a, b, c]))
+        assert best == candidate_order_key(best_candidate([best_candidate([a, b]), c]))
+        assert all(best <= candidate_order_key(x) for x in (a, b, c))
 
 
 class TestTypeInvariants:

@@ -1,0 +1,97 @@
+"""Cold start: what importing hdlsmith, and each entry point, loads."""
+
+from __future__ import annotations
+
+import importlib
+import json
+
+import pytest
+
+import hdlsmith
+from conftest import run_fresh
+from hdlsmith.faketools import passing_reply
+
+# Prefix of every snippet run by ``run_fresh``.
+GUARD = """
+import sys
+
+def assert_not_loaded(*names):
+    loaded = [name for name in names if name in sys.modules]
+    assert not loaded, f"loaded: {loaded}"
+"""
+
+
+def write_run_inputs(tmp_path):
+    """A k=1, d=0 mock run config whose scripted reply passes, and its script."""
+    (tmp_path / "prompt.sv").write_text("// build it\nmodule top_module();")
+    (tmp_path / "tb.sv").write_text("module tb(); endmodule")
+    general = {
+        "prompt": "prompt.sv", "name": "top_module", "testbench": "tb.sv",
+        "model_family": "mock", "model_id": "mock", "num_candidates": 1, "iterations": 0,
+        "outdir": "out", "log": "log.txt",
+    }
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"general": general}))
+    script = tmp_path / "script.json"
+    script.write_text(json.dumps({"replies": {"top_module/0/0": passing_reply()}}))
+    return config, script
+
+
+def test_importing_the_package_runs_no_submodule():
+    run_fresh(GUARD + """
+import hdlsmith
+
+submodules = sorted(name for name in sys.modules if name.startswith("hdlsmith."))
+assert not submodules, f"loaded: {submodules}"
+assert hdlsmith.run_search is hdlsmith.search.run_search
+assert_not_loaded("hdlsmith.bench", "hdlsmith.runcfg")
+""")
+
+
+def test_loading_a_run_config_loads_no_sweep_code(tmp_path):
+    config, _ = write_run_inputs(tmp_path)
+    run_fresh(GUARD + """
+import hdlsmith.runcfg
+
+hdlsmith.runcfg.load_config(sys.argv[1])
+assert_not_loaded("hdlsmith.bench", "csv", "subprocess", "concurrent.futures")
+""", str(config))
+
+
+def test_loading_a_suite_loads_no_run_code(tmp_path):
+    (tmp_path / "alpha_prompt.sv").write_text("// build alpha")
+    (tmp_path / "alpha_tb.sv").write_text("module tb(); endmodule")
+    run_fresh(GUARD + """
+import hdlsmith.bench
+from hdlsmith.backends import default_registry
+
+hdlsmith.bench.load_suite(sys.argv[1])
+default_registry()
+assert_not_loaded("hdlsmith.runcfg", "subprocess", "concurrent.futures")
+""", str(tmp_path))
+
+
+def test_cli_run_loads_no_sweep_code_and_starts_no_process(tmp_path):
+    config, script = write_run_inputs(tmp_path)
+    run_fresh(GUARD + """
+from hdlsmith.cli import main
+
+code = main(["run", "--config", sys.argv[1], "--backend", "mock:" + sys.argv[2], "--offline-tools"])
+assert code == 0, code
+assert_not_loaded("hdlsmith.bench", "subprocess")
+""", str(config), str(script))
+
+
+def test_every_export_is_its_submodules_object():
+    for name in hdlsmith.__all__:
+        export = getattr(hdlsmith, name)
+        assert getattr(importlib.import_module(export.__module__), name) is export, name
+    assert set(hdlsmith.__all__) <= set(dir(hdlsmith))
+
+
+def test_unknown_attribute_and_star_import():
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        hdlsmith.no_such_name
+    namespace: dict = {}
+    exec("from hdlsmith import *", namespace)
+    assert all(namespace[name] is getattr(hdlsmith, name) for name in hdlsmith.__all__)

@@ -363,6 +363,14 @@ class TestExecuteRun:
         assert not cfg.outdir.exists()
 
 
+    def test_unopenable_log_raises_before_any_request(self, tmp_path):
+        cfg = replace(self.run_config(tmp_path), log=Path("nodir") / "log.txt")
+        backend = MockBackend({})
+        with pytest.raises(FileNotFoundError):
+            execute_run(cfg, {"mock": backend}, evaluator=offline_evaluate)
+        assert backend.calls == []
+        assert list(cfg.outdir.iterdir()) == []
+
     def test_any_registered_family_is_served(self, tmp_path):
         cfg = replace(self.run_config(tmp_path, k=1, d=0), model_family="mylocal")
         backend = MockBackend({("top_module", 0, 0): passing_reply()})
@@ -474,10 +482,10 @@ class TestCli:
         assert not (tmp_path / "report.json").exists()
 
     @staticmethod
-    def assert_tool_error(capsys):
+    def assert_io_error(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("hdlsmith: tool error: ")
+        assert captured.err.startswith("hdlsmith: I/O error: ")
         assert captured.err.count("\n") == 1
 
     def test_run_outdir_under_a_file_is_tool_error(self, tmp_path, capsys):
@@ -496,12 +504,33 @@ class TestCli:
             ]
         )
         assert code == 3
-        self.assert_tool_error(capsys)
+        self.assert_io_error(capsys)
+
+    def test_run_tool_io_error_keeps_tool_label(self, tmp_path, capsys):
+        # A directory where the candidate's source file goes fails its write.
+        config_path = write_config(tmp_path)
+        (tmp_path / "output_dir" / "iter0" / "response0" / "top_module.sv").mkdir(parents=True)
+        script = self.write_mock_script(tmp_path, {"top_module/0/0": passing_reply()})
+        code = cli_main(
+            [
+                "run",
+                "--config", str(config_path),
+                "--override", "general.model_family=mock",
+                "--override", "general.model_id=mock",
+                "--backend", f"mock:{script}",
+                "--offline-tools",
+            ]
+        )
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("hdlsmith: tool error: [Errno 21] Is a directory: ")
+        assert captured.err.count("\n") == 1
 
     def test_bench_workdir_under_a_file_is_tool_error(self, tmp_path, capsys):
         (tmp_path / "blocker").write_text("a regular file")
         assert cli_main(self.bench_argv(tmp_path, "--workdir", str(tmp_path / "blocker" / "work"))) == 3
-        self.assert_tool_error(capsys)
+        self.assert_io_error(capsys)
         assert not (tmp_path / "report.json").exists()
 
     @pytest.mark.parametrize(
