@@ -22,7 +22,7 @@ task = DesignTask(
 
 def show(mode: FeedbackMode) -> None:
     print(f"\n{mode.value} window evolution:")
-    conv = initial_conversation(task, mode)
+    conv = initial_conversation(task)
     print(f"  iteration 0: {len(conv.messages)} messages "
           f"({', '.join(m.role.value for m in conv.messages)})")
     for n in range(1, 5):

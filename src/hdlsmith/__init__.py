@@ -21,9 +21,9 @@ _EXPORTS = {
     for module, names in {
         "backends": (
             "AuthError", "BackendError", "ChatCompletionsBackend", "CommandBackend",
-            "ContextOverflowError", "GenerationBatch", "GenerationRequest", "MessagesBackend",
-            "MockBackend", "RateLimitedError", "TransportError", "default_registry",
-            "load_mock_script", "lookup_model",
+            "ContextOverflowError", "GenerationRequest", "MessagesBackend", "MockBackend",
+            "RateLimitedError", "TransportError", "default_registry", "load_mock_script",
+            "lookup_model",
         ),
         "bench": (
             "EmptySuiteError", "GridPoint", "ParetoPoint", "ReportFormat", "RollupLevel",

@@ -84,19 +84,9 @@ class GenerationRequest:
             raise ValueError("num_candidates must be at least 1")
 
 
-@dataclass(frozen=True)
-class GenerationBatch:
-    """Reply texts with per-reply token usage, in the order the replies arrived."""
-
-    replies: tuple[Reply, ...]
-    model_id: str
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "replies", tuple(self.replies))
-
-
 class Backend(Protocol):
-    def generate(self, req: GenerationRequest) -> GenerationBatch: ...
+    def generate(self, req: GenerationRequest) -> tuple[Reply, ...]:
+        """The request's replies, in the order they arrived."""
 
 
 MODEL_CATALOG: dict[str, ModelSpec] = {
@@ -129,6 +119,10 @@ class RetryPolicy:
     attempts: int = 5
     base_delay: float = 1.0
     factor: float = 2.0
+
+    def __post_init__(self) -> None:
+        if self.attempts < 1:
+            raise ValueError("attempts must be at least 1")
 
 
 DEFAULT_RETRY = RetryPolicy()
@@ -351,11 +345,10 @@ class _HttpBackend:
                 self._sleep(backoff_delay(self.retry, attempt, self._rng))
         raise TransportError("retry loop exhausted")  # unreachable
 
-    def generate(self, req: GenerationRequest) -> GenerationBatch:
+    def generate(self, req: GenerationRequest) -> tuple[Reply, ...]:
         # Providers report usage per call, not per choice, so each candidate
         # is its own request to keep usage attributable per reply.
-        replies = _fan_out(req, partial(self._single_completion, req), self._probe)
-        return GenerationBatch(replies, req.model.model_id)
+        return _fan_out(req, partial(self._single_completion, req), self._probe)
 
     def _single_completion(self, req: GenerationRequest) -> Reply:
         raise NotImplementedError
@@ -458,9 +451,8 @@ class CommandBackend:
     def _render(conv: Conversation) -> str:
         return "\n\n".join(f"[{m.role.value}]\n{m.content}" for m in conv.messages)
 
-    def generate(self, req: GenerationRequest) -> GenerationBatch:
-        replies = _fan_out(req, partial(self._run, self._render(req.conversation)), self._probe)
-        return GenerationBatch(replies, req.model.model_id)
+    def generate(self, req: GenerationRequest) -> tuple[Reply, ...]:
+        return _fan_out(req, partial(self._run, self._render(req.conversation)), self._probe)
 
     def _run(self, prompt: str) -> Reply:
         import subprocess  # here, not at module scope: only this backend starts processes
@@ -516,7 +508,7 @@ class MockBackend:
         self.calls: list[MockCall] = []
         self._lock = threading.Lock()
 
-    def generate(self, req: GenerationRequest) -> GenerationBatch:
+    def generate(self, req: GenerationRequest) -> tuple[Reply, ...]:
         with self._lock:
             self.calls.append(
                 MockCall(req.task_name, req.depth, req.model.model_id, req.num_candidates, req.conversation)
@@ -528,7 +520,7 @@ class MockBackend:
         if req.on_reply is not None:
             for index, reply in enumerate(replies):
                 req.on_reply(index, reply)
-        return GenerationBatch(replies, req.model.model_id)
+        return replies
 
 
 def load_mock_script(path: str | Path) -> MockBackend:

@@ -205,7 +205,6 @@ class CandidateResponse:
     """One evaluated LLM reply within a search tree."""
 
     raw_text: str
-    module_src: str | None
     usage: TokenUsage
     cost_usd: Decimal
     outcome: EvalOutcome
@@ -219,6 +218,11 @@ class CandidateResponse:
             raise ValueError("module_src absent, NoModule outcome and rank -2 must coincide")
         if self.depth < 0 or self.index < 0:
             raise ValueError("depth and index must be non-negative")
+
+    @property
+    def module_src(self) -> str | None:
+        """The module the evaluation extracted, None when there was none."""
+        return self.outcome.module_src
 
     @property
     def char_length(self) -> int:
@@ -300,17 +304,20 @@ class DepthNode:
     model_family: str
     model_id: str
     candidates: tuple[CandidateResponse, ...]
-    chosen_index: int
     context_fallback: bool = False
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "candidates", tuple(self.candidates))
-        if not 0 <= self.chosen_index < len(self.candidates):
-            raise ValueError("chosen_index out of range")
+        if not self.candidates:
+            raise ValueError("a depth needs at least one candidate")
 
     @property
     def chosen(self) -> CandidateResponse:
-        return self.candidates[self.chosen_index]
+        return best_candidate(self.candidates)
+
+    @property
+    def chosen_index(self) -> int:
+        return self.chosen.index
 
 
 @dataclass(frozen=True)
@@ -318,25 +325,11 @@ class SearchTrace:
     """The full tree produced by one search run."""
 
     nodes: tuple[DepthNode, ...]
-    best_overall: tuple[int, int] | None
     termination: Termination
     ledger: CostLedger
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "nodes", tuple(self.nodes))
-
-    @classmethod
-    def from_nodes(
-        cls, nodes: Sequence[DepthNode], termination: Termination, ledger: CostLedger
-    ) -> "SearchTrace":
-        """A trace whose ``best_overall`` is the best chosen candidate of ``nodes``."""
-        best = best_candidate([node.chosen for node in nodes]) if nodes else None
-        return cls(
-            nodes=tuple(nodes),
-            best_overall=(best.depth, best.index) if best is not None else None,
-            termination=termination,
-            ledger=ledger,
-        )
 
     def upto(self, depth: int) -> "SearchTrace":
         """The trace a search with maximum depth ``depth`` would have produced.
@@ -355,13 +348,17 @@ class SearchTrace:
         ):
             termination = Termination.MAX_DEPTH_REACHED
         ledger = CostLedger(tuple(e for e in self.ledger.entries if e.depth <= depth))
-        return SearchTrace.from_nodes(nodes, termination, ledger)
+        return SearchTrace(nodes, termination, ledger)
 
     def all_candidates(self) -> list[CandidateResponse]:
         return [c for node in self.nodes for c in node.candidates]
 
     def best(self) -> CandidateResponse | None:
-        if self.best_overall is None:
-            return None
-        depth, index = self.best_overall
-        return self.nodes[depth].candidates[index]
+        """The best of the nodes' chosen candidates, None for an empty trace."""
+        return best_candidate([node.chosen for node in self.nodes]) if self.nodes else None
+
+    @property
+    def best_overall(self) -> tuple[int, int] | None:
+        """``(depth, index)`` of :meth:`best`."""
+        best = self.best()
+        return (best.depth, best.index) if best is not None else None

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import re
 import shutil
-import time
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
@@ -32,7 +31,8 @@ class ToolNotFoundError(RuntimeError):
 
 
 class ToolIoError(RuntimeError):
-    """Filesystem or process I/O failed while driving the tools."""
+    """A tool process failed to start (not for a missing binary) or left no
+    simulation artifact; a file that cannot be written is a plain ``OSError``."""
 
 
 @dataclass(frozen=True)
@@ -57,7 +57,6 @@ class SimResult:
     timed_out: bool
     stdout: str
     stderr: str
-    wall_time: float
 
     def __post_init__(self) -> None:
         if self.timed_out and self.exit_ok:
@@ -136,11 +135,8 @@ def write_candidate_sources(
     workdir.mkdir(parents=True, exist_ok=True)
     module_path = workdir / f"{top_name}.sv"
     tb_path = workdir / f"{top_name}_tb.sv"
-    try:
-        module_path.write_text(module_src)
-        tb_path.write_text(testbench_src)
-    except OSError as exc:
-        raise ToolIoError(str(exc)) from exc
+    module_path.write_text(module_src)
+    tb_path.write_text(testbench_src)
     return module_path, tb_path
 
 
@@ -220,7 +216,6 @@ def simulate(
     if not artifact_path.exists():
         raise ToolIoError(f"simulation artifact missing: {artifact_path}")
     argv = [tools.runtime, "-n", artifact_path.name]
-    start = time.monotonic()
     try:
         proc = subprocess.run(
             argv, cwd=artifact_path.parent, capture_output=True, text=True, timeout=timeout
@@ -232,12 +227,12 @@ def simulate(
             stdout = stdout.decode(errors="replace")
         if isinstance(stderr, bytes):
             stderr = stderr.decode(errors="replace")
-        return SimResult(False, True, stdout, stderr, time.monotonic() - start)
+        return SimResult(False, True, stdout, stderr)
     except FileNotFoundError as exc:
         raise ToolNotFoundError(f"simulation runtime not found: {tools.runtime}") from exc
     except OSError as exc:
         raise ToolIoError(str(exc)) from exc
-    return SimResult(proc.returncode == 0, False, proc.stdout, proc.stderr, time.monotonic() - start)
+    return SimResult(proc.returncode == 0, False, proc.stdout, proc.stderr)
 
 
 def parse_summary(stdout: str) -> TestbenchSummary | None:
@@ -380,7 +375,4 @@ def _write_candidate_log(
         lines.append(f"Samples: {outcome.samples}")
     if outcome.diagnosis:
         lines.append(outcome.diagnosis)
-    try:
-        (workdir / "log.txt").write_text("\n".join(lines) + "\n")
-    except OSError as exc:
-        raise ToolIoError(str(exc)) from exc
+    (workdir / "log.txt").write_text("\n".join(lines) + "\n")

@@ -52,10 +52,7 @@ def fake_compile(
         message = f"{top_name}.sv:1: error: scripted compile failure"
         return CompileResult(CompileStatus.ERROR, (("error", message),), None)
     artifact = workdir / f"{top_name}.vvp"
-    try:
-        artifact.write_text("fake compiled artifact\n")
-    except OSError as exc:
-        raise ToolIoError(str(exc)) from exc
+    artifact.write_text("fake compiled artifact\n")
     if "warning" in directives:
         message = f"{top_name}.sv:1: warning: scripted warning"
         return CompileResult(CompileStatus.OK_WITH_WARNINGS, (("warning", message),), artifact)
@@ -69,11 +66,11 @@ def fake_simulate(artifact_path: Path, timeout: float) -> SimResult:
     module_src = artifact_path.with_suffix(".sv").read_text()
     directives = _directives(module_src)
     if "hang" in directives:
-        return SimResult(False, True, "", "", timeout)
+        return SimResult(False, True, "", "")
     if "crash" in directives:
-        return SimResult(False, False, "", "scripted simulator crash\n", 0.0)
+        return SimResult(False, False, "", "scripted simulator crash\n")
     if "silent" in directives:
-        return SimResult(True, False, "simulation ran quietly\n", "", 0.0)
+        return SimResult(True, False, "simulation ran quietly\n", "")
     mismatches, samples = DEFAULT_MISMATCHES, DEFAULT_SAMPLES
     if "pass" in directives:
         mismatches, samples = 0, DEFAULT_SAMPLES
@@ -81,7 +78,7 @@ def fake_simulate(artifact_path: Path, timeout: float) -> SimResult:
         counts = _MISMATCH_DIRECTIVE_RE.search(directive)
         if counts:
             mismatches, samples = int(counts.group(1)), int(counts.group(2))
-    return SimResult(True, False, _summary_stdout(mismatches, samples), "", 0.0)
+    return SimResult(True, False, _summary_stdout(mismatches, samples), "")
 
 
 def _summary_stdout(mismatches: int, samples: int) -> str:

@@ -39,7 +39,7 @@ class Message:
 
 @dataclass(frozen=True)
 class Conversation:
-    """An ordered message list plus the window mode it evolves under.
+    """An ordered message list.
 
     The first message is the system prompt; every backend receives the
     conversation as is, and one whose wire format has no system role sends
@@ -47,7 +47,6 @@ class Conversation:
     """
 
     messages: tuple[Message, ...]
-    mode: FeedbackMode
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "messages", tuple(self.messages))
@@ -89,12 +88,10 @@ def system_prompt() -> str:
     return _SYSTEM_PROMPT
 
 
-def initial_conversation(task: DesignTask, mode: FeedbackMode) -> Conversation:
+def initial_conversation(task: DesignTask) -> Conversation:
     """Iteration-0 window: the system prompt followed by the design prompt."""
-    return Conversation(
-        (Message(Role.SYSTEM, system_prompt()), Message(Role.USER, task.prompt_text)),
-        mode,
-    )
+    system = Message(Role.SYSTEM, system_prompt())
+    return Conversation((system, Message(Role.USER, task.prompt_text)))
 
 
 def next_conversation(
@@ -118,8 +115,8 @@ def next_conversation(
     reply = Message(Role.ASSISTANT, best_response_text)
     feedback = Message(Role.USER, tool_feedback)
     if mode is FeedbackMode.SUCCINCT:
-        return Conversation((prev.messages[0], prev.messages[1], reply, feedback), mode)
-    return Conversation(prev.messages + (reply, feedback), mode)
+        return Conversation((prev.messages[0], prev.messages[1], reply, feedback))
+    return Conversation(prev.messages + (reply, feedback))
 
 
 def feedback_text(outcome: EvalOutcome) -> str:
@@ -171,7 +168,7 @@ def flatten_for_backend(conv: Conversation) -> Conversation:
     if conv.messages[0].role is not Role.SYSTEM:
         return conv
     head = Message(Role.USER, conv.messages[0].content)
-    return Conversation((head,) + conv.messages[1:], conv.mode)
+    return Conversation((head,) + conv.messages[1:])
 
 
 def estimate_tokens(conv: Conversation) -> int:
@@ -190,4 +187,4 @@ def succinct_window(conv: Conversation) -> Conversation:
     msgs = conv.messages
     if len(msgs) <= 4:
         return conv
-    return Conversation((msgs[0], msgs[1], msgs[-2], msgs[-1]), conv.mode)
+    return Conversation((msgs[0], msgs[1], msgs[-2], msgs[-1]))

@@ -9,6 +9,7 @@ top-level ``log.txt`` in a fixed line grammar.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass
 from functools import partial
@@ -228,8 +229,9 @@ def parse_config(raw: object, base_dir: Path | None = None) -> RunConfig:
 
     mode = general.get("feedback_mode", "succinct")
     sim_timeout = general.get("sim_timeout", DEFAULT_SIM_TIMEOUT)
-    if isinstance(sim_timeout, bool) or not isinstance(sim_timeout, (int, float)) or sim_timeout <= 0:
-        raise TypeMismatchError("general.sim_timeout", "expected a positive number")
+    is_number = isinstance(sim_timeout, (int, float)) and not isinstance(sim_timeout, bool)
+    if not is_number or not math.isfinite(sim_timeout) or sim_timeout <= 0:
+        raise TypeMismatchError("general.sim_timeout", "expected a positive finite number")
 
     cfg = RunConfig(
         prompt=prompt,

@@ -33,7 +33,6 @@ from .core import (
     ModelSpec,
     SearchTrace,
     Termination,
-    best_candidate,
     compute_cost,
     rank_outcome,
 )
@@ -158,7 +157,7 @@ def run_search(
     """
     if evaluator is None:
         evaluator = edatools.evaluate
-    conversation = initial_conversation(task, cfg.feedback_mode)
+    conversation = initial_conversation(task)
     nodes: list[DepthNode] = []
     ledger_entries: list[LedgerEntry] = []
     termination = Termination.MAX_DEPTH_REACHED
@@ -192,10 +191,9 @@ def run_search(
             termination = Termination.BACKEND_ERROR
             break
 
-        chosen = best_candidate(candidates)
-        nodes.append(
-            DepthNode(depth, model.family, model.model_id, tuple(candidates), chosen.index, fallback)
-        )
+        node = DepthNode(depth, model.family, model.model_id, tuple(candidates), fallback)
+        nodes.append(node)
+        chosen = node.chosen
 
         if chosen.rank.value == 1.0:
             termination = Termination.ALL_TESTS_PASSED
@@ -209,7 +207,7 @@ def run_search(
             cfg.feedback_mode,
         )
 
-    return SearchTrace.from_nodes(nodes, termination, CostLedger(tuple(ledger_entries)))
+    return SearchTrace(nodes, termination, CostLedger(tuple(ledger_entries)))
 
 
 def _window_for_call(
@@ -247,7 +245,6 @@ def _evaluate_one(
     outcome = evaluator(text, task, workdir, cfg.sim_timeout)
     return CandidateResponse(
         raw_text=text,
-        module_src=outcome.module_src,
         usage=usage,
         cost_usd=compute_cost(usage, model),
         outcome=outcome,
@@ -283,15 +280,16 @@ def _generate(
         except Exception as exc:
             failures.append(exc)
 
-    batch = error = None
+    replies: tuple[Reply, ...] = ()
+    error = None
     try:
-        batch = backend.generate(replace(request, on_reply=on_reply))
+        replies = backend.generate(replace(request, on_reply=on_reply))
     except BackendError as exc:
         error = exc
     finally:
         if failures:
             raise failures[0]
-    for index, reply in enumerate(batch.replies if batch is not None else ()):
+    for index, reply in enumerate(replies):
         if index not in arrived:
             arrived[index] = evaluate(index, reply)
     return [arrived[index] for index in sorted(arrived)], error

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import threading
+from dataclasses import replace
 from decimal import Decimal
 from pathlib import Path
 
@@ -96,13 +97,16 @@ def make_candidate(
     cost: Decimal = Decimal("0.0001"),
     module_src: str | None = "module top_module(); endmodule",
 ) -> CandidateResponse:
-    """Build a consistent candidate; rank_value picks a matching outcome."""
+    """Build a consistent candidate; rank_value picks a matching outcome.
+
+    The candidate's module is its outcome's: ``module_src`` fills in an
+    outcome that has none, unless the outcome is ``NO_MODULE``.
+    """
     if outcome is None:
         if rank_value is None:
             rank_value = 0.5
         if rank_value == -2:
             outcome = EvalOutcome(OutcomeKind.NO_MODULE)
-            module_src = None
         elif rank_value == -1:
             outcome = EvalOutcome(OutcomeKind.COMPILE_ERROR, compile_messages=("boom",))
         elif rank_value == -0.5:
@@ -114,11 +118,10 @@ def make_candidate(
             outcome = EvalOutcome(
                 OutcomeKind.SIMULATED, mismatches=mismatches, samples=samples
             )
-    elif outcome.kind is OutcomeKind.NO_MODULE:
-        module_src = None
+    if outcome.kind is not OutcomeKind.NO_MODULE and outcome.module_src is None:
+        outcome = replace(outcome, module_src=module_src)
     return CandidateResponse(
         raw_text=raw_text,
-        module_src=module_src,
         usage=usage,
         cost_usd=cost,
         outcome=outcome,

@@ -38,7 +38,7 @@ from hdlsmith.backends import (
     requests_transport,
 )
 from hdlsmith.core import TokenUsage
-from hdlsmith.prompts import Conversation, FeedbackMode, Message, Role
+from hdlsmith.prompts import Conversation, Message, Role
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -46,10 +46,7 @@ pytestmark = pytest.mark.usefixtures("no_thread_leak")
 
 
 def two_turn_conversation() -> Conversation:
-    return Conversation(
-        (Message(Role.SYSTEM, "system text"), Message(Role.USER, "design prompt")),
-        FeedbackMode.SUCCINCT,
-    )
+    return Conversation((Message(Role.SYSTEM, "system text"), Message(Role.USER, "design prompt")))
 
 
 class StubTransport:
@@ -104,16 +101,16 @@ class TestMockBackend:
         req = GenerationRequest(
             two_turn_conversation(), lookup_model("mock"), 2, task_name="top_module", depth=0
         )
-        batch = backend.generate(req)
-        assert [text for text, _ in batch.replies] == ["reply A", "reply B"]
-        assert all(usage == TokenUsage(5, 7) for _, usage in batch.replies)
+        replies = backend.generate(req)
+        assert [text for text, _ in replies] == ["reply A", "reply B"]
+        assert all(usage == TokenUsage(5, 7) for _, usage in replies)
 
     def test_missing_key_falls_back_to_default(self):
         backend = MockBackend({}, default_reply="no module here")
         req = GenerationRequest(two_turn_conversation(), lookup_model("mock"), 3, task_name="t", depth=1)
-        batch = backend.generate(req)
-        assert len(batch.replies) == 3
-        assert all(text == "no module here" for text, _ in batch.replies)
+        replies = backend.generate(req)
+        assert len(replies) == 3
+        assert all(text == "no module here" for text, _ in replies)
 
     def test_deterministic_across_runs(self):
         script = {("t", 0, i): f"r{i}" for i in range(4)}
@@ -126,11 +123,11 @@ class TestMockBackend:
         script = {("t", 0, i): f"r{i}" for i in range(3)}
         handed = []
         req = GenerationRequest(two_turn_conversation(), lookup_model("mock"), 3, task_name="t", depth=0)
-        batch = MockBackend(script).generate(
+        replies = MockBackend(script).generate(
             replace(req, on_reply=lambda index, reply: handed.append((index, reply, threading.current_thread())))
         )
-        assert batch == MockBackend(script).generate(req)
-        assert handed == [(i, reply, threading.current_thread()) for i, reply in enumerate(batch.replies)]
+        assert replies == MockBackend(script).generate(req)
+        assert handed == [(i, reply, threading.current_thread()) for i, reply in enumerate(replies)]
         assert [text for _, (text, _), _ in handed] == ["r0", "r1", "r2"]
 
     def test_replies_handed_over_outside_the_lock(self):
@@ -169,8 +166,8 @@ class TestChatCompletionsBackend:
         transport = StubTransport([(200, chat_payload(f"r{i}")) for i in range(5)])
         backend = self.make_backend(transport, monkeypatch)
         req = GenerationRequest(two_turn_conversation(), lookup_model("gpt-4o-mini"), 5)
-        batch = backend.generate(req)
-        assert len(batch.replies) == 5
+        replies = backend.generate(req)
+        assert len(replies) == 5
         assert len(transport.requests) == 5
 
     def test_per_reply_usage_matches_provider_reports(self, monkeypatch):
@@ -180,8 +177,8 @@ class TestChatCompletionsBackend:
         transport = StubTransport([(200, chat_payload(*report)) for report in sorted(canned)])
         backend = self.make_backend(transport, monkeypatch)
         req = GenerationRequest(two_turn_conversation(), lookup_model("gpt-4o-mini"), 3)
-        batch = backend.generate(req)
-        pairs = [(text, u.input_tokens, u.output_tokens) for text, u in batch.replies]
+        replies = backend.generate(req)
+        pairs = [(text, u.input_tokens, u.output_tokens) for text, u in replies]
         assert len(pairs) == 3
         assert set(pairs) == canned
 
@@ -194,8 +191,8 @@ class TestChatCompletionsBackend:
         ])
         backend = self.make_backend(transport, monkeypatch, sleep=delays.append)
         req = GenerationRequest(two_turn_conversation(), lookup_model("gpt-4o-mini"), 1)
-        batch = backend.generate(req)
-        assert len(batch.replies) == 1
+        replies = backend.generate(req)
+        assert len(replies) == 1
         assert len(transport.requests) == 3
         assert len(delays) == 2
         assert delays == sorted(delays)
@@ -245,7 +242,7 @@ class TestChatCompletionsBackend:
         transport = StubTransport([(fixture["response"]["status"], fixture["response"]["body"])])
         backend = self.make_backend(transport, monkeypatch)
         req = GenerationRequest(two_turn_conversation(), lookup_model("gpt-4o-mini"), 1)
-        batch = backend.generate(req)
+        replies = backend.generate(req)
         sent = transport.requests[0]
         expected = fixture["request"]
         assert sent["url"] == expected["url"]
@@ -253,7 +250,7 @@ class TestChatCompletionsBackend:
         assert json.dumps(sent["body"], sort_keys=True) == json.dumps(
             expected["body"], sort_keys=True
         )
-        text, usage = batch.replies[0]
+        text, usage = replies[0]
         assert text == "```verilog\nmodule top_module(); endmodule\n```"
         assert usage == TokenUsage(396, 241)
 
@@ -274,11 +271,11 @@ class TestChatCompletionsBackend:
             events.append(("end", n))
             return 200, chat_payload(f"r{n}")
 
-        batch = self.make_backend(transport, monkeypatch).generate(fan_out_request(k))
+        replies = self.make_backend(transport, monkeypatch).generate(fan_out_request(k))
         assert events[:2] == [("start", 0), ("end", 0)]
         assert len(events) == 2 * k
-        assert batch.replies[0][0] == "r0"
-        assert sorted(text for text, _ in batch.replies) == [f"r{n}" for n in range(k)]
+        assert replies[0][0] == "r0"
+        assert sorted(text for text, _ in replies) == [f"r{n}" for n in range(k)]
 
     @pytest.mark.parametrize(
         "status, payload, error",
@@ -338,8 +335,8 @@ class TestChatCompletionsBackend:
                 time.sleep(0.05)
                 return 200, chat_payload(f"answer {next(answered)}")
 
-        batch = self.make_backend(transport, monkeypatch).generate(fan_out_request(k))
-        assert [text for text, _ in batch.replies] == [f"answer {n}" for n in range(k)]
+        replies = self.make_backend(transport, monkeypatch).generate(fan_out_request(k))
+        assert [text for text, _ in replies] == [f"answer {n}" for n in range(k)]
 
     def test_replies_in_arrival_order_not_request_order(self, monkeypatch):
         # Each fanned-out request answers later than the ones sent after it.
@@ -353,8 +350,8 @@ class TestChatCompletionsBackend:
             with lock:
                 return 200, chat_payload(f"arrival {next(finished)}")
 
-        batch = self.make_backend(transport, monkeypatch).generate(fan_out_request(k))
-        assert [text for text, _ in batch.replies] == [f"arrival {n}" for n in range(k)]
+        replies = self.make_backend(transport, monkeypatch).generate(fan_out_request(k))
+        assert [text for text, _ in replies] == [f"arrival {n}" for n in range(k)]
 
     def test_no_reply_lost_under_fast_thread_switching(self, monkeypatch):
         k = 16  # more workers than cores
@@ -364,7 +361,7 @@ class TestChatCompletionsBackend:
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(50):
-                texts = [text for text, _ in backend.generate(fan_out_request(k)).replies]
+                texts = [text for text, _ in backend.generate(fan_out_request(k))]
                 assert len(set(texts)) == k
         finally:
             sys.setswitchinterval(interval)
@@ -387,9 +384,9 @@ class TestChatCompletionsBackend:
         calls = iter(range(k))
         backend = self.make_backend(lambda *_: (200, chat_payload(f"r{next(calls)}")), monkeypatch)
         log = ReplyLog()
-        batch = backend.generate(fan_out_request(k, log))
+        replies = backend.generate(fan_out_request(k, log))
         assert len(log.handed) == k
-        assert log.by_index() == dict(enumerate(batch.replies))
+        assert log.by_index() == dict(enumerate(replies))
         # The probe's reply is handled on the calling thread, the rest on the
         # threads that received them.
         assert sorted((index, on_main) for index, _, on_main in log.handed) == [
@@ -398,10 +395,10 @@ class TestChatCompletionsBackend:
 
     def test_single_candidate_handed_over_on_the_calling_thread(self, monkeypatch):
         log = ReplyLog()
-        batch = self.make_backend(lambda *_: (200, chat_payload("only")), monkeypatch).generate(
+        replies = self.make_backend(lambda *_: (200, chat_payload("only")), monkeypatch).generate(
             fan_out_request(1, log)
         )
-        assert log.handed == [(0, batch.replies[0], True)]
+        assert log.handed == [(0, replies[0], True)]
 
     def test_probe_handled_while_the_others_are_in_flight(self, monkeypatch):
         k = 3
@@ -425,9 +422,9 @@ class TestChatCompletionsBackend:
                 assert all(others_sent.acquire(timeout=5) for _ in range(k - 1))
                 probe_handled.set()
 
-        batch = self.make_backend(transport, monkeypatch).generate(fan_out_request(k, on_reply))
-        assert log.handed[0] == (0, batch.replies[0], True)
-        assert log.by_index() == dict(enumerate(batch.replies))
+        replies = self.make_backend(transport, monkeypatch).generate(fan_out_request(k, on_reply))
+        assert log.handed[0] == (0, replies[0], True)
+        assert log.by_index() == dict(enumerate(replies))
 
     def test_slow_handling_does_not_change_arrival_indices(self, monkeypatch):
         # r1 arrives before r2 but is still being handled when r2 arrives.
@@ -447,9 +444,9 @@ class TestChatCompletionsBackend:
                 time.sleep(0.3)
             handled[index] = reply
 
-        batch = self.make_backend(transport, monkeypatch).generate(fan_out_request(k, on_reply))
-        assert [text for text, _ in batch.replies] == ["r0", "r1", "r2"]
-        assert handled == dict(enumerate(batch.replies))
+        replies = self.make_backend(transport, monkeypatch).generate(fan_out_request(k, on_reply))
+        assert [text for text, _ in replies] == ["r0", "r1", "r2"]
+        assert handled == dict(enumerate(replies))
 
     def test_replies_of_a_failed_fan_out_are_handed_over_before_it_raises(self, monkeypatch):
         k = 3
@@ -490,10 +487,10 @@ class TestChatCompletionsBackend:
         for _ in range(2):  # a probing call, then one on the proven backend
             peaks.append(0)
             log = ReplyLog()
-            batch = backend.generate(fan_out_request(k, log))
-            assert len({text for text, _ in batch.replies}) == k
+            replies = backend.generate(fan_out_request(k, log))
+            assert len({text for text, _ in replies}) == k
             assert sorted(index for index, _, _ in log.handed) == list(range(k))
-            assert log.by_index() == dict(enumerate(batch.replies))
+            assert log.by_index() == dict(enumerate(replies))
         assert max(peaks) <= MAX_IN_FLIGHT
         assert peaks[1] == MAX_IN_FLIGHT  # without a probe the cap fills up
 
@@ -535,13 +532,13 @@ class LoggingTransport:
     def call(self, backend, req):
         """Run one ``generate`` call; returns whether it probed."""
         self.events = []
-        batch = backend.generate(req)
-        assert len(batch.replies) == req.num_candidates
+        replies = backend.generate(req)
+        assert len(replies) == req.num_candidates
         return self.events[:2] == ["start", "end"]
 
 
 def window(chars):
-    return Conversation((Message(Role.USER, "x" * chars),), FeedbackMode.SUCCINCT)
+    return Conversation((Message(Role.USER, "x" * chars),))
 
 
 @pytest.fixture(params=["chat", "messages"])
@@ -579,8 +576,8 @@ class TestProbeRule:
         backend, model = self.make(http_family, transport)
         backend.generate(GenerationRequest(two_turn_conversation(), model, 1))
         log = ReplyLog()
-        batch = backend.generate(GenerationRequest(two_turn_conversation(), model, k, on_reply=log))
-        assert log.by_index() == dict(enumerate(batch.replies))
+        replies = backend.generate(GenerationRequest(two_turn_conversation(), model, k, on_reply=log))
+        assert log.by_index() == dict(enumerate(replies))
         # The calling thread made one request and is handed that reply.
         on_main = [reply[0] for _, reply, main in log.handed if main]
         assert on_main == [text for text, main in senders.items() if main]
@@ -655,8 +652,8 @@ class TestMalformedPayloads:
         # A refusal or a tool call carries no text, and is paid for all the same.
         monkeypatch.setenv("OPENAI_API_KEY", "test-key")
         transport = StubTransport([(200, chat_payload(None, 5, 7))])
-        batch = ChatCompletionsBackend(transport=transport).generate(fan_out_request(1))
-        assert batch.replies == (("", TokenUsage(5, 7)),)
+        replies = ChatCompletionsBackend(transport=transport).generate(fan_out_request(1))
+        assert replies == (("", TokenUsage(5, 7)),)
 
     def test_error_status_message_quotes_a_non_object_payload(self, monkeypatch):
         monkeypatch.setenv("OPENAI_API_KEY", "test-key")
@@ -676,7 +673,7 @@ class TestMessagesBackend:
         fixture = json.loads((FIXTURES / "messages_exchange.json").read_text())
         transport = StubTransport([(fixture["response"]["status"], fixture["response"]["body"])])
         backend = self.make_backend(transport, monkeypatch)
-        batch = backend.generate(GenerationRequest(two_turn_conversation(), lookup_model("claude-3-haiku"), 1))
+        replies = backend.generate(GenerationRequest(two_turn_conversation(), lookup_model("claude-3-haiku"), 1))
         sent = transport.requests[0]
         expected = fixture["request"]
         assert sent["url"] == expected["url"]
@@ -684,7 +681,7 @@ class TestMessagesBackend:
         assert json.dumps(sent["body"], sort_keys=True) == json.dumps(
             expected["body"], sort_keys=True
         )
-        text, usage = batch.replies[0]
+        text, usage = replies[0]
         assert "module top_module" in text
         assert usage == TokenUsage(410, 198)
 
@@ -699,8 +696,7 @@ class TestMessagesBackend:
                 Message(Role.USER, "two"),
                 Message(Role.ASSISTANT, "reply"),
                 Message(Role.USER, "three"),
-            ),
-            FeedbackMode.SUCCINCT,
+            )
         )
         backend.generate(GenerationRequest(conv, lookup_model("claude-3-haiku"), 1))
         wire = transport.requests[0]["body"]["messages"]
@@ -719,10 +715,10 @@ class TestCommandBackend:
     def test_local_process_replies(self):
         backend = CommandBackend((sys.executable, "-c", "print('module m(); endmodule')"))
         req = GenerationRequest(two_turn_conversation(), lookup_model("local-model", "local"), 2)
-        batch = backend.generate(req)
-        assert len(batch.replies) == 2
-        assert all("module m()" in text for text, _ in batch.replies)
-        assert all(usage.input_tokens > 0 for _, usage in batch.replies)
+        replies = backend.generate(req)
+        assert len(replies) == 2
+        assert all("module m()" in text for text, _ in replies)
+        assert all(usage.input_tokens > 0 for _, usage in replies)
 
     def test_nonzero_exit_is_transport_error(self):
         backend = CommandBackend((sys.executable, "-c", "import sys; sys.exit(3)"))
@@ -735,18 +731,18 @@ class TestCommandBackend:
         backend = CommandBackend(("/bin/sh", "-c", f"sleep {delay}; echo 'module m(); endmodule'"))
         req = GenerationRequest(two_turn_conversation(), lookup_model("local-model", "local"), k)
         start = time.perf_counter()
-        batch = backend.generate(req)
+        replies = backend.generate(req)
         elapsed = time.perf_counter() - start
-        assert len(batch.replies) == k
-        assert all("module m()" in text for text, _ in batch.replies)
+        assert len(replies) == k
+        assert all("module m()" in text for text, _ in replies)
         assert elapsed < k * delay
 
     def test_replies_handed_over_as_they_arrive(self):
         backend = CommandBackend((sys.executable, "-c", "print('module m(); endmodule')"))
         log = ReplyLog()
         req = GenerationRequest(two_turn_conversation(), lookup_model("local-model", "local"), 2, on_reply=log)
-        batch = backend.generate(req)
-        assert log.by_index() == dict(enumerate(batch.replies))
+        replies = backend.generate(req)
+        assert log.by_index() == dict(enumerate(replies))
 
     def test_probes_first_call_and_after_a_failed_run(self, tmp_path):
         # Each run logs its start and end; the run that removes the ``fail``
@@ -761,7 +757,7 @@ class TestCommandBackend:
 
         def probed():
             log.write_text("")
-            assert len(backend.generate(req).replies) == 2
+            assert len(backend.generate(req)) == 2
             return log.read_text().split()[:2] == ["start", "end"]
 
         assert probed()
@@ -782,6 +778,12 @@ class TestRetryPolicy:
         assert delays == sorted(delays)
         assert all(d > 0 for d in delays)
 
+    @pytest.mark.parametrize("attempts", [0, -1])
+    def test_needs_at_least_one_attempt(self, attempts):
+        # With no attempt, no request would ever be sent.
+        with pytest.raises(ValueError, match="attempts must be at least 1"):
+            RetryPolicy(attempts=attempts)
+
 
 class TestMockScriptFile:
     def test_load_round_trip(self, tmp_path):
@@ -796,9 +798,9 @@ class TestMockScriptFile:
         req = GenerationRequest(
             two_turn_conversation(), lookup_model("mock"), 2, task_name="top_module", depth=0
         )
-        batch = backend.generate(req)
-        assert batch.replies[0] == ("module m(); endmodule", TokenUsage(9, 11))
-        assert batch.replies[1] == ("nope", TokenUsage(9, 11))
+        replies = backend.generate(req)
+        assert replies[0] == ("module m(); endmodule", TokenUsage(9, 11))
+        assert replies[1] == ("nope", TokenUsage(9, 11))
 
     @pytest.mark.parametrize(
         "text, detail",
@@ -873,15 +875,15 @@ import sys
 
 import hdlsmith, hdlsmith.cli
 from hdlsmith.backends import ChatCompletionsBackend, GenerationRequest, default_registry, lookup_model
-from hdlsmith.prompts import Conversation, FeedbackMode, Message, Role
+from hdlsmith.prompts import Conversation, Message, Role
 
 assert "requests" not in sys.modules, "loaded by importing hdlsmith"
 default_registry()
 payload = {"choices": [{"message": {"content": "ok"}}], "usage": {}}
 backend = ChatCompletionsBackend(transport=lambda url, headers, body: (200, payload))
-conversation = Conversation((Message(Role.USER, "hi"),), FeedbackMode.SUCCINCT)
-batch = backend.generate(GenerationRequest(conversation, lookup_model("gpt-4o-mini"), 1))
-assert batch.replies[0][0] == "ok"
+conversation = Conversation((Message(Role.USER, "hi"),))
+replies = backend.generate(GenerationRequest(conversation, lookup_model("gpt-4o-mini"), 1))
+assert replies[0][0] == "ok"
 assert "requests" not in sys.modules, "loaded by a request through an injected transport"
 """
 

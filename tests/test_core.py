@@ -13,12 +13,15 @@ from hypothesis import strategies as st
 from hdlsmith.core import (
     CandidateResponse,
     CostLedger,
+    DepthNode,
     DesignTask,
     EvalOutcome,
     LedgerEntry,
     ModelSpec,
     OutcomeKind,
     Rank,
+    SearchTrace,
+    Termination,
     TokenUsage,
     best_candidate,
     candidate_order_key,
@@ -139,6 +142,40 @@ class TestCandidateOrder:
         assert all(best <= candidate_order_key(x) for x in (a, b, c))
 
 
+class TestDerivedChoice:
+    """A depth's chosen candidate and a trace's best are derived, not stored."""
+
+    ranks = st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.25, 0.5, 1.0])
+
+    @given(st.lists(st.lists(ranks, min_size=1, max_size=5), min_size=1, max_size=4))
+    def test_chosen_and_best_are_best_candidate(self, ranks_per_depth):
+        nodes = [
+            DepthNode(
+                depth, "mock", "mock",
+                tuple(make_candidate(rank, depth=depth, index=index) for index, rank in enumerate(ranks)),
+            )
+            for depth, ranks in enumerate(ranks_per_depth)
+        ]
+        trace = SearchTrace(nodes, Termination.MAX_DEPTH_REACHED, CostLedger())
+        for node in trace.nodes:
+            assert node.chosen is best_candidate(node.candidates)
+            assert node.chosen_index == node.chosen.index
+        chosen = [node.chosen for node in trace.nodes]
+        assert trace.best() is best_candidate(chosen)
+        for depth in range(len(nodes)):
+            best = best_candidate(chosen[: depth + 1])
+            assert trace.upto(depth).best_overall == (best.depth, best.index)
+
+    def test_depth_needs_a_candidate(self):
+        with pytest.raises(ValueError, match="at least one candidate"):
+            DepthNode(0, "mock", "mock", ())
+
+    def test_empty_trace_has_no_best(self):
+        trace = SearchTrace((), Termination.BACKEND_ERROR, CostLedger())
+        assert trace.best() is None
+        assert trace.best_overall is None
+
+
 class TestTypeInvariants:
     def test_task_rejects_bad_identifier(self):
         with pytest.raises(ValueError):
@@ -187,11 +224,10 @@ class TestTypeInvariants:
                 Rank(bad)
 
     def test_candidate_links_module_outcome_rank(self):
-        outcome = make_outcome(OutcomeKind.NO_MODULE)
+        outcome = make_outcome(OutcomeKind.NO_MODULE, module_src="module m(); endmodule")
         with pytest.raises(ValueError):
             CandidateResponse(
                 raw_text="text",
-                module_src="module m(); endmodule",
                 usage=TokenUsage(1, 1),
                 cost_usd=Decimal(0),
                 outcome=outcome,

@@ -97,7 +97,7 @@ class TestResultInvariants:
 
     def test_sim_result_timeout_implies_failure(self):
         with pytest.raises(ValueError):
-            SimResult(True, True, "", "", 1.0)
+            SimResult(True, True, "", "")
 
     def test_summary_bounds(self):
         with pytest.raises(ValueError):

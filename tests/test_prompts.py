@@ -42,23 +42,25 @@ class TestSystemPrompt:
 
 class TestInitialConversation:
     def test_two_messages(self, task):
-        conv = initial_conversation(task, FeedbackMode.SUCCINCT)
+        conv = initial_conversation(task)
         assert [m.role for m in conv.messages] == [Role.SYSTEM, Role.USER]
 
     def test_design_prompt_verbatim(self, task):
-        conv = initial_conversation(task, FeedbackMode.SUCCINCT)
+        conv = initial_conversation(task)
         assert conv.messages[1].content == task.prompt_text
 
     def test_mode_does_not_change_shape(self, task):
-        succinct = initial_conversation(task, FeedbackMode.SUCCINCT)
-        full = initial_conversation(task, FeedbackMode.FULL_CONTEXT)
-        assert [m.role for m in succinct.messages] == [m.role for m in full.messages]
-        assert [m.content for m in succinct.messages] == [m.content for m in full.messages]
+        # Both modes start from the same window, and one round makes the
+        # same four messages in each.
+        conv = initial_conversation(task)
+        succinct = next_conversation(conv, "reply", "feedback", FeedbackMode.SUCCINCT)
+        full = next_conversation(conv, "reply", "feedback", FeedbackMode.FULL_CONTEXT)
+        assert succinct == full
 
 
 class TestNextConversation:
     def _iterate(self, task, mode, rounds):
-        conv = initial_conversation(task, mode)
+        conv = initial_conversation(task)
         for n in range(rounds):
             conv = next_conversation(conv, f"reply {n}", f"feedback {n}", mode)
         return conv
@@ -84,7 +86,7 @@ class TestNextConversation:
 
     def test_design_prompt_present_every_round_both_modes(self, task):
         for mode in FeedbackMode:
-            conv = initial_conversation(task, mode)
+            conv = initial_conversation(task)
             for n in range(5):
                 conv = next_conversation(conv, f"r{n}", f"f{n}", mode)
                 assert conv.messages[1].content == task.prompt_text
@@ -92,12 +94,12 @@ class TestNextConversation:
                     assert len(conv.messages) <= 4
 
     def test_rejects_empty_feedback(self, task):
-        conv = initial_conversation(task, FeedbackMode.SUCCINCT)
+        conv = initial_conversation(task)
         with pytest.raises(ValueError):
             next_conversation(conv, "reply", "", FeedbackMode.SUCCINCT)
 
     def test_rejects_empty_reply(self, task):
-        conv = initial_conversation(task, FeedbackMode.SUCCINCT)
+        conv = initial_conversation(task)
         with pytest.raises(ValueError):
             next_conversation(conv, "", "feedback", FeedbackMode.SUCCINCT)
 
@@ -156,12 +158,12 @@ class TestFeedbackText:
 class TestFlatten:
     def test_identity_without_system_message(self):
         conv = Conversation(
-            (Message(Role.USER, "design"), Message(Role.ASSISTANT, "reply")), FeedbackMode.SUCCINCT
+            (Message(Role.USER, "design"), Message(Role.ASSISTANT, "reply"))
         )
         assert flatten_for_backend(conv) is conv
 
     def test_system_becomes_leading_user(self, task):
-        conv = initial_conversation(task, FeedbackMode.SUCCINCT)
+        conv = initial_conversation(task)
         flat = flatten_for_backend(conv)
         assert [m.role for m in flat.messages] == [Role.USER, Role.USER]
         assert flat.messages[0].content == system_prompt()
@@ -175,7 +177,7 @@ class TestFlatten:
     )
     def test_role_multiset_preserved_modulo_system(self, tail):
         messages = [Message(Role.SYSTEM, "sys")] + [Message(r, c) for r, c in tail]
-        conv = Conversation(tuple(messages), FeedbackMode.FULL_CONTEXT)
+        conv = Conversation(tuple(messages))
         flat = flatten_for_backend(conv)
         assert len(flat.messages) == len(conv.messages)
         assert [m.content for m in flat.messages] == [m.content for m in conv.messages]
@@ -185,12 +187,12 @@ class TestFlatten:
 
 class TestWindowHelpers:
     def test_estimate_rounds_up(self, task):
-        conv = Conversation((Message(Role.SYSTEM, "abcde"),), FeedbackMode.SUCCINCT)
+        conv = Conversation((Message(Role.SYSTEM, "abcde"),))
         assert estimate_tokens(conv) == 2
 
     def test_succinct_window_collapses_long_history(self, task):
         mode = FeedbackMode.FULL_CONTEXT
-        conv = initial_conversation(task, mode)
+        conv = initial_conversation(task)
         for n in range(4):
             conv = next_conversation(conv, f"r{n}", f"f{n}", mode)
         window = succinct_window(conv)
@@ -201,5 +203,5 @@ class TestWindowHelpers:
         assert window.messages[3] == conv.messages[-1]
 
     def test_short_conversations_pass_through(self, task):
-        conv = initial_conversation(task, FeedbackMode.FULL_CONTEXT)
+        conv = initial_conversation(task)
         assert succinct_window(conv) is conv

@@ -161,6 +161,18 @@ class TestLoadConfig:
         with pytest.raises(TypeMismatchError):
             load_config(path)
 
+    @pytest.mark.parametrize("text", ["0", "-1", "true", '"x"', "NaN", "Infinity"])
+    def test_sim_timeout_must_be_a_positive_finite_number(self, tmp_path, text):
+        # Python's json reads NaN and Infinity, in the file and in an override.
+        document = json.loads(json.dumps(EXAMPLE_CONFIG))
+        document["general"]["sim_timeout"] = json.loads(text)
+        with pytest.raises(TypeMismatchError) as excinfo:
+            load_config(write_config(tmp_path, document))
+        assert excinfo.value.key_path == "general.sim_timeout"
+        with pytest.raises(TypeMismatchError) as excinfo:
+            load_config(write_config(tmp_path), [f"general.sim_timeout={text}"])
+        assert excinfo.value.key_path == "general.sim_timeout"
+
     def test_overrides_apply_before_validation(self, tmp_path):
         path = write_config(tmp_path)
         cfg = load_config(path, ["general.num_candidates=2", "general.model_id=mock"])
@@ -198,8 +210,8 @@ class TestRunLogGrammar:
                     index=index,
                 )
             )
-        node = DepthNode(0, "ChatGPT", "gpt-4o-mini", tuple(candidates), 0)
-        return SearchTrace((node,), (0, 0), Termination.MAX_DEPTH_REACHED, CostLedger())
+        node = DepthNode(0, "ChatGPT", "gpt-4o-mini", tuple(candidates))
+        return SearchTrace((node,), Termination.MAX_DEPTH_REACHED, CostLedger())
 
     def test_log_lines(self):
         sink = io.StringIO()
@@ -219,10 +231,8 @@ class TestRunLogGrammar:
 
     def test_passing_candidate_label(self):
         outcome = EvalOutcome(OutcomeKind.SIMULATED, mismatches=0, samples=8)
-        node = DepthNode(
-            0, "mock", "mock", (make_candidate(outcome=outcome),), 0
-        )
-        trace = SearchTrace((node,), (0, 0), Termination.ALL_TESTS_PASSED, CostLedger())
+        node = DepthNode(0, "mock", "mock", (make_candidate(outcome=outcome),))
+        trace = SearchTrace((node,), Termination.ALL_TESTS_PASSED, CostLedger())
         sink = io.StringIO()
         write_run_log(trace, sink)
         assert "Simulation passed" in sink.getvalue()
@@ -233,8 +243,8 @@ class TestRunLogGrammar:
             OutcomeKind.SIM_CRASH_OR_TIMEOUT,
             diagnosis="Simulation timed out after 60 seconds and was killed.",
         )
-        node = DepthNode(0, "mock", "mock", (make_candidate(outcome=outcome),), 0)
-        trace = SearchTrace((node,), (0, 0), Termination.MAX_DEPTH_REACHED, CostLedger())
+        node = DepthNode(0, "mock", "mock", (make_candidate(outcome=outcome),))
+        trace = SearchTrace((node,), Termination.MAX_DEPTH_REACHED, CostLedger())
         sink = io.StringIO()
         write_run_log(trace, sink)
         assert "Simulation timed out after 60 seconds" in sink.getvalue()
@@ -506,7 +516,33 @@ class TestCli:
         assert code == 3
         self.assert_io_error(capsys)
 
-    def test_run_tool_io_error_keeps_tool_label(self, tmp_path, capsys):
+    def test_run_tool_io_error_keeps_tool_label(self, tmp_path, capsys, monkeypatch):
+        # A compiler that exits 0 without writing its artifact leaves the
+        # simulator nothing to run.
+        bin_dir = tmp_path / "bin"
+        bin_dir.mkdir()
+        for name in ("iverilog", "vvp"):
+            (bin_dir / name).write_text("#!/bin/sh\nexit 0\n")
+            (bin_dir / name).chmod(0o755)
+        monkeypatch.setenv("PATH", str(bin_dir))
+        config_path = write_config(tmp_path)
+        script = self.write_mock_script(tmp_path, {"top_module/0/0": passing_reply()})
+        code = cli_main(
+            [
+                "run",
+                "--config", str(config_path),
+                "--override", "general.model_family=mock",
+                "--override", "general.model_id=mock",
+                "--backend", f"mock:{script}",
+            ]
+        )
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        artifact = tmp_path / "output_dir" / "iter0" / "response0" / "top_module.vvp"
+        assert captured.err == f"hdlsmith: tool error: simulation artifact missing: {artifact}\n"
+
+    def test_run_source_write_fault_is_io_error(self, tmp_path, capsys):
         # A directory where the candidate's source file goes fails its write.
         config_path = write_config(tmp_path)
         (tmp_path / "output_dir" / "iter0" / "response0" / "top_module.sv").mkdir(parents=True)
@@ -524,8 +560,30 @@ class TestCli:
         assert code == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("hdlsmith: tool error: [Errno 21] Is a directory: ")
+        assert captured.err.startswith("hdlsmith: I/O error: [Errno 21] Is a directory: ")
         assert captured.err.count("\n") == 1
+
+    def test_run_infinite_sim_timeout_is_config_error(self, tmp_path, capsys):
+        config_path = write_config(tmp_path)
+        script = self.write_mock_script(tmp_path, {"top_module/0/0": passing_reply()})
+        code = cli_main(
+            [
+                "run",
+                "--config", str(config_path),
+                "--override", "general.model_family=mock",
+                "--override", "general.model_id=mock",
+                "--override", "general.sim_timeout=Infinity",
+                "--backend", f"mock:{script}",
+                "--offline-tools",
+            ]
+        )
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "hdlsmith: configuration error: general.sim_timeout: expected a positive finite number\n"
+        )
+        assert not (tmp_path / "output_dir").exists()
 
     def test_bench_workdir_under_a_file_is_tool_error(self, tmp_path, capsys):
         (tmp_path / "blocker").write_text("a regular file")

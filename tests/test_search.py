@@ -407,14 +407,14 @@ class TestBackendFailures:
             task, search_config(1, 1, tmp_path), ModelSchedule.single(model),
             {model.family: backend}, evaluator=offline_evaluate,
         )
-        assert backend.calls[0].conversation == initial_conversation(task, FeedbackMode.SUCCINCT)
+        assert backend.calls[0].conversation == initial_conversation(task)
         assert [m.role for m in backend.calls[1].conversation.messages] == [
             Role.SYSTEM, Role.USER, Role.ASSISTANT, Role.USER,
         ]
 
 
 class _ReturnOnlyBackend:
-    """A third-party backend: returns its batch, never calls ``on_reply``."""
+    """A third-party backend: returns its replies, never calls ``on_reply``."""
 
     def __init__(self, script):
         self.inner = MockBackend(script)
