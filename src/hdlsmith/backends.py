@@ -123,6 +123,10 @@ class RetryPolicy:
     def __post_init__(self) -> None:
         if self.attempts < 1:
             raise ValueError("attempts must be at least 1")
+        if not (math.isfinite(self.base_delay) and self.base_delay >= 0):
+            raise ValueError("base_delay must be a non-negative finite number")
+        if not (math.isfinite(self.factor) and self.factor >= 1):
+            raise ValueError("factor must be a finite number of at least 1")
 
 
 DEFAULT_RETRY = RetryPolicy()

@@ -13,7 +13,7 @@ import json
 import math
 import tempfile
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from decimal import ROUND_HALF_UP, Decimal
 from enum import Enum
 from operator import attrgetter
@@ -203,7 +203,8 @@ def run_suite(
 
     A model family with no backend raises ``KeyError``, and with the default
     evaluator a compiler or runtime that cannot be found raises
-    ``ToolNotFoundError``, before any search. Any error a search raises, such
+    ``ToolNotFoundError``, and a grid point that :class:`SearchConfig` rejects
+    raises ``ValueError``, before any search. Any error a search raises, such
     as an evaluator or tool I/O error, ends the sweep and is raised here. Tasks
     of one search run concurrently up to ``parallelism``, aggregated in task
     order; after an error the queued ones are cancelled and the running ones
@@ -219,21 +220,27 @@ def run_suite(
         raise KeyError(no_backend_message(missing.model))
     if evaluator is None:
         require_tools()
+    # Every grid point's config is built, and so checked, before the first
+    # search; its outdir is relative to root.
+    configs: dict[tuple[int, FeedbackMode, int], SearchConfig] = {}
+    groups: dict[tuple[int, FeedbackMode], set[int]] = {}
+    for point in grid:
+        k, d, mode = point.num_candidates, point.max_depth, point.mode
+        configs[k, mode, d] = SearchConfig(k, d, mode, sim_timeout, Path(f"k{k}_d{d}_{mode.value}"))
+        groups.setdefault((k, mode), set()).add(d)
+    run_depths = {
+        group: sorted(depths) if schedule.final_model is not None else [max(depths)]
+        for group, depths in groups.items()
+    }
     root = Path(workdir) if workdir is not None else Path(tempfile.mkdtemp(prefix="suite_"))
     schedule_desc = describe_schedule(schedule)
 
-    def search_all(k: int, d: int, mode: FeedbackMode) -> list[SearchTrace]:
+    def search_all(cfg: SearchConfig) -> list[SearchTrace]:
         """One search per task, in task order."""
 
         def search(task: DesignTask) -> SearchTrace:
-            cfg = SearchConfig(
-                num_candidates=k,
-                max_depth=d,
-                feedback_mode=mode,
-                sim_timeout=sim_timeout,
-                outdir=root / f"k{k}_d{d}_{mode.value}" / task.name,
-            )
-            return run_search(task, cfg, schedule, backends, evaluator=evaluator)
+            task_cfg = replace(cfg, outdir=root / cfg.outdir / task.name)
+            return run_search(task, task_cfg, schedule, backends, evaluator=evaluator)
 
         if parallelism > 1:
             from concurrent.futures import ThreadPoolExecutor  # only a parallel sweep needs a pool
@@ -242,15 +249,8 @@ def run_suite(
                 return list(pool.map(search, tasks))
         return [search(task) for task in tasks]
 
-    groups: dict[tuple[int, FeedbackMode], set[int]] = {}
-    for point in grid:
-        groups.setdefault((point.num_candidates, point.mode), set()).add(point.max_depth)
-    run_depths = {
-        group: sorted(depths) if schedule.final_model is not None else [max(depths)]
-        for group, depths in groups.items()
-    }
     traces = {
-        (k, mode, d): search_all(k, d, mode)
+        (k, mode, d): search_all(configs[k, mode, d])
         for (k, mode), depths in run_depths.items()
         for d in depths
     }

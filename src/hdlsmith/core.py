@@ -136,15 +136,11 @@ class EvalOutcome:
     sim_stdout: str = ""
     mismatches: int | None = None
     samples: int | None = None
-    per_output_hints: tuple[OutputHint, ...] = ()
     diagnosis: str | None = None
     module_src: str | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "compile_messages", tuple(self.compile_messages))
-        object.__setattr__(
-            self, "per_output_hints", tuple(OutputHint(*h) for h in self.per_output_hints)
-        )
         if self.kind is OutcomeKind.SIMULATED:
             if self.mismatches is None or self.samples is None:
                 raise ValueError("simulated outcomes must carry mismatch and sample counts")

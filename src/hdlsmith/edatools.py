@@ -1,7 +1,7 @@
 """Drive the compile/simulate toolchain on a candidate and classify the result.
 
 The default toolchain is Icarus Verilog (``iverilog``/``vvp``) invoked with
-the SystemVerilog standard flag; paths and flags are configurable. Each
+the SystemVerilog standard flag; the tool paths are configurable. Each
 candidate is evaluated in its own working directory holding the written
 sources, the compiled artifact and a per-candidate log.
 """
@@ -83,15 +83,14 @@ class TestbenchSummary:
 
 @dataclass(frozen=True)
 class ToolchainConfig:
-    """Paths and flags for the external compiler and simulation runtime."""
+    """Paths of the external compiler and simulation runtime."""
 
     compiler: str = "iverilog"
     runtime: str = "vvp"
-    language_flags: tuple[str, ...] = ("-g2012",)
-    extra_flags: tuple[str, ...] = ()
 
 
 DEFAULT_TOOLS = ToolchainConfig()
+LANGUAGE_FLAG = "-g2012"  # IEEE 1800-2012 SystemVerilog
 
 DEFAULT_SIM_TIMEOUT = 60.0
 # Fixed, not the caller's simulation timeout: sweeps set that to fractions of
@@ -176,15 +175,7 @@ def compile_design(
 
     module_path, tb_path = write_candidate_sources(module_src, testbench_src, workdir, top_name)
     artifact = workdir / f"{top_name}.vvp"
-    argv = [
-        tools.compiler,
-        *tools.language_flags,
-        *tools.extra_flags,
-        "-o",
-        artifact.name,
-        module_path.name,
-        tb_path.name,
-    ]
+    argv = [tools.compiler, LANGUAGE_FLAG, "-o", artifact.name, module_path.name, tb_path.name]
     try:
         proc = subprocess.run(
             argv, cwd=workdir, capture_output=True, text=True, timeout=COMPILE_TIMEOUT
@@ -294,48 +285,33 @@ def evaluate(
         simulate_fn = partial(simulate, tools=tools)
 
     extraction = extract_module(candidate_text)
-    if extraction.module_src is None:
-        outcome = EvalOutcome(OutcomeKind.NO_MODULE)
-        _write_candidate_log(workdir, task, extraction.source, None, None, outcome)
-        return outcome
-
-    compiled = compile_fn(extraction.module_src, task.testbench_src, workdir, task.name)
-    if compiled.status is CompileStatus.ERROR:
-        outcome = EvalOutcome(
-            OutcomeKind.COMPILE_ERROR,
-            compile_messages=compiled.raw_messages,
-            module_src=extraction.module_src,
-        )
-        _write_candidate_log(workdir, task, extraction.source, compiled, None, outcome)
-        return outcome
-
-    sim = simulate_fn(compiled.artifact_path, timeout)
-    summary = parse_summary(sim.stdout)
-    if summary is not None:
-        outcome = EvalOutcome(
-            OutcomeKind.SIMULATED,
-            compile_messages=compiled.raw_messages,
-            sim_stdout=sim.stdout,
-            mismatches=summary.total_mismatches,
-            samples=summary.total_samples,
-            per_output_hints=summary.hints,
-            module_src=extraction.module_src,
-        )
-    elif compiled.status is CompileStatus.OK_WITH_WARNINGS:
-        outcome = EvalOutcome(
-            OutcomeKind.COMPILE_WARNED_NO_SIM,
-            compile_messages=compiled.raw_messages,
-            sim_stdout=sim.stdout,
-            module_src=extraction.module_src,
-        )
+    module_src = extraction.module_src
+    compiled = sim = summary = diagnosis = None
+    if module_src is None:
+        kind = OutcomeKind.NO_MODULE
     else:
-        outcome = EvalOutcome(
-            OutcomeKind.SIM_CRASH_OR_TIMEOUT,
-            compile_messages=compiled.raw_messages,
-            sim_stdout=sim.stdout,
-            diagnosis=_diagnose(sim, timeout),
-            module_src=extraction.module_src,
-        )
+        compiled = compile_fn(module_src, task.testbench_src, workdir, task.name)
+        if compiled.status is CompileStatus.ERROR:
+            kind = OutcomeKind.COMPILE_ERROR
+        else:
+            sim = simulate_fn(compiled.artifact_path, timeout)
+            summary = parse_summary(sim.stdout)
+            if summary is not None:
+                kind = OutcomeKind.SIMULATED
+            elif compiled.status is CompileStatus.OK_WITH_WARNINGS:
+                kind = OutcomeKind.COMPILE_WARNED_NO_SIM
+            else:
+                kind = OutcomeKind.SIM_CRASH_OR_TIMEOUT
+                diagnosis = _diagnose(sim, timeout)
+    outcome = EvalOutcome(
+        kind,
+        compile_messages=compiled.raw_messages if compiled is not None else (),
+        sim_stdout=sim.stdout if sim is not None else "",
+        mismatches=summary.total_mismatches if summary is not None else None,
+        samples=summary.total_samples if summary is not None else None,
+        diagnosis=diagnosis,
+        module_src=module_src,
+    )
     _write_candidate_log(workdir, task, extraction.source, compiled, sim, outcome)
     return outcome
 

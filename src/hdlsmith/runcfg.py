@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import IO, Mapping, Sequence
 
 from .backends import BackendRegistry, default_registry, lookup_model
-from .core import DesignTask, EvalOutcome, OutcomeKind, SearchTrace, format_usd
+from .core import DesignTask, EvalOutcome, ModelSpec, OutcomeKind, SearchTrace, format_usd
 from .edatools import (
     DEFAULT_SIM_TIMEOUT,
     DEFAULT_TOOLS,
@@ -36,24 +36,6 @@ from .search import (
     preflight,
     run_search,
 )
-
-__all__ = [
-    "ConfigError",
-    "MissingKeyError",
-    "TypeMismatchError",
-    "InvalidScheduleError",
-    "MissingFileError",
-    "RawScheduleEntry",
-    "RunConfig",
-    "load_config",
-    "parse_config",
-    "build_schedule",
-    "execute_run",
-    "write_run_log",
-    "trace_shape",
-    "scan_output_tree",
-]
-
 
 class ConfigError(Exception):
     """Configuration problem; carries the offending key path."""
@@ -79,13 +61,6 @@ class MissingFileError(ConfigError):
     pass
 
 
-@dataclass(frozen=True)
-class RawScheduleEntry:
-    start_iteration: int
-    model_family: str
-    model_id: str
-
-
 _KNOWN_GENERAL_KEYS = {
     "prompt",
     "name",
@@ -104,19 +79,21 @@ _KNOWN_GENERAL_KEYS = {
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated run parameters; ``iterations`` is the maximum tree depth."""
+    """Validated run parameters; ``iterations`` is the maximum tree depth.
+
+    ``schedule`` is the active schedule: the ``mixed-model`` entries when
+    ``mixed_model`` is set, else the single ``general`` model.
+    """
 
     prompt: Path
     name: str
     testbench: Path
-    model_family: str
-    model_id: str
+    schedule: ModelSchedule
     num_candidates: int
     iterations: int
     outdir: Path
     log: Path
     mixed_model: bool
-    schedule_entries: tuple[RawScheduleEntry, ...] = ()
     feedback_mode: FeedbackMode = FeedbackMode.SUCCINCT
     sim_timeout: float = DEFAULT_SIM_TIMEOUT
 
@@ -233,31 +210,38 @@ def parse_config(raw: object, base_dir: Path | None = None) -> RunConfig:
     if not is_number or not math.isfinite(sim_timeout) or sim_timeout <= 0:
         raise TypeMismatchError("general.sim_timeout", "expected a positive finite number")
 
-    cfg = RunConfig(
+    name = _require_str(general, "name", "general")
+    family = _require_str(general, "model_family", "general")
+    model = lookup_model(_require_str(general, "model_id", "general"), family)
+    return RunConfig(
         prompt=prompt,
-        name=_require_str(general, "name", "general"),
+        name=name,
         testbench=testbench,
-        model_family=_require_str(general, "model_family", "general"),
-        model_id=_require_str(general, "model_id", "general"),
         num_candidates=_require_int(general, "num_candidates", "general", minimum=1),
         iterations=_require_int(general, "iterations", "general", minimum=0),
         outdir=base_dir / _require_str(general, "outdir", "general"),
         log=Path(_require_str(general, "log", "general")),
         mixed_model=mixed_flag,
-        schedule_entries=entries,
         feedback_mode=_parse_mode(mode, "general.feedback_mode"),
         sim_timeout=float(sim_timeout),
+        # Last: the schedule rules are checked after every key is read.
+        schedule=_active_schedule(mixed_flag, entries, model),
     )
-    if mixed_flag:
-        # ModelSchedule holds the schedule invariants; model lookup never fails.
-        try:
-            build_schedule(cfg)
-        except ValueError as exc:
-            raise InvalidScheduleError("mixed-model", str(exc)) from exc
-    return cfg
 
 
-def _parse_schedule_entries(section: object) -> tuple[RawScheduleEntry, ...]:
+def _active_schedule(
+    mixed: bool, entries: tuple[ScheduleEntry, ...], model: ModelSpec
+) -> ModelSchedule:
+    if not mixed:
+        return ModelSchedule.single(model)
+    # ModelSchedule holds the schedule invariants.
+    try:
+        return ModelSchedule(entries)
+    except ValueError as exc:
+        raise InvalidScheduleError("mixed-model", str(exc)) from exc
+
+
+def _parse_schedule_entries(section: object) -> tuple[ScheduleEntry, ...]:
     if section is None:
         return ()
     if not isinstance(section, dict):
@@ -274,35 +258,10 @@ def _parse_schedule_entries(section: object) -> tuple[RawScheduleEntry, ...]:
             raise InvalidScheduleError(
                 f"{path}.start_iteration", "must be >= 0, or -1 for the final iteration"
             )
-        entries.append(
-            RawScheduleEntry(
-                start,
-                _require_str(entry, "model_family", path),
-                _require_str(entry, "model_id", path),
-            )
-        )
+        family = _require_str(entry, "model_family", path)
+        model = lookup_model(_require_str(entry, "model_id", path), family)
+        entries.append(ScheduleEntry(start, model))
     return tuple(entries)
-
-
-def build_schedule(cfg: RunConfig) -> ModelSchedule:
-    """The active schedule: the mixed-model entries when enabled, else the
-    single configured model (retained mixed-model entries stay inactive)."""
-    if cfg.mixed_model:
-        return ModelSchedule(
-            tuple(
-                ScheduleEntry(e.start_iteration, lookup_model(e.model_id, e.model_family))
-                for e in cfg.schedule_entries
-            )
-        )
-    return ModelSchedule.single(lookup_model(cfg.model_id, cfg.model_family))
-
-
-def load_task(cfg: RunConfig) -> DesignTask:
-    return DesignTask(
-        name=cfg.name,
-        prompt_text=cfg.prompt.read_text(),
-        testbench_src=cfg.testbench.read_text(),
-    )
 
 
 def execute_run(
@@ -326,8 +285,7 @@ def execute_run(
     """
     if backends is None:
         backends = default_registry()
-    schedule = build_schedule(cfg)
-    missing = preflight(schedule, backends)
+    missing = preflight(cfg.schedule, backends)
     if missing is not None:
         key_path = "mixed-model" if cfg.mixed_model else "general.model_family"
         raise ConfigError(key_path, no_backend_message(missing.model))
@@ -336,7 +294,7 @@ def execute_run(
         require_tools(tools)
         evaluator = partial(evaluate, tools=tools)
         version = tool_version(tools)
-    task = load_task(cfg)
+    task = DesignTask(cfg.name, cfg.prompt.read_text(), cfg.testbench.read_text())
     search_cfg = SearchConfig(
         num_candidates=cfg.num_candidates,
         max_depth=cfg.iterations,
@@ -350,7 +308,7 @@ def execute_run(
     # raises out of run_search and leaves the partial tree, and an empty
     # log, on disk for post-mortem inspection.
     with open(log_path, "w") as sink:
-        trace = run_search(task, search_cfg, schedule, backends, evaluator=evaluator)
+        trace = run_search(task, search_cfg, cfg.schedule, backends, evaluator=evaluator)
         if version:
             sink.write(f"Tool version: {version}\n")
         write_run_log(trace, sink)

@@ -153,7 +153,8 @@ def run_search(
     ``GenerationRequest.on_reply`` (else once the call returns). A backend
     failure terminates the trace with partial results preserved, and the
     replies the failed depth already paid for stay in the ledger; at most
-    ``k * (d + 1)`` candidates are ever generated.
+    ``k * (d + 1)`` candidates are ever generated. A depth whose model
+    family has no backend raises ``KeyError`` before the first request.
     """
     if evaluator is None:
         evaluator = edatools.evaluate
@@ -162,10 +163,10 @@ def run_search(
     ledger_entries: list[LedgerEntry] = []
     termination = Termination.MAX_DEPTH_REACHED
 
-    for depth in range(cfg.max_depth + 1):
-        model = model_for_iteration(sched, depth, cfg.max_depth)
-        backend = backend_for(backends, model)
-
+    # Every depth's backend is found before the first request is paid for.
+    models = (model_for_iteration(sched, d, cfg.max_depth) for d in range(cfg.max_depth + 1))
+    served = [(model, backend_for(backends, model)) for model in models]
+    for depth, (model, backend) in enumerate(served):
         conv_call, fallback = _window_for_call(conversation, model, cfg.feedback_mode)
         request = GenerationRequest(
             conversation=conv_call,

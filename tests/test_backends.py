@@ -784,6 +784,16 @@ class TestRetryPolicy:
         with pytest.raises(ValueError, match="attempts must be at least 1"):
             RetryPolicy(attempts=attempts)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("base_delay", -1.0), ("base_delay", math.nan), ("base_delay", math.inf),
+         ("factor", 0.5), ("factor", math.nan), ("factor", math.inf)],
+    )
+    def test_delays_are_finite_and_never_shrink(self, field, value):
+        # A negative delay would reach time.sleep; a factor below 1 shrinks delays.
+        with pytest.raises(ValueError, match=field):
+            RetryPolicy(**{field: value})
+
 
 class TestMockScriptFile:
     def test_load_round_trip(self, tmp_path):

@@ -205,6 +205,21 @@ class TestRunSuite:
         assert backend.calls == []
         assert not (tmp_path / "work").exists()
 
+    @pytest.mark.parametrize(
+        "grid",
+        [[GridPoint(1, 2), GridPoint(0, 1)], [GridPoint(1, 3), GridPoint(1, -1)]],
+        ids=["k=0", "d=-1 under a deeper d"],
+    )
+    def test_bad_grid_point_raises_before_any_search(self, tmp_path, grid):
+        backend = MockBackend({})
+        with pytest.raises(ValueError):
+            run_suite(
+                load_suite(make_suite_dir(tmp_path)), grid, self.schedule(), {"mock": backend},
+                evaluator=offline_evaluate, workdir=tmp_path / "work",
+            )
+        assert backend.calls == []
+        assert not (tmp_path / "work").exists()
+
     def test_any_registered_family_is_served(self, tmp_path):
         tasks = load_suite(make_suite_dir(tmp_path, stems=("adder",)))
         backend = MockBackend({("adder", 1, 0): passing_reply(name="adder")})

@@ -137,7 +137,83 @@ class TestEvaluateOffline:
         outcome = self.run(task, reply_with_module("mismatches=6220 samples=6283"), tmp_path)
         assert outcome.kind is OutcomeKind.SIMULATED
         assert (outcome.mismatches, outcome.samples) == (6220, 6283)
-        assert outcome.per_output_hints[0].output_name == "out"
+        assert parse_summary(outcome.sim_stdout).hints[0].output_name == "out"
+
+    @pytest.mark.parametrize("reply, log", [
+        ("I cannot help with that.", "Extraction: none\nOutcome: no_module\n"),
+        (
+            reply_with_module("compile-error"),
+            "Extraction: fenced_block\nCompile status: error\n"
+            "error: top_module.sv:1: error: scripted compile failure\nOutcome: compile_error\n",
+        ),
+        (
+            reply_with_module("warning"),
+            "Extraction: fenced_block\nCompile status: ok_with_warnings\n"
+            "warning: top_module.sv:1: warning: scripted warning\n"
+            "Simulation exit_ok: True\nSimulation timed_out: False\n--- simulation stdout ---\n"
+            "Hint: Output 'out' has 50 mismatches. First mismatch occurred at time 130.\n"
+            "Hint: Total mismatched samples is 50 out of 100 samples\n\n"
+            "Simulation finished at 1000 ps\nMismatches: 50 in 100 samples\n"
+            "Outcome: simulated\nMismatches: 50\nSamples: 100\n",
+        ),
+        (
+            reply_with_module("mismatches=6220 samples=6283"),
+            "Extraction: fenced_block\nCompile status: ok\n"
+            "Simulation exit_ok: True\nSimulation timed_out: False\n--- simulation stdout ---\n"
+            "Hint: Output 'out' has 6220 mismatches. First mismatch occurred at time 130.\n"
+            "Hint: Total mismatched samples is 6220 out of 6283 samples\n\n"
+            "Simulation finished at 62830 ps\nMismatches: 6220 in 6283 samples\n"
+            "Outcome: simulated\nMismatches: 6220\nSamples: 6283\n",
+        ),
+        (
+            reply_with_module("pass"),
+            "Extraction: fenced_block\nCompile status: ok\n"
+            "Simulation exit_ok: True\nSimulation timed_out: False\n--- simulation stdout ---\n"
+            "Simulation finished at 1000 ps\nMismatches: 0 in 100 samples\n"
+            "Outcome: simulated\nMismatches: 0\nSamples: 100\n",
+        ),
+        (
+            reply_with_module("hang"),
+            "Extraction: fenced_block\nCompile status: ok\n"
+            "Simulation exit_ok: False\nSimulation timed_out: True\n"
+            "Outcome: sim_crash_or_timeout\nSimulation timed out after 60 seconds and was killed.\n",
+        ),
+        (
+            reply_with_module("crash"),
+            "Extraction: fenced_block\nCompile status: ok\n"
+            "Simulation exit_ok: False\nSimulation timed_out: False\n"
+            "--- simulation stderr ---\nscripted simulator crash\n"
+            "Outcome: sim_crash_or_timeout\n"
+            "Simulation crashed before printing a testbench summary.\n",
+        ),
+        (
+            reply_with_module("silent"),
+            "Extraction: fenced_block\nCompile status: ok\n"
+            "Simulation exit_ok: True\nSimulation timed_out: False\n"
+            "--- simulation stdout ---\nsimulation ran quietly\n"
+            "Outcome: sim_crash_or_timeout\n"
+            "Simulation finished without printing a testbench summary.\n",
+        ),
+        (
+            "```verilog\nmodule top_module();\n  // eda: warning\n  // eda: silent\nendmodule\n```",
+            "Extraction: fenced_block\nCompile status: ok_with_warnings\n"
+            "warning: top_module.sv:1: warning: scripted warning\n"
+            "Simulation exit_ok: True\nSimulation timed_out: False\n"
+            "--- simulation stdout ---\nsimulation ran quietly\nOutcome: compile_warned_no_sim\n",
+        ),
+        (
+            reply_with_module("pass", fenced=False),
+            "Extraction: module_span\nCompile status: ok\n"
+            "Simulation exit_ok: True\nSimulation timed_out: False\n--- simulation stdout ---\n"
+            "Simulation finished at 1000 ps\nMismatches: 0 in 100 samples\n"
+            "Outcome: simulated\nMismatches: 0\nSamples: 100\n",
+        ),
+    ])
+    def test_candidate_log_bytes(self, task, tmp_path, reply, log):
+        # Every offline reply kind, plus a warned compile with no summary and
+        # an unfenced module: the per-candidate log is pinned byte for byte.
+        self.run(task, reply, tmp_path)
+        assert (tmp_path / "response0" / "log.txt").read_bytes() == f"Task: top_module\n{log}".encode()
 
     def test_compile_error(self, task, tmp_path):
         outcome = self.run(task, reply_with_module("compile-error"), tmp_path)
@@ -290,8 +366,7 @@ class TestIcarusLive:
     def test_undeclared_signal_is_compile_error(self, tmp_path):
         task, _ = _mux_task("mux2to1_good.sv")
         bad = "module mux2to1(input a, input b, input sel, output out);\n  assign out = nosuch;\nendmodule"
-        tools = ToolchainConfig(extra_flags=())
-        compiled = compile_design(bad, task.testbench_src, tmp_path, task.name, tools)
+        compiled = compile_design(bad, task.testbench_src, tmp_path, task.name)
         assert compiled.status is CompileStatus.ERROR
         assert len(compiled.messages) >= 1
 

@@ -26,13 +26,13 @@ from hdlsmith.core import (
 from hdlsmith.edatools import ToolNotFoundError
 from hdlsmith.faketools import offline_evaluate, passing_reply, reply_with_module
 from hdlsmith.prompts import FeedbackMode
+from hdlsmith.search import ModelSchedule
 from hdlsmith.runcfg import (
     ConfigError,
     InvalidScheduleError,
     MissingFileError,
     MissingKeyError,
     TypeMismatchError,
-    build_schedule,
     execute_run,
     load_config,
     write_run_log,
@@ -80,23 +80,25 @@ class TestLoadConfig:
         assert cfg.num_candidates == 5
         assert cfg.iterations == 5
         assert cfg.mixed_model is False
-        assert cfg.model_id == "gpt-4o-mini"
-        assert [(e.start_iteration, e.model_id) for e in cfg.schedule_entries] == [
+        assert cfg.schedule == ModelSchedule.single(lookup_model("gpt-4o-mini", "ChatGPT"))
+
+    def test_inactive_schedule_entries_are_checked_but_unused(self, tmp_path):
+        path = write_config(tmp_path)
+        assert [e.model.model_id for e in load_config(path).schedule.entries] == ["gpt-4o-mini"]
+        schedule = load_config(path, ["general.mixed-model=true"]).schedule
+        assert [(e.start_iteration, e.model.model_id) for e in schedule.entries] == [
             (0, "gpt-4o-mini"),
             (-1, "gpt-4o"),
         ]
-
-    def test_inactive_schedule_entries_are_retained_but_unused(self, tmp_path):
-        cfg = load_config(write_config(tmp_path))
-        schedule = build_schedule(cfg)
-        assert [e.model.model_id for e in schedule.entries] == ["gpt-4o-mini"]
+        with pytest.raises(InvalidScheduleError) as excinfo:
+            load_config(path, ["mixed-model.model2.start_iteration=-2"])
+        assert excinfo.value.key_path == "mixed-model.model2.start_iteration"
 
     def test_active_mixed_model_schedule(self, tmp_path):
         document = json.loads(json.dumps(EXAMPLE_CONFIG))
         document["general"]["mixed-model"] = True
         cfg = load_config(write_config(tmp_path, document))
-        schedule = build_schedule(cfg)
-        assert schedule.final_model.model_id == "gpt-4o"
+        assert cfg.schedule.final_model.model_id == "gpt-4o"
 
     def test_missing_testbench_key(self, tmp_path):
         document = json.loads(json.dumps(EXAMPLE_CONFIG))
@@ -149,6 +151,24 @@ class TestLoadConfig:
             load_config(write_config(tmp_path, document))
         assert excinfo.value.key_path == "mixed-model"
 
+    @pytest.mark.parametrize(
+        "overrides, faults, key_path",
+        [
+            (["general.mixed-model=true", "mixed-model.model1.start_iteration=1"], ["name"],
+             "general.name"),
+            (["general.sim_timeout=0"], ["model_id"], "general.sim_timeout"),
+            ([], ["model_family", "model_id"], "general.model_family"),
+        ],
+    )
+    def test_first_fault_in_document_order_is_reported(self, tmp_path, overrides, faults, key_path):
+        # Keys are checked in a fixed order and the schedule rules last.
+        document = json.loads(json.dumps(EXAMPLE_CONFIG))
+        for key in faults:
+            del document["general"][key]
+        with pytest.raises(ConfigError) as excinfo:
+            load_config(write_config(tmp_path, document), overrides)
+        assert excinfo.value.key_path == key_path
+
     def test_feedback_mode_parsing(self, tmp_path):
         document = json.loads(json.dumps(EXAMPLE_CONFIG))
         document["general"]["feedback_mode"] = "full"
@@ -176,7 +196,8 @@ class TestLoadConfig:
     def test_overrides_apply_before_validation(self, tmp_path):
         path = write_config(tmp_path)
         cfg = load_config(path, ["general.num_candidates=2", "general.model_id=mock"])
-        assert cfg.num_candidates == 2 and cfg.model_id == "mock"
+        assert cfg.num_candidates == 2
+        assert cfg.schedule.entries[0].model.model_id == "mock"
         with pytest.raises(TypeMismatchError) as excinfo:
             load_config(path, ["general.num_candidates=two"])
         assert excinfo.value.key_path == "general.num_candidates"
@@ -251,12 +272,12 @@ class TestRunLogGrammar:
 
 
 class TestExecuteRun:
-    def run_config(self, tmp_path, *, k=2, d=1):
+    def run_config(self, tmp_path, *, k=2, d=1, overrides=()):
         document = json.loads(json.dumps(EXAMPLE_CONFIG))
         document["general"].update(
             model_family="mock", model_id="mock", num_candidates=k, iterations=d
         )
-        return load_config(write_config(tmp_path, document))
+        return load_config(write_config(tmp_path, document), overrides)
 
     def listing(self, root: Path) -> list[str]:
         return sorted(
@@ -382,7 +403,7 @@ class TestExecuteRun:
         assert list(cfg.outdir.iterdir()) == []
 
     def test_any_registered_family_is_served(self, tmp_path):
-        cfg = replace(self.run_config(tmp_path, k=1, d=0), model_family="mylocal")
+        cfg = self.run_config(tmp_path, k=1, d=0, overrides=["general.model_family=mylocal"])
         backend = MockBackend({("top_module", 0, 0): passing_reply()})
         trace = execute_run(cfg, {"mylocal": backend}, evaluator=offline_evaluate)
         assert trace.termination is Termination.ALL_TESTS_PASSED
@@ -394,7 +415,9 @@ class TestExecuteRun:
         [(False, "general.model_family", "local"), (True, "mixed-model", "ChatGPT")],
     )
     def test_family_without_backend_raises_before_the_outdir(self, tmp_path, mixed_model, key_path, family):
-        cfg = replace(self.run_config(tmp_path), model_family="local", mixed_model=mixed_model)
+        family_override = "general.model_family=local"
+        flag_override = f"general.mixed-model={json.dumps(mixed_model)}"
+        cfg = self.run_config(tmp_path, overrides=[family_override, flag_override])
         backend = MockBackend({})
         with pytest.raises(ConfigError) as info:
             execute_run(cfg, {"mock": backend}, evaluator=offline_evaluate)

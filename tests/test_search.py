@@ -388,6 +388,18 @@ class TestBackendFailures:
                 {}, evaluator=offline_evaluate,
             )
 
+    def test_missing_final_family_raises_before_any_request(self, task, tmp_path):
+        # The final-iteration model serves only depth 3, yet nothing is paid for.
+        final = ScheduleEntry(FINAL_ITERATION, lookup_model("x", "foo"))
+        sched = ModelSchedule((ScheduleEntry(0, MOCK_MODEL), final))
+        backend = MockBackend({})
+        with pytest.raises(KeyError, match="no backend registered for model family 'foo'"):
+            run_search(
+                task, search_config(2, 3, tmp_path), sched, {"mock": backend},
+                evaluator=offline_evaluate,
+            )
+        assert backend.calls == []
+
     def test_any_registered_family_is_served(self, task, tmp_path):
         # The registry alone decides which families exist.
         backend = MockBackend({("top_module", 1, 0): passing_reply()})
