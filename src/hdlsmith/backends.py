@@ -156,31 +156,26 @@ class _ProbeRule:
     A probe goes alone, so that a rejection every request of the call would
     get (bad credentials, throttling, a window over the context limit) costs
     one request, not k; it also costs a round trip. So a call probes only
-    where such a rejection is likely: while no request of this backend has
-    succeeded yet, on the next call after any request was rejected (that
-    call reads and clears the flag), and for a window within
-    ``NEAR_LIMIT_MARGIN`` of the model's context limit.
+    where such a rejection is likely: while the backend is failing, and for
+    a window within ``NEAR_LIMIT_MARGIN`` of the model's context limit. A
+    backend is failing until a call ends with every request answered, and
+    again once a call ends with a request that finally failed; a request
+    that a retry recovered was answered.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
-        self._proven = False
-        self._wary = False
+        self._failing = True
 
     def should_probe(self, req: GenerationRequest) -> bool:
         limit = req.model.max_context_tokens
         near_limit = estimate_tokens(req.conversation) >= (1 - NEAR_LIMIT_MARGIN) * limit
         with self._lock:
-            wary, self._wary = self._wary, False
-            return wary or not self._proven or near_limit
+            return self._failing or near_limit
 
-    def saw_reply(self) -> None:
+    def call_ended(self, failed: bool) -> None:
         with self._lock:
-            self._proven = True
-
-    def saw_rejection(self) -> None:
-        with self._lock:
-            self._wary = True
+            self._failing = failed
 
 
 def _fan_out(req: GenerationRequest, request: Callable[[], Reply], rule: _ProbeRule) -> tuple[Reply, ...]:
@@ -197,7 +192,8 @@ def _fan_out(req: GenerationRequest, request: Callable[[], Reply], rule: _ProbeR
     the calling thread and handed over there once the others are submitted.
     If any request fails, its error is raised only after every in-flight
     request has returned and been handed over, so no thread outlives the
-    call.
+    call. However the call ends, ``rule`` then learns whether any request
+    failed.
     """
     k = req.num_candidates
     deliver = req.on_reply or (lambda index, reply: None)
@@ -209,10 +205,8 @@ def _fan_out(req: GenerationRequest, request: Callable[[], Reply], rule: _ProbeR
         try:
             reply = request()
         except Exception as exc:
-            rule.saw_rejection()
             errors.append(exc)
             return None
-        rule.saw_reply()
         with lock:
             replies.append(reply)
             return len(replies) - 1, reply
@@ -222,29 +216,34 @@ def _fan_out(req: GenerationRequest, request: Callable[[], Reply], rule: _ProbeR
         if received is not None:
             deliver(*received)
 
-    # Decide on the probe once, up front: the pool threads are appending to
-    # ``replies`` while the calling thread makes its own request.
-    probe = receive() if rule.should_probe(req) or k == 1 else None
-    if errors:
-        raise errors[0]
-    if k == 1:
-        deliver(*probe)
-        return tuple(replies)
-    # Imported here, not at module scope: the import takes milliseconds, and
-    # a process that only ever asks for one reply at a time needs no pool.
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=min(k, MAX_IN_FLIGHT) - 1) as pool:
-        futures = [pool.submit(attempt) for _ in range(k - 1)]
-        if probe is None:
-            attempt()
-        else:
+    try:
+        # Decide on the probe once, up front: the pool threads are appending
+        # to ``replies`` while the calling thread makes its own request.
+        probe = receive() if rule.should_probe(req) or k == 1 else None
+        if errors:
+            raise errors[0]
+        if k == 1:
             deliver(*probe)
-    for future in futures:
-        future.result()  # re-raises anything ``attempt`` does not catch
-    if errors:
-        raise errors[0]
-    return tuple(replies)
+            return tuple(replies)
+        # Imported here, not at module scope: the import takes milliseconds,
+        # and a process that only ever asks for one reply at a time needs no pool.
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=min(k, MAX_IN_FLIGHT) - 1) as pool:
+            futures = [pool.submit(attempt) for _ in range(k - 1)]
+            if probe is None:
+                attempt()
+            else:
+                deliver(*probe)
+        for future in futures:
+            future.result()  # re-raises anything ``attempt`` does not catch
+        if errors:
+            raise errors[0]
+        return tuple(replies)
+    finally:
+        # Once per call, after every request has returned: a failure and a
+        # success recorded per request would race.
+        rule.call_ended(failed=bool(errors))
 
 
 # Transport signature: (url, headers, json_body) -> (status_code, payload).
@@ -343,7 +342,6 @@ class _HttpBackend:
                 _raise_for_status(status, payload)
                 return payload
             except (RateLimitedError, TransportError):
-                self._probe.saw_rejection()
                 if attempt + 1 == self.retry.attempts:
                     raise
                 self._sleep(backoff_delay(self.retry, attempt, self._rng))

@@ -203,12 +203,12 @@ def run_suite(
 
     A model family with no backend raises ``KeyError``, and with the default
     evaluator a compiler or runtime that cannot be found raises
-    ``ToolNotFoundError``, and a grid point that :class:`SearchConfig` rejects
-    raises ``ValueError``, before any search. Any error a search raises, such
-    as an evaluator or tool I/O error, ends the sweep and is raised here. Tasks
-    of one search run concurrently up to ``parallelism``, aggregated in task
-    order; after an error the queued ones are cancelled and the running ones
-    finish before it is raised.
+    ``ToolNotFoundError``, and a grid point or a ``sim_timeout`` that
+    :class:`SearchConfig` rejects raises ``ValueError``, before any search.
+    Any error a search raises, such as an evaluator or tool I/O error, ends
+    the sweep and is raised here. Tasks of one search run concurrently up to
+    ``parallelism``, aggregated in task order; after an error the queued ones
+    are cancelled and the running ones finish before it is raised.
     """
     grid = list(grid)
     if not grid:

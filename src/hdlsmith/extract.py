@@ -26,10 +26,6 @@ class ExtractionResult:
         if (self.module_src is None) != (self.source is ExtractionSource.NONE):
             raise ValueError("module_src present exactly when a source was found")
 
-    @property
-    def char_length(self) -> int:
-        return len(self.module_src) if self.module_src is not None else 0
-
 
 def _mask_line_comments(text: str) -> str:
     # Blank out '//...' to end of line with spaces so offsets are preserved.

@@ -119,4 +119,3 @@ def reply_with_module(directive: str = "", name: str = "top_module", fenced: boo
 
 
 passing_reply = partial(reply_with_module, "pass")
-failing_reply = partial(reply_with_module, f"mismatches={DEFAULT_MISMATCHES} samples={DEFAULT_SAMPLES}")

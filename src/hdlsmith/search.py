@@ -8,6 +8,7 @@ and otherwise reports the best candidate seen anywhere in the tree.
 
 from __future__ import annotations
 
+import math
 import shutil
 from dataclasses import dataclass, replace
 from functools import partial
@@ -66,6 +67,8 @@ class SearchConfig:
             raise ValueError("num_candidates must be at least 1")
         if self.max_depth < 0:
             raise ValueError("max_depth must be non-negative")
+        if not (math.isfinite(self.sim_timeout) and self.sim_timeout > 0):
+            raise ValueError("sim_timeout must be a positive finite number")
 
 
 @dataclass(frozen=True)

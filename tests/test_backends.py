@@ -591,8 +591,15 @@ class TestProbeRule:
         assert not transport.call(backend, req)
         transport.statuses.append(429)  # one request is throttled, then retried
         assert not transport.call(backend, req)
-        assert transport.call(backend, req)
-        assert not transport.call(backend, req)
+        assert not transport.call(backend, req)  # the retry recovered: nothing failed
+        # Every request is answered 429 on every attempt, or refused with 401.
+        for status, error, attempts in [(429, RateLimitedError, backend.retry.attempts), (401, AuthError, 1)]:
+            transport.statuses.extend([status] * (req.num_candidates * attempts))
+            with pytest.raises(error):
+                backend.generate(req)
+            assert not transport.statuses
+            assert transport.call(backend, req)
+            assert not transport.call(backend, req)
 
     def test_near_limit_window_probes_and_its_rejection_costs_one_request(self, http_family):
         transport = LoggingTransport(http_family[1])

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import warnings
 from collections import Counter
 from decimal import Decimal
@@ -216,6 +217,20 @@ class TestRunSuite:
             run_suite(
                 load_suite(make_suite_dir(tmp_path)), grid, self.schedule(), {"mock": backend},
                 evaluator=offline_evaluate, workdir=tmp_path / "work",
+            )
+        assert backend.calls == []
+        assert not (tmp_path / "work").exists()
+
+    @pytest.mark.parametrize("sim_timeout", [math.nan, math.inf, 0, -1])
+    def test_bad_sim_timeout_raises_before_any_search(self, tmp_path, sim_timeout):
+        # Unchecked, NaN or inf would fail in the simulator after a billed
+        # query, and 0 or -1 would time out every simulation as 0% success.
+        backend = MockBackend({})
+        with pytest.raises(ValueError, match="sim_timeout must be a positive finite number"):
+            run_suite(
+                load_suite(make_suite_dir(tmp_path)), [GridPoint(1, 1)], self.schedule(),
+                {"mock": backend}, evaluator=offline_evaluate, workdir=tmp_path / "work",
+                sim_timeout=sim_timeout,
             )
         assert backend.calls == []
         assert not (tmp_path / "work").exists()

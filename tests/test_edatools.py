@@ -340,6 +340,53 @@ class TestRealDriverWithFakeBinaries:
         assert outcome.kind is OutcomeKind.COMPILE_ERROR
         assert "compile timed out" in outcome.compile_messages[0]
 
+    def test_failed_compile_keeps_classified_lines(self, task, tmp_path):
+        compiler = tmp_path / "failing_iverilog"
+        compiler.write_text(
+            "#!/bin/sh\n"
+            "cat >&2 <<'EOF'\n"
+            "top_module.sv:2: error: Unable to bind wire/reg/memory `nosuch'\n"
+            "\n"
+            "top_module.sv:1: note: in module top_module\n"
+            "EOF\n"
+            "exit 1\n"
+        )
+        compiler.chmod(0o755)
+        tools = ToolchainConfig(compiler=str(compiler), runtime=str(compiler))
+        result = compile_design("module top_module(); endmodule", "module tb(); endmodule",
+                                tmp_path / "c0", "top_module", tools)
+        assert result.status is CompileStatus.ERROR
+        assert result.artifact_path is None
+        assert result.messages == (
+            ("error", "top_module.sv:2: error: Unable to bind wire/reg/memory `nosuch'"),
+            ("info", "top_module.sv:1: note: in module top_module"),
+        )
+        outcome = evaluate("module top_module(); endmodule", task, tmp_path / "r0",
+                           timeout=10.0, tools=tools)
+        assert outcome.kind is OutcomeKind.COMPILE_ERROR
+        assert outcome.compile_messages == result.raw_messages
+
+    def test_hanging_simulation_is_killed_and_keeps_its_output(self, task, tmp_path):
+        compiler, runtime = tmp_path / "quiet_iverilog", tmp_path / "hanging_vvp"
+        compiler.write_text(
+            '#!/bin/sh\nfor a in "$@"; do [ "$prev" = "-o" ] && echo compiled > "$a"; prev="$a"; done\n'
+        )
+        # exec, so the kill reaches the sleeping process that holds the pipes.
+        runtime.write_text("#!/bin/sh\necho 'partial line'\nexec sleep 30\n")
+        for binary in (compiler, runtime):
+            binary.chmod(0o755)
+        tools = ToolchainConfig(compiler=str(compiler), runtime=str(runtime))
+        start = time.monotonic()
+        outcome = evaluate("module top_module(); endmodule", task, tmp_path / "r0",
+                           timeout=0.2, tools=tools)
+        assert time.monotonic() - start < 10
+        sim = simulate(tmp_path / "r0" / "top_module.vvp", timeout=0.2, tools=tools)
+        assert sim.timed_out and not sim.exit_ok
+        assert sim.stdout == "partial line\n"
+        assert outcome.kind is OutcomeKind.SIM_CRASH_OR_TIMEOUT
+        assert outcome.sim_stdout == "partial line\n"
+        assert outcome.diagnosis == "Simulation timed out after 0.2 seconds and was killed."
+
 
 def _mux_task(module_fixture: str) -> tuple[DesignTask, str]:
     task = DesignTask(

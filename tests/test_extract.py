@@ -47,10 +47,6 @@ class TestFencedExtraction:
         assert result.source is ExtractionSource.MODULE_SPAN
         assert result.module_src == "module real_one(); endmodule"
 
-    def test_char_length_matches(self):
-        result = extract_module("```\nmodule m(); endmodule\n```")
-        assert result.char_length == len(result.module_src)
-
 
 class TestSpanExtraction:
     def test_span_covers_all_modules(self):
@@ -89,7 +85,6 @@ class TestExtractionProperties:
         result = extract_module("I cannot help with that request.")
         assert result.module_src is None
         assert result.source is ExtractionSource.NONE
-        assert result.char_length == 0
 
     identifier = st.from_regex(r"[a-z][a-z0-9_]{0,8}", fullmatch=True)
 
