@@ -457,20 +457,14 @@ class CommandBackend:
         return _fan_out(req, partial(self._run, self._render(req.conversation)), self._probe)
 
     def _run(self, prompt: str) -> Reply:
-        import subprocess  # here, not at module scope: only this backend starts processes
+        from .edatools import run_process  # here, not at module scope: only this backend starts processes
 
         try:
-            proc = subprocess.run(
-                list(self.argv),
-                input=prompt,
-                capture_output=True,
-                text=True,
-                timeout=self.timeout,
-            )
-        except subprocess.TimeoutExpired as exc:
-            raise TransportError(f"local model timed out after {self.timeout:g}s") from exc
+            proc = run_process(self.argv, self.timeout, input=prompt)
         except OSError as exc:
             raise TransportError(str(exc)) from exc
+        if proc.returncode is None:
+            raise TransportError(f"local model timed out after {self.timeout:g}s")
         if proc.returncode != 0:
             raise TransportError(f"local model exited {proc.returncode}: {proc.stderr.strip()}")
         return proc.stdout, TokenUsage(math.ceil(len(prompt) / 4), math.ceil(len(proc.stdout) / 4))

@@ -121,9 +121,9 @@ def load_suite(directory: str | Path) -> list[DesignTask]:
     manifest_path = directory / MANIFEST_NAME
     if manifest_path.is_file():
         try:
-            manifest = json.loads(manifest_path.read_text())
+            manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
             problem = None if isinstance(manifest, dict) else "not a JSON object"
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # invalid JSON, or bytes that are not UTF-8
             problem = f"not valid JSON ({exc})"
         if problem is not None:
             warnings.warn(

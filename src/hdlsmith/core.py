@@ -14,6 +14,8 @@ from enum import Enum
 from typing import NamedTuple, Sequence
 
 _IDENTIFIER_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+# The authoritative summary line of a self-checking testbench.
+MISMATCH_LINE_RE = re.compile(r"^Mismatches: (\d+) in (\d+) samples\s*$")
 
 # Ranking scale for candidates that never produced a usable simulation.
 RANK_NO_MODULE = -2.0
@@ -111,14 +113,6 @@ class ModelSpec:
                 raise ValueError(f"{name} must be non-negative")
         if self.max_context_tokens < 1:
             raise ValueError("max_context_tokens must be positive")
-
-
-class OutputHint(NamedTuple):
-    """One per-output line from a testbench summary."""
-
-    output_name: str
-    mismatch_count: int
-    first_mismatch_time: int
 
 
 @dataclass(frozen=True)

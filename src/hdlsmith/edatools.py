@@ -8,15 +8,14 @@ sources, the compiled artifact and a per-candidate log.
 
 from __future__ import annotations
 
-import re
 import shutil
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple, Sequence
 
-from .core import DesignTask, EvalOutcome, OutcomeKind, OutputHint
+from .core import MISMATCH_LINE_RE, DesignTask, EvalOutcome, OutcomeKind
 from .extract import ExtractionSource, extract_module
 
 
@@ -65,16 +64,14 @@ class SimResult:
 
 @dataclass(frozen=True)
 class TestbenchSummary:
-    """Mismatch totals and per-output hints printed by a self-checking bench."""
+    """Mismatch totals printed by a self-checking bench."""
 
     __test__ = False  # keep pytest from collecting this as a test class
 
     total_mismatches: int
     total_samples: int
-    hints: tuple[OutputHint, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "hints", tuple(OutputHint(*h) for h in self.hints))
         if self.total_samples < 1:
             raise ValueError("total_samples must be positive")
         if not 0 <= self.total_mismatches <= self.total_samples:
@@ -97,34 +94,63 @@ DEFAULT_SIM_TIMEOUT = 60.0
 # a second, and a slow compiler start must not turn a good module into an error.
 COMPILE_TIMEOUT = 60.0
 
-_HINT_RE = re.compile(
-    r"^Hint: Output '([^']+)' has (\d+) mismatches\. "
-    r"First mismatch occurred at time (\d+)\.?\s*$"
-)
-_TOTAL_RE = re.compile(r"^Mismatches: (\d+) in (\d+) samples\s*$")
-
-
 def require_tools(tools: ToolchainConfig = DEFAULT_TOOLS) -> None:
     """Raise ``ToolNotFoundError`` unless both the compiler and the runtime
     resolve to executables (a name on ``PATH`` or a path)."""
-    if shutil.which(tools.compiler) is None:
-        raise ToolNotFoundError(f"compiler not found: {tools.compiler}")
-    if shutil.which(tools.runtime) is None:
-        raise ToolNotFoundError(f"simulation runtime not found: {tools.runtime}")
+    for role, binary in (("compiler", tools.compiler), ("simulation runtime", tools.runtime)):
+        if shutil.which(binary) is None:
+            raise ToolNotFoundError(f"{role} not found: {binary}")
+
+
+class ProcessRun(NamedTuple):
+    returncode: int | None  # None: killed at its timeout
+    stdout: str
+    stderr: str
+
+
+def _decode(output: bytes | None) -> str:
+    # As text mode reads a pipe, except that no byte can make it raise.
+    return (output or b"").decode("utf-8", "replace").replace("\r\n", "\n").replace("\r", "\n")
+
+
+def run_process(
+    argv: Sequence[str], timeout: float, cwd: Path | None = None, input: str | None = None
+) -> ProcessRun:
+    """Run ``argv``, killing it after ``timeout`` seconds; every process starts here.
+
+    ``input`` goes to stdin as UTF-8. Both pipes are decoded once, as UTF-8
+    with U+FFFD for any byte that does not decode and with text mode's
+    newlines (CRLF and CR become LF), so no output can raise. A killed
+    process gives ``returncode=None`` and its output so far. An ``OSError``
+    from starting the process propagates.
+    """
+    import subprocess  # here, not at module scope: only a process run needs it
+
+    stdin = None if input is None else input.encode()
+    try:
+        proc = subprocess.run(argv, cwd=cwd, input=stdin, capture_output=True, timeout=timeout)
+    except subprocess.TimeoutExpired as exc:
+        return ProcessRun(None, _decode(exc.stdout), _decode(exc.stderr))
+    return ProcessRun(proc.returncode, _decode(proc.stdout), _decode(proc.stderr))
+
+
+def _run_tool(argv: list[str], timeout: float, cwd: Path, role: str) -> ProcessRun:
+    try:
+        return run_process(argv, timeout, cwd=cwd)
+    except FileNotFoundError as exc:
+        raise ToolNotFoundError(f"{role} not found: {argv[0]}") from exc
+    except OSError as exc:
+        raise ToolIoError(str(exc)) from exc
 
 
 def tool_version(tools: ToolchainConfig = DEFAULT_TOOLS) -> str | None:
-    """First line of the compiler's version banner, or None when unavailable."""
-    import subprocess  # here, not at module scope: only a tool run needs it
-
+    """First line of the compiler's version banner; None if it cannot start or times out."""
     try:
-        proc = subprocess.run(
-            [tools.compiler, "-V"], capture_output=True, text=True, timeout=10.0
-        )
-    except (OSError, subprocess.TimeoutExpired):
+        proc = run_process([tools.compiler, "-V"], timeout=10.0)
+    except OSError:
         return None
     banner = (proc.stdout or proc.stderr).strip().splitlines()
-    return banner[0] if banner else None
+    return banner[0] if banner and proc.returncode is not None else None
 
 
 def write_candidate_sources(
@@ -171,22 +197,13 @@ def compile_design(
     diagnostics attached. A compiler still running after ``COMPILE_TIMEOUT``
     seconds is killed and the result is an ``ERROR`` saying so.
     """
-    import subprocess
-
     module_path, tb_path = write_candidate_sources(module_src, testbench_src, workdir, top_name)
     artifact = workdir / f"{top_name}.vvp"
     argv = [tools.compiler, LANGUAGE_FLAG, "-o", artifact.name, module_path.name, tb_path.name]
-    try:
-        proc = subprocess.run(
-            argv, cwd=workdir, capture_output=True, text=True, timeout=COMPILE_TIMEOUT
-        )
-    except subprocess.TimeoutExpired:
+    proc = _run_tool(argv, COMPILE_TIMEOUT, workdir, "compiler")
+    if proc.returncode is None:
         message = f"error: compile timed out after {COMPILE_TIMEOUT:g} seconds and was killed"
         return CompileResult(CompileStatus.ERROR, (("error", message),), None)
-    except FileNotFoundError as exc:
-        raise ToolNotFoundError(f"compiler not found: {tools.compiler}") from exc
-    except OSError as exc:
-        raise ToolIoError(str(exc)) from exc
     messages = _classify_lines(proc.stderr)
     if proc.returncode != 0:
         return CompileResult(CompileStatus.ERROR, messages, None)
@@ -201,46 +218,24 @@ def simulate(
     tools: ToolchainConfig = DEFAULT_TOOLS,
 ) -> SimResult:
     """Run the simulation runtime on a compiled artifact, killing it at timeout."""
-    import subprocess
-
     artifact_path = Path(artifact_path)
     if not artifact_path.exists():
         raise ToolIoError(f"simulation artifact missing: {artifact_path}")
     argv = [tools.runtime, "-n", artifact_path.name]
-    try:
-        proc = subprocess.run(
-            argv, cwd=artifact_path.parent, capture_output=True, text=True, timeout=timeout
-        )
-    except subprocess.TimeoutExpired as exc:
-        stdout = exc.stdout or ""
-        stderr = exc.stderr or ""
-        if isinstance(stdout, bytes):
-            stdout = stdout.decode(errors="replace")
-        if isinstance(stderr, bytes):
-            stderr = stderr.decode(errors="replace")
-        return SimResult(False, True, stdout, stderr)
-    except FileNotFoundError as exc:
-        raise ToolNotFoundError(f"simulation runtime not found: {tools.runtime}") from exc
-    except OSError as exc:
-        raise ToolIoError(str(exc)) from exc
-    return SimResult(proc.returncode == 0, False, proc.stdout, proc.stderr)
+    proc = _run_tool(argv, timeout, artifact_path.parent, "simulation runtime")
+    return SimResult(proc.returncode == 0, proc.returncode is None, proc.stdout, proc.stderr)
 
 
 def parse_summary(stdout: str) -> TestbenchSummary | None:
     """Extract the testbench mismatch summary from simulation stdout.
 
-    The last ``Mismatches: N in M samples`` line is authoritative; per-output
-    ``Hint:`` lines are collected in print order. Returns None when no
-    consistent summary exists, and ignores unrelated interleaved output.
+    The last ``Mismatches: N in M samples`` line is authoritative. Returns
+    None when no consistent summary exists, and ignores unrelated
+    interleaved output.
     """
-    hints = []
     totals = None
     for line in stdout.splitlines():
-        hint = _HINT_RE.match(line)
-        if hint:
-            hints.append(OutputHint(hint.group(1), int(hint.group(2)), int(hint.group(3))))
-            continue
-        total = _TOTAL_RE.match(line)
+        total = MISMATCH_LINE_RE.match(line)
         if total:
             totals = (int(total.group(1)), int(total.group(2)))
     if totals is None:
@@ -248,7 +243,7 @@ def parse_summary(stdout: str) -> TestbenchSummary | None:
     mismatches, samples = totals
     if samples < 1 or mismatches > samples:
         return None
-    return TestbenchSummary(mismatches, samples, tuple(hints))
+    return TestbenchSummary(mismatches, samples)
 
 
 CompileFn = Callable[[str, str, Path, str], CompileResult]

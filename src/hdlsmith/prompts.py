@@ -9,11 +9,10 @@ the full history.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import DesignTask, EvalOutcome, OutcomeKind
+from .core import MISMATCH_LINE_RE, DesignTask, EvalOutcome, OutcomeKind
 
 
 class Role(Enum):
@@ -79,8 +78,6 @@ NO_MODULE_FEEDBACK = (
 
 # Stands in for an empty chosen reply, since a window message cannot be empty.
 EMPTY_REPLY_PLACEHOLDER = "(empty response)"
-
-_MISMATCH_LINE_RE = re.compile(r"^Mismatches: \d+ in \d+ samples\s*$")
 
 
 def system_prompt() -> str:
@@ -148,7 +145,7 @@ def _summary_block(stdout: str) -> str:
     hints = [line for line in lines if line.startswith("Hint:")]
     final = None
     for line in lines:
-        if _MISMATCH_LINE_RE.match(line):
+        if MISMATCH_LINE_RE.match(line):
             final = line
     block = hints + ([final] if final is not None else [])
     return "\n".join(block) if block else stdout

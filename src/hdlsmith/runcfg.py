@@ -85,9 +85,7 @@ class RunConfig:
     ``mixed_model`` is set, else the single ``general`` model.
     """
 
-    prompt: Path
-    name: str
-    testbench: Path
+    task: DesignTask  # the prompt and testbench text, read by parse_config
     schedule: ModelSchedule
     num_candidates: int
     iterations: int
@@ -96,6 +94,10 @@ class RunConfig:
     mixed_model: bool
     feedback_mode: FeedbackMode = FeedbackMode.SUCCINCT
     sim_timeout: float = DEFAULT_SIM_TIMEOUT
+
+    @property
+    def name(self) -> str:
+        return self.task.name
 
 
 def _require(mapping: Mapping, key: str, path: str):
@@ -137,15 +139,15 @@ def load_config(path: str | Path, overrides: Sequence[str] = ()) -> RunConfig:
 
     ``overrides`` are ``key.path=value`` strings applied to the document
     before validation. Referenced prompt/testbench paths are resolved
-    relative to the config file and must exist. Unknown keys are warnings,
-    not errors.
+    relative to the config file and must be non-empty UTF-8 text files, as
+    must the config file itself. Unknown keys are warnings, not errors.
     """
     path = Path(path)
     try:
-        raw = json.loads(path.read_text())
+        raw = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise MissingFileError(str(path), str(exc)) from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # invalid JSON, or bytes that are not UTF-8
         raise TypeMismatchError(str(path), f"not valid JSON: {exc}") from exc
     return parse_config(_apply_overrides(raw, overrides), base_dir=path.parent)
 
@@ -192,11 +194,7 @@ def parse_config(raw: object, base_dir: Path | None = None) -> RunConfig:
         if key not in _KNOWN_GENERAL_KEYS:
             warnings.warn(f"unknown configuration key: general.{key}", stacklevel=2)
 
-    prompt = base_dir / _require_str(general, "prompt", "general")
-    testbench = base_dir / _require_str(general, "testbench", "general")
-    for key, file in (("prompt", prompt), ("testbench", testbench)):
-        if not file.is_file():
-            raise MissingFileError(f"general.{key}", f"file not found: {file}")
+    prompt_text, testbench_text = (_read_task_file(general, key, base_dir) for key in ("prompt", "testbench"))
 
     mixed_flag = general.get("mixed-model", False)
     if not isinstance(mixed_flag, bool):
@@ -211,12 +209,14 @@ def parse_config(raw: object, base_dir: Path | None = None) -> RunConfig:
         raise TypeMismatchError("general.sim_timeout", "expected a positive finite number")
 
     name = _require_str(general, "name", "general")
+    try:
+        task = DesignTask(name, prompt_text, testbench_text)
+    except ValueError as exc:  # the texts are non-empty, so the name is at fault
+        raise TypeMismatchError("general.name", str(exc)) from None
     family = _require_str(general, "model_family", "general")
     model = lookup_model(_require_str(general, "model_id", "general"), family)
     return RunConfig(
-        prompt=prompt,
-        name=name,
-        testbench=testbench,
+        task=task,
         num_candidates=_require_int(general, "num_candidates", "general", minimum=1),
         iterations=_require_int(general, "iterations", "general", minimum=0),
         outdir=base_dir / _require_str(general, "outdir", "general"),
@@ -227,6 +227,19 @@ def parse_config(raw: object, base_dir: Path | None = None) -> RunConfig:
         # Last: the schedule rules are checked after every key is read.
         schedule=_active_schedule(mixed_flag, entries, model),
     )
+
+
+def _read_task_file(general: Mapping, key: str, base_dir: Path) -> str:
+    file = base_dir / _require_str(general, key, "general")
+    if not file.is_file():
+        raise MissingFileError(f"general.{key}", f"file not found: {file}")
+    try:
+        text = file.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise TypeMismatchError(f"general.{key}", f"{file} is not UTF-8 text: {exc}") from None
+    if not text:
+        raise TypeMismatchError(f"general.{key}", f"file is empty: {file}")
+    return text
 
 
 def _active_schedule(
@@ -294,7 +307,6 @@ def execute_run(
         require_tools(tools)
         evaluator = partial(evaluate, tools=tools)
         version = tool_version(tools)
-    task = DesignTask(cfg.name, cfg.prompt.read_text(), cfg.testbench.read_text())
     search_cfg = SearchConfig(
         num_candidates=cfg.num_candidates,
         max_depth=cfg.iterations,
@@ -308,7 +320,7 @@ def execute_run(
     # raises out of run_search and leaves the partial tree, and an empty
     # log, on disk for post-mortem inspection.
     with open(log_path, "w") as sink:
-        trace = run_search(task, search_cfg, cfg.schedule, backends, evaluator=evaluator)
+        trace = run_search(cfg.task, search_cfg, cfg.schedule, backends, evaluator=evaluator)
         if version:
             sink.write(f"Tool version: {version}\n")
         write_run_log(trace, sink)

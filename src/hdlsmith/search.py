@@ -9,6 +9,7 @@ and otherwise reports the best candidate seen anywhere in the tree.
 from __future__ import annotations
 
 import math
+import re
 import shutil
 from dataclasses import dataclass, replace
 from functools import partial
@@ -49,6 +50,7 @@ from .prompts import (
 )
 
 FINAL_ITERATION = -1  # sentinel start_iteration marking the final-pass model
+_SURROGATE_RE = re.compile("[\ud800-\udfff]")
 
 
 @dataclass(frozen=True)
@@ -243,6 +245,8 @@ def _evaluate_one(
     # A failover retry evaluates into the workdirs whose replies the rejected
     # call may already have written; the candidate's files replace theirs.
     text, usage = reply
+    # A lone surrogate (JSON "\ud800") cannot be written; U+FFFD keeps trace and files equal.
+    text = _SURROGATE_RE.sub("\ufffd", text)
     workdir = cfg.outdir / f"iter{depth}" / f"response{index}"
     if clear_workdir and workdir.exists():
         shutil.rmtree(workdir)

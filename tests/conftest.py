@@ -32,11 +32,6 @@ Mismatches: 234318 in 235447 samples
 """
 
 SAMPLE_TOTALS = (234318, 235447)
-SAMPLE_HINTS = [
-    ("count", 218816, 130),
-    ("counting", 233794, 130),
-    ("done", 524, 20130),
-]
 
 
 def run_fresh(source: str, *args: str, **env: str) -> None:

@@ -727,6 +727,25 @@ class TestCommandBackend:
         assert all("module m()" in text for text, _ in replies)
         assert all(usage.input_tokens > 0 for _, usage in replies)
 
+    def test_bytes_that_are_not_utf8_become_replacement_characters(self):
+        backend = CommandBackend(("/bin/sh", "-c", "cat > /dev/null; printf 'module m(); endmodule \\377\\r\\n'"))
+        req = GenerationRequest(two_turn_conversation(), lookup_model("local-model", "local"), 1)
+        ((text, usage),) = backend.generate(req)
+        assert text == "module m(); endmodule \ufffd\n"
+        assert usage.output_tokens == 6
+
+    def test_timeout_is_transport_error(self):
+        backend = CommandBackend(("/bin/sh", "-c", "exec sleep 30"), timeout=0.2)
+        req = GenerationRequest(two_turn_conversation(), lookup_model("local-model", "local"), 1)
+        with pytest.raises(TransportError, match="local model timed out after 0.2s"):
+            backend.generate(req)
+
+    def test_start_failure_is_transport_error(self, tmp_path):
+        backend = CommandBackend((str(tmp_path / "no-such-model"),))
+        req = GenerationRequest(two_turn_conversation(), lookup_model("local-model", "local"), 1)
+        with pytest.raises(TransportError, match="No such file or directory"):
+            backend.generate(req)
+
     def test_nonzero_exit_is_transport_error(self):
         backend = CommandBackend((sys.executable, "-c", "import sys; sys.exit(3)"))
         req = GenerationRequest(two_turn_conversation(), lookup_model("local-model", "local"), 1)

@@ -111,10 +111,10 @@ class TestLoadSuite:
             export_report(results, fmt, path)
             assert load_report(path) == results
 
-    @pytest.mark.parametrize("text", ["{not json", '["adder"]', '"arith"'])
-    def test_unusable_manifest_loads_every_task_untagged(self, tmp_path, text):
+    @pytest.mark.parametrize("content", [b"{not json", b'["adder"]', b'"arith"', b"\xff{}"])
+    def test_unusable_manifest_loads_every_task_untagged(self, tmp_path, content):
         suite = make_suite_dir(tmp_path)
-        (suite / "manifest.json").write_text(text)
+        (suite / "manifest.json").write_bytes(content)
         with pytest.warns(UserWarning, match="manifest.json ignored"):
             tasks = load_suite(suite)
         assert [t.name for t in tasks] == ["adder", "counter", "mux"]

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import ast
 import importlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -95,3 +97,20 @@ def test_unknown_attribute_and_star_import():
     namespace: dict = {}
     exec("from hdlsmith import *", namespace)
     assert all(namespace[name] is getattr(hdlsmith, name) for name in hdlsmith.__all__)
+
+
+def test_only_run_process_imports_subprocess():
+    # Every external process starts in edatools.run_process, so how a process
+    # is run, decoded or capped is one function's business.
+    sites = []
+    for path in sorted(Path(hdlsmith.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        functions = [n for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for node in ast.walk(tree):
+            names = [a.name for a in node.names] if isinstance(node, ast.Import) else []
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            if any(name.split(".")[0] == "subprocess" for name in names):
+                scope = [f.name for f in functions if node in ast.walk(f)]
+                sites.append((path.name, scope))
+    assert sites == [("edatools.py", ["run_process"])]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import json
+import shlex
 from dataclasses import replace
 from decimal import Decimal
 from pathlib import Path
@@ -11,11 +12,13 @@ from pathlib import Path
 import pytest
 
 from conftest import make_candidate
-from hdlsmith.backends import MockBackend, lookup_model
+from hdlsmith import cli
+from hdlsmith.backends import CommandBackend, MockBackend, lookup_model
 from hdlsmith.cli import main as cli_main
 from hdlsmith.core import (
     CostLedger,
     DepthNode,
+    DesignTask,
     EvalOutcome,
     OutcomeKind,
     SearchTrace,
@@ -127,6 +130,42 @@ class TestLoadConfig:
             load_config(path)
         assert excinfo.value.key_path == "general.prompt"
 
+    def test_task_is_read_once_when_parsed(self, tmp_path):
+        cfg = load_config(write_config(tmp_path), ["general.model_family=mock", "general.model_id=mock",
+                                                   "general.num_candidates=1", "general.iterations=0"])
+        assert cfg.task == DesignTask("top_module", "// design prompt\nmodule top_module();",
+                                      "module tb(); endmodule")
+        assert cfg.name == "top_module"
+        (tmp_path / "design_prompt.sv").unlink()
+        (tmp_path / "testbench.sv").unlink()
+        trace = execute_run(cfg, {"mock": MockBackend({("top_module", 0, 0): passing_reply()})},
+                            evaluator=offline_evaluate)
+        assert trace.termination is Termination.ALL_TESTS_PASSED
+
+    @pytest.mark.parametrize("key, content", [
+        ("prompt", b""), ("testbench", b""), ("prompt", b"// caf\xe9"), ("testbench", b"\xff"),
+    ])
+    def test_empty_or_undecodable_task_file_names_its_key(self, tmp_path, key, content):
+        path = write_config(tmp_path)
+        (tmp_path / EXAMPLE_CONFIG["general"][key]).write_bytes(content)
+        with pytest.raises(TypeMismatchError) as excinfo:
+            load_config(path)
+        assert excinfo.value.key_path == f"general.{key}"
+
+    @pytest.mark.parametrize("name", ["bad-name", "9lives", "two words"])
+    def test_name_must_be_an_hdl_identifier(self, tmp_path, name):
+        with pytest.raises(TypeMismatchError) as excinfo:
+            load_config(write_config(tmp_path), [f"general.name={name}"])
+        assert excinfo.value.key_path == "general.name"
+        assert str(excinfo.value) == f"general.name: task name {name!r} is not a legal HDL identifier"
+
+    def test_config_file_that_is_not_utf8_is_config_error(self, tmp_path):
+        path = write_config(tmp_path)
+        path.write_bytes(b"\xff" + path.read_bytes())
+        with pytest.raises(TypeMismatchError) as excinfo:
+            load_config(path)
+        assert excinfo.value.key_path == str(path)
+
     def test_unknown_keys_warn(self, tmp_path):
         document = json.loads(json.dumps(EXAMPLE_CONFIG))
         document["general"]["unknown_knob"] = 1
@@ -210,6 +249,94 @@ class TestLoadConfig:
         with pytest.raises(TypeMismatchError) as excinfo:
             load_config(path, ["general.name.first=x"])
         assert excinfo.value.key_path == "general.name"
+
+
+class TestCliInputBytes:
+    """No byte from a reply, a tool, a local model or an input file crashes a run."""
+
+    @staticmethod
+    def run(tmp_path, *extra):
+        return cli_main(["run", "--config", str(tmp_path / "config.json"), "--override", "general.num_candidates=1",
+                         "--override", "general.iterations=0", *extra])
+
+    @staticmethod
+    def mock_backend(tmp_path, reply=None):
+        script = tmp_path / "script.json"
+        # json.dumps escapes non-ASCII, so a lone surrogate is written as "\ud800".
+        script.write_text(json.dumps({"replies": {"top_module/0/0": reply or passing_reply()}}))
+        return ["--override", "general.model_family=mock", "--override", "general.model_id=mock",
+                "--backend", f"mock:{script}"]
+
+    @staticmethod
+    def assert_passed(capsys):
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "Termination: all_tests_passed" in captured.out
+
+    def test_reply_with_a_lone_surrogate_is_ranked(self, tmp_path, capsys):
+        write_config(tmp_path)
+        reply = passing_reply().replace("endmodule", "// \ud800\nendmodule")
+        assert self.run(tmp_path, *self.mock_backend(tmp_path, reply), "--offline-tools") == 0
+        self.assert_passed(capsys)
+        module = tmp_path / "output_dir" / "iter0" / "response0" / "top_module.sv"
+        assert "// \ufffd\nendmodule" in module.read_text(encoding="utf-8")
+
+    def test_tool_output_that_is_not_utf8_is_ranked(self, tmp_path, capsys, monkeypatch):
+        bin_dir = tmp_path / "bin"
+        bin_dir.mkdir()
+        (bin_dir / "iverilog").write_text(
+            '#!/bin/sh\nfor a in "$@"; do [ "$prev" = "-o" ] && echo compiled > "$a"; prev="$a"; done\n'
+            "printf 'Icarus \\377\\n'; printf 'note: \\377\\n' >&2\n"
+        )
+        (bin_dir / "vvp").write_text("#!/bin/sh\nprintf 'Mismatches: 0 in 8 samples\\n\\377\\n'\n")
+        for name in ("iverilog", "vvp"):
+            (bin_dir / name).chmod(0o755)
+        monkeypatch.setenv("PATH", str(bin_dir))
+        write_config(tmp_path)
+        assert self.run(tmp_path, *self.mock_backend(tmp_path)) == 0
+        self.assert_passed(capsys)
+        assert (tmp_path / "output_dir" / "log.txt").read_text(encoding="utf-8").startswith(
+            "Tool version: Icarus \ufffd\n"
+        )
+        log = (tmp_path / "output_dir" / "iter0" / "response0" / "log.txt").read_text(encoding="utf-8")
+        assert "info: note: \ufffd\n" in log
+        assert "Mismatches: 0 in 8 samples\n\ufffd\n" in log
+
+    def test_local_model_output_that_is_not_utf8_is_ranked(self, tmp_path, capsys, monkeypatch):
+        reply = tmp_path / "reply.txt"
+        reply.write_text(passing_reply())
+        local = CommandBackend(("/bin/sh", "-c", f"cat > /dev/null; cat {shlex.quote(str(reply))}; printf '\\377'"))
+        monkeypatch.setattr(cli, "default_registry", lambda **extra: {"local": local, **extra})
+        write_config(tmp_path)
+        overrides = ["--override", "general.model_family=local", "--override", "general.model_id=local-model"]
+        assert self.run(tmp_path, *overrides, "--offline-tools") == 0
+        self.assert_passed(capsys)
+
+    UNDECODABLE = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+
+    @pytest.mark.parametrize("fault, line", [
+        ("config", "{config}: not valid JSON: " + UNDECODABLE),
+        ("prompt", "general.prompt: {prompt} is not UTF-8 text: " + UNDECODABLE),
+        ("testbench", "general.testbench: {testbench} is not UTF-8 text: " + UNDECODABLE),
+        ("empty prompt", "general.prompt: file is empty: {prompt}"),
+        ("empty testbench", "general.testbench: file is empty: {testbench}"),
+        ("name", "general.name: task name 'bad-name' is not a legal HDL identifier"),
+    ], ids=["config", "prompt", "testbench", "empty prompt", "empty testbench", "name"])
+    def test_bad_input_file_or_name_is_config_error(self, tmp_path, capsys, fault, line):
+        files = {"config": write_config(tmp_path), "prompt": tmp_path / "design_prompt.sv",
+                 "testbench": tmp_path / "testbench.sv"}
+        extra = []
+        if fault == "name":
+            extra = ["--override", "general.name=bad-name"]
+        elif fault.startswith("empty "):
+            files[fault[len("empty "):]].write_bytes(b"")
+        else:
+            files[fault].write_bytes(b"\xff" + files[fault].read_bytes())
+        assert self.run(tmp_path, *self.mock_backend(tmp_path), "--offline-tools", *extra) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"hdlsmith: configuration error: {line.format(**files)}\n"
+        assert not (tmp_path / "output_dir").exists()
 
 
 class TestRunLogGrammar:

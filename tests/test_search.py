@@ -292,6 +292,22 @@ class TestConversationFlow:
         assert sent[-1].content == feedback_text(chosen.outcome)
         assert sent[-2].content == chosen.raw_text
 
+    def test_lone_surrogate_becomes_replacement_character_once(self, task, tmp_path):
+        # JSON "\ud800" decodes to a lone surrogate, which UTF-8 cannot encode.
+        reply = reply_with_module("mismatches=3 samples=9").replace("endmodule", "// \ud800\nendmodule")
+        trace, backend = run_mock_search(task, tmp_path, k=1, d=1, script={("top_module", 0, 0): reply})
+        chosen = trace.nodes[0].chosen
+        assert chosen.raw_text == reply.replace("\ud800", "\ufffd")
+        assert backend.calls[1].conversation.messages[-2].content == chosen.raw_text
+        written = tmp_path / "out" / "iter0" / "response0" / "top_module.sv"
+        assert written.read_text(encoding="utf-8") == chosen.outcome.module_src
+        assert "// \ufffd" in chosen.outcome.module_src
+
+    def test_reply_without_surrogates_is_kept_as_sent(self, task, tmp_path):
+        reply = reply_with_module("mismatches=3 samples=9") + " \U0001f600 \ufffd \x00"
+        trace, _ = run_mock_search(task, tmp_path, k=1, d=0, script={("top_module", 0, 0): reply})
+        assert trace.nodes[0].chosen.raw_text == reply
+
     def test_context_fallback_when_history_exceeds_window(self, task, tmp_path):
         tiny = lookup_model("tiny-context")
         tiny = type(tiny)(tiny.family, tiny.model_id, tiny.price_in, tiny.price_out, 60)
@@ -884,7 +900,8 @@ MATRIX_REPLIES = st.one_of(
         "/* module top_module(); endmodule */ no module here",
         "// module top_module();\n/* endmodule */",
     ]),
-    st.text(max_size=200),
+    # Lone surrogates (category Cs) too, which st.text leaves out by default.
+    st.text(st.one_of(st.characters(), st.characters(categories=["Cs"])), max_size=200),
     st.sampled_from(["hang", "crash", "silent", "pass", "compile-error", "warning",
                      "mismatches=3 samples=10"]).map(reply_with_module),
     # A module padded to up to 64 KB.
@@ -956,6 +973,8 @@ class TestFaultMatrix:
             scanned = scan_output_tree(outdir) if outdir.exists() else []
         assert threading.active_count() == threads
         assert len(trace.all_candidates()) <= k * (d + 1)
+        for candidate in trace.all_candidates():
+            candidate.raw_text.encode()  # no lone surrogate: the trace holds what the files hold
         # Every 200 answer, and only those, is in the ledger (billed in input_tokens order).
         assert sorted((e.usage for e in trace.ledger.entries), key=lambda u: u.input_tokens) == transport.billed
         assert all(e.cost_usd == compute_cost(e.usage, model) for e in trace.ledger.entries)
