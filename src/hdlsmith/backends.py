@@ -529,7 +529,7 @@ def load_mock_script(path: str | Path) -> MockBackend:
     """
     path = Path(path)
     try:
-        data = json.loads(path.read_text())
+        data = json.loads(path.read_text(encoding="utf-8"))
     except ValueError as exc:
         raise ValueError(f"{path}: not a JSON file: {exc}") from None
     if not isinstance(data, dict) or not isinstance(data.get("replies", {}), dict):

@@ -12,6 +12,7 @@ import io
 import json
 import math
 import tempfile
+import threading
 import warnings
 from dataclasses import dataclass, replace
 from decimal import ROUND_HALF_UP, Decimal
@@ -157,8 +158,8 @@ def load_suite(directory: str | Path) -> list[DesignTask]:
             tasks.append(
                 DesignTask(
                     name=stem,
-                    prompt_text=prompt_stems[stem].read_text(),
-                    testbench_src=tb_stems[stem].read_text(),
+                    prompt_text=prompt_stems[stem].read_text(encoding="utf-8"),
+                    testbench_src=tb_stems[stem].read_text(encoding="utf-8"),
                     category=tags.get("category"),
                     subcategory=tags.get("subcategory"),
                 )
@@ -204,11 +205,13 @@ def run_suite(
     A model family with no backend raises ``KeyError``, and with the default
     evaluator a compiler or runtime that cannot be found raises
     ``ToolNotFoundError``, and a grid point or a ``sim_timeout`` that
-    :class:`SearchConfig` rejects raises ``ValueError``, before any search.
-    Any error a search raises, such as an evaluator or tool I/O error, ends
-    the sweep and is raised here. Tasks of one search run concurrently up to
-    ``parallelism``, aggregated in task order; after an error the queued ones
-    are cancelled and the running ones finish before it is raised.
+    :class:`SearchConfig` rejects, or a ``parallelism`` below 1, raises
+    ``ValueError``, before any search.
+    Up to ``parallelism`` searches from anywhere in the sweep run at once.
+    They start by ``(num_candidates, mode)`` in grid order, then by d, then
+    in task order. Any error a search raises, such as an evaluator or tool
+    I/O error, ends the sweep and is raised here: once a search has raised
+    no other starts, and the running ones finish first.
     """
     grid = list(grid)
     if not grid:
@@ -222,48 +225,47 @@ def run_suite(
         require_tools()
     # Every grid point's config is built, and so checked, before the first
     # search; its outdir is relative to root.
+    points = [(p.num_candidates, p.mode, p.max_depth) for p in grid]
     configs: dict[tuple[int, FeedbackMode, int], SearchConfig] = {}
-    groups: dict[tuple[int, FeedbackMode], set[int]] = {}
-    for point in grid:
-        k, d, mode = point.num_candidates, point.max_depth, point.mode
+    deepest: dict[tuple[int, FeedbackMode], int] = {}
+    for k, mode, d in points:
         configs[k, mode, d] = SearchConfig(k, d, mode, sim_timeout, Path(f"k{k}_d{d}_{mode.value}"))
-        groups.setdefault((k, mode), set()).add(d)
-    run_depths = {
-        group: sorted(depths) if schedule.final_model is not None else [max(depths)]
-        for group, depths in groups.items()
-    }
+        deepest[k, mode] = max(d, deepest.get((k, mode), d))
+    # A point reads the search at its group's deepest d, or at its own d when
+    # a final-iteration model serves each d differently.
+    final = schedule.final_model is not None
+    reads = [configs[k, mode, d if final else deepest[k, mode]] for k, mode, d in points]
+    groups = list(deepest)
+    searched = sorted(
+        set(reads), key=lambda cfg: (groups.index((cfg.num_candidates, cfg.feedback_mode)), cfg.max_depth)
+    )
     root = Path(workdir) if workdir is not None else Path(tempfile.mkdtemp(prefix="suite_"))
-    schedule_desc = describe_schedule(schedule)
+    failed = threading.Event()
 
-    def search_all(cfg: SearchConfig) -> list[SearchTrace]:
-        """One search per task, in task order."""
-
-        def search(task: DesignTask) -> SearchTrace:
+    def search(job: tuple[SearchConfig, DesignTask]) -> SearchTrace | None:
+        cfg, task = job
+        if failed.is_set():
+            return None  # never read: the search that raised started earlier
+        try:
             task_cfg = replace(cfg, outdir=root / cfg.outdir / task.name)
             return run_search(task, task_cfg, schedule, backends, evaluator=evaluator)
+        except BaseException:
+            failed.set()
+            raise
 
-        if parallelism > 1:
-            from concurrent.futures import ThreadPoolExecutor  # only a parallel sweep needs a pool
+    from concurrent.futures import ThreadPoolExecutor  # only a sweep needs a pool
 
-            with ThreadPoolExecutor(max_workers=parallelism) as pool:
-                return list(pool.map(search, tasks))
-        return [search(task) for task in tasks]
-
-    traces = {
-        (k, mode, d): search_all(configs[k, mode, d])
-        for (k, mode), depths in run_depths.items()
-        for d in depths
-    }
-
-    results = []
-    for point in grid:
-        k, d, mode = point.num_candidates, point.max_depth, point.mode
-        run_d = min(run for run in run_depths[k, mode] if run >= d)
-        rows = tuple(
-            _task_summary(task, trace.upto(d)) for task, trace in zip(tasks, traces[k, mode, run_d])
+    with ThreadPoolExecutor(max_workers=parallelism) as pool:
+        found = pool.map(search, [(cfg, task) for cfg in searched for task in tasks])
+        traces = {cfg: [next(found) for _ in tasks] for cfg in searched}
+    schedule_desc = describe_schedule(schedule)
+    return [
+        SuiteResult(
+            SuiteParams(k, d, mode, schedule_desc),
+            tuple(_task_summary(task, trace.upto(d)) for task, trace in zip(tasks, traces[cfg])),
         )
-        results.append(SuiteResult(SuiteParams(k, d, mode, schedule_desc), rows))
-    return results
+        for (k, mode, d), cfg in zip(points, reads)
+    ]
 
 
 def _task_summary(task: DesignTask, trace: SearchTrace) -> TaskRow:
@@ -452,7 +454,7 @@ def export_report(
     results: Sequence[SuiteResult], format: ReportFormat, path: str | Path
 ) -> Path:
     path = Path(path)
-    path.write_text(render_report(results, format))
+    path.write_text(render_report(results, format), encoding="utf-8")
     return path
 
 
@@ -461,7 +463,7 @@ def load_report(path: str | Path, format: ReportFormat | None = None) -> list[Su
     path = Path(path)
     if format is None:
         format = ReportFormat.CSV if path.suffix.lower() == ".csv" else ReportFormat.JSON
-    text = path.read_text()
+    text = path.read_text(encoding="utf-8")
     if format is ReportFormat.JSON:
         return [
             SuiteResult(

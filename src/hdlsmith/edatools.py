@@ -160,8 +160,8 @@ def write_candidate_sources(
     workdir.mkdir(parents=True, exist_ok=True)
     module_path = workdir / f"{top_name}.sv"
     tb_path = workdir / f"{top_name}_tb.sv"
-    module_path.write_text(module_src)
-    tb_path.write_text(testbench_src)
+    module_path.write_text(module_src, encoding="utf-8")
+    tb_path.write_text(testbench_src, encoding="utf-8")
     return module_path, tb_path
 
 
@@ -346,4 +346,4 @@ def _write_candidate_log(
         lines.append(f"Samples: {outcome.samples}")
     if outcome.diagnosis:
         lines.append(outcome.diagnosis)
-    (workdir / "log.txt").write_text("\n".join(lines) + "\n")
+    (workdir / "log.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -52,7 +52,7 @@ def fake_compile(
         message = f"{top_name}.sv:1: error: scripted compile failure"
         return CompileResult(CompileStatus.ERROR, (("error", message),), None)
     artifact = workdir / f"{top_name}.vvp"
-    artifact.write_text("fake compiled artifact\n")
+    artifact.write_text("fake compiled artifact\n", encoding="utf-8")
     if "warning" in directives:
         message = f"{top_name}.sv:1: warning: scripted warning"
         return CompileResult(CompileStatus.OK_WITH_WARNINGS, (("warning", message),), artifact)
@@ -63,7 +63,7 @@ def fake_simulate(artifact_path: Path, timeout: float) -> SimResult:
     artifact_path = Path(artifact_path)
     if not artifact_path.exists():
         raise ToolIoError(f"simulation artifact missing: {artifact_path}")
-    module_src = artifact_path.with_suffix(".sv").read_text()
+    module_src = artifact_path.with_suffix(".sv").read_text(encoding="utf-8")
     directives = _directives(module_src)
     if "hang" in directives:
         return SimResult(False, True, "", "")

@@ -319,7 +319,7 @@ def execute_run(
     # A backend error only ends the trace; an evaluator or tool I/O error
     # raises out of run_search and leaves the partial tree, and an empty
     # log, on disk for post-mortem inspection.
-    with open(log_path, "w") as sink:
+    with open(log_path, "w", encoding="utf-8") as sink:
         trace = run_search(cfg.task, search_cfg, cfg.schedule, backends, evaluator=evaluator)
         if version:
             sink.write(f"Tool version: {version}\n")
@@ -355,7 +355,7 @@ def scan_output_tree(outdir: str | Path) -> list[list[str]]:
             kind = None
             log = response_dir / "log.txt"
             if log.is_file():
-                for line in log.read_text().splitlines():
+                for line in log.read_text(encoding="utf-8").splitlines():
                     if line.startswith("Outcome: "):
                         kind = line[len("Outcome: "):]
             kinds.append(kind)

@@ -472,12 +472,17 @@ class TestChatCompletionsBackend:
         calls = iter(range(2 * k))
         inflight = [0]
         peaks = []
+        # The non-probing call's first MAX_IN_FLIGHT requests all wait to be in
+        # flight together, so the cap is reached by design, not by chance.
+        together = threading.Barrier(MAX_IN_FLIGHT, timeout=10)
 
         def transport(url, headers, body):
             with lock:
                 inflight[0] += 1
                 peaks[-1] = max(peaks[-1], inflight[0])
                 n = next(calls)
+            if k <= n < k + MAX_IN_FLIGHT:
+                together.wait()
             time.sleep(0.02)
             with lock:
                 inflight[0] -= 1

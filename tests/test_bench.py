@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import threading
 import warnings
 from collections import Counter
 from decimal import Decimal
@@ -134,6 +135,33 @@ class TestLoadSuite:
             load_suite(empty)
 
 
+PRICED_MOCK = lookup_model("gpt-4o-mini", "mock")
+SWEEP_GRID = [
+    GridPoint(k, d, mode)
+    for mode in FeedbackMode
+    for k in (1, 2)
+    for d in (3, 0, 5, 1)  # out of order: rows keep the grid order
+]
+SWEEP_SCRIPT = {
+    # adder passes at depth 3, but only with k >= 2.
+    **{("adder", depth, 0): reply_with_module(f"mismatches={9 - depth} samples=10", "adder")
+       for depth in range(6)},
+    ("adder", 1, 1): reply_with_module("compile-error", "adder"),
+    ("adder", 3, 1): passing_reply(name="adder"),
+    ("counter", 0, 0): passing_reply(name="counter"),
+    ("mux", 2, 0): reply_with_module("hang", "mux"),
+    ("mux", 4, 1): reply_with_module("mismatches=1 samples=10", "mux"),
+}
+FINAL_MODEL_SCHEDULE = ModelSchedule((
+    ScheduleEntry(0, PRICED_MOCK),
+    ScheduleEntry(FINAL_ITERATION, lookup_model("gpt-4o", "mock")),
+))
+
+
+def sweep_backend() -> MockBackend:
+    return MockBackend(SWEEP_SCRIPT, tokens_per_reply=TokenUsage(120, 45))
+
+
 class TestRunSuite:
     def schedule(self):
         return ModelSchedule.single(lookup_model("mock"))
@@ -179,18 +207,34 @@ class TestRunSuite:
     @pytest.mark.parametrize("parallelism", [1, 3])
     def test_task_failure_ends_the_sweep(self, tmp_path, parallelism):
         tasks = load_suite(make_suite_dir(tmp_path, stems=("a0", "a1", "a2", "a3", "a4", "a5")))
+        failure = threading.Event()
+        late = []
+
+        class Spy(MockBackend):
+            def generate(self, req):
+                if req.depth == 0 and failure.is_set():
+                    late.append(req.task_name)
+                return super().generate(req)
 
         def evaluator(text, task, workdir, timeout):
             if task.name == "a2":
+                failure.set()
                 raise RuntimeError("tool exploded")
+            if parallelism > 1:
+                # a0 and a1 run beside a2, so their workers come free only
+                # after it failed, while a3 and later are still queued.
+                failure.wait(timeout=10)
             return offline_evaluate(text, task, workdir, timeout)
 
-        # Which other searches start before the error depends on timing.
+        backend = Spy({})
         with pytest.raises(RuntimeError, match="tool exploded"):
             run_suite(
-                tasks, [GridPoint(2, 1)], self.schedule(), {"mock": MockBackend({})},
+                tasks, [GridPoint(2, 1)], self.schedule(), {"mock": backend},
                 evaluator=evaluator, workdir=tmp_path / "work", parallelism=parallelism,
             )
+        # No search starts after one has raised.
+        assert late == []
+        assert {c.task_name for c in backend.calls} == {"a0", "a1", "a2"}
 
     @pytest.mark.parametrize("start", [0, FINAL_ITERATION], ids=["model", "final model"])
     def test_family_without_backend_raises_before_any_search(self, tmp_path, start):
@@ -235,6 +279,16 @@ class TestRunSuite:
         assert backend.calls == []
         assert not (tmp_path / "work").exists()
 
+    def test_parallelism_below_one_raises_before_any_search(self, tmp_path):
+        backend = MockBackend({})
+        with pytest.raises(ValueError, match="max_workers must be greater than 0"):
+            run_suite(
+                load_suite(make_suite_dir(tmp_path)), [GridPoint(1, 1)], self.schedule(),
+                {"mock": backend}, evaluator=offline_evaluate, workdir=tmp_path / "work", parallelism=0,
+            )
+        assert backend.calls == []
+        assert not (tmp_path / "work").exists()
+
     def test_any_registered_family_is_served(self, tmp_path):
         tasks = load_suite(make_suite_dir(tmp_path, stems=("adder",)))
         backend = MockBackend({("adder", 1, 0): passing_reply(name="adder")})
@@ -256,41 +310,28 @@ class TestRunSuite:
         assert backend.calls == []
         assert not (tmp_path / "work").exists()
 
-    def test_parallel_matches_serial(self, tmp_path):
+    @pytest.mark.parametrize(
+        "grid, schedule",
+        [
+            ([GridPoint(1, 1)], ModelSchedule.single(PRICED_MOCK)),
+            (SWEEP_GRID, ModelSchedule.single(PRICED_MOCK)),
+            (SWEEP_GRID, FINAL_MODEL_SCHEDULE),
+        ],
+        ids=["one point", "sweep grid", "sweep grid with a final model"],
+    )
+    def test_parallel_matches_serial(self, tmp_path, grid, schedule):
         tasks = load_suite(make_suite_dir(tmp_path))
-        script = {("counter", 0, 0): passing_reply(name="counter")}
-        serial = run_suite(
-            tasks, [GridPoint(1, 1)], self.schedule(), {"mock": MockBackend(script)},
-            evaluator=offline_evaluate, workdir=tmp_path / "w1",
-        )
-        parallel = run_suite(
-            tasks, [GridPoint(1, 1)], self.schedule(), {"mock": MockBackend(script)},
-            evaluator=offline_evaluate, workdir=tmp_path / "w2", parallelism=3,
-        )
-        assert serial == parallel
-
-
-PRICED_MOCK = lookup_model("gpt-4o-mini", "mock")
-SWEEP_GRID = [
-    GridPoint(k, d, mode)
-    for mode in FeedbackMode
-    for k in (1, 2)
-    for d in (3, 0, 5, 1)  # out of order: rows keep the grid order
-]
-SWEEP_SCRIPT = {
-    # adder passes at depth 3, but only with k >= 2.
-    **{("adder", depth, 0): reply_with_module(f"mismatches={9 - depth} samples=10", "adder")
-       for depth in range(6)},
-    ("adder", 1, 1): reply_with_module("compile-error", "adder"),
-    ("adder", 3, 1): passing_reply(name="adder"),
-    ("counter", 0, 0): passing_reply(name="counter"),
-    ("mux", 2, 0): reply_with_module("hang", "mux"),
-    ("mux", 4, 1): reply_with_module("mismatches=1 samples=10", "mux"),
-}
-
-
-def sweep_backend() -> MockBackend:
-    return MockBackend(SWEEP_SCRIPT, tokens_per_reply=TokenUsage(120, 45))
+        runs = []
+        for parallelism in (1, 4):
+            workdir = tmp_path / f"work{parallelism}"
+            results = run_suite(
+                tasks, grid, schedule, {"mock": sweep_backend()},
+                evaluator=offline_evaluate, workdir=workdir, parallelism=parallelism,
+            )
+            reports = [render_report(results, format) for format in ReportFormat]
+            tree = {p.relative_to(workdir): p.read_bytes() for p in workdir.rglob("*") if p.is_file()}
+            runs.append((reports, tree))
+        assert runs[0] == runs[1]
 
 
 def reference_sweep(tasks, grid, schedule, outdir: Path) -> list[SuiteResult]:
@@ -352,11 +393,7 @@ class TestPrefixSweep:
         ]
 
     def test_final_model_schedule_searches_every_depth(self, tmp_path):
-        schedule = ModelSchedule((
-            ScheduleEntry(0, PRICED_MOCK),
-            ScheduleEntry(FINAL_ITERATION, lookup_model("gpt-4o", "mock")),
-        ))
-        results, reference, backend = self.sweep(tmp_path, schedule)
+        results, reference, backend = self.sweep(tmp_path, FINAL_MODEL_SCHEDULE)
         assert render_report(results, ReportFormat.JSON) == render_report(reference, ReportFormat.JSON)
         assert sum(c.depth == 0 for c in backend.calls) == 3 * len(SWEEP_GRID)
         assert len(list((tmp_path / "work").iterdir())) == len(SWEEP_GRID)

@@ -114,3 +114,18 @@ def test_only_run_process_imports_subprocess():
                 scope = [f.name for f in functions if node in ast.walk(f)]
                 sites.append((path.name, scope))
     assert sites == [("edatools.py", ["run_process"])]
+
+
+def test_every_text_file_is_opened_as_utf8():
+    # Without encoding= a file is read and written in the locale's encoding,
+    # so under an ASCII locale a non-ASCII reply or tag fails the run.
+    sites = []
+    for path in sorted(Path(hdlsmith.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in ("open", "read_text", "write_text") and all(k.arg != "encoding" for k in node.keywords):
+                sites.append(f"{path.name}:{node.lineno}")
+    assert sites == []

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import make_candidate
+from conftest import make_candidate, run_fresh
 from hdlsmith import cli
 from hdlsmith.backends import CommandBackend, MockBackend, lookup_model
 from hdlsmith.cli import main as cli_main
@@ -311,6 +311,37 @@ class TestCliInputBytes:
         overrides = ["--override", "general.model_family=local", "--override", "general.model_id=local-model"]
         assert self.run(tmp_path, *overrides, "--offline-tools") == 0
         self.assert_passed(capsys)
+
+    def test_sweep_under_an_ascii_locale_reads_and_writes_utf8(self, tmp_path):
+        suite = tmp_path / "suite"
+        suite.mkdir()
+        (suite / "alpha_prompt.sv").write_text("// y ≤ a + b\nmodule alpha();", encoding="utf-8")
+        (suite / "alpha_tb.sv").write_text("module tb(); endmodule")
+        (suite / "manifest.json").write_text(json.dumps({"alpha": {"category": "arithmétique"}}))
+        reply = passing_reply(name="alpha").replace("endmodule", "// y ≤ a + b\nendmodule")
+        script = tmp_path / "script.json"
+        script.write_text(json.dumps({"replies": {"alpha/0/0": reply}}, ensure_ascii=False), encoding="utf-8")
+        run_fresh("""
+import codecs, locale, sys
+from pathlib import Path
+from hdlsmith.bench import ReportFormat, export_report, load_report
+from hdlsmith.cli import main
+
+assert codecs.lookup(locale.getpreferredencoding(False)).name == "ascii"
+tmp = Path(sys.argv[1])
+report, copy = tmp / "report.csv", tmp / "copy.csv"
+argv = ["bench", "--suite", str(tmp / "suite"), "--grid", "k=1;d=0,1", "--out", str(report),
+        "--backend", "mock:" + str(tmp / "script.json"), "--offline-tools", "--workdir", str(tmp / "work")]
+assert main(argv) == 0
+results = load_report(report)
+rows = [(row.category, row.success) for result in results for row in result.per_task]
+# The command line is decoded as ASCII too, so the category is escaped here.
+assert rows == [("arithm\\u00e9tique", True)] * 2
+export_report(results, ReportFormat.CSV, copy)
+assert load_report(copy) == results and copy.read_bytes() == report.read_bytes()
+""", str(tmp_path), LC_ALL="C", PYTHONUTF8="0")
+        module = tmp_path / "work" / "k1_d1_succinct" / "alpha" / "iter0" / "response0" / "alpha.sv"
+        assert "// y ≤ a + b" in module.read_text(encoding="utf-8")
 
     UNDECODABLE = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
 
