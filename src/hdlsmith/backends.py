@@ -441,7 +441,9 @@ class CommandBackend:
     """Local-process hook: pipe the rendered conversation to a command.
 
     One subprocess per candidate, started like HTTP requests (see
-    ``_fan_out``); stdout is the reply. Usage is estimated at ~4 characters
+    ``_fan_out``); stdout is the reply. A command that cannot start, times
+    out, exits non-zero or prints more than ``edatools.OUTPUT_CAP`` bytes on
+    a stream is a ``TransportError``. Usage is estimated at ~4 characters
     per token since there is no provider report.
     """
 
@@ -457,12 +459,14 @@ class CommandBackend:
         return _fan_out(req, partial(self._run, self._render(req.conversation)), self._probe)
 
     def _run(self, prompt: str) -> Reply:
-        from .edatools import run_process  # here, not at module scope: only this backend starts processes
+        from .edatools import OUTPUT_CAP, run_process  # here, not at module scope: only this backend starts processes
 
         try:
             proc = run_process(self.argv, self.timeout, input=prompt)
         except OSError as exc:
             raise TransportError(str(exc)) from exc
+        if proc.dropped:
+            raise TransportError(f"local model printed more than {OUTPUT_CAP} bytes and was killed")
         if proc.returncode is None:
             raise TransportError(f"local model timed out after {self.timeout:g}s")
         if proc.returncode != 0:

@@ -30,6 +30,7 @@ from .search import (
     Evaluator,
     ModelSchedule,
     SearchConfig,
+    SearchStopped,
     no_backend_message,
     pass_at_budget,
     preflight,
@@ -40,6 +41,9 @@ PROMPT_SUFFIX = "_prompt.sv"
 TESTBENCH_SUFFIX = "_tb.sv"
 MANIFEST_NAME = "manifest.json"
 UNCATEGORIZED = "uncategorized"
+# How long the thread waiting for a sweep's searches sleeps at a time: an
+# interrupt reaches it only when it wakes, not while it blocks on a lock.
+_INTERRUPT_POLL_S = 0.1
 
 
 class EmptySuiteError(Exception):
@@ -210,8 +214,9 @@ def run_suite(
     Up to ``parallelism`` searches from anywhere in the sweep run at once.
     They start by ``(num_candidates, mode)`` in grid order, then by d, then
     in task order. Any error a search raises, such as an evaluator or tool
-    I/O error, ends the sweep and is raised here: once a search has raised
-    no other starts, and the running ones finish first.
+    I/O error, ends the sweep: no other search sends a request after its
+    current depth, and once they have all stopped the first error raised is
+    raised here. An interrupt (``KeyboardInterrupt``) stops them the same way.
     """
     grid = list(grid)
     if not grid:
@@ -221,6 +226,8 @@ def run_suite(
     missing = preflight(schedule, backends)
     if missing is not None:
         raise KeyError(no_backend_message(missing.model))
+    if parallelism < 1:
+        raise ValueError(f"parallelism must be at least 1, got {parallelism}")
     if evaluator is None:
         require_tools()
     # Every grid point's config is built, and so checked, before the first
@@ -240,24 +247,35 @@ def run_suite(
         set(reads), key=lambda cfg: (groups.index((cfg.num_candidates, cfg.feedback_mode)), cfg.max_depth)
     )
     root = Path(workdir) if workdir is not None else Path(tempfile.mkdtemp(prefix="suite_"))
-    failed = threading.Event()
+    stop = threading.Event()
+    failures: list[BaseException] = []
 
-    def search(job: tuple[SearchConfig, DesignTask]) -> SearchTrace | None:
-        cfg, task = job
-        if failed.is_set():
-            return None  # never read: the search that raised started earlier
+    def search(cfg: SearchConfig, task: DesignTask) -> SearchTrace | None:
+        task_cfg = replace(cfg, outdir=root / cfg.outdir / task.name)
         try:
-            task_cfg = replace(cfg, outdir=root / cfg.outdir / task.name)
-            return run_search(task, task_cfg, schedule, backends, evaluator=evaluator)
-        except BaseException:
-            failed.set()
+            return run_search(task, task_cfg, schedule, backends, evaluator=evaluator, stop=stop)
+        except SearchStopped:
+            return None  # never read: the sweep raises
+        except BaseException as exc:
+            failures.append(exc)
+            stop.set()
             raise
 
-    from concurrent.futures import ThreadPoolExecutor  # only a sweep needs a pool
+    from concurrent.futures import ThreadPoolExecutor, wait  # only a sweep needs a pool
 
     with ThreadPoolExecutor(max_workers=parallelism) as pool:
-        found = pool.map(search, [(cfg, task) for cfg in searched for task in tasks])
-        traces = {cfg: [next(found) for _ in tasks] for cfg in searched}
+        try:
+            futures = [pool.submit(search, cfg, task) for cfg in searched for task in tasks]
+            pending = set(futures)
+            while pending:
+                _, pending = wait(pending, timeout=_INTERRUPT_POLL_S)
+        except BaseException:
+            stop.set()
+            raise
+    if failures:
+        raise failures[0]
+    found = (future.result() for future in futures)
+    traces = {cfg: [next(found) for _ in tasks] for cfg in searched}
     schedule_desc = describe_schedule(schedule)
     return [
         SuiteResult(

@@ -122,7 +122,8 @@ class EvalOutcome:
     ``mismatches``/``samples`` are present exactly when the candidate
     simulated and its testbench printed a parseable summary. ``diagnosis``
     carries the one-line crash/timeout note that feeds the repair prompt.
-    ``module_src`` is the module the evaluation extracted from the reply.
+    ``module_span`` holds the half-open offsets of the module the evaluation
+    extracted, into the text it evaluated.
     """
 
     kind: OutcomeKind
@@ -131,10 +132,12 @@ class EvalOutcome:
     mismatches: int | None = None
     samples: int | None = None
     diagnosis: str | None = None
-    module_src: str | None = None
+    module_span: tuple[int, int] | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "compile_messages", tuple(self.compile_messages))
+        if self.module_span is not None and not 0 <= self.module_span[0] <= self.module_span[1]:
+            raise ValueError(f"module_span {self.module_span!r} is not a pair of ordered offsets")
         if self.kind is OutcomeKind.SIMULATED:
             if self.mismatches is None or self.samples is None:
                 raise ValueError("simulated outcomes must carry mismatch and sample counts")
@@ -204,20 +207,25 @@ class CandidateResponse:
 
     def __post_init__(self) -> None:
         no_module = self.outcome.kind is OutcomeKind.NO_MODULE
-        if (self.module_src is None) != no_module or (self.rank.value == RANK_NO_MODULE) != no_module:
-            raise ValueError("module_src absent, NoModule outcome and rank -2 must coincide")
+        span = self.outcome.module_span
+        if (span is None) != no_module or (self.rank.value == RANK_NO_MODULE) != no_module:
+            raise ValueError("module_span absent, NoModule outcome and rank -2 must coincide")
+        if span is not None and span[1] > len(self.raw_text):
+            raise ValueError(f"module_span {span!r} lies outside a reply of {len(self.raw_text)} characters")
         if self.depth < 0 or self.index < 0:
             raise ValueError("depth and index must be non-negative")
 
     @property
     def module_src(self) -> str | None:
-        """The module the evaluation extracted, None when there was none."""
-        return self.outcome.module_src
+        """The module the evaluation extracted, a slice of ``raw_text``; None when there was none."""
+        span = self.outcome.module_span
+        return self.raw_text[span[0] : span[1]] if span is not None else None
 
     @property
     def char_length(self) -> int:
         """Length of the extracted module source, 0 when none was found."""
-        return len(self.module_src) if self.module_src is not None else 0
+        span = self.outcome.module_span
+        return span[1] - span[0] if span is not None else 0
 
 
 def candidate_order_key(candidate: CandidateResponse) -> tuple[float, int, int]:

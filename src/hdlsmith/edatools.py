@@ -8,7 +8,9 @@ sources, the compiled artifact and a per-candidate log.
 
 from __future__ import annotations
 
+import os
 import shutil
+import time
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
@@ -39,6 +41,7 @@ class CompileResult:
     status: CompileStatus
     messages: tuple[tuple[str, str], ...]  # (severity, raw tool line)
     artifact_path: Path | None
+    dropped: int = 0  # output bytes past OUTPUT_CAP; the compiler was killed
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "messages", tuple(self.messages))
@@ -56,10 +59,11 @@ class SimResult:
     timed_out: bool
     stdout: str
     stderr: str
+    dropped: int = 0  # output bytes past OUTPUT_CAP; the simulation was killed
 
     def __post_init__(self) -> None:
-        if self.timed_out and self.exit_ok:
-            raise ValueError("a timed-out simulation cannot have exited cleanly")
+        if (self.timed_out or self.dropped) and self.exit_ok:
+            raise ValueError("a killed simulation cannot have exited cleanly")
 
 
 @dataclass(frozen=True)
@@ -93,6 +97,11 @@ DEFAULT_SIM_TIMEOUT = 60.0
 # Fixed, not the caller's simulation timeout: sweeps set that to fractions of
 # a second, and a slow compiler start must not turn a good module into an error.
 COMPILE_TIMEOUT = 60.0
+# Bytes kept of each stream a process prints; past it the process is killed.
+# A module that prints in a zero-delay loop would otherwise fill memory and
+# disk until its timeout.
+OUTPUT_CAP = 1 << 20
+_READ_SIZE = 1 << 16
 
 def require_tools(tools: ToolchainConfig = DEFAULT_TOOLS) -> None:
     """Raise ``ToolNotFoundError`` unless both the compiler and the runtime
@@ -103,14 +112,15 @@ def require_tools(tools: ToolchainConfig = DEFAULT_TOOLS) -> None:
 
 
 class ProcessRun(NamedTuple):
-    returncode: int | None  # None: killed at its timeout
+    returncode: int | None  # None: killed at its timeout or once a stream passed OUTPUT_CAP
     stdout: str
     stderr: str
+    dropped: int = 0  # bytes read past OUTPUT_CAP, both streams together
 
 
-def _decode(output: bytes | None) -> str:
+def _decode(output: bytes) -> str:
     # As text mode reads a pipe, except that no byte can make it raise.
-    return (output or b"").decode("utf-8", "replace").replace("\r\n", "\n").replace("\r", "\n")
+    return output.decode("utf-8", "replace").replace("\r\n", "\n").replace("\r", "\n")
 
 
 def run_process(
@@ -118,20 +128,70 @@ def run_process(
 ) -> ProcessRun:
     """Run ``argv``, killing it after ``timeout`` seconds; every process starts here.
 
-    ``input`` goes to stdin as UTF-8. Both pipes are decoded once, as UTF-8
-    with U+FFFD for any byte that does not decode and with text mode's
-    newlines (CRLF and CR become LF), so no output can raise. A killed
-    process gives ``returncode=None`` and its output so far. An ``OSError``
-    from starting the process propagates.
+    ``input`` goes to stdin as UTF-8; without it stdin is inherited. Both
+    pipes are read as they fill, and each keeps at most ``OUTPUT_CAP`` bytes:
+    once a stream passes the cap the process is killed, and ``dropped``
+    counts the bytes read past it. Both are decoded once, as UTF-8 with
+    U+FFFD for any byte that does not decode and with text mode's newlines
+    (CRLF and CR become LF), so no output can raise. A killed process gives
+    ``returncode=None`` and its output so far. An ``OSError`` from starting
+    the process propagates. The pipes are polled with ``selectors``, which
+    needs a POSIX system.
     """
     import subprocess  # here, not at module scope: only a process run needs it
 
-    stdin = None if input is None else input.encode()
-    try:
-        proc = subprocess.run(argv, cwd=cwd, input=stdin, capture_output=True, timeout=timeout)
-    except subprocess.TimeoutExpired as exc:
-        return ProcessRun(None, _decode(exc.stdout), _decode(exc.stderr))
-    return ProcessRun(proc.returncode, _decode(proc.stdout), _decode(proc.stderr))
+    deadline = time.monotonic() + timeout
+    stdin = None if input is None else subprocess.PIPE
+    with subprocess.Popen(argv, cwd=cwd, stdin=stdin, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        try:
+            stdout, stderr, dropped = _read_capped(proc, input, deadline)
+            returncode = None if dropped else proc.wait(max(0.0, deadline - time.monotonic()))
+        except subprocess.TimeoutExpired:
+            returncode = None
+        finally:
+            if proc.poll() is None:
+                proc.kill()  # leaving the with block reaps it
+    return ProcessRun(returncode, _decode(stdout), _decode(stderr), dropped)
+
+
+def _read_capped(proc, input: str | None, deadline: float) -> tuple[bytes, bytes, int]:
+    # Read stdout and stderr until both close, the deadline passes or one
+    # passes OUTPUT_CAP, and feed ``input`` to stdin as the process takes it.
+    import select
+    import selectors
+
+    kept = {proc.stdout.fileno(): bytearray(), proc.stderr.fileno(): bytearray()}
+    data = memoryview(input.encode() if input is not None else b"")
+    written = dropped = 0
+    with selectors.DefaultSelector() as selector:
+        for fd in kept:
+            selector.register(fd, selectors.EVENT_READ)
+        if data:
+            selector.register(proc.stdin.fileno(), selectors.EVENT_WRITE)
+        elif proc.stdin is not None:
+            proc.stdin.close()
+        while selector.get_map() and not dropped:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                break
+            for key, _ in selector.select(remaining):
+                if key.fd in kept:
+                    chunk = os.read(key.fd, _READ_SIZE)
+                    if not chunk:
+                        selector.unregister(key.fd)
+                    room = OUTPUT_CAP - len(kept[key.fd])
+                    kept[key.fd] += chunk[:room]
+                    dropped += max(0, len(chunk) - room)
+                    continue
+                try:
+                    written += os.write(key.fd, data[written : written + select.PIPE_BUF])
+                except BrokenPipeError:
+                    written = len(data)  # the process stopped reading; what it read is its input
+                if written >= len(data):
+                    selector.unregister(key.fd)
+                    proc.stdin.close()
+    stdout, stderr = kept.values()
+    return bytes(stdout), bytes(stderr), dropped
 
 
 def _run_tool(argv: list[str], timeout: float, cwd: Path, role: str) -> ProcessRun:
@@ -195,12 +255,16 @@ def compile_design(
     Exit code 0 with no warning lines is ``OK``; exit 0 with warnings is
     ``OK_WITH_WARNINGS``; anything else is ``ERROR`` with the tool's
     diagnostics attached. A compiler still running after ``COMPILE_TIMEOUT``
-    seconds is killed and the result is an ``ERROR`` saying so.
+    seconds, or once it prints more than ``OUTPUT_CAP`` bytes on a stream, is
+    killed and the result is an ``ERROR`` saying so.
     """
     module_path, tb_path = write_candidate_sources(module_src, testbench_src, workdir, top_name)
     artifact = workdir / f"{top_name}.vvp"
     argv = [tools.compiler, LANGUAGE_FLAG, "-o", artifact.name, module_path.name, tb_path.name]
     proc = _run_tool(argv, COMPILE_TIMEOUT, workdir, "compiler")
+    if proc.dropped:
+        message = f"error: compiler printed more than {OUTPUT_CAP} bytes and was killed"
+        return CompileResult(CompileStatus.ERROR, (("error", message),), None, proc.dropped)
     if proc.returncode is None:
         message = f"error: compile timed out after {COMPILE_TIMEOUT:g} seconds and was killed"
         return CompileResult(CompileStatus.ERROR, (("error", message),), None)
@@ -217,13 +281,15 @@ def simulate(
     timeout: float = DEFAULT_SIM_TIMEOUT,
     tools: ToolchainConfig = DEFAULT_TOOLS,
 ) -> SimResult:
-    """Run the simulation runtime on a compiled artifact, killing it at timeout."""
+    """Run the simulation runtime on a compiled artifact, killing it at timeout
+    or once it prints more than ``OUTPUT_CAP`` bytes on a stream."""
     artifact_path = Path(artifact_path)
     if not artifact_path.exists():
         raise ToolIoError(f"simulation artifact missing: {artifact_path}")
     argv = [tools.runtime, "-n", artifact_path.name]
     proc = _run_tool(argv, timeout, artifact_path.parent, "simulation runtime")
-    return SimResult(proc.returncode == 0, proc.returncode is None, proc.stdout, proc.stderr)
+    timed_out = proc.returncode is None and not proc.dropped
+    return SimResult(proc.returncode == 0, timed_out, proc.stdout, proc.stderr, proc.dropped)
 
 
 def parse_summary(stdout: str) -> TestbenchSummary | None:
@@ -262,8 +328,8 @@ def evaluate(
 ) -> EvalOutcome:
     """Full pipeline for one candidate: extract, compile, simulate, classify.
 
-    The returned outcome carries the extracted module, so callers never
-    extract a second time.
+    The returned outcome carries the extracted module's offsets into
+    ``candidate_text``, so callers never extract a second time.
 
     A parsed testbench summary always yields ``SIMULATED`` (warnings do not
     demote it); a warned compile with no summary is ``COMPILE_WARNED_NO_SIM``;
@@ -305,13 +371,15 @@ def evaluate(
         mismatches=summary.total_mismatches if summary is not None else None,
         samples=summary.total_samples if summary is not None else None,
         diagnosis=diagnosis,
-        module_src=module_src,
+        module_span=extraction.span,
     )
     _write_candidate_log(workdir, task, extraction.source, compiled, sim, outcome)
     return outcome
 
 
 def _diagnose(sim: SimResult, timeout: float) -> str:
+    if sim.dropped:
+        return f"Simulation printed more than {OUTPUT_CAP} bytes and was killed."
     if sim.timed_out:
         return f"Simulation timed out after {timeout:g} seconds and was killed."
     if not sim.exit_ok:
@@ -331,9 +399,13 @@ def _write_candidate_log(
     if compiled is not None:
         lines.append(f"Compile status: {compiled.status.value}")
         lines.extend(f"{severity}: {text}" for severity, text in compiled.messages)
+        if compiled.dropped:
+            lines.append(_dropped_line("Compile", compiled.dropped))
     if sim is not None:
         lines.append(f"Simulation exit_ok: {sim.exit_ok}")
         lines.append(f"Simulation timed_out: {sim.timed_out}")
+        if sim.dropped:
+            lines.append(_dropped_line("Simulation", sim.dropped))
         if sim.stdout:
             lines.append("--- simulation stdout ---")
             lines.append(sim.stdout.rstrip("\n"))
@@ -347,3 +419,7 @@ def _write_candidate_log(
     if outcome.diagnosis:
         lines.append(outcome.diagnosis)
     (workdir / "log.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _dropped_line(tool: str, dropped: int) -> str:
+    return f"{tool} output dropped: {dropped} bytes past the {OUTPUT_CAP}-byte cap"

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import re
 import shutil
+import threading
 from dataclasses import dataclass, replace
 from functools import partial
 from pathlib import Path
@@ -139,8 +140,13 @@ def model_for_iteration(sched: ModelSchedule, iteration: int, max_depth: int) ->
     return max(applicable, key=lambda e: e.start_iteration).model
 
 
-# An evaluator's outcome carries the module it extracted (None for NO_MODULE).
+# An evaluator's outcome carries the offsets of the module it extracted from
+# the text it was given (None for NO_MODULE).
 Evaluator = Callable[[str, DesignTask, Path, float], EvalOutcome]
+
+
+class SearchStopped(Exception):
+    """A search's stop event was set, so it sent no further depth's request."""
 
 
 def run_search(
@@ -150,6 +156,7 @@ def run_search(
     backends: BackendRegistry,
     *,
     evaluator: Evaluator | None = None,
+    stop: threading.Event | None = None,
 ) -> SearchTrace:
     """Run the greedy tree search for one task and return the full trace.
 
@@ -160,6 +167,8 @@ def run_search(
     replies the failed depth already paid for stay in the ledger; at most
     ``k * (d + 1)`` candidates are ever generated. A depth whose model
     family has no backend raises ``KeyError`` before the first request.
+    Once ``stop`` is set, the search raises ``SearchStopped`` before its next
+    depth's request; the depth in progress finishes first.
     """
     if evaluator is None:
         evaluator = edatools.evaluate
@@ -172,6 +181,8 @@ def run_search(
     models = (model_for_iteration(sched, d, cfg.max_depth) for d in range(cfg.max_depth + 1))
     served = [(model, backend_for(backends, model)) for model in models]
     for depth, (model, backend) in enumerate(served):
+        if stop is not None and stop.is_set():
+            raise SearchStopped(f"{task.name}: stopped before depth {depth}")
         conv_call, fallback = _window_for_call(conversation, model, cfg.feedback_mode)
         request = GenerationRequest(
             conversation=conv_call,

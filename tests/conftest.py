@@ -87,16 +87,19 @@ def make_candidate(
     depth: int = 0,
     index: int = 0,
     outcome: EvalOutcome | None = None,
-    raw_text: str = "```\nmodule top_module(); endmodule\n```",
+    raw_text: str | None = None,
     usage: TokenUsage = TokenUsage(10, 20),
     cost: Decimal = Decimal("0.0001"),
-    module_src: str | None = "module top_module(); endmodule",
+    module_src: str = "module top_module(); endmodule",
 ) -> CandidateResponse:
     """Build a consistent candidate; rank_value picks a matching outcome.
 
-    The candidate's module is its outcome's: ``module_src`` fills in an
-    outcome that has none, unless the outcome is ``NO_MODULE``.
+    The candidate's module is a span of its reply: ``raw_text`` defaults to
+    ``module_src`` in a fence, and an outcome without a span, unless it is
+    ``NO_MODULE``, gets the span of ``module_src`` in ``raw_text``.
     """
+    if raw_text is None:
+        raw_text = f"```\n{module_src}\n```"
     if outcome is None:
         if rank_value is None:
             rank_value = 0.5
@@ -113,8 +116,9 @@ def make_candidate(
             outcome = EvalOutcome(
                 OutcomeKind.SIMULATED, mismatches=mismatches, samples=samples
             )
-    if outcome.kind is not OutcomeKind.NO_MODULE and outcome.module_src is None:
-        outcome = replace(outcome, module_src=module_src)
+    if outcome.kind is not OutcomeKind.NO_MODULE and outcome.module_span is None:
+        start = raw_text.index(module_src)
+        outcome = replace(outcome, module_span=(start, start + len(module_src)))
     return CandidateResponse(
         raw_text=raw_text,
         usage=usage,

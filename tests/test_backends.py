@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import random
 import shlex
 import sys
@@ -38,6 +39,7 @@ from hdlsmith.backends import (
     requests_transport,
 )
 from hdlsmith.core import TokenUsage
+from hdlsmith.edatools import OUTPUT_CAP
 from hdlsmith.prompts import Conversation, Message, Role
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -744,6 +746,17 @@ class TestCommandBackend:
         req = GenerationRequest(two_turn_conversation(), lookup_model("local-model", "local"), 1)
         with pytest.raises(TransportError, match="local model timed out after 0.2s"):
             backend.generate(req)
+
+    def test_flooding_process_is_transport_error(self, tmp_path):
+        pid = tmp_path / "pid"
+        backend = CommandBackend(("/bin/sh", "-c", f"echo $$ > {pid}; exec yes flood"), timeout=10.0)
+        req = GenerationRequest(two_turn_conversation(), lookup_model("local-model", "local"), 1)
+        start = time.monotonic()
+        with pytest.raises(TransportError, match=f"local model printed more than {OUTPUT_CAP} bytes"):
+            backend.generate(req)
+        assert time.monotonic() - start < 1
+        with pytest.raises(ProcessLookupError):
+            os.kill(int(pid.read_text()), 0)
 
     def test_start_failure_is_transport_error(self, tmp_path):
         backend = CommandBackend((str(tmp_path / "no-such-model"),))

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import _thread
 import itertools
 import json
 import math
+import tempfile
 import threading
 import warnings
 from collections import Counter
@@ -15,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hdlsmith import bench
 from hdlsmith.backends import MockBackend
 from hdlsmith.bench import (
     EmptySuiteError,
@@ -236,6 +239,42 @@ class TestRunSuite:
         assert late == []
         assert {c.task_name for c in backend.calls} == {"a0", "a1", "a2"}
 
+    @pytest.mark.usefixtures("no_thread_leak")
+    @pytest.mark.parametrize(
+        "parallelism, interrupt", [(3, False), (1, True), (3, True)], ids=["error", "interrupt", "interrupt, 3"]
+    )
+    def test_running_searches_stop_at_the_next_depth(self, tmp_path, monkeypatch, parallelism, interrupt):
+        tasks = load_suite(make_suite_dir(tmp_path, stems=("a0", "a1", "a2")))
+        at_depth_1 = threading.Barrier(parallelism)
+        stops, stopped = [], []
+
+        def spy(*args, **kwargs):
+            stops.append(kwargs["stop"])
+            return run_search(*args, **kwargs)
+
+        def evaluator(text, task, workdir, timeout):
+            if "iter1" in workdir.parts:
+                # Every running search is at depth 1 when a0 fails, and
+                # finishes that depth only once the sweep has stopped.
+                at_depth_1.wait(timeout=10)
+                if task.name == "a0" and not interrupt:
+                    raise RuntimeError("tool exploded")
+                if task.name == "a0":
+                    _thread.interrupt_main()
+                stopped.append(stops[0].wait(timeout=10))
+            return offline_evaluate(text, task, workdir, timeout)
+
+        monkeypatch.setattr(bench, "run_search", spy)
+        backend = MockBackend({})
+        with pytest.raises(KeyboardInterrupt if interrupt else RuntimeError):
+            run_suite(
+                tasks, [GridPoint(1, 5)], self.schedule(), {"mock": backend},
+                evaluator=evaluator, workdir=tmp_path / "work", parallelism=parallelism,
+            )
+        running = [t.name for t in tasks[:parallelism]]
+        assert stopped == [True] * (parallelism - (not interrupt))
+        assert sorted((c.task_name, c.depth) for c in backend.calls) == [(t, d) for t in running for d in (0, 1)]
+
     @pytest.mark.parametrize("start", [0, FINAL_ITERATION], ids=["model", "final model"])
     def test_family_without_backend_raises_before_any_search(self, tmp_path, start):
         # Start 0 replaces the mock model; the final-iteration entry joins it.
@@ -281,13 +320,24 @@ class TestRunSuite:
 
     def test_parallelism_below_one_raises_before_any_search(self, tmp_path):
         backend = MockBackend({})
-        with pytest.raises(ValueError, match="max_workers must be greater than 0"):
+        with pytest.raises(ValueError, match="parallelism must be at least 1, got 0"):
             run_suite(
                 load_suite(make_suite_dir(tmp_path)), [GridPoint(1, 1)], self.schedule(),
                 {"mock": backend}, evaluator=offline_evaluate, workdir=tmp_path / "work", parallelism=0,
             )
         assert backend.calls == []
         assert not (tmp_path / "work").exists()
+
+    def test_parallelism_below_one_makes_no_temp_workdir(self, tmp_path, monkeypatch):
+        tasks = load_suite(make_suite_dir(tmp_path))
+        (tmp_path / "temp").mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "temp"))
+        with pytest.raises(ValueError, match="parallelism must be at least 1, got 0"):
+            run_suite(
+                tasks, [GridPoint(1, 1)], self.schedule(), {"mock": MockBackend({})},
+                evaluator=offline_evaluate, parallelism=0,
+            )
+        assert list((tmp_path / "temp").iterdir()) == []
 
     def test_any_registered_family_is_served(self, tmp_path):
         tasks = load_suite(make_suite_dir(tmp_path, stems=("adder",)))

@@ -223,21 +223,42 @@ class TestTypeInvariants:
             with pytest.raises(ValueError):
                 Rank(bad)
 
+    @staticmethod
+    def candidate(kind, span):
+        outcome = make_outcome(kind, module_span=span)
+        return CandidateResponse(
+            raw_text="text",
+            usage=TokenUsage(1, 1),
+            cost_usd=Decimal(0),
+            outcome=outcome,
+            rank=rank_outcome(outcome),
+            depth=0,
+            index=0,
+        )
+
     def test_candidate_links_module_outcome_rank(self):
-        outcome = make_outcome(OutcomeKind.NO_MODULE, module_src="module m(); endmodule")
-        with pytest.raises(ValueError):
-            CandidateResponse(
-                raw_text="text",
-                usage=TokenUsage(1, 1),
-                cost_usd=Decimal(0),
-                outcome=outcome,
-                rank=rank_outcome(outcome),
-                depth=0,
-                index=0,
-            )
+        with pytest.raises(ValueError, match="module_span"):
+            self.candidate(OutcomeKind.NO_MODULE, (0, 4))
+        with pytest.raises(ValueError, match="module_span"):
+            self.candidate(OutcomeKind.COMPILE_ERROR, None)
+
+    @pytest.mark.parametrize("span", [(0, 5), (5, 6)], ids=["past the end", "empty, past the end"])
+    def test_candidate_rejects_a_span_outside_its_reply(self, span):
+        with pytest.raises(ValueError, match="lies outside a reply of 4 characters"):
+            self.candidate(OutcomeKind.COMPILE_ERROR, span)
+        assert self.candidate(OutcomeKind.COMPILE_ERROR, (0, 4)).module_src == "text"
+
+    @pytest.mark.parametrize("span", [(-1, 2), (3, 2)])
+    def test_outcome_rejects_unordered_offsets(self, span):
+        with pytest.raises(ValueError, match="module_span"):
+            make_outcome(OutcomeKind.COMPILE_ERROR, module_span=span)
 
     def test_char_length(self):
-        assert make_candidate(0.5).char_length == len("module top_module(); endmodule")
+        candidate = make_candidate(0.5, raw_text="Fixed:\nmodule top_module(); endmodule\nDone.")
+        assert candidate.outcome.module_span == (7, 37)
+        assert candidate.module_src == "module top_module(); endmodule"
+        assert candidate.char_length == 30
+        assert make_candidate(-2).module_src is None
         assert make_candidate(-2).char_length == 0
 
 

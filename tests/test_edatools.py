@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import shutil
 import time
 from pathlib import Path
@@ -452,6 +453,73 @@ class TestOutputDecoding:
             edatools.run_process([str(tmp_path / "missing")], 1.0)
         with pytest.raises(PermissionError):
             edatools.run_process([str(tmp_path)], 1.0)
+
+
+def assert_exited(pid_file: Path) -> None:
+    # The stand-in wrote its pid and exec'd the flood, so that pid is the
+    # flooding process; once it is killed and reaped the pid is gone.
+    with pytest.raises(ProcessLookupError):
+        os.kill(int(pid_file.read_text()), 0)
+
+
+@pytest.mark.usefixtures("no_thread_leak")
+class TestOutputCap:
+    """A process may keep at most ``OUTPUT_CAP`` bytes per stream."""
+
+    CAP = edatools.OUTPUT_CAP
+
+    def evaluate(self, task, tmp_path, tools):
+        start = time.monotonic()
+        outcome = evaluate("module top_module(); endmodule", task, tmp_path / "r0", 0.2, tools=tools)
+        assert time.monotonic() - start < 1
+        log = tmp_path / "r0" / "log.txt"
+        assert log.stat().st_size < 2 * self.CAP
+        return outcome, log.read_text(encoding="utf-8")
+
+    def test_flooding_simulation_is_killed_at_the_cap(self, task, tmp_path):
+        pid = tmp_path / "pid"
+        tools = write_tools(tmp_path, f"echo $$ > {pid}; exec yes flood")
+        outcome, log = self.evaluate(task, tmp_path, tools)
+        assert_exited(pid)
+        assert outcome.kind is OutcomeKind.SIM_CRASH_OR_TIMEOUT
+        assert len(outcome.sim_stdout) == self.CAP
+        assert outcome.diagnosis == f"Simulation printed more than {self.CAP} bytes and was killed."
+        assert "Simulation timed_out: False\nSimulation output dropped: " in log
+        assert f"bytes past the {self.CAP}-byte cap\n--- simulation stdout ---\nflood\n" in log
+        assert log.endswith(f"Outcome: sim_crash_or_timeout\n{outcome.diagnosis}\n")
+
+    def test_summary_printed_before_the_flood_still_counts(self, task, tmp_path):
+        tools = write_tools(tmp_path, "echo 'Mismatches: 1 in 4 samples'; exec yes flood >&2")
+        outcome, log = self.evaluate(task, tmp_path, tools)
+        assert outcome.kind is OutcomeKind.SIMULATED
+        assert (outcome.mismatches, outcome.samples) == (1, 4)
+        assert "Simulation output dropped: " in log
+
+    def test_flooding_compiler_is_a_compile_error(self, task, tmp_path):
+        pid = tmp_path / "pid"
+        compiler = tmp_path / "flood_iverilog"
+        compiler.write_text(f"#!/bin/sh\necho $$ > {pid}\nexec yes 'warning: flood' >&2\n")
+        compiler.chmod(0o755)
+        tools = ToolchainConfig(compiler=str(compiler), runtime=str(compiler))
+        outcome, log = self.evaluate(task, tmp_path, tools)
+        assert_exited(pid)
+        message = f"error: compiler printed more than {self.CAP} bytes and was killed"
+        assert outcome.kind is OutcomeKind.COMPILE_ERROR
+        assert outcome.compile_messages == (message,)
+        assert f"Compile status: error\nerror: {message}\nCompile output dropped: " in log
+
+    def test_output_up_to_the_cap_is_kept_whole(self):
+        run = edatools.run_process(["head", "-c", str(self.CAP), "/dev/zero"], 10.0)
+        assert run == edatools.ProcessRun(0, "\0" * self.CAP, "", 0)
+        run = edatools.run_process(["head", "-c", str(self.CAP + 1), "/dev/zero"], 10.0)
+        assert (run.returncode, len(run.stdout), run.dropped) == (None, self.CAP, 1)
+
+    def test_input_larger_than_a_pipe_is_written_whole(self):
+        text = "x" * (4 * 65536) + "\u00e9"
+        assert edatools.run_process(["cat"], 10.0, input=text) == edatools.ProcessRun(0, text, "", 0)
+        # A process that stops reading its input still gives its exit and output.
+        run = edatools.run_process(["/bin/sh", "-c", "head -c 1 > /dev/null; echo read"], 10.0, input=text)
+        assert run == edatools.ProcessRun(0, "read\n", "", 0)
 
 
 def _mux_task(module_fixture: str) -> tuple[DesignTask, str]:

@@ -10,6 +10,28 @@ from hypothesis import strategies as st
 from hdlsmith.extract import ExtractionSource, extract_module
 
 
+# Replies that move the module around: indented and tagged fences, padding
+# inside them, CRLF line ends and non-ASCII prose; plus free-form jumbles.
+@st.composite
+def replies(draw):
+    nl = draw(st.sampled_from(["\n", "\r\n"]))
+    pad = st.sampled_from(["", " ", "\t ", nl, nl + nl, " " + nl])
+    prose = st.text(max_size=12)
+    inner = f"{draw(pad)}module m_é();{nl}  // 模块{nl}endmodule{draw(pad)}"
+    if draw(st.booleans()):
+        opening = draw(st.sampled_from(["```", "```verilog", "  ```sv", "\t```"]))
+        closing = draw(st.sampled_from(["```", "   ```"]))
+        inner = f"{opening}{nl}{inner}{nl}{closing}"
+    return f"{draw(prose)}{nl}{inner}{nl}{draw(prose)}"
+
+
+jumbles = st.lists(
+    st.sampled_from(["```", "```v", "\n", "\r\n", " ", "module m();", "endmodule", "// module", "é"])
+    | st.text(max_size=6),
+    max_size=20,
+).map("".join)
+
+
 class TestFencedExtraction:
     def test_canonical_fenced_reply(self):
         raw = "Here is the fix:\n```verilog\nmodule top_module(); endmodule\n```"
@@ -103,3 +125,12 @@ class TestExtractionProperties:
         result = extract_module(raw)
         if result.module_src is not None:
             assert re.search(r"\bendmodule\b", result.module_src)
+
+    @given(replies() | jumbles)
+    def test_module_is_the_span_it_reports(self, raw):
+        result = extract_module(raw)
+        assert (result.span is None) == (result.module_src is None)
+        if result.module_src is not None:
+            start, end = result.span
+            assert raw[start : start + len(result.module_src)] == result.module_src
+            assert end - start == len(result.module_src)

@@ -300,8 +300,8 @@ class TestConversationFlow:
         assert chosen.raw_text == reply.replace("\ud800", "\ufffd")
         assert backend.calls[1].conversation.messages[-2].content == chosen.raw_text
         written = tmp_path / "out" / "iter0" / "response0" / "top_module.sv"
-        assert written.read_text(encoding="utf-8") == chosen.outcome.module_src
-        assert "// \ufffd" in chosen.outcome.module_src
+        assert written.read_text(encoding="utf-8") == chosen.module_src
+        assert "// \ufffd" in chosen.module_src
 
     def test_reply_without_surrogates_is_kept_as_sent(self, task, tmp_path):
         reply = reply_with_module("mismatches=3 samples=9") + " \U0001f600 \ufffd \x00"
