@@ -36,7 +36,7 @@ _EXPORTS = {
             "format_usd", "rank_outcome",
         ),
         "edatools": (
-            "CompileResult", "CompileStatus", "SimResult", "TestbenchSummary", "ToolchainConfig",
+            "CompileResult", "CompileStatus", "ProcessRun", "TestbenchSummary", "ToolchainConfig",
             "ToolIoError", "ToolNotFoundError", "compile_design", "evaluate", "parse_summary",
             "simulate",
         ),

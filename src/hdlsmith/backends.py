@@ -467,9 +467,9 @@ class CommandBackend:
             raise TransportError(str(exc)) from exc
         if proc.dropped:
             raise TransportError(f"local model printed more than {OUTPUT_CAP} bytes and was killed")
-        if proc.returncode is None:
+        if proc.timed_out:
             raise TransportError(f"local model timed out after {self.timeout:g}s")
-        if proc.returncode != 0:
+        if not proc.exit_ok:
             raise TransportError(f"local model exited {proc.returncode}: {proc.stderr.strip()}")
         return proc.stdout, TokenUsage(math.ceil(len(prompt) / 4), math.ceil(len(proc.stdout) / 4))
 

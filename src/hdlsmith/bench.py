@@ -14,6 +14,7 @@ import math
 import tempfile
 import threading
 import warnings
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from decimal import ROUND_HALF_UP, Decimal
 from enum import Enum
@@ -246,11 +247,12 @@ def run_suite(
     searched = sorted(
         set(reads), key=lambda cfg: (groups.index((cfg.num_candidates, cfg.feedback_mode)), cfg.max_depth)
     )
-    root = Path(workdir) if workdir is not None else Path(tempfile.mkdtemp(prefix="suite_"))
+    # Without a workdir the tree is scratch, removed once the pool has finished.
+    tree = nullcontext(workdir) if workdir is not None else tempfile.TemporaryDirectory(prefix="suite_")
     stop = threading.Event()
     failures: list[BaseException] = []
 
-    def search(cfg: SearchConfig, task: DesignTask) -> SearchTrace | None:
+    def search(root: Path, cfg: SearchConfig, task: DesignTask) -> SearchTrace | None:
         task_cfg = replace(cfg, outdir=root / cfg.outdir / task.name)
         try:
             return run_search(task, task_cfg, schedule, backends, evaluator=evaluator, stop=stop)
@@ -263,9 +265,10 @@ def run_suite(
 
     from concurrent.futures import ThreadPoolExecutor, wait  # only a sweep needs a pool
 
-    with ThreadPoolExecutor(max_workers=parallelism) as pool:
+    with tree as top, ThreadPoolExecutor(max_workers=parallelism) as pool:
+        root = Path(top)
         try:
-            futures = [pool.submit(search, cfg, task) for cfg in searched for task in tasks]
+            futures = [pool.submit(search, root, cfg, task) for cfg in searched for task in tasks]
             pending = set(futures)
             while pending:
                 _, pending = wait(pending, timeout=_INTERRUPT_POLL_S)

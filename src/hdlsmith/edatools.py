@@ -36,50 +36,31 @@ class ToolIoError(RuntimeError):
     simulation artifact; a file that cannot be written is a plain ``OSError``."""
 
 
-@dataclass(frozen=True)
-class CompileResult:
-    status: CompileStatus
+class CompileResult(NamedTuple):
     messages: tuple[tuple[str, str], ...]  # (severity, raw tool line)
-    artifact_path: Path | None
+    artifact_path: Path | None  # None: the compile failed
     dropped: int = 0  # output bytes past OUTPUT_CAP; the compiler was killed
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "messages", tuple(self.messages))
-        if (self.artifact_path is None) != (self.status is CompileStatus.ERROR):
-            raise ValueError("artifact_path present exactly when compilation succeeded")
+    @property
+    def status(self) -> CompileStatus:
+        if self.artifact_path is None:
+            return CompileStatus.ERROR
+        if any(severity == "warning" for severity, _ in self.messages):
+            return CompileStatus.OK_WITH_WARNINGS
+        return CompileStatus.OK
 
     @property
     def raw_messages(self) -> tuple[str, ...]:
         return tuple(text for _, text in self.messages)
 
 
-@dataclass(frozen=True)
-class SimResult:
-    exit_ok: bool
-    timed_out: bool
-    stdout: str
-    stderr: str
-    dropped: int = 0  # output bytes past OUTPUT_CAP; the simulation was killed
-
-    def __post_init__(self) -> None:
-        if (self.timed_out or self.dropped) and self.exit_ok:
-            raise ValueError("a killed simulation cannot have exited cleanly")
-
-
-@dataclass(frozen=True)
-class TestbenchSummary:
+class TestbenchSummary(NamedTuple):
     """Mismatch totals printed by a self-checking bench."""
 
     __test__ = False  # keep pytest from collecting this as a test class
 
     total_mismatches: int
     total_samples: int
-
-    def __post_init__(self) -> None:
-        if self.total_samples < 1:
-            raise ValueError("total_samples must be positive")
-        if not 0 <= self.total_mismatches <= self.total_samples:
-            raise ValueError("total_mismatches must lie in [0, total_samples]")
 
 
 @dataclass(frozen=True)
@@ -112,10 +93,20 @@ def require_tools(tools: ToolchainConfig = DEFAULT_TOOLS) -> None:
 
 
 class ProcessRun(NamedTuple):
+    """What one tool process printed and how it ended."""
+
     returncode: int | None  # None: killed at its timeout or once a stream passed OUTPUT_CAP
     stdout: str
     stderr: str
     dropped: int = 0  # bytes read past OUTPUT_CAP, both streams together
+
+    @property
+    def exit_ok(self) -> bool:
+        return self.returncode == 0
+
+    @property
+    def timed_out(self) -> bool:
+        return self.returncode is None and not self.dropped
 
 
 def _decode(output: bytes) -> str:
@@ -128,68 +119,64 @@ def run_process(
 ) -> ProcessRun:
     """Run ``argv``, killing it after ``timeout`` seconds; every process starts here.
 
-    ``input`` goes to stdin as UTF-8; without it stdin is inherited. Both
-    pipes are read as they fill, and each keeps at most ``OUTPUT_CAP`` bytes:
-    once a stream passes the cap the process is killed, and ``dropped``
-    counts the bytes read past it. Both are decoded once, as UTF-8 with
-    U+FFFD for any byte that does not decode and with text mode's newlines
-    (CRLF and CR become LF), so no output can raise. A killed process gives
-    ``returncode=None`` and its output so far. An ``OSError`` from starting
-    the process propagates. The pipes are polled with ``selectors``, which
+    ``input`` is written as UTF-8 to an unnamed temporary file that becomes
+    stdin; without it stdin is inherited. Both pipes are read as they fill,
+    and each keeps at most ``OUTPUT_CAP`` bytes: once a stream passes the
+    cap the process is killed, and ``dropped`` counts the bytes read past
+    it. Both are decoded once, as UTF-8 with U+FFFD for any byte that does
+    not decode and with text mode's newlines (CRLF and CR become LF), so no
+    output can raise. A killed process gives ``returncode=None`` and its
+    output so far. An ``OSError`` from writing ``input`` or starting the
+    process propagates. The pipes are polled with ``selectors``, which
     needs a POSIX system.
     """
     import subprocess  # here, not at module scope: only a process run needs it
 
     deadline = time.monotonic() + timeout
-    stdin = None if input is None else subprocess.PIPE
-    with subprocess.Popen(argv, cwd=cwd, stdin=stdin, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
-        try:
-            stdout, stderr, dropped = _read_capped(proc, input, deadline)
-            returncode = None if dropped else proc.wait(max(0.0, deadline - time.monotonic()))
-        except subprocess.TimeoutExpired:
-            returncode = None
-        finally:
-            if proc.poll() is None:
-                proc.kill()  # leaving the with block reaps it
+    stdin = None
+    try:
+        if input is not None:
+            import tempfile  # only a process given input needs it
+
+            stdin = tempfile.TemporaryFile()
+            stdin.write(input.encode())
+            stdin.seek(0)
+        with subprocess.Popen(argv, cwd=cwd, stdin=stdin, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            try:
+                stdout, stderr, dropped = _read_capped(proc, deadline)
+                returncode = None if dropped else proc.wait(max(0.0, deadline - time.monotonic()))
+            except subprocess.TimeoutExpired:
+                returncode = None
+            finally:
+                if proc.poll() is None:
+                    proc.kill()  # leaving the with block reaps it
+    finally:
+        if stdin is not None:
+            stdin.close()
     return ProcessRun(returncode, _decode(stdout), _decode(stderr), dropped)
 
 
-def _read_capped(proc, input: str | None, deadline: float) -> tuple[bytes, bytes, int]:
+def _read_capped(proc, deadline: float) -> tuple[bytes, bytes, int]:
     # Read stdout and stderr until both close, the deadline passes or one
-    # passes OUTPUT_CAP, and feed ``input`` to stdin as the process takes it.
-    import select
+    # passes OUTPUT_CAP.
     import selectors
 
     kept = {proc.stdout.fileno(): bytearray(), proc.stderr.fileno(): bytearray()}
-    data = memoryview(input.encode() if input is not None else b"")
-    written = dropped = 0
+    dropped = 0
     with selectors.DefaultSelector() as selector:
         for fd in kept:
             selector.register(fd, selectors.EVENT_READ)
-        if data:
-            selector.register(proc.stdin.fileno(), selectors.EVENT_WRITE)
-        elif proc.stdin is not None:
-            proc.stdin.close()
         while selector.get_map() and not dropped:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 break
             for key, _ in selector.select(remaining):
-                if key.fd in kept:
-                    chunk = os.read(key.fd, _READ_SIZE)
-                    if not chunk:
-                        selector.unregister(key.fd)
-                    room = OUTPUT_CAP - len(kept[key.fd])
-                    kept[key.fd] += chunk[:room]
-                    dropped += max(0, len(chunk) - room)
-                    continue
-                try:
-                    written += os.write(key.fd, data[written : written + select.PIPE_BUF])
-                except BrokenPipeError:
-                    written = len(data)  # the process stopped reading; what it read is its input
-                if written >= len(data):
+                chunk = os.read(key.fd, _READ_SIZE)
+                if not chunk:
                     selector.unregister(key.fd)
-                    proc.stdin.close()
+                room = OUTPUT_CAP - len(kept[key.fd])
+                kept[key.fd] += chunk[:room]
+                dropped += max(0, len(chunk) - room)
     stdout, stderr = kept.values()
     return bytes(stdout), bytes(stderr), dropped
 
@@ -204,13 +191,13 @@ def _run_tool(argv: list[str], timeout: float, cwd: Path, role: str) -> ProcessR
 
 
 def tool_version(tools: ToolchainConfig = DEFAULT_TOOLS) -> str | None:
-    """First line of the compiler's version banner; None if it cannot start or times out."""
+    """First line of the compiler's version banner; None if it cannot start or is killed."""
     try:
         proc = run_process([tools.compiler, "-V"], timeout=10.0)
     except OSError:
         return None
     banner = (proc.stdout or proc.stderr).strip().splitlines()
-    return banner[0] if banner and proc.returncode is not None else None
+    return banner[0] if banner and not (proc.timed_out or proc.dropped) else None
 
 
 def write_candidate_sources(
@@ -264,32 +251,25 @@ def compile_design(
     proc = _run_tool(argv, COMPILE_TIMEOUT, workdir, "compiler")
     if proc.dropped:
         message = f"error: compiler printed more than {OUTPUT_CAP} bytes and was killed"
-        return CompileResult(CompileStatus.ERROR, (("error", message),), None, proc.dropped)
-    if proc.returncode is None:
+        return CompileResult((("error", message),), None, proc.dropped)
+    if proc.timed_out:
         message = f"error: compile timed out after {COMPILE_TIMEOUT:g} seconds and was killed"
-        return CompileResult(CompileStatus.ERROR, (("error", message),), None)
-    messages = _classify_lines(proc.stderr)
-    if proc.returncode != 0:
-        return CompileResult(CompileStatus.ERROR, messages, None)
-    has_warnings = any(severity == "warning" for severity, _ in messages)
-    status = CompileStatus.OK_WITH_WARNINGS if has_warnings else CompileStatus.OK
-    return CompileResult(status, messages, artifact)
+        return CompileResult((("error", message),), None)
+    return CompileResult(_classify_lines(proc.stderr), artifact if proc.exit_ok else None)
 
 
 def simulate(
     artifact_path: Path,
     timeout: float = DEFAULT_SIM_TIMEOUT,
     tools: ToolchainConfig = DEFAULT_TOOLS,
-) -> SimResult:
+) -> ProcessRun:
     """Run the simulation runtime on a compiled artifact, killing it at timeout
     or once it prints more than ``OUTPUT_CAP`` bytes on a stream."""
     artifact_path = Path(artifact_path)
     if not artifact_path.exists():
         raise ToolIoError(f"simulation artifact missing: {artifact_path}")
     argv = [tools.runtime, "-n", artifact_path.name]
-    proc = _run_tool(argv, timeout, artifact_path.parent, "simulation runtime")
-    timed_out = proc.returncode is None and not proc.dropped
-    return SimResult(proc.returncode == 0, timed_out, proc.stdout, proc.stderr, proc.dropped)
+    return _run_tool(argv, timeout, artifact_path.parent, "simulation runtime")
 
 
 def parse_summary(stdout: str) -> TestbenchSummary | None:
@@ -313,7 +293,7 @@ def parse_summary(stdout: str) -> TestbenchSummary | None:
 
 
 CompileFn = Callable[[str, str, Path, str], CompileResult]
-SimulateFn = Callable[[Path, float], SimResult]
+SimulateFn = Callable[[Path, float], ProcessRun]
 
 
 def evaluate(
@@ -377,7 +357,7 @@ def evaluate(
     return outcome
 
 
-def _diagnose(sim: SimResult, timeout: float) -> str:
+def _diagnose(sim: ProcessRun, timeout: float) -> str:
     if sim.dropped:
         return f"Simulation printed more than {OUTPUT_CAP} bytes and was killed."
     if sim.timed_out:
@@ -392,13 +372,14 @@ def _write_candidate_log(
     task: DesignTask,
     source: ExtractionSource,
     compiled: CompileResult | None,
-    sim: SimResult | None,
+    sim: ProcessRun | None,
     outcome: EvalOutcome,
 ) -> None:
     lines = [f"Task: {task.name}", f"Extraction: {source.value}"]
     if compiled is not None:
         lines.append(f"Compile status: {compiled.status.value}")
-        lines.extend(f"{severity}: {text}" for severity, text in compiled.messages)
+        if compiled.messages:
+            lines.append(_capped("\n".join(f"{severity}: {text}" for severity, text in compiled.messages)))
         if compiled.dropped:
             lines.append(_dropped_line("Compile", compiled.dropped))
     if sim is not None:
@@ -408,10 +389,10 @@ def _write_candidate_log(
             lines.append(_dropped_line("Simulation", sim.dropped))
         if sim.stdout:
             lines.append("--- simulation stdout ---")
-            lines.append(sim.stdout.rstrip("\n"))
+            lines.append(_capped(sim.stdout.rstrip("\n")))
         if sim.stderr:
             lines.append("--- simulation stderr ---")
-            lines.append(sim.stderr.rstrip("\n"))
+            lines.append(_capped(sim.stderr.rstrip("\n")))
     lines.append(f"Outcome: {outcome.kind.value}")
     if outcome.kind is OutcomeKind.SIMULATED:
         lines.append(f"Mismatches: {outcome.mismatches}")
@@ -423,3 +404,10 @@ def _write_candidate_log(
 
 def _dropped_line(tool: str, dropped: int) -> str:
     return f"{tool} output dropped: {dropped} bytes past the {OUTPUT_CAP}-byte cap"
+
+
+def _capped(section: str) -> str:
+    # At most OUTPUT_CAP bytes of UTF-8, cut at a character boundary: each
+    # kept byte that did not decode became U+FFFD, three bytes in UTF-8.
+    data = section.encode()
+    return section if len(data) <= OUTPUT_CAP else data[:OUTPUT_CAP].decode(errors="ignore")

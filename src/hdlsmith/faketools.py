@@ -23,14 +23,7 @@ from functools import partial
 from pathlib import Path
 
 from .core import DesignTask, EvalOutcome
-from .edatools import (
-    CompileResult,
-    CompileStatus,
-    SimResult,
-    ToolIoError,
-    evaluate,
-    write_candidate_sources,
-)
+from .edatools import CompileResult, ProcessRun, ToolIoError, evaluate, write_candidate_sources
 
 _DIRECTIVE_RE = re.compile(r"//\s*eda:\s*(.+?)\s*$", re.MULTILINE)
 _MISMATCH_DIRECTIVE_RE = re.compile(r"mismatches=(\d+)\s+samples=(\d+)")
@@ -50,27 +43,27 @@ def fake_compile(
     directives = _directives(module_src)
     if "compile-error" in directives:
         message = f"{top_name}.sv:1: error: scripted compile failure"
-        return CompileResult(CompileStatus.ERROR, (("error", message),), None)
+        return CompileResult((("error", message),), None)
     artifact = workdir / f"{top_name}.vvp"
     artifact.write_text("fake compiled artifact\n", encoding="utf-8")
     if "warning" in directives:
         message = f"{top_name}.sv:1: warning: scripted warning"
-        return CompileResult(CompileStatus.OK_WITH_WARNINGS, (("warning", message),), artifact)
-    return CompileResult(CompileStatus.OK, (), artifact)
+        return CompileResult((("warning", message),), artifact)
+    return CompileResult((), artifact)
 
 
-def fake_simulate(artifact_path: Path, timeout: float) -> SimResult:
+def fake_simulate(artifact_path: Path, timeout: float) -> ProcessRun:
     artifact_path = Path(artifact_path)
     if not artifact_path.exists():
         raise ToolIoError(f"simulation artifact missing: {artifact_path}")
     module_src = artifact_path.with_suffix(".sv").read_text(encoding="utf-8")
     directives = _directives(module_src)
     if "hang" in directives:
-        return SimResult(False, True, "", "")
+        return ProcessRun(None, "", "")
     if "crash" in directives:
-        return SimResult(False, False, "", "scripted simulator crash\n")
+        return ProcessRun(1, "", "scripted simulator crash\n")
     if "silent" in directives:
-        return SimResult(True, False, "simulation ran quietly\n", "")
+        return ProcessRun(0, "simulation ran quietly\n", "")
     mismatches, samples = DEFAULT_MISMATCHES, DEFAULT_SAMPLES
     if "pass" in directives:
         mismatches, samples = 0, DEFAULT_SAMPLES
@@ -78,7 +71,7 @@ def fake_simulate(artifact_path: Path, timeout: float) -> SimResult:
         counts = _MISMATCH_DIRECTIVE_RE.search(directive)
         if counts:
             mismatches, samples = int(counts.group(1)), int(counts.group(2))
-    return SimResult(True, False, _summary_stdout(mismatches, samples), "")
+    return ProcessRun(0, _summary_stdout(mismatches, samples), "")
 
 
 def _summary_stdout(mismatches: int, samples: int) -> str:

@@ -79,6 +79,10 @@ NO_MODULE_FEEDBACK = (
 # Stands in for an empty chosen reply, since a window message cannot be empty.
 EMPTY_REPLY_PLACEHOLDER = "(empty response)"
 
+# Characters of crash or timeout output fed back, from its end: a simulation
+# that prints a megabyte without a newline must not overflow the next window.
+OUTPUT_TAIL_CHARS = 4096
+
 
 def system_prompt() -> str:
     """The fixed system prompt, byte-identical for every call."""
@@ -121,7 +125,8 @@ def feedback_text(outcome: EvalOutcome) -> str:
 
     Compiler diagnostics and testbench summaries are passed through verbatim;
     a missing module re-sends the formatting instruction; crashes and
-    timeouts get a one-line diagnosis plus the tail of any captured output.
+    timeouts get a one-line diagnosis plus the tail of any captured output:
+    its last 20 non-blank lines, cut to their last ``OUTPUT_TAIL_CHARS``.
     """
     kind = outcome.kind
     if kind is OutcomeKind.NO_MODULE:
@@ -153,7 +158,7 @@ def _summary_block(stdout: str) -> str:
 
 def _output_tail(stdout: str, max_lines: int = 20) -> str:
     lines = [line for line in stdout.splitlines() if line.strip()]
-    return "\n".join(lines[-max_lines:])
+    return "\n".join(lines[-max_lines:])[-OUTPUT_TAIL_CHARS:]
 
 
 def flatten_for_backend(conv: Conversation) -> Conversation:

@@ -8,6 +8,7 @@ import os
 import random
 import shlex
 import sys
+import tempfile
 import threading
 import time
 from dataclasses import replace
@@ -764,6 +765,14 @@ class TestCommandBackend:
         with pytest.raises(TransportError, match="No such file or directory"):
             backend.generate(req)
 
+    def test_unwritable_temp_dir_is_transport_error(self, tmp_path, monkeypatch):
+        # The prompt reaches stdin through a temporary file.
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
+        backend = CommandBackend(("cat",))
+        req = GenerationRequest(two_turn_conversation(), lookup_model("local-model", "local"), 1)
+        with pytest.raises(TransportError, match="No such file or directory"):
+            backend.generate(req)
+
     def test_nonzero_exit_is_transport_error(self):
         backend = CommandBackend((sys.executable, "-c", "import sys; sys.exit(3)"))
         req = GenerationRequest(two_turn_conversation(), lookup_model("local-model", "local"), 1)
@@ -926,6 +935,7 @@ class TestRequestsTransport:
 # Run in a fresh interpreter: the test process itself has long imported requests.
 IMPORT_GUARD = """
 import sys
+import tempfile
 
 import hdlsmith, hdlsmith.cli
 from hdlsmith.backends import ChatCompletionsBackend, GenerationRequest, default_registry, lookup_model

@@ -339,6 +339,31 @@ class TestRunSuite:
             )
         assert list((tmp_path / "temp").iterdir()) == []
 
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_temp_workdir_is_removed(self, tmp_path, monkeypatch, fails):
+        tasks = load_suite(make_suite_dir(tmp_path))
+        (tmp_path / "temp").mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "temp"))
+        written = []
+
+        def evaluator(text, task, workdir, timeout):
+            written.append(workdir)
+            if fails:
+                raise ToolIoError("disk full")
+            return offline_evaluate(text, task, workdir, timeout)
+
+        sweep = lambda: run_suite(
+            tasks, [GridPoint(2, 1)], self.schedule(), {"mock": MockBackend({})},
+            evaluator=evaluator, parallelism=2,
+        )
+        if fails:
+            with pytest.raises(ToolIoError, match="disk full"):
+                sweep()
+        else:
+            assert len(sweep()[0].per_task) == 3
+        assert written and all(tmp_path / "temp" in w.parents for w in written)
+        assert list((tmp_path / "temp").iterdir()) == []
+
     def test_any_registered_family_is_served(self, tmp_path):
         tasks = load_suite(make_suite_dir(tmp_path, stems=("adder",)))
         backend = MockBackend({("adder", 1, 0): passing_reply(name="adder")})

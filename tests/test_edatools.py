@@ -17,7 +17,7 @@ from hdlsmith.core import DesignTask, OutcomeKind
 from hdlsmith.edatools import (
     CompileResult,
     CompileStatus,
-    SimResult,
+    ProcessRun,
     TestbenchSummary,
     ToolchainConfig,
     ToolIoError,
@@ -83,22 +83,36 @@ class TestParseSummary:
         assert (summary.total_mismatches, summary.total_samples) == SAMPLE_TOTALS
 
 
-class TestResultInvariants:
-    def test_compile_result_artifact_matches_status(self, tmp_path):
-        with pytest.raises(ValueError):
-            CompileResult(CompileStatus.OK, (), None)
-        with pytest.raises(ValueError):
-            CompileResult(CompileStatus.ERROR, (), tmp_path / "x.vvp")
+ARTIFACT = Path("top_module.vvp")
 
-    def test_sim_result_timeout_implies_failure(self):
-        with pytest.raises(ValueError):
-            SimResult(True, True, "", "")
 
-    def test_summary_bounds(self):
-        with pytest.raises(ValueError):
-            TestbenchSummary(5, 4)
-        with pytest.raises(ValueError):
-            TestbenchSummary(0, 0)
+class TestDerivedFacts:
+    """Each result stores its facts once; the rest is read off them."""
+
+    @pytest.mark.parametrize("returncode, dropped, exit_ok, timed_out", [
+        (0, 0, True, False),
+        (1, 0, False, False),
+        (None, 0, False, True),
+        (None, 7, False, False),
+    ])
+    def test_process_run(self, returncode, dropped, exit_ok, timed_out):
+        run = ProcessRun(returncode, "", "", dropped)
+        assert (run.exit_ok, run.timed_out) == (exit_ok, timed_out)
+
+    @pytest.mark.parametrize("messages, artifact, status", [
+        ((("warning", "w"),), None, CompileStatus.ERROR),
+        ((("info", "i"), ("warning", "w")), ARTIFACT, CompileStatus.OK_WITH_WARNINGS),
+        ((("error", "e"), ("info", "i")), ARTIFACT, CompileStatus.OK),
+    ], ids=["no_artifact", "warning", "no_warning"])
+    def test_compile_status(self, messages, artifact, status):
+        assert CompileResult(messages, artifact).status is status
+
+    @pytest.mark.parametrize("stdout, totals", [
+        ("Mismatches: 0 in 6283 samples\n", (0, 6283)),
+        (SAMPLE_SUMMARY_OUTPUT, SAMPLE_TOTALS),
+    ], ids=["passing", "failing"])
+    def test_summary(self, stdout, totals):
+        assert parse_summary(stdout) == totals
 
 
 class TestToolErrors:
@@ -507,6 +521,20 @@ class TestOutputCap:
         assert outcome.kind is OutcomeKind.COMPILE_ERROR
         assert outcome.compile_messages == (message,)
         assert f"Compile status: error\nerror: {message}\nCompile output dropped: " in log
+
+    @pytest.mark.parametrize("section", ["stdout", "stderr", "compile"])
+    def test_log_keeps_at_most_the_cap_of_each_section(self, task, tmp_path, section):
+        # Each kept 0xFF byte decodes to U+FFFD, three bytes in UTF-8.
+        flood = "exec yes \"$(printf '\\377\\377\\377')\""
+        tools = write_tools(tmp_path, {"stdout": flood, "stderr": f"{flood} >&2", "compile": "true"}[section])
+        if section == "compile":
+            # Under the cap, so nothing is dropped and the compile succeeds.
+            under = f"head -c {self.CAP - 1} /dev/zero | tr '\\0' '\\377' >&2"
+            Path(tools.compiler).write_text(Path(tools.compiler).read_text() + under + "\n")
+        outcome, log = self.evaluate(task, tmp_path, tools)
+        assert (tmp_path / "r0" / "log.txt").stat().st_size < self.CAP + 4096
+        assert "\ufffd" * 3 in log
+        assert log.endswith(f"Outcome: sim_crash_or_timeout\n{outcome.diagnosis}\n")
 
     def test_output_up_to_the_cap_is_kept_whole(self):
         run = edatools.run_process(["head", "-c", str(self.CAP), "/dev/zero"], 10.0)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import SAMPLE_SUMMARY_OUTPUT
 from hdlsmith.core import EvalOutcome, OutcomeKind
 from hdlsmith.prompts import (
+    OUTPUT_TAIL_CHARS,
     Conversation,
     FeedbackMode,
     Message,
@@ -148,6 +149,12 @@ class TestFeedbackText:
         text = feedback_text(outcome)
         assert "60" in text
         assert "partial line" in text
+
+    def test_crash_tail_is_bounded_in_characters(self):
+        diagnosis = "Simulation printed more than 1048576 bytes and was killed."
+        stdout = "".join(chr(0x41 + n % 26) for n in range(1 << 20))  # one line, no newline
+        outcome = EvalOutcome(OutcomeKind.SIM_CRASH_OR_TIMEOUT, diagnosis=diagnosis, sim_stdout=stdout)
+        assert feedback_text(outcome) == f"{diagnosis}\n{stdout[-OUTPUT_TAIL_CHARS:]}"
 
     def test_no_module_resends_format_instruction(self):
         text = feedback_text(EvalOutcome(OutcomeKind.NO_MODULE))

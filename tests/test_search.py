@@ -36,13 +36,15 @@ from hdlsmith.core import (
     candidate_order_key,
     compute_cost,
 )
+from hdlsmith.edatools import ProcessRun, evaluate
 from hdlsmith.extract import extract_module
-from hdlsmith.faketools import offline_evaluate, passing_reply, reply_with_module
+from hdlsmith.faketools import fake_compile, offline_evaluate, passing_reply, reply_with_module
 from hdlsmith.prompts import (
     EMPTY_REPLY_PLACEHOLDER,
     NO_MODULE_FEEDBACK,
     FeedbackMode,
     Role,
+    estimate_tokens,
     feedback_text,
     initial_conversation,
     system_prompt,
@@ -291,6 +293,20 @@ class TestConversationFlow:
         sent = backend.calls[1].conversation.messages
         assert sent[-1].content == feedback_text(chosen.outcome)
         assert sent[-2].content == chosen.raw_text
+
+    def test_crash_output_on_one_line_fits_the_next_window(self, task, tmp_path):
+        # A simulation printing 1 MiB without a newline is fed back as its tail.
+        def flood(artifact_path, timeout):
+            return ProcessRun(None, "x" * (1 << 20), "", 1)
+
+        def evaluator(text, task, workdir, timeout):
+            return evaluate(text, task, workdir, timeout, compile_fn=fake_compile, simulate_fn=flood)
+
+        trace, backend = run_mock_search(
+            task, tmp_path, k=1, d=1, script={("top_module", 0, 0): reply_with_module()}, evaluator=evaluator
+        )
+        assert trace.nodes[0].chosen.outcome.kind is OutcomeKind.SIM_CRASH_OR_TIMEOUT
+        assert estimate_tokens(backend.calls[1].conversation) < MOCK_MODEL.max_context_tokens
 
     def test_lone_surrogate_becomes_replacement_character_once(self, task, tmp_path):
         # JSON "\ud800" decodes to a lone surrogate, which UTF-8 cannot encode.
