@@ -19,7 +19,7 @@ from hdlsmith.core import CostLedger, LedgerEntry
 # The four failure levels, from worst to best.
 outcomes = [
     ("no module in reply", EvalOutcome(OutcomeKind.NO_MODULE)),
-    ("compile error", EvalOutcome(OutcomeKind.COMPILE_ERROR, compile_messages=("x.sv:3: error: ...",))),
+    ("compile error", EvalOutcome(OutcomeKind.COMPILE_ERROR, feedback="x.sv:3: error: ...")),
     ("warned, no summary", EvalOutcome(OutcomeKind.COMPILE_WARNED_NO_SIM)),
     ("sim hang", EvalOutcome(OutcomeKind.SIM_CRASH_OR_TIMEOUT, diagnosis="Simulation timed out after 60 seconds and was killed.")),
     ("6220 of 6283 wrong", EvalOutcome(OutcomeKind.SIMULATED, mismatches=6220, samples=6283)),

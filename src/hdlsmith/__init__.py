@@ -42,8 +42,8 @@ _EXPORTS = {
         ),
         "extract": ("ExtractionResult", "ExtractionSource", "extract_module"),
         "prompts": (
-            "Conversation", "FeedbackMode", "Message", "Role", "feedback_text",
-            "flatten_for_backend", "initial_conversation", "next_conversation", "system_prompt",
+            "Conversation", "FeedbackMode", "Message", "Role", "flatten_for_backend",
+            "initial_conversation", "next_conversation", "system_prompt",
         ),
         "runcfg": ("ConfigError", "RunConfig", "execute_run", "load_config", "write_run_log"),
         "search": (

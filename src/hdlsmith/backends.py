@@ -146,7 +146,8 @@ def backoff_delay(policy: RetryPolicy, retry_index: int, rng: random.Random) -> 
 # is probed: the estimate ignores per-message overhead, so a provider may
 # count such a window over the limit and reject every request for it.
 NEAR_LIMIT_MARGIN = 0.10
-# Requests of one ``generate`` call in flight at once; the others queue.
+# Requests in flight at once against one backend, across all its calls; the
+# others queue.
 MAX_IN_FLIGHT = 8
 
 
@@ -178,22 +179,25 @@ class _ProbeRule:
             self._failing = failed
 
 
-def _fan_out(req: GenerationRequest, request: Callable[[], Reply], rule: _ProbeRule) -> tuple[Reply, ...]:
+def _fan_out(
+    req: GenerationRequest, request: Callable[[], Reply], rule: _ProbeRule, slots: threading.BoundedSemaphore
+) -> tuple[Reply, ...]:
     """Make ``req.num_candidates`` identical requests, all at once or after a probe.
 
     When ``rule`` asks for a probe, one request goes alone and, if it
     succeeds, the other k-1 go out at once; otherwise all k go out at once,
-    one of them from the calling thread. At most ``MAX_IN_FLIGHT`` requests
-    are in flight; the others queue. Replies are indexed and returned in
-    arrival order: the requests are indistinguishable, and a provider that
-    serves one request at a time then yields the same order as a serial
-    loop. ``req.on_reply(index, reply)`` runs on the thread that received
-    the reply, right after it got its index; a probe's reply is received on
-    the calling thread and handed over there once the others are submitted.
-    If any request fails, its error is raised only after every in-flight
-    request has returned and been handed over, so no thread outlives the
-    call. However the call ends, ``rule`` then learns whether any request
-    failed.
+    one of them from the calling thread. A request holds one of the
+    backend's ``MAX_IN_FLIGHT`` ``slots`` only while in flight, so the
+    backend's calls share the cap, no thread holds two, and the others queue.
+    Replies are indexed and returned in arrival order: the requests are
+    indistinguishable, and a provider that serves one request at a time then
+    yields the same order as a serial loop. ``req.on_reply(index, reply)``
+    runs on the thread that received the reply, right after it got its
+    index; a probe's reply is received on the calling thread and handed over
+    there once the others are submitted. If any request fails, its error is
+    raised only after every in-flight request has returned and been handed
+    over, so no thread outlives the call. However the call ends, ``rule``
+    then learns whether any request failed.
     """
     k = req.num_candidates
     deliver = req.on_reply or (lambda index, reply: None)
@@ -203,7 +207,8 @@ def _fan_out(req: GenerationRequest, request: Callable[[], Reply], rule: _ProbeR
 
     def receive() -> tuple[int, Reply] | None:
         try:
-            reply = request()
+            with slots:
+                reply = request()
         except Exception as exc:
             errors.append(exc)
             return None
@@ -328,6 +333,7 @@ class _HttpBackend:
         self._sleep = sleep
         self._rng = rng or random.Random()
         self._probe = _ProbeRule()
+        self._slots = threading.BoundedSemaphore(MAX_IN_FLIGHT)
 
     def _api_key(self) -> str:
         key = os.environ.get(self.api_key_env)
@@ -350,7 +356,7 @@ class _HttpBackend:
     def generate(self, req: GenerationRequest) -> tuple[Reply, ...]:
         # Providers report usage per call, not per choice, so each candidate
         # is its own request to keep usage attributable per reply.
-        return _fan_out(req, partial(self._single_completion, req), self._probe)
+        return _fan_out(req, partial(self._single_completion, req), self._probe, self._slots)
 
     def _single_completion(self, req: GenerationRequest) -> Reply:
         raise NotImplementedError
@@ -450,13 +456,16 @@ class CommandBackend:
     argv: tuple[str, ...]
     timeout: float = 300.0
     _probe: _ProbeRule = field(default_factory=_ProbeRule, init=False, repr=False, compare=False)
+    _slots: threading.BoundedSemaphore = field(
+        default_factory=partial(threading.BoundedSemaphore, MAX_IN_FLIGHT), init=False, repr=False, compare=False
+    )
 
     @staticmethod
     def _render(conv: Conversation) -> str:
         return "\n\n".join(f"[{m.role.value}]\n{m.content}" for m in conv.messages)
 
     def generate(self, req: GenerationRequest) -> tuple[Reply, ...]:
-        return _fan_out(req, partial(self._run, self._render(req.conversation)), self._probe)
+        return _fan_out(req, partial(self._run, self._render(req.conversation)), self._probe, self._slots)
 
     def _run(self, prompt: str) -> Reply:
         from .edatools import OUTPUT_CAP, run_process  # here, not at module scope: only this backend starts processes

@@ -14,8 +14,6 @@ from enum import Enum
 from typing import NamedTuple, Sequence
 
 _IDENTIFIER_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-# The authoritative summary line of a self-checking testbench.
-MISMATCH_LINE_RE = re.compile(r"^Mismatches: (\d+) in (\d+) samples\s*$")
 
 # Ranking scale for candidates that never produced a usable simulation.
 RANK_NO_MODULE = -2.0
@@ -121,21 +119,20 @@ class EvalOutcome:
 
     ``mismatches``/``samples`` are present exactly when the candidate
     simulated and its testbench printed a parseable summary. ``diagnosis``
-    carries the one-line crash/timeout note that feeds the repair prompt.
-    ``module_span`` holds the half-open offsets of the module the evaluation
-    extracted, into the text it evaluated.
+    carries the one-line crash/timeout note. ``module_span`` holds the
+    half-open offsets of the module the evaluation extracted, into the text it
+    evaluated. ``feedback`` is the repair prompt built from the tool output,
+    which the outcome does not keep.
     """
 
     kind: OutcomeKind
-    compile_messages: tuple[str, ...] = ()
-    sim_stdout: str = ""
     mismatches: int | None = None
     samples: int | None = None
     diagnosis: str | None = None
     module_span: tuple[int, int] | None = None
+    feedback: str = ""
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "compile_messages", tuple(self.compile_messages))
         if self.module_span is not None and not 0 <= self.module_span[0] <= self.module_span[1]:
             raise ValueError(f"module_span {self.module_span!r} is not a pair of ordered offsets")
         if self.kind is OutcomeKind.SIMULATED:

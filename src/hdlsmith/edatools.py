@@ -1,4 +1,5 @@
-"""Drive the compile/simulate toolchain on a candidate and classify the result.
+"""Drive the compile/simulate toolchain on a candidate, classify the result
+and build its repair prompt.
 
 The default toolchain is Icarus Verilog (``iverilog``/``vvp``) invoked with
 the SystemVerilog standard flag; the tool paths are configurable. Each
@@ -9,6 +10,7 @@ sources, the compiled artifact and a per-candidate log.
 from __future__ import annotations
 
 import os
+import re
 import shutil
 import time
 from dataclasses import dataclass
@@ -17,8 +19,9 @@ from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence
 
-from .core import MISMATCH_LINE_RE, DesignTask, EvalOutcome, OutcomeKind
+from .core import DesignTask, EvalOutcome, OutcomeKind
 from .extract import ExtractionSource, extract_module
+from .prompts import NO_MODULE_FEEDBACK
 
 
 class CompileStatus(Enum):
@@ -48,10 +51,6 @@ class CompileResult(NamedTuple):
         if any(severity == "warning" for severity, _ in self.messages):
             return CompileStatus.OK_WITH_WARNINGS
         return CompileStatus.OK
-
-    @property
-    def raw_messages(self) -> tuple[str, ...]:
-        return tuple(text for _, text in self.messages)
 
 
 class TestbenchSummary(NamedTuple):
@@ -83,6 +82,13 @@ COMPILE_TIMEOUT = 60.0
 # disk until its timeout.
 OUTPUT_CAP = 1 << 20
 _READ_SIZE = 1 << 16
+# Characters of tool output a repair prompt keeps from each source: compile
+# diagnostics and testbench Hint lines from their start (the first errors are
+# the ones to fix), crash or timeout output from its end. Output up to
+# OUTPUT_CAP must not overflow the next window.
+FEEDBACK_CHARS = 4096
+# The authoritative summary line of a self-checking testbench.
+MISMATCH_LINE_RE = re.compile(r"^Mismatches: (\d+) in (\d+) samples\s*$")
 
 def require_tools(tools: ToolchainConfig = DEFAULT_TOOLS) -> None:
     """Raise ``ToolNotFoundError`` unless both the compiler and the runtime
@@ -309,7 +315,10 @@ def evaluate(
     """Full pipeline for one candidate: extract, compile, simulate, classify.
 
     The returned outcome carries the extracted module's offsets into
-    ``candidate_text``, so callers never extract a second time.
+    ``candidate_text``, so callers never extract a second time, and the
+    repair prompt for its kind, so none reads the tool output again: the
+    compile diagnostics, the testbench's ``Hint:`` and summary lines, or a
+    crash diagnosis with the output's last 20 non-blank lines.
 
     A parsed testbench summary always yields ``SIMULATED`` (warnings do not
     demote it); a warned compile with no summary is ``COMPILE_WARNED_NO_SIM``;
@@ -329,32 +338,53 @@ def evaluate(
     module_src = extraction.module_src
     compiled = sim = summary = diagnosis = None
     if module_src is None:
-        kind = OutcomeKind.NO_MODULE
+        kind, feedback = OutcomeKind.NO_MODULE, NO_MODULE_FEEDBACK
     else:
         compiled = compile_fn(module_src, task.testbench_src, workdir, task.name)
         if compiled.status is CompileStatus.ERROR:
-            kind = OutcomeKind.COMPILE_ERROR
+            kind, feedback = OutcomeKind.COMPILE_ERROR, _diagnostics(compiled)
         else:
             sim = simulate_fn(compiled.artifact_path, timeout)
             summary = parse_summary(sim.stdout)
             if summary is not None:
-                kind = OutcomeKind.SIMULATED
+                kind, feedback = OutcomeKind.SIMULATED, _summary_block(sim.stdout)
             elif compiled.status is CompileStatus.OK_WITH_WARNINGS:
-                kind = OutcomeKind.COMPILE_WARNED_NO_SIM
+                kind, feedback = OutcomeKind.COMPILE_WARNED_NO_SIM, _diagnostics(compiled)
             else:
                 kind = OutcomeKind.SIM_CRASH_OR_TIMEOUT
-                diagnosis = _diagnose(sim, timeout)
+                diagnosis = feedback = _diagnose(sim, timeout)
+                tail = _output_tail(sim.stdout)
+                if tail:
+                    feedback += "\n" + tail
     outcome = EvalOutcome(
         kind,
-        compile_messages=compiled.raw_messages if compiled is not None else (),
-        sim_stdout=sim.stdout if sim is not None else "",
         mismatches=summary.total_mismatches if summary is not None else None,
         samples=summary.total_samples if summary is not None else None,
         diagnosis=diagnosis,
         module_span=extraction.span,
+        feedback=feedback,
     )
     _write_candidate_log(workdir, task, extraction.source, compiled, sim, outcome)
     return outcome
+
+
+def _diagnostics(compiled: CompileResult) -> str:
+    text = "\n".join(line for _, line in compiled.messages)[:FEEDBACK_CHARS]
+    return text or "Compilation produced no diagnostic output."
+
+
+def _summary_block(stdout: str) -> str:
+    # The testbench's own words: its Hint lines, then the final authoritative
+    # mismatch-count line, which a parsed summary guarantees.
+    lines = stdout.splitlines()
+    hints = "\n".join(line for line in lines if line.startswith("Hint:"))[:FEEDBACK_CHARS]
+    final = next(line for line in reversed(lines) if MISMATCH_LINE_RE.match(line))
+    return f"{hints}\n{final}" if hints else final
+
+
+def _output_tail(stdout: str, max_lines: int = 20) -> str:
+    lines = [line for line in stdout.splitlines() if line.strip()]
+    return "\n".join(lines[-max_lines:])[-FEEDBACK_CHARS:]
 
 
 def _diagnose(sim: ProcessRun, timeout: float) -> str:

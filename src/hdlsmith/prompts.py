@@ -1,9 +1,9 @@
 """Prompt assembly and conversation-window management for the repair loop.
 
 Three prompt kinds exist: a fixed system prompt, the per-task design prompt,
-and the feedback prompt built from tool output. The conversation window
-either stays succinct (system, design, last reply, last feedback) or keeps
-the full history.
+and the feedback prompt that ``edatools.evaluate`` builds from tool output.
+The conversation window either stays succinct (system, design, last reply,
+last feedback) or keeps the full history.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .core import MISMATCH_LINE_RE, DesignTask, EvalOutcome, OutcomeKind
+from .core import DesignTask
 
 
 class Role(Enum):
@@ -79,10 +79,6 @@ NO_MODULE_FEEDBACK = (
 # Stands in for an empty chosen reply, since a window message cannot be empty.
 EMPTY_REPLY_PLACEHOLDER = "(empty response)"
 
-# Characters of crash or timeout output fed back, from its end: a simulation
-# that prints a megabyte without a newline must not overflow the next window.
-OUTPUT_TAIL_CHARS = 4096
-
 
 def system_prompt() -> str:
     """The fixed system prompt, byte-identical for every call."""
@@ -118,47 +114,6 @@ def next_conversation(
     if mode is FeedbackMode.SUCCINCT:
         return Conversation((prev.messages[0], prev.messages[1], reply, feedback))
     return Conversation(prev.messages + (reply, feedback))
-
-
-def feedback_text(outcome: EvalOutcome) -> str:
-    """Build the tool-feedback prompt for the chosen best candidate.
-
-    Compiler diagnostics and testbench summaries are passed through verbatim;
-    a missing module re-sends the formatting instruction; crashes and
-    timeouts get a one-line diagnosis plus the tail of any captured output:
-    its last 20 non-blank lines, cut to their last ``OUTPUT_TAIL_CHARS``.
-    """
-    kind = outcome.kind
-    if kind is OutcomeKind.NO_MODULE:
-        return NO_MODULE_FEEDBACK
-    if kind in (OutcomeKind.COMPILE_ERROR, OutcomeKind.COMPILE_WARNED_NO_SIM):
-        text = "\n".join(outcome.compile_messages)
-        return text or "Compilation produced no diagnostic output."
-    if kind is OutcomeKind.SIMULATED:
-        return _summary_block(outcome.sim_stdout)
-    parts = [outcome.diagnosis or "Simulation produced no testbench summary."]
-    tail = _output_tail(outcome.sim_stdout)
-    if tail:
-        parts.append(tail)
-    return "\n".join(parts)
-
-
-def _summary_block(stdout: str) -> str:
-    # The feedback is the testbench's own words: every Hint line plus the
-    # final authoritative mismatch-count line.
-    lines = stdout.splitlines()
-    hints = [line for line in lines if line.startswith("Hint:")]
-    final = None
-    for line in lines:
-        if MISMATCH_LINE_RE.match(line):
-            final = line
-    block = hints + ([final] if final is not None else [])
-    return "\n".join(block) if block else stdout
-
-
-def _output_tail(stdout: str, max_lines: int = 20) -> str:
-    lines = [line for line in stdout.splitlines() if line.strip()]
-    return "\n".join(lines[-max_lines:])[-OUTPUT_TAIL_CHARS:]
 
 
 def flatten_for_backend(conv: Conversation) -> Conversation:

@@ -44,7 +44,6 @@ from .prompts import (
     Conversation,
     FeedbackMode,
     estimate_tokens,
-    feedback_text,
     initial_conversation,
     next_conversation,
     succinct_window,
@@ -220,7 +219,7 @@ def run_search(
         conversation = next_conversation(
             conversation,
             chosen.raw_text or EMPTY_REPLY_PLACEHOLDER,
-            feedback_text(chosen.outcome),
+            chosen.outcome.feedback,
             cfg.feedback_mode,
         )
 

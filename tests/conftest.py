@@ -106,7 +106,7 @@ def make_candidate(
         if rank_value == -2:
             outcome = EvalOutcome(OutcomeKind.NO_MODULE)
         elif rank_value == -1:
-            outcome = EvalOutcome(OutcomeKind.COMPILE_ERROR, compile_messages=("boom",))
+            outcome = EvalOutcome(OutcomeKind.COMPILE_ERROR, feedback="boom")
         elif rank_value == -0.5:
             outcome = EvalOutcome(OutcomeKind.SIM_CRASH_OR_TIMEOUT)
         else:

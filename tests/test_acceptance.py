@@ -38,7 +38,7 @@ from hdlsmith.core import (
 )
 from hdlsmith.edatools import evaluate, parse_summary
 from hdlsmith.faketools import offline_evaluate, passing_reply, reply_with_module
-from hdlsmith.prompts import FeedbackMode, Role, feedback_text
+from hdlsmith.prompts import FeedbackMode, Role
 from hdlsmith.runcfg import execute_run, load_config
 from hdlsmith.search import (
     FINAL_ITERATION,
@@ -247,6 +247,6 @@ def test_c10_live_tool_smoke(tmp_path):
     rank = rank_outcome(outcome).value
     assert outcome.kind is OutcomeKind.SIMULATED
     assert 0.0 < rank < 1.0
-    assert "Total mismatched samples" in feedback_text(outcome)
+    assert "Total mismatched samples" in outcome.feedback
     assert time.perf_counter() - start < 30.0
     verdict(10, "live tool smoke")

@@ -11,6 +11,7 @@ import sys
 import tempfile
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -501,6 +502,35 @@ class TestChatCompletionsBackend:
             assert log.by_index() == dict(enumerate(replies))
         assert max(peaks) <= MAX_IN_FLIGHT
         assert peaks[1] == MAX_IN_FLIGHT  # without a probe the cap fills up
+
+    def test_concurrent_calls_share_the_cap(self, monkeypatch):
+        k = MAX_IN_FLIGHT
+        lock = threading.Lock()
+        calls = iter(range(1 + 2 * k))
+        inflight = [0, 0]  # now, peak
+        # The first MAX_IN_FLIGHT requests of the two calls wait to be in
+        # flight together, so the cap is reached by design, not by chance.
+        together = threading.Barrier(MAX_IN_FLIGHT, timeout=10)
+
+        def transport(url, headers, body):
+            with lock:
+                inflight[0] += 1
+                inflight[1] = max(inflight)
+                n = next(calls)
+            if 1 <= n <= MAX_IN_FLIGHT:
+                together.wait()
+            time.sleep(0.02)
+            with lock:
+                inflight[0] -= 1
+            return 200, chat_payload(f"r{n}")
+
+        backend = self.make_backend(transport, monkeypatch)
+        backend.generate(fan_out_request(1))  # proves the backend, so neither call probes
+        with ThreadPoolExecutor(2) as pool:
+            calls_replies = list(pool.map(lambda _: backend.generate(fan_out_request(k)), range(2)))
+        texts = sorted(text for replies in calls_replies for text, _ in replies)
+        assert texts == sorted(f"r{n}" for n in range(1, 1 + 2 * k))
+        assert inflight[1] == MAX_IN_FLIGHT
 
 
 def messages_payload(text="reply"):

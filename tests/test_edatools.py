@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import os
 import shutil
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import SAMPLE_SUMMARY_OUTPUT, SAMPLE_TOTALS
@@ -34,7 +35,6 @@ from hdlsmith.faketools import (
     offline_evaluate,
     reply_with_module,
 )
-from hdlsmith.prompts import feedback_text
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -226,7 +226,7 @@ class TestEvaluateOffline:
     def test_compile_error(self, task, tmp_path):
         outcome = self.run(task, reply_with_module("compile-error"), tmp_path)
         assert outcome.kind is OutcomeKind.COMPILE_ERROR
-        assert outcome.compile_messages
+        assert outcome.feedback == "top_module.sv:1: error: scripted compile failure"
 
     def test_warning_without_summary(self, task, tmp_path):
         reply = (
@@ -249,7 +249,7 @@ class TestEvaluateOffline:
         outcome = self.run(task, reply_with_module("hang"), tmp_path, timeout=60.0)
         assert outcome.kind is OutcomeKind.SIM_CRASH_OR_TIMEOUT
         assert "60" in outcome.diagnosis
-        assert "60" in feedback_text(outcome)
+        assert "60" in outcome.feedback
 
     def test_silent_clean_sim_is_crash_or_timeout(self, task, tmp_path):
         outcome = self.run(task, reply_with_module("silent"), tmp_path)
@@ -322,7 +322,8 @@ class TestRealDriverWithFakeBinaries:
         )
         assert outcome.kind is OutcomeKind.SIMULATED
         assert (outcome.mismatches, outcome.samples) == (2, 8)
-        assert any("warning" in m for m in outcome.compile_messages)
+        log = (tmp_path / "r0" / "log.txt").read_text(encoding="utf-8")
+        assert "warning: input.sv:1: warning: fake warning\n" in log
         names = sorted(p.name for p in (tmp_path / "r0").iterdir())
         assert names == ["log.txt", "top_module.sv", "top_module.vvp", "top_module_tb.sv"]
 
@@ -346,7 +347,7 @@ class TestRealDriverWithFakeBinaries:
         outcome = evaluate("module top_module(); endmodule", task, tmp_path / "r0",
                            timeout=10.0, tools=tools)
         assert outcome.kind is OutcomeKind.COMPILE_ERROR
-        assert "compile timed out" in outcome.compile_messages[0]
+        assert outcome.feedback == "error: compile timed out after 0.2 seconds and was killed"
 
     def test_failed_compile_keeps_classified_lines(self, task, tmp_path):
         compiler = tmp_path / "failing_iverilog"
@@ -372,7 +373,7 @@ class TestRealDriverWithFakeBinaries:
         outcome = evaluate("module top_module(); endmodule", task, tmp_path / "r0",
                            timeout=10.0, tools=tools)
         assert outcome.kind is OutcomeKind.COMPILE_ERROR
-        assert outcome.compile_messages == result.raw_messages
+        assert outcome.feedback == "\n".join(text for _, text in result.messages)
 
     def test_hanging_simulation_is_killed_and_keeps_its_output(self, task, tmp_path):
         compiler, runtime = tmp_path / "quiet_iverilog", tmp_path / "hanging_vvp"
@@ -392,8 +393,8 @@ class TestRealDriverWithFakeBinaries:
         assert sim.timed_out and not sim.exit_ok
         assert sim.stdout == "partial line\n"
         assert outcome.kind is OutcomeKind.SIM_CRASH_OR_TIMEOUT
-        assert outcome.sim_stdout == "partial line\n"
         assert outcome.diagnosis == "Simulation timed out after 0.2 seconds and was killed."
+        assert outcome.feedback == f"{outcome.diagnosis}\npartial line"
 
 
 def write_tools(tmp_path: Path, runtime_body: str) -> ToolchainConfig:
@@ -423,7 +424,7 @@ class TestOutputDecoding:
         tools = ToolchainConfig(compiler=str(compiler), runtime=str(compiler))
         outcome, log = self.evaluate(task, tmp_path, tools)
         assert outcome.kind is OutcomeKind.COMPILE_ERROR
-        assert outcome.compile_messages == ("top_module.sv:1: error: bad \ufffd byte",)
+        assert outcome.feedback == "top_module.sv:1: error: bad \ufffd byte"
         assert "error: top_module.sv:1: error: bad \ufffd byte\n" in log
 
     def test_simulator_bytes_that_are_not_utf8_still_simulate(self, task, tmp_path):
@@ -431,7 +432,7 @@ class TestOutputDecoding:
         outcome, log = self.evaluate(task, tmp_path, tools)
         assert outcome.kind is OutcomeKind.SIMULATED
         assert (outcome.mismatches, outcome.samples) == (0, 8)
-        assert outcome.sim_stdout == "Mismatches: 0 in 8 samples\n\ufffd\n"
+        assert outcome.feedback == "Mismatches: 0 in 8 samples"
         assert "--- simulation stdout ---\nMismatches: 0 in 8 samples\n\ufffd\n" in log
 
     def test_killed_simulation_keeps_its_undecodable_output(self, task, tmp_path):
@@ -445,7 +446,7 @@ class TestOutputDecoding:
         # Output read before the kill follows text mode's newline rule too.
         assert sim.stdout == "partial \ufffd\n"
         assert outcome.kind is OutcomeKind.SIM_CRASH_OR_TIMEOUT
-        assert outcome.sim_stdout == sim.stdout
+        assert outcome.feedback == f"{outcome.diagnosis}\npartial \ufffd"
 
     def test_newlines_read_as_in_text_mode(self, task, tmp_path):
         tools = write_tools(tmp_path, "printf 'a\\r\\nb\\rc\\n'; printf 'x\\r\\n' >&2")
@@ -496,8 +497,9 @@ class TestOutputCap:
         outcome, log = self.evaluate(task, tmp_path, tools)
         assert_exited(pid)
         assert outcome.kind is OutcomeKind.SIM_CRASH_OR_TIMEOUT
-        assert len(outcome.sim_stdout) == self.CAP
         assert outcome.diagnosis == f"Simulation printed more than {self.CAP} bytes and was killed."
+        # Exactly the cap of "flood\n" lines was kept, so the last one is cut.
+        assert outcome.feedback == "\n".join([outcome.diagnosis] + ["flood"] * 19 + ["flood"[: self.CAP % 6]])
         assert "Simulation timed_out: False\nSimulation output dropped: " in log
         assert f"bytes past the {self.CAP}-byte cap\n--- simulation stdout ---\nflood\n" in log
         assert log.endswith(f"Outcome: sim_crash_or_timeout\n{outcome.diagnosis}\n")
@@ -519,7 +521,7 @@ class TestOutputCap:
         assert_exited(pid)
         message = f"error: compiler printed more than {self.CAP} bytes and was killed"
         assert outcome.kind is OutcomeKind.COMPILE_ERROR
-        assert outcome.compile_messages == (message,)
+        assert outcome.feedback == message
         assert f"Compile status: error\nerror: {message}\nCompile output dropped: " in log
 
     @pytest.mark.parametrize("section", ["stdout", "stderr", "compile"])
@@ -548,6 +550,143 @@ class TestOutputCap:
         # A process that stops reading its input still gives its exit and output.
         run = edatools.run_process(["/bin/sh", "-c", "head -c 1 > /dev/null; echo read"], 10.0, input=text)
         assert run == edatools.ProcessRun(0, "read\n", "", 0)
+
+
+def evaluate_with(task, workdir, messages=(), sim=None, reply=None, timeout=0.5):
+    """Evaluate ``reply`` with a stand-in compiler that reports ``messages``
+    and builds an artifact only when a stand-in simulation ``sim`` is given."""
+
+    def compile_fn(module_src, testbench_src, workdir, top_name):
+        return CompileResult(messages, None if sim is None else workdir / f"{top_name}.vvp")
+
+    return evaluate(
+        reply_with_module() if reply is None else reply, task, workdir, timeout,
+        compile_fn=compile_fn, simulate_fn=lambda artifact_path, timeout: sim,
+    )
+
+
+class TestFeedback:
+    """``evaluate`` builds the repair prompt; these strings are its exact bytes."""
+
+    CHARS = edatools.FEEDBACK_CHARS
+
+    @pytest.mark.parametrize("messages, sim, reply, kind, feedback", [
+        pytest.param(
+            (), None, "I cannot help with that.", OutcomeKind.NO_MODULE,
+            "No Verilog module was found in the previous response. Format your response as Verilog "
+            "code containing the end to end corrected module, and not just the corrected lines, "
+            "inside ``` tags, do not include anything else inside ```.",
+            id="no_module",
+        ),
+        pytest.param(
+            (("error", "a.sv:1: error: x"), ("info", "a.sv:1: context"), ("error", "a.sv:2: error: y")),
+            None, None, OutcomeKind.COMPILE_ERROR, "a.sv:1: error: x\na.sv:1: context\na.sv:2: error: y",
+            id="compile_errors_in_order",
+        ),
+        pytest.param(
+            (), None, None, OutcomeKind.COMPILE_ERROR, "Compilation produced no diagnostic output.",
+            id="compile_error_without_diagnostics",
+        ),
+        pytest.param(
+            (("warning", "a.sv:3: warning: w"),), ProcessRun(0, "ran\n", ""), None,
+            OutcomeKind.COMPILE_WARNED_NO_SIM, "a.sv:3: warning: w",
+            id="warned_without_summary",
+        ),
+        pytest.param(
+            (), ProcessRun(0, SAMPLE_SUMMARY_OUTPUT, ""), None, OutcomeKind.SIMULATED,
+            "Hint: Output 'count' has 218816 mismatches. First mismatch occurred at time 130.\n"
+            "Hint: Output 'counting' has 233794 mismatches. First mismatch occurred at time 130.\n"
+            "Hint: Output 'done' has 524 mismatches. First mismatch occurred at time 20130.\n"
+            "Hint: Total mismatched samples is 234318 out of 235447 samples\n"
+            "Mismatches: 234318 in 235447 samples",
+            id="summary_with_hints",
+        ),
+        pytest.param(
+            (), ProcessRun(0, "Simulation finished at 90 ps\nMismatches: 0 in 9 samples  \n", ""), None,
+            OutcomeKind.SIMULATED, "Mismatches: 0 in 9 samples  ",
+            id="summary_without_hints",
+        ),
+        pytest.param(
+            (), ProcessRun(1, "\n".join(f"line {n}" for n in range(25)) + "\n\n", "boom\n"), None,
+            OutcomeKind.SIM_CRASH_OR_TIMEOUT,
+            "Simulation crashed before printing a testbench summary.\n"
+            + "\n".join(f"line {n}" for n in range(5, 25)),
+            id="crash_keeps_the_last_20_lines",
+        ),
+        pytest.param(
+            (), ProcessRun(139, "", ""), None, OutcomeKind.SIM_CRASH_OR_TIMEOUT,
+            "Simulation crashed before printing a testbench summary.",
+            id="crash_without_output",
+        ),
+        pytest.param(
+            (), ProcessRun(None, "partial line\n  \n", ""), None, OutcomeKind.SIM_CRASH_OR_TIMEOUT,
+            "Simulation timed out after 0.5 seconds and was killed.\npartial line",
+            id="hang",
+        ),
+        pytest.param(
+            (), ProcessRun(0, "simulation ran quietly\n", ""), None, OutcomeKind.SIM_CRASH_OR_TIMEOUT,
+            "Simulation finished without printing a testbench summary.\nsimulation ran quietly",
+            id="silent",
+        ),
+        pytest.param(
+            (), ProcessRun(None, "y\n" * 3, "", 7), None, OutcomeKind.SIM_CRASH_OR_TIMEOUT,
+            "Simulation printed more than 1048576 bytes and was killed.\ny\ny\ny",
+            id="flood",
+        ),
+    ])
+    def test_feedback_bytes(self, task, tmp_path, messages, sim, reply, kind, feedback):
+        outcome = evaluate_with(task, tmp_path, messages, sim, reply)
+        assert (outcome.kind, outcome.feedback) == (kind, feedback)
+
+    def test_compile_diagnostics_keep_their_first_characters(self, task, tmp_path):
+        lines = [f"top_module.sv:1: error: {'e' * 100} {n}" for n in range(8000)]
+        outcome = evaluate_with(task, tmp_path, tuple(("error", line) for line in lines))
+        text = "\n".join(lines)
+        assert len(text) < edatools.OUTPUT_CAP
+        assert outcome.feedback == text[: self.CHARS]
+
+    def test_hint_lines_keep_their_first_characters_then_the_summary(self, task, tmp_path):
+        hints = "".join(f"Hint: Output 'out' has {n} mismatches. {'h' * 100}\n" for n in range(8000))
+        outcome = evaluate_with(task, tmp_path, sim=ProcessRun(0, hints + "Mismatches: 8000 in 9000 samples\n", ""))
+        assert outcome.kind is OutcomeKind.SIMULATED
+        assert outcome.feedback == hints[: self.CHARS] + "\nMismatches: 8000 in 9000 samples"
+
+    def test_crash_tail_is_bounded_in_characters(self, task, tmp_path):
+        stdout = "".join(chr(0x41 + n % 26) for n in range(edatools.OUTPUT_CAP))  # one line, no newline
+        outcome = evaluate_with(task, tmp_path, sim=ProcessRun(None, stdout, "", 1))
+        assert outcome.feedback == f"{outcome.diagnosis}\n{stdout[-self.CHARS:]}"
+
+    @given(
+        severity=st.sampled_from(["error", "warning", "info"]),
+        lines=st.lists(
+            st.sampled_from([
+                "top_module.sv:1: error: eee", "Hint: Output 'out' has 3 mismatches.",
+                "Mismatches: 3 in 9 samples", "Mismatches: 9 in 9 samples \t", "", " ",
+            ]) | st.text(max_size=30),
+            min_size=1, max_size=8,
+        ),
+        repeat=st.integers(min_value=1, max_value=40_000),
+        returncode=st.sampled_from([0, 1, None]),
+        dropped=st.sampled_from([0, 5]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_feedback_is_bounded(self, severity, lines, repeat, returncode, dropped):
+        # Compile messages and stdout up to OUTPUT_CAP give at most
+        # FEEDBACK_CHARS, one line (the diagnosis or the summary) and a newline.
+        output = ("\n".join(lines) + "\n") * repeat
+        output = output[: edatools.OUTPUT_CAP]
+        messages = tuple((severity, line) for line in output.splitlines() if line.strip())
+        sim = None if severity == "error" else ProcessRun(returncode, output, "", dropped)
+        task = DesignTask("top_module", "p", "module tb(); endmodule")
+        with tempfile.TemporaryDirectory() as workdir:
+            outcome = evaluate_with(task, Path(workdir), messages, sim)
+        line = ""
+        if outcome.kind is OutcomeKind.SIMULATED:
+            line = outcome.feedback.rsplit("\n", 1)[-1]
+            assert edatools.MISMATCH_LINE_RE.match(line)
+        elif outcome.kind is OutcomeKind.SIM_CRASH_OR_TIMEOUT:
+            line = outcome.diagnosis
+        assert len(outcome.feedback) <= self.CHARS + len(line) + 1
 
 
 def _mux_task(module_fixture: str) -> tuple[DesignTask, str]:

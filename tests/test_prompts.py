@@ -1,4 +1,4 @@
-"""Prompt text stability, conversation window shapes, feedback assembly."""
+"""Prompt text stability and conversation window shapes."""
 
 from __future__ import annotations
 
@@ -8,16 +8,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import SAMPLE_SUMMARY_OUTPUT
-from hdlsmith.core import EvalOutcome, OutcomeKind
 from hdlsmith.prompts import (
-    OUTPUT_TAIL_CHARS,
     Conversation,
     FeedbackMode,
     Message,
     Role,
     estimate_tokens,
-    feedback_text,
     flatten_for_backend,
     initial_conversation,
     next_conversation,
@@ -109,57 +105,6 @@ class TestNextConversation:
             conv = self._iterate(task, mode, 4)
             assert conv.messages[-2] == Message(Role.ASSISTANT, "reply 3")
             assert conv.messages[-1] == Message(Role.USER, "feedback 3")
-
-
-class TestFeedbackText:
-    def test_simulated_passes_summary_through(self):
-        outcome = EvalOutcome(
-            OutcomeKind.SIMULATED,
-            sim_stdout=SAMPLE_SUMMARY_OUTPUT,
-            mismatches=234318,
-            samples=235447,
-        )
-        text = feedback_text(outcome)
-        assert "Total mismatched samples is 234318 out of 235447 samples" in text
-        assert "Mismatches: 234318 in 235447 samples" in text
-        # Unrelated progress lines stay out of the feedback block.
-        assert "Simulation finished" not in text
-
-    def test_compile_errors_in_order(self):
-        outcome = EvalOutcome(
-            OutcomeKind.COMPILE_ERROR,
-            compile_messages=("first: error: aaa", "second: error: bbb"),
-        )
-        text = feedback_text(outcome)
-        assert text.index("first") < text.index("second")
-
-    def test_warning_messages_verbatim(self):
-        outcome = EvalOutcome(
-            OutcomeKind.COMPILE_WARNED_NO_SIM,
-            compile_messages=("x.sv:1: warning: something odd",),
-        )
-        assert feedback_text(outcome) == "x.sv:1: warning: something odd"
-
-    def test_timeout_mentions_configured_limit(self):
-        outcome = EvalOutcome(
-            OutcomeKind.SIM_CRASH_OR_TIMEOUT,
-            diagnosis="Simulation timed out after 60 seconds and was killed.",
-            sim_stdout="partial line\n",
-        )
-        text = feedback_text(outcome)
-        assert "60" in text
-        assert "partial line" in text
-
-    def test_crash_tail_is_bounded_in_characters(self):
-        diagnosis = "Simulation printed more than 1048576 bytes and was killed."
-        stdout = "".join(chr(0x41 + n % 26) for n in range(1 << 20))  # one line, no newline
-        outcome = EvalOutcome(OutcomeKind.SIM_CRASH_OR_TIMEOUT, diagnosis=diagnosis, sim_stdout=stdout)
-        assert feedback_text(outcome) == f"{diagnosis}\n{stdout[-OUTPUT_TAIL_CHARS:]}"
-
-    def test_no_module_resends_format_instruction(self):
-        text = feedback_text(EvalOutcome(OutcomeKind.NO_MODULE))
-        assert "No Verilog module was found" in text
-        assert "inside ``` tags" in text
 
 
 class TestFlatten:

@@ -374,7 +374,7 @@ class TestRunLogGrammar:
     def make_trace(self):
         model = lookup_model("gpt-4o-mini")
         outcome = EvalOutcome(
-            OutcomeKind.SIMULATED, mismatches=6220, samples=6283, sim_stdout="..."
+            OutcomeKind.SIMULATED, mismatches=6220, samples=6283, feedback="..."
         )
         candidates = []
         for index, (out_tokens, length) in enumerate([(241, 627), (373, 1036)]):

@@ -36,7 +36,7 @@ from hdlsmith.core import (
     candidate_order_key,
     compute_cost,
 )
-from hdlsmith.edatools import ProcessRun, evaluate
+from hdlsmith.edatools import CompileResult, ProcessRun, evaluate
 from hdlsmith.extract import extract_module
 from hdlsmith.faketools import fake_compile, offline_evaluate, passing_reply, reply_with_module
 from hdlsmith.prompts import (
@@ -45,7 +45,6 @@ from hdlsmith.prompts import (
     FeedbackMode,
     Role,
     estimate_tokens,
-    feedback_text,
     initial_conversation,
     system_prompt,
 )
@@ -291,7 +290,7 @@ class TestConversationFlow:
         trace, backend = run_mock_search(task, tmp_path, k=2, d=1, script=script)
         chosen = trace.nodes[0].chosen
         sent = backend.calls[1].conversation.messages
-        assert sent[-1].content == feedback_text(chosen.outcome)
+        assert sent[-1].content == chosen.outcome.feedback
         assert sent[-2].content == chosen.raw_text
 
     def test_crash_output_on_one_line_fits_the_next_window(self, task, tmp_path):
@@ -307,6 +306,31 @@ class TestConversationFlow:
         )
         assert trace.nodes[0].chosen.outcome.kind is OutcomeKind.SIM_CRASH_OR_TIMEOUT
         assert estimate_tokens(backend.calls[1].conversation) < MOCK_MODEL.max_context_tokens
+
+    @pytest.mark.parametrize("kind", [OutcomeKind.COMPILE_ERROR, OutcomeKind.SIMULATED])
+    def test_thousands_of_diagnostics_fit_the_next_window(self, task, tmp_path, kind):
+        # 8,000 compile errors or Hint lines, about 1 MB, are under OUTPUT_CAP.
+        lines = tuple(f"top_module.sv:1: error: {'e' * 100} {n}" for n in range(8000))
+        hints = "".join(f"Hint: Output 'out' has {n} mismatches. {'h' * 100}\n" for n in range(8000))
+
+        def compile_fn(module_src, testbench_src, workdir, top_name):
+            if kind is OutcomeKind.COMPILE_ERROR:
+                return CompileResult(tuple(("error", line) for line in lines), None)
+            return CompileResult((), workdir / f"{top_name}.vvp")
+
+        def simulate_fn(artifact_path, timeout):
+            return ProcessRun(0, hints + "Mismatches: 8000 in 9000 samples\n", "")
+
+        def evaluator(text, task, workdir, timeout):
+            return evaluate(text, task, workdir, timeout, compile_fn=compile_fn, simulate_fn=simulate_fn)
+
+        mini = lookup_model("gpt-4o-mini", family="mock")
+        trace, backend = run_mock_search(
+            task, tmp_path, k=1, d=1, script={("top_module", 0, 0): reply_with_module()},
+            schedule=ModelSchedule.single(mini), evaluator=evaluator,
+        )
+        assert trace.nodes[0].chosen.outcome.kind is kind
+        assert estimate_tokens(backend.calls[1].conversation) < mini.max_context_tokens
 
     def test_lone_surrogate_becomes_replacement_character_once(self, task, tmp_path):
         # JSON "\ud800" decodes to a lone surrogate, which UTF-8 cannot encode.
