@@ -14,7 +14,6 @@ from hdlsmith.core import DesignTask
 from hdlsmith.faketools import offline_evaluate, reply_with_module
 from hdlsmith.runcfg import write_run_log
 from hdlsmith.search import (
-    FINAL_ITERATION,
     ModelSchedule,
     ScheduleEntry,
     SearchConfig,
@@ -41,10 +40,7 @@ script = {
 
 # A cheap model does the tree search; a big one is reserved for the final
 # iteration (it never fires here because the search exits early).
-schedule = ModelSchedule((
-    ScheduleEntry(0, lookup_model("gpt-4o-mini")),
-    ScheduleEntry(FINAL_ITERATION, lookup_model("gpt-4o")),
-))
+schedule = ModelSchedule((ScheduleEntry(0, lookup_model("gpt-4o-mini")),), final=lookup_model("gpt-4o"))
 
 outdir = Path(tempfile.mkdtemp(prefix="tree_search_")) / "output_dir"
 cfg = SearchConfig(num_candidates=2, max_depth=10, outdir=outdir)

@@ -47,8 +47,8 @@ _EXPORTS = {
         ),
         "runcfg": ("ConfigError", "RunConfig", "execute_run", "load_config", "write_run_log"),
         "search": (
-            "ModelSchedule", "ScheduleEntry", "SearchConfig", "model_for_iteration",
-            "pass_at_budget", "run_search",
+            "ModelSchedule", "NoBackendError", "ScheduleEntry", "SearchConfig", "pass_at_budget",
+            "run_search",
         ),
     }.items()
     for name in names

@@ -27,14 +27,11 @@ from .core import DesignTask, SearchTrace, TokenUsage
 from .edatools import DEFAULT_SIM_TIMEOUT, require_tools
 from .prompts import FeedbackMode
 from .search import (
-    FINAL_ITERATION,
     Evaluator,
     ModelSchedule,
     SearchConfig,
     SearchStopped,
-    no_backend_message,
     pass_at_budget,
-    preflight,
     run_search,
 )
 
@@ -176,17 +173,6 @@ def load_suite(directory: str | Path) -> list[DesignTask]:
     return tasks
 
 
-def describe_schedule(sched: ModelSchedule) -> str:
-    def start_key(entry):
-        return (entry.start_iteration == FINAL_ITERATION, entry.start_iteration)
-
-    parts = []
-    for entry in sorted(sched.entries, key=start_key):
-        where = "final" if entry.start_iteration == FINAL_ITERATION else str(entry.start_iteration)
-        parts.append(f"{entry.model.model_id}@{where}")
-    return ", ".join(parts)
-
-
 def run_suite(
     tasks: Sequence[DesignTask],
     grid: Iterable[GridPoint],
@@ -207,7 +193,7 @@ def run_suite(
     each d, so then every d is searched. Only the searched trees are written
     under ``workdir``, one ``k<k>_d<d>_<mode>`` directory per search.
 
-    A model family with no backend raises ``KeyError``, and with the default
+    A model family with no backend raises ``NoBackendError``, and with the default
     evaluator a compiler or runtime that cannot be found raises
     ``ToolNotFoundError``, and a grid point or a ``sim_timeout`` that
     :class:`SearchConfig` rejects, or a ``parallelism`` below 1, raises
@@ -224,9 +210,7 @@ def run_suite(
         raise ValueError("parameter grid is empty")
     if not tasks:
         raise EmptySuiteError("no tasks to run")
-    missing = preflight(schedule, backends)
-    if missing is not None:
-        raise KeyError(no_backend_message(missing.model))
+    schedule.check_backends(backends)
     if parallelism < 1:
         raise ValueError(f"parallelism must be at least 1, got {parallelism}")
     if evaluator is None:
@@ -241,7 +225,7 @@ def run_suite(
         deepest[k, mode] = max(d, deepest.get((k, mode), d))
     # A point reads the search at its group's deepest d, or at its own d when
     # a final-iteration model serves each d differently.
-    final = schedule.final_model is not None
+    final = schedule.final is not None
     reads = [configs[k, mode, d if final else deepest[k, mode]] for k, mode, d in points]
     groups = list(deepest)
     searched = sorted(
@@ -279,7 +263,7 @@ def run_suite(
         raise failures[0]
     found = (future.result() for future in futures)
     traces = {cfg: [next(found) for _ in tasks] for cfg in searched}
-    schedule_desc = describe_schedule(schedule)
+    schedule_desc = schedule.describe()
     return [
         SuiteResult(
             SuiteParams(k, d, mode, schedule_desc),

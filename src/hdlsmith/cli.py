@@ -18,7 +18,7 @@ from .core import Termination, format_usd
 from .edatools import ToolIoError, ToolNotFoundError
 from .faketools import offline_evaluate
 from .prompts import FeedbackMode
-from .search import FINAL_ITERATION, ModelSchedule, ScheduleEntry, no_backend_message, preflight
+from .search import ModelSchedule, NoBackendError
 
 
 def _registry_with_backend(spec: str | None):
@@ -107,14 +107,14 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     backends.setdefault(MOCK_FAMILY, MockBackend({}))  # serves the default --model
     evaluator = offline_evaluate if args.offline_tools else None
 
-    entries = [ScheduleEntry(0, _parse_model(args.model, "--model"))]
-    if args.final_model:
-        entries.append(ScheduleEntry(FINAL_ITERATION, _parse_model(args.final_model, "--final-model")))
-    schedule = ModelSchedule(tuple(entries))
-    missing = preflight(schedule, backends)
-    if missing is not None:
-        flag = "--final-model" if missing.start_iteration == FINAL_ITERATION else "--model"
-        raise runcfg.ConfigError(flag, no_backend_message(missing.model))
+    model = _parse_model(args.model, "--model")
+    final = _parse_model(args.final_model, "--final-model") if args.final_model else None
+    schedule = ModelSchedule(((0, model),), final)
+    try:
+        schedule.check_backends(backends)
+    except NoBackendError as exc:
+        flag = "--model" if exc.model is model else "--final-model"
+        raise runcfg.ConfigError(flag, str(exc)) from None
 
     results = run_suite(
         tasks,

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import Decimal
 from enum import Enum
 from typing import NamedTuple, Sequence
@@ -192,21 +192,21 @@ def rank_outcome(outcome: EvalOutcome) -> Rank:
 
 @dataclass(frozen=True)
 class CandidateResponse:
-    """One evaluated LLM reply within a search tree."""
+    """One evaluated LLM reply within a search tree; ``rank`` is derived from ``outcome``."""
 
     raw_text: str
     usage: TokenUsage
     cost_usd: Decimal
     outcome: EvalOutcome
-    rank: Rank
+    rank: Rank = field(init=False)
     depth: int
     index: int
 
     def __post_init__(self) -> None:
-        no_module = self.outcome.kind is OutcomeKind.NO_MODULE
+        object.__setattr__(self, "rank", rank_outcome(self.outcome))
+        if (self.outcome.module_span is None) != (self.outcome.kind is OutcomeKind.NO_MODULE):
+            raise ValueError("module_span must be absent exactly for a NoModule outcome")
         span = self.outcome.module_span
-        if (span is None) != no_module or (self.rank.value == RANK_NO_MODULE) != no_module:
-            raise ValueError("module_span absent, NoModule outcome and rank -2 must coincide")
         if span is not None and span[1] > len(self.raw_text):
             raise ValueError(f"module_span {span!r} lies outside a reply of {len(self.raw_text)} characters")
         if self.depth < 0 or self.index < 0:

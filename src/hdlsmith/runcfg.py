@@ -30,12 +30,15 @@ from .prompts import FeedbackMode
 from .search import (
     Evaluator,
     ModelSchedule,
+    NoBackendError,
     ScheduleEntry,
     SearchConfig,
-    no_backend_message,
-    preflight,
+    numbered,
     run_search,
 )
+
+_FINAL_ITERATION = -1  # the start_iteration that marks the final-iteration model
+
 
 class ConfigError(Exception):
     """Configuration problem; carries the offending key path."""
@@ -247,9 +250,13 @@ def _active_schedule(
 ) -> ModelSchedule:
     if not mixed:
         return ModelSchedule.single(model)
-    # ModelSchedule holds the schedule invariants.
+    staged = tuple(e for e in entries if e.start_iteration != _FINAL_ITERATION)
+    finals = [e.model for e in entries if e.start_iteration == _FINAL_ITERATION]
+    if len(finals) > 1:
+        raise InvalidScheduleError("mixed-model", "at most one final-iteration entry is allowed")
+    # ModelSchedule holds the other schedule invariants.
     try:
-        return ModelSchedule(entries)
+        return ModelSchedule(staged, *finals)
     except ValueError as exc:
         raise InvalidScheduleError("mixed-model", str(exc)) from exc
 
@@ -267,7 +274,7 @@ def _parse_schedule_entries(section: object) -> tuple[ScheduleEntry, ...]:
         start = _require(entry, "start_iteration", path)
         if isinstance(start, bool) or not isinstance(start, int):
             raise TypeMismatchError(f"{path}.start_iteration", "expected an integer")
-        if start < -1:
+        if start < _FINAL_ITERATION:
             raise InvalidScheduleError(
                 f"{path}.start_iteration", "must be >= 0, or -1 for the final iteration"
             )
@@ -298,10 +305,11 @@ def execute_run(
     """
     if backends is None:
         backends = default_registry()
-    missing = preflight(cfg.schedule, backends)
-    if missing is not None:
+    try:
+        cfg.schedule.check_backends(backends)
+    except NoBackendError as exc:
         key_path = "mixed-model" if cfg.mixed_model else "general.model_family"
-        raise ConfigError(key_path, no_backend_message(missing.model))
+        raise ConfigError(key_path, str(exc)) from None
     version = None
     if evaluator is None:
         require_tools(tools)
@@ -340,18 +348,10 @@ def scan_output_tree(outdir: str | Path) -> list[list[str]]:
     that a depth whose backend call failed after some replies arrived keeps
     those replies' directories without having a node in the trace.
     """
-
-    def numbered(parent: Path, prefix: str) -> list[Path]:
-        dirs = [
-            p for p in parent.iterdir()
-            if p.is_dir() and p.name.startswith(prefix) and p.name[len(prefix):].isdigit()
-        ]
-        return sorted(dirs, key=lambda p: int(p.name[len(prefix):]))
-
     shape = []
-    for depth_dir in numbered(Path(outdir), "iter"):
+    for _, depth_dir in numbered(Path(outdir), "iter"):
         kinds = []
-        for response_dir in numbered(depth_dir, "response"):
+        for _, response_dir in numbered(depth_dir, "response"):
             kind = None
             log = response_dir / "log.txt"
             if log.is_file():

@@ -37,7 +37,6 @@ from .core import (
     SearchTrace,
     Termination,
     compute_cost,
-    rank_outcome,
 )
 from .prompts import (
     EMPTY_REPLY_PLACEHOLDER,
@@ -49,7 +48,6 @@ from .prompts import (
     succinct_window,
 )
 
-FINAL_ITERATION = -1  # sentinel start_iteration marking the final-pass model
 _SURROGATE_RE = re.compile("[\ud800-\udfff]")
 
 
@@ -79,30 +77,38 @@ class ScheduleEntry:
     model: ModelSpec
 
 
+class NoBackendError(KeyError):
+    """A scheduled model's family has no registered backend."""
+
+    def __init__(self, model: ModelSpec):
+        super().__init__(f"no backend registered for model family {model.family!r}")
+        self.model = model
+
+    def __str__(self) -> str:
+        return self.args[0]
+
+
 @dataclass(frozen=True)
 class ModelSchedule:
     """Which model serves which iteration.
 
-    Non-sentinel entries apply from their start iteration onward; the
-    optional ``start_iteration == -1`` entry fires only on the final
-    iteration of a search with depth > 0.
+    Each entry serves from its start iteration until the next entry's; the
+    entries are kept in start order and one must start at 0. The optional
+    ``final`` model serves only the last iteration of a search with depth > 0.
     """
 
     entries: tuple[ScheduleEntry, ...]
+    final: ModelSpec | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self,
-            "entries",
-            tuple(e if isinstance(e, ScheduleEntry) else ScheduleEntry(*e) for e in self.entries),
+        entries = sorted(
+            (e if isinstance(e, ScheduleEntry) else ScheduleEntry(*e) for e in self.entries),
+            key=lambda e: e.start_iteration,
         )
-        sentinels = [e for e in self.entries if e.start_iteration == FINAL_ITERATION]
-        regular = [e for e in self.entries if e.start_iteration != FINAL_ITERATION]
-        if len(sentinels) > 1:
-            raise ValueError("at most one final-iteration entry is allowed")
-        if any(e.start_iteration < 0 for e in regular):
-            raise ValueError("start iterations must be non-negative (or the -1 sentinel)")
-        starts = [e.start_iteration for e in regular]
+        object.__setattr__(self, "entries", tuple(entries))
+        starts = [e.start_iteration for e in entries]
+        if any(start < 0 for start in starts):
+            raise ValueError("start iterations must be non-negative")
         if len(set(starts)) != len(starts):
             raise ValueError("start iterations must be distinct")
         if 0 not in starts:
@@ -112,31 +118,31 @@ class ModelSchedule:
     def single(cls, model: ModelSpec) -> "ModelSchedule":
         return cls((ScheduleEntry(0, model),))
 
-    @property
-    def final_model(self) -> ModelSpec | None:
-        for entry in self.entries:
-            if entry.start_iteration == FINAL_ITERATION:
-                return entry.model
-        return None
+    def models(self, max_depth: int) -> list[ModelSpec]:
+        """The model serving each depth ``0..max_depth`` of a search."""
+        starts = {e.start_iteration: e.model for e in self.entries}
+        model = starts[0]
+        served = []
+        for depth in range(max_depth + 1):
+            model = starts.get(depth, model)
+            served.append(model)
+        if self.final is not None and max_depth > 0:
+            served[-1] = self.final
+        return served
 
+    def check_backends(self, backends: BackendRegistry) -> None:
+        """Raise :class:`NoBackendError` for the first model whose family has
+        no backend: the entries in start order, then ``final``."""
+        for model in [e.model for e in self.entries] + [self.final]:
+            if model is not None and backends.get(model.family) is None:
+                raise NoBackendError(model)
 
-def model_for_iteration(sched: ModelSchedule, iteration: int, max_depth: int) -> ModelSpec:
-    """Resolve the model serving one iteration of a depth-``max_depth`` search.
-
-    The sentinel fires only when the final iteration of a non-zero-depth
-    search is reached; otherwise the non-sentinel entry with the largest
-    start iteration at or below ``iteration`` wins.
-    """
-    if not 0 <= iteration <= max_depth:
-        raise ValueError(f"iteration {iteration} outside [0, {max_depth}]")
-    final = sched.final_model
-    if final is not None and iteration == max_depth and max_depth > 0:
-        return final
-    applicable = [
-        e for e in sched.entries
-        if e.start_iteration != FINAL_ITERATION and e.start_iteration <= iteration
-    ]
-    return max(applicable, key=lambda e: e.start_iteration).model
+    def describe(self) -> str:
+        """The schedule as reports label it, e.g. ``gpt-4o-mini@0, gpt-4o@final``."""
+        parts = [f"{e.model.model_id}@{e.start_iteration}" for e in self.entries]
+        if self.final is not None:
+            parts.append(f"{self.final.model_id}@final")
+        return ", ".join(parts)
 
 
 # An evaluator's outcome carries the offsets of the module it extracted from
@@ -161,11 +167,14 @@ def run_search(
 
     Candidate ``i`` at depth ``n`` is evaluated inside
     ``outdir/iter<n>/response<i>`` when the backend hands its reply to
-    ``GenerationRequest.on_reply`` (else once the call returns). A backend
+    ``GenerationRequest.on_reply`` (else once the call returns). On return,
+    the ``iter<n>`` and ``response<i>`` folders past the depths and the ``k``
+    of this search are removed; a search that raises leaves them. A backend
     failure terminates the trace with partial results preserved, and the
     replies the failed depth already paid for stay in the ledger; at most
-    ``k * (d + 1)`` candidates are ever generated. A depth whose model
-    family has no backend raises ``KeyError`` before the first request.
+    ``k * (d + 1)`` candidates are ever generated. A scheduled model whose
+    family has no backend raises :class:`NoBackendError` before the first
+    request, even one that no depth of this search reaches.
     Once ``stop`` is set, the search raises ``SearchStopped`` before its next
     depth's request; the depth in progress finishes first.
     """
@@ -176,10 +185,9 @@ def run_search(
     ledger_entries: list[LedgerEntry] = []
     termination = Termination.MAX_DEPTH_REACHED
 
-    # Every depth's backend is found before the first request is paid for.
-    models = (model_for_iteration(sched, d, cfg.max_depth) for d in range(cfg.max_depth + 1))
-    served = [(model, backend_for(backends, model)) for model in models]
-    for depth, (model, backend) in enumerate(served):
+    # Every scheduled model's backend is found before the first request is paid for.
+    sched.check_backends(backends)
+    for depth, model in enumerate(sched.models(cfg.max_depth)):
         if stop is not None and stop.is_set():
             raise SearchStopped(f"{task.name}: stopped before depth {depth}")
         conv_call, fallback = _window_for_call(conversation, model, cfg.feedback_mode)
@@ -191,6 +199,7 @@ def run_search(
             depth=depth,
         )
         evaluate = partial(_evaluate_one, task, cfg, model, depth, evaluator)
+        backend = backends[model.family]
         candidates, error = _generate(backend, request, evaluate)
         # Replies that a failed call delivered were paid for: they get ledger
         # entries at this depth, but are not candidates.
@@ -223,7 +232,32 @@ def run_search(
             cfg.feedback_mode,
         )
 
+    # A reused outdir keeps the folders of an earlier, deeper or wider search.
+    written = len(nodes) + (termination is Termination.BACKEND_ERROR)
+    _remove_stale_dirs(cfg.outdir, written, cfg.num_candidates)
     return SearchTrace(nodes, termination, CostLedger(tuple(ledger_entries)))
+
+
+def numbered(parent: Path, prefix: str) -> list[tuple[int, Path]]:
+    """``(n, path)`` for each ``<prefix><n>`` directory in ``parent``, by ``n``."""
+    found = []
+    for path in parent.iterdir():
+        number = path.name[len(prefix):]
+        if path.name.startswith(prefix) and number.isdecimal() and path.is_dir():
+            found.append((int(number), path))
+    return sorted(found, key=lambda pair: pair[0])
+
+
+def _remove_stale_dirs(outdir: Path, depths: int, num_candidates: int) -> None:
+    if not outdir.is_dir():
+        return
+    for depth, depth_dir in numbered(outdir, "iter"):
+        if depth >= depths:
+            shutil.rmtree(depth_dir)
+            continue
+        for index, response_dir in numbered(depth_dir, "response"):
+            if index >= num_candidates:
+                shutil.rmtree(response_dir)
 
 
 def _window_for_call(
@@ -266,7 +300,6 @@ def _evaluate_one(
         usage=usage,
         cost_usd=compute_cost(usage, model),
         outcome=outcome,
-        rank=rank_outcome(outcome),
         depth=depth,
         index=index,
     )
@@ -311,27 +344,6 @@ def _generate(
         if index not in arrived:
             arrived[index] = evaluate(index, reply)
     return [arrived[index] for index in sorted(arrived)], error
-
-
-def backend_for(backends: BackendRegistry, model: ModelSpec) -> Backend:
-    """The backend serving ``model``'s family; ``KeyError`` if none is registered."""
-    backend = backends.get(model.family)
-    if backend is None:
-        raise KeyError(no_backend_message(model))
-    return backend
-
-
-def no_backend_message(model: ModelSpec) -> str:
-    return f"no backend registered for model family {model.family!r}"
-
-
-def preflight(sched: ModelSchedule, backends: BackendRegistry) -> ScheduleEntry | None:
-    """The first entry of ``sched`` whose model family has no backend, or None.
-
-    Callers check it before any query and report the entry under their own
-    flag or key path, with :func:`no_backend_message` as the detail.
-    """
-    return next((e for e in sched.entries if backends.get(e.model.family) is None), None)
 
 
 def pass_at_budget(trace: SearchTrace) -> tuple[int, bool]:

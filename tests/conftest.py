@@ -18,7 +18,6 @@ from hdlsmith.core import (
     EvalOutcome,
     OutcomeKind,
     TokenUsage,
-    rank_outcome,
 )
 
 # Output of a self-checking testbench for a badly failing sequential design.
@@ -124,7 +123,6 @@ def make_candidate(
         usage=usage,
         cost_usd=cost,
         outcome=outcome,
-        rank=rank_outcome(outcome),
         depth=depth,
         index=index,
     )

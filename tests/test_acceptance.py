@@ -41,7 +41,6 @@ from hdlsmith.faketools import offline_evaluate, passing_reply, reply_with_modul
 from hdlsmith.prompts import FeedbackMode, Role
 from hdlsmith.runcfg import execute_run, load_config
 from hdlsmith.search import (
-    FINAL_ITERATION,
     ModelSchedule,
     ScheduleEntry,
     SearchConfig,
@@ -126,9 +125,7 @@ def test_c05_context_window_shapes(task, tmp_path):
 
 
 def test_c06_mixed_model_scheduling(task, tmp_path):
-    schedule = ModelSchedule(
-        (ScheduleEntry(0, lookup_model("small")), ScheduleEntry(FINAL_ITERATION, lookup_model("big")))
-    )
+    schedule = ModelSchedule((ScheduleEntry(0, lookup_model("small")),), final=lookup_model("big"))
     _, backend = mock_search(task, tmp_path / "never", k=1, d=10, schedule=schedule)
     assert [c.model_id for c in backend.calls] == ["small"] * 10 + ["big"]
 

@@ -31,7 +31,6 @@ from hdlsmith.bench import (
     average_cost,
     average_tokens,
     category_rollup,
-    describe_schedule,
     export_report,
     load_report,
     load_suite,
@@ -45,7 +44,7 @@ from hdlsmith.core import Termination, TokenUsage
 from hdlsmith.edatools import ToolIoError, ToolNotFoundError
 from hdlsmith.faketools import offline_evaluate, passing_reply, reply_with_module
 from hdlsmith.prompts import FeedbackMode
-from hdlsmith.search import FINAL_ITERATION, ModelSchedule, ScheduleEntry, SearchConfig, run_search
+from hdlsmith.search import ModelSchedule, ScheduleEntry, SearchConfig, run_search
 from hdlsmith.backends import lookup_model
 
 
@@ -155,10 +154,7 @@ SWEEP_SCRIPT = {
     ("mux", 2, 0): reply_with_module("hang", "mux"),
     ("mux", 4, 1): reply_with_module("mismatches=1 samples=10", "mux"),
 }
-FINAL_MODEL_SCHEDULE = ModelSchedule((
-    ScheduleEntry(0, PRICED_MOCK),
-    ScheduleEntry(FINAL_ITERATION, lookup_model("gpt-4o", "mock")),
-))
+FINAL_MODEL_SCHEDULE = ModelSchedule((ScheduleEntry(0, PRICED_MOCK),), final=lookup_model("gpt-4o", "mock"))
 
 
 def sweep_backend() -> MockBackend:
@@ -275,11 +271,11 @@ class TestRunSuite:
         assert stopped == [True] * (parallelism - (not interrupt))
         assert sorted((c.task_name, c.depth) for c in backend.calls) == [(t, d) for t in running for d in (0, 1)]
 
-    @pytest.mark.parametrize("start", [0, FINAL_ITERATION], ids=["model", "final model"])
-    def test_family_without_backend_raises_before_any_search(self, tmp_path, start):
-        # Start 0 replaces the mock model; the final-iteration entry joins it.
-        entries = {0: lookup_model("mock"), start: lookup_model("bar", "foo")}
-        schedule = ModelSchedule(tuple(ScheduleEntry(s, model) for s, model in entries.items()))
+    @pytest.mark.parametrize("final", [False, True], ids=["model", "final model"])
+    def test_family_without_backend_raises_before_any_search(self, tmp_path, final):
+        # The foo model replaces the mock model, or joins it as the final model.
+        foo = lookup_model("bar", "foo")
+        schedule = ModelSchedule(((0, lookup_model("mock")),), foo) if final else ModelSchedule.single(foo)
         backend = MockBackend({})
         with pytest.raises(KeyError, match="no backend registered for model family 'foo'"):
             run_suite(
@@ -432,7 +428,7 @@ def reference_sweep(tasks, grid, schedule, outdir: Path) -> list[SuiteResult]:
                 task.subcategory,
             ))
         params = SuiteParams(point.num_candidates, point.max_depth, point.mode,
-                             describe_schedule(schedule))
+                             schedule.describe())
         results.append(SuiteResult(params, tuple(rows)))
     return results
 

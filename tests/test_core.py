@@ -231,7 +231,6 @@ class TestTypeInvariants:
             usage=TokenUsage(1, 1),
             cost_usd=Decimal(0),
             outcome=outcome,
-            rank=rank_outcome(outcome),
             depth=0,
             index=0,
         )

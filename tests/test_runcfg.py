@@ -89,10 +89,8 @@ class TestLoadConfig:
         path = write_config(tmp_path)
         assert [e.model.model_id for e in load_config(path).schedule.entries] == ["gpt-4o-mini"]
         schedule = load_config(path, ["general.mixed-model=true"]).schedule
-        assert [(e.start_iteration, e.model.model_id) for e in schedule.entries] == [
-            (0, "gpt-4o-mini"),
-            (-1, "gpt-4o"),
-        ]
+        assert [(e.start_iteration, e.model.model_id) for e in schedule.entries] == [(0, "gpt-4o-mini")]
+        assert schedule.final.model_id == "gpt-4o"
         with pytest.raises(InvalidScheduleError) as excinfo:
             load_config(path, ["mixed-model.model2.start_iteration=-2"])
         assert excinfo.value.key_path == "mixed-model.model2.start_iteration"
@@ -101,7 +99,7 @@ class TestLoadConfig:
         document = json.loads(json.dumps(EXAMPLE_CONFIG))
         document["general"]["mixed-model"] = True
         cfg = load_config(write_config(tmp_path, document))
-        assert cfg.schedule.final_model.model_id == "gpt-4o"
+        assert cfg.schedule.final.model_id == "gpt-4o"
 
     def test_missing_testbench_key(self, tmp_path):
         document = json.loads(json.dumps(EXAMPLE_CONFIG))
@@ -920,9 +918,17 @@ class TestCli:
         assert cli_main(["run", "--config", str(write_config(tmp_path)), "--backend", "foo"]) == 2
         self.assert_config_error(capsys, tmp_path, "--backend: bad spec 'foo'; expected mock:<script.json>")
 
-    @pytest.mark.parametrize("flag", ["--model", "--final-model"])
-    def test_bench_model_family_without_backend_is_config_error(self, tmp_path, capsys, flag):
-        assert cli_main(self.bench_argv(tmp_path, flag, "foo:bar", "--workdir", str(tmp_path / "work"))) == 2
+    @pytest.mark.parametrize(
+        "specs, flag",
+        [
+            (["--model", "foo:bar"], "--model"),
+            (["--final-model", "foo:bar"], "--final-model"),
+            (["--model", "foo:x", "--final-model", "foo:x"], "--model"),  # the first model checked
+        ],
+        ids=["--model", "--final-model", "both"],
+    )
+    def test_bench_model_family_without_backend_is_config_error(self, tmp_path, capsys, specs, flag):
+        assert cli_main(self.bench_argv(tmp_path, *specs, "--workdir", str(tmp_path / "work"))) == 2
         self.assert_config_error(capsys, tmp_path, f"{flag}: no backend registered for model family 'foo'\n")
         assert not (tmp_path / "work").exists()
 

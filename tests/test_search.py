@@ -36,7 +36,7 @@ from hdlsmith.core import (
     candidate_order_key,
     compute_cost,
 )
-from hdlsmith.edatools import CompileResult, ProcessRun, evaluate
+from hdlsmith.edatools import CompileResult, ProcessRun, ToolIoError, evaluate
 from hdlsmith.extract import extract_module
 from hdlsmith.faketools import fake_compile, offline_evaluate, passing_reply, reply_with_module
 from hdlsmith.prompts import (
@@ -50,11 +50,10 @@ from hdlsmith.prompts import (
 )
 from hdlsmith.runcfg import scan_output_tree, trace_shape, write_run_log
 from hdlsmith.search import (
-    FINAL_ITERATION,
     ModelSchedule,
+    NoBackendError,
     ScheduleEntry,
     SearchConfig,
-    model_for_iteration,
     pass_at_budget,
     run_search,
 )
@@ -88,26 +87,32 @@ def run_mock_search(task, tmp_path, *, k, d, script=None, backend=None,
     return trace, backend
 
 
-class TestModelForIteration:
-    def test_sentinel_fires_only_on_final_iteration(self):
+class TestScheduleModels:
+    def test_final_model_serves_only_the_final_iteration(self):
         a, b = lookup_model("a"), lookup_model("b")
-        sched = ModelSchedule((ScheduleEntry(0, a), ScheduleEntry(FINAL_ITERATION, b)))
-        for i in range(10):
-            assert model_for_iteration(sched, i, 10) is a
-        assert model_for_iteration(sched, 10, 10) is b
+        sched = ModelSchedule((ScheduleEntry(0, a),), final=b)
+        assert sched.models(10) == [a] * 10 + [b]
 
     def test_single_model_everywhere(self):
         a = lookup_model("a")
         sched = ModelSchedule.single(a)
-        for i in range(6):
-            assert model_for_iteration(sched, i, 5) is a
+        assert sched.models(5) == [a] * 6
 
-    def test_staged_entries_match_linear_scan_oracle(self):
-        a, c = lookup_model("a"), lookup_model("c")
-        entries = (ScheduleEntry(0, a), ScheduleEntry(3, c))
-        sched = ModelSchedule(entries)
+    @given(
+        starts=st.sets(st.integers(1, 14), max_size=4),
+        has_final=st.booleans(),
+        d=st.integers(0, 12),
+        data=st.data(),
+    )
+    def test_staged_entries_match_linear_scan_oracle(self, starts, has_final, d, data):
+        starts = data.draw(st.permutations([0, *starts]))  # in any order
+        entries = tuple(ScheduleEntry(start, lookup_model(f"m{start}")) for start in starts)
+        final = lookup_model("final") if has_final else None
+        sched = ModelSchedule(entries, final)
 
         def oracle(iteration):
+            if final is not None and iteration == d > 0:
+                return final
             chosen = None
             for entry in entries:
                 if entry.start_iteration <= iteration:
@@ -115,13 +120,12 @@ class TestModelForIteration:
                         chosen = entry
             return chosen.model
 
-        for i, d in [(2, 7), (3, 7), (7, 7)]:
-            assert model_for_iteration(sched, i, d) is oracle(i)
+        assert sched.models(d) == [oracle(i) for i in range(d + 1)]
 
-    def test_sentinel_never_fires_at_depth_zero(self):
+    def test_final_model_never_serves_depth_zero(self):
         a, b = lookup_model("a"), lookup_model("b")
-        sched = ModelSchedule((ScheduleEntry(0, a), ScheduleEntry(FINAL_ITERATION, b)))
-        assert model_for_iteration(sched, 0, 0) is a
+        sched = ModelSchedule((ScheduleEntry(0, a),), final=b)
+        assert sched.models(0) == [a]
 
     def test_schedule_invariants(self):
         a, b = lookup_model("a"), lookup_model("b")
@@ -130,13 +134,22 @@ class TestModelForIteration:
         with pytest.raises(ValueError):
             ModelSchedule((ScheduleEntry(0, a), ScheduleEntry(0, b)))
         with pytest.raises(ValueError):
-            ModelSchedule(
-                (ScheduleEntry(0, a), ScheduleEntry(FINAL_ITERATION, a), ScheduleEntry(FINAL_ITERATION, b))
-            )
+            ModelSchedule((ScheduleEntry(0, a), ScheduleEntry(-1, b)))
 
-    def test_iteration_out_of_range(self):
-        with pytest.raises(ValueError):
-            model_for_iteration(single_schedule(), 3, 2)
+    def test_describe_lists_entries_in_start_order_then_final(self):
+        entries = [(4, "gpt-4o"), (0, "gpt-3.5-turbo"), (2, "gpt-4o-mini")]
+        sched = ModelSchedule(
+            tuple(ScheduleEntry(start, lookup_model(m)) for start, m in entries), lookup_model("gpt-4-turbo")
+        )
+        assert sched.describe() == "gpt-3.5-turbo@0, gpt-4o-mini@2, gpt-4o@4, gpt-4-turbo@final"
+
+    def test_no_backend_error_is_a_key_error(self):
+        model = lookup_model("x", "foo")
+        with pytest.raises(KeyError) as info:
+            ModelSchedule((ScheduleEntry(0, MOCK_MODEL),), model).check_backends({"mock": MockBackend({})})
+        assert type(info.value) is NoBackendError and info.value.model is model
+        assert str(info.value) == "no backend registered for model family 'foo'"
+
 
 
 class TestBudgets:
@@ -366,7 +379,7 @@ class TestConversationFlow:
 class TestMixedModelRuns:
     def small_big_schedule(self):
         small, big = lookup_model("small"), lookup_model("big")
-        return ModelSchedule((ScheduleEntry(0, small), ScheduleEntry(FINAL_ITERATION, big)))
+        return ModelSchedule((ScheduleEntry(0, small),), final=big)
 
     def test_final_iteration_uses_big_model(self, task, tmp_path):
         trace, backend = run_mock_search(task, tmp_path, k=1, d=10, schedule=self.small_big_schedule())
@@ -444,14 +457,14 @@ class TestBackendFailures:
                 {}, evaluator=offline_evaluate,
             )
 
-    def test_missing_final_family_raises_before_any_request(self, task, tmp_path):
-        # The final-iteration model serves only depth 3, yet nothing is paid for.
-        final = ScheduleEntry(FINAL_ITERATION, lookup_model("x", "foo"))
-        sched = ModelSchedule((ScheduleEntry(0, MOCK_MODEL), final))
+    @pytest.mark.parametrize("d", [3, 0])
+    def test_missing_final_family_raises_before_any_request(self, task, tmp_path, d):
+        # The final model serves only depth 3, or no depth at d=0, yet nothing is paid for.
+        sched = ModelSchedule((ScheduleEntry(0, MOCK_MODEL),), final=lookup_model("x", "foo"))
         backend = MockBackend({})
-        with pytest.raises(KeyError, match="no backend registered for model family 'foo'"):
+        with pytest.raises(NoBackendError, match="no backend registered for model family 'foo'"):
             run_search(
-                task, search_config(2, 3, tmp_path), sched, {"mock": backend},
+                task, search_config(2, d, tmp_path), sched, {"mock": backend},
                 evaluator=offline_evaluate,
             )
         assert backend.calls == []
@@ -894,6 +907,30 @@ class TestPaidReplies:
         assert shallow.termination is Termination.MAX_DEPTH_REACHED
         assert [(e.depth, e.index) for e in shallow.ledger.entries] == [(0, 0), (0, 1), (0, 2)]
         assert pass_at_budget(shallow) == (3, False)
+
+
+class TestReusedOutdir:
+    """An outdir reused by a shallower, narrower search ends up holding its tree alone."""
+
+    def test_stale_depths_and_responses_are_removed_on_return(self, task, tmp_path):
+        outdir = tmp_path / "out"
+        run_mock_search(task, tmp_path, k=3, d=3)
+        assert [len(row) for row in scan_output_tree(outdir)] == [3] * 4
+
+        def evaluator(text, task, workdir, timeout):
+            if "iter1" in workdir.parts:
+                raise ToolIoError("disk full")
+            return offline_evaluate(text, task, workdir, timeout)
+
+        with pytest.raises(ToolIoError):
+            run_mock_search(task, tmp_path, k=1, d=1, evaluator=evaluator)
+        assert [len(row) for row in scan_output_tree(outdir)] == [3] * 4  # left as it is
+
+        (outdir / "iter\u00b2").mkdir()  # a digit that is not a decimal is not a depth
+        trace, _ = run_mock_search(task, tmp_path, k=1, d=1)
+        assert len(trace.nodes) == 2
+        assert scan_output_tree(outdir) == trace_shape(trace)
+        assert (outdir / "iter\u00b2").is_dir()
 
 
 class TestWireConversations:
