@@ -60,15 +60,13 @@ class GenerationRequest:
     replies on them and call records carry them.
 
     ``on_reply``, when set, is called once per reply as ``on_reply(index,
-    reply)`` as soon as that reply has its arrival index, on the thread that
-    received it, so the caller can work on each reply while the others are
-    still in flight. Every built-in backend calls it, the HTTP and command
-    backends also for the replies of a call that then raises. Their calling
-    thread is handed one reply: the probe's, once the other requests have
-    gone out, or, when the call does not probe (see ``_fan_out``), that of
-    the request it made itself. ``MockBackend`` hands every reply over on
-    the calling thread, in index order. A reply returned but never handed
-    over is the caller's to handle. It takes no part in equality.
+    reply)`` as soon as that reply has its arrival index, so the caller can
+    work on each reply while the others are still in flight. Every built-in
+    backend calls it: the HTTP and command backends on the thread that
+    received the reply, also for the replies of a call that then raises (see
+    ``_FanOut``), and ``MockBackend`` on the calling thread, in index order.
+    A reply returned but never handed over is the caller's to handle. It
+    takes no part in equality.
     """
 
     conversation: Conversation
@@ -151,104 +149,97 @@ NEAR_LIMIT_MARGIN = 0.10
 MAX_IN_FLIGHT = 8
 
 
-class _ProbeRule:
-    """Whether a call's k requests start with one probe request, per backend.
+class _FanOut:
+    """Sends each call's ``num_candidates`` identical requests for one backend.
 
-    A probe goes alone, so that a rejection every request of the call would
-    get (bad credentials, throttling, a window over the context limit) costs
-    one request, not k; it also costs a round trip. So a call probes only
-    where such a rejection is likely: while the backend is failing, and for
-    a window within ``NEAR_LIMIT_MARGIN`` of the model's context limit. A
-    backend is failing until a call ends with every request answered, and
-    again once a call ends with a request that finally failed; a request
-    that a retry recovered was answered.
+    A call may start with one probe request alone, so that a rejection every
+    request of the call would get (bad credentials, throttling, a window over
+    the context limit) costs one request, not k; it also costs a round trip.
+    So a call probes only where such a rejection is likely: while the backend
+    is failing, and for a window within ``NEAR_LIMIT_MARGIN`` of the model's
+    context limit. A backend is failing until a call ends with every request
+    answered, and again once a call ends with a request that finally failed;
+    a request that a retry recovered was answered. A request holds one of the
+    backend's ``MAX_IN_FLIGHT`` slots only while in flight, so the backend's
+    calls share the cap, no thread holds two, and the others queue.
     """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._failing = True
+        self._slots = threading.BoundedSemaphore(MAX_IN_FLIGHT)
 
-    def should_probe(self, req: GenerationRequest) -> bool:
-        limit = req.model.max_context_tokens
-        near_limit = estimate_tokens(req.conversation) >= (1 - NEAR_LIMIT_MARGIN) * limit
-        with self._lock:
-            return self._failing or near_limit
+    def __call__(self, req: GenerationRequest, request: Callable[[], Reply]) -> tuple[Reply, ...]:
+        """Make the requests, all at once or after a probe.
 
-    def call_ended(self, failed: bool) -> None:
-        with self._lock:
-            self._failing = failed
+        When the call probes and the probe succeeds, the other k-1 go out at
+        once; otherwise all k go out at once, one of them from the calling
+        thread. Replies are indexed and returned in arrival order: the
+        requests are indistinguishable, and a provider that serves one
+        request at a time then yields the same order as a serial loop.
+        ``req.on_reply(index, reply)`` runs on the thread that received the
+        reply, right after it got its index; a probe's reply is received on
+        the calling thread and handed over there once the others are
+        submitted. If any request fails, its error is raised only after every
+        in-flight request has returned and been handed over, so no thread
+        outlives the call. However the call ends, the backend then counts as
+        failing exactly when one of its requests failed.
+        """
+        k = req.num_candidates
+        deliver = req.on_reply or (lambda index, reply: None)
+        replies: list[Reply] = []
+        errors: list[Exception] = []
+        lock = threading.Lock()
 
+        def receive() -> tuple[int, Reply] | None:
+            try:
+                with self._slots:
+                    reply = request()
+            except Exception as exc:
+                errors.append(exc)
+                return None
+            with lock:
+                replies.append(reply)
+                return len(replies) - 1, reply
 
-def _fan_out(
-    req: GenerationRequest, request: Callable[[], Reply], rule: _ProbeRule, slots: threading.BoundedSemaphore
-) -> tuple[Reply, ...]:
-    """Make ``req.num_candidates`` identical requests, all at once or after a probe.
+        def attempt() -> None:
+            received = receive()
+            if received is not None:
+                deliver(*received)
 
-    When ``rule`` asks for a probe, one request goes alone and, if it
-    succeeds, the other k-1 go out at once; otherwise all k go out at once,
-    one of them from the calling thread. A request holds one of the
-    backend's ``MAX_IN_FLIGHT`` ``slots`` only while in flight, so the
-    backend's calls share the cap, no thread holds two, and the others queue.
-    Replies are indexed and returned in arrival order: the requests are
-    indistinguishable, and a provider that serves one request at a time then
-    yields the same order as a serial loop. ``req.on_reply(index, reply)``
-    runs on the thread that received the reply, right after it got its
-    index; a probe's reply is received on the calling thread and handed over
-    there once the others are submitted. If any request fails, its error is
-    raised only after every in-flight request has returned and been handed
-    over, so no thread outlives the call. However the call ends, ``rule``
-    then learns whether any request failed.
-    """
-    k = req.num_candidates
-    deliver = req.on_reply or (lambda index, reply: None)
-    replies: list[Reply] = []
-    errors: list[Exception] = []
-    lock = threading.Lock()
-
-    def receive() -> tuple[int, Reply] | None:
         try:
-            with slots:
-                reply = request()
-        except Exception as exc:
-            errors.append(exc)
-            return None
-        with lock:
-            replies.append(reply)
-            return len(replies) - 1, reply
-
-    def attempt() -> None:
-        received = receive()
-        if received is not None:
-            deliver(*received)
-
-    try:
-        # Decide on the probe once, up front: the pool threads are appending
-        # to ``replies`` while the calling thread makes its own request.
-        probe = receive() if rule.should_probe(req) or k == 1 else None
-        if errors:
-            raise errors[0]
-        if k == 1:
-            deliver(*probe)
-            return tuple(replies)
-        # Imported here, not at module scope: the import takes milliseconds,
-        # and a process that only ever asks for one reply at a time needs no pool.
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=min(k, MAX_IN_FLIGHT) - 1) as pool:
-            futures = [pool.submit(attempt) for _ in range(k - 1)]
-            if probe is None:
-                attempt()
-            else:
+            # Decide on the probe once, up front: the pool threads are appending
+            # to ``replies`` while the calling thread makes its own request.
+            limit = req.model.max_context_tokens
+            near_limit = estimate_tokens(req.conversation) >= (1 - NEAR_LIMIT_MARGIN) * limit
+            with self._lock:
+                failing = self._failing
+            probe = receive() if failing or near_limit or k == 1 else None
+            if errors:
+                raise errors[0]
+            if k == 1:
                 deliver(*probe)
-        for future in futures:
-            future.result()  # re-raises anything ``attempt`` does not catch
-        if errors:
-            raise errors[0]
-        return tuple(replies)
-    finally:
-        # Once per call, after every request has returned: a failure and a
-        # success recorded per request would race.
-        rule.call_ended(failed=bool(errors))
+                return tuple(replies)
+            # Imported here, not at module scope: the import takes milliseconds,
+            # and a process that only ever asks for one reply at a time needs no pool.
+            from concurrent.futures import ThreadPoolExecutor
+
+            with ThreadPoolExecutor(max_workers=min(k, MAX_IN_FLIGHT) - 1) as pool:
+                futures = [pool.submit(attempt) for _ in range(k - 1)]
+                if probe is None:
+                    attempt()
+                else:
+                    deliver(*probe)
+            for future in futures:
+                future.result()  # re-raises anything ``attempt`` does not catch
+            if errors:
+                raise errors[0]
+            return tuple(replies)
+        finally:
+            # Once per call, after every request has returned: a failure and a
+            # success recorded per request would race.
+            with self._lock:
+                self._failing = bool(errors)
 
 
 # Transport signature: (url, headers, json_body) -> (status_code, payload).
@@ -332,8 +323,7 @@ class _HttpBackend:
         self.retry = retry
         self._sleep = sleep
         self._rng = rng or random.Random()
-        self._probe = _ProbeRule()
-        self._slots = threading.BoundedSemaphore(MAX_IN_FLIGHT)
+        self._fan_out = _FanOut()
 
     def _api_key(self) -> str:
         key = os.environ.get(self.api_key_env)
@@ -356,7 +346,7 @@ class _HttpBackend:
     def generate(self, req: GenerationRequest) -> tuple[Reply, ...]:
         # Providers report usage per call, not per choice, so each candidate
         # is its own request to keep usage attributable per reply.
-        return _fan_out(req, partial(self._single_completion, req), self._probe, self._slots)
+        return self._fan_out(req, partial(self._single_completion, req))
 
     def _single_completion(self, req: GenerationRequest) -> Reply:
         raise NotImplementedError
@@ -447,7 +437,7 @@ class CommandBackend:
     """Local-process hook: pipe the rendered conversation to a command.
 
     One subprocess per candidate, started like HTTP requests (see
-    ``_fan_out``); stdout is the reply. A command that cannot start, times
+    ``_FanOut``); stdout is the reply. A command that cannot start, times
     out, exits non-zero or prints more than ``edatools.OUTPUT_CAP`` bytes on
     a stream is a ``TransportError``. Usage is estimated at ~4 characters
     per token since there is no provider report.
@@ -455,17 +445,14 @@ class CommandBackend:
 
     argv: tuple[str, ...]
     timeout: float = 300.0
-    _probe: _ProbeRule = field(default_factory=_ProbeRule, init=False, repr=False, compare=False)
-    _slots: threading.BoundedSemaphore = field(
-        default_factory=partial(threading.BoundedSemaphore, MAX_IN_FLIGHT), init=False, repr=False, compare=False
-    )
+    _fan_out: _FanOut = field(default_factory=_FanOut, init=False, repr=False, compare=False)
 
     @staticmethod
     def _render(conv: Conversation) -> str:
         return "\n\n".join(f"[{m.role.value}]\n{m.content}" for m in conv.messages)
 
     def generate(self, req: GenerationRequest) -> tuple[Reply, ...]:
-        return _fan_out(req, partial(self._run, self._render(req.conversation)), self._probe, self._slots)
+        return self._fan_out(req, partial(self._run, self._render(req.conversation)))
 
     def _run(self, prompt: str) -> Reply:
         from .edatools import OUTPUT_CAP, run_process  # here, not at module scope: only this backend starts processes

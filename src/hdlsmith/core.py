@@ -65,7 +65,7 @@ class DesignTask:
 
 @dataclass(frozen=True)
 class TokenUsage:
-    """Input/output token counts for one model reply (or an aggregate)."""
+    """Input/output token counts for one model reply."""
 
     input_tokens: int
     output_tokens: int
@@ -73,12 +73,6 @@ class TokenUsage:
     def __post_init__(self) -> None:
         if self.input_tokens < 0 or self.output_tokens < 0:
             raise ValueError("token counts must be non-negative")
-
-    def __add__(self, other: "TokenUsage") -> "TokenUsage":
-        return TokenUsage(
-            self.input_tokens + other.input_tokens,
-            self.output_tokens + other.output_tokens,
-        )
 
     @property
     def total(self) -> int:

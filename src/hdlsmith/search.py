@@ -168,10 +168,10 @@ def run_search(
     Candidate ``i`` at depth ``n`` is evaluated inside
     ``outdir/iter<n>/response<i>`` when the backend hands its reply to
     ``GenerationRequest.on_reply`` (else once the call returns). On return,
-    the ``iter<n>`` and ``response<i>`` folders past the depths and the ``k``
-    of this search are removed; a search that raises leaves them. A backend
-    failure terminates the trace with partial results preserved, and the
-    replies the failed depth already paid for stay in the ledger; at most
+    the outdir keeps one ``response<i>`` folder per reply in the ledger and
+    no other; a search that raises leaves its tree. A backend failure
+    terminates the trace with partial results preserved, and the replies
+    the failed depth already paid for stay in the ledger; at most
     ``k * (d + 1)`` candidates are ever generated. A scheduled model whose
     family has no backend raises :class:`NoBackendError` before the first
     request, even one that no depth of this search reaches.
@@ -190,28 +190,22 @@ def run_search(
     for depth, model in enumerate(sched.models(cfg.max_depth)):
         if stop is not None and stop.is_set():
             raise SearchStopped(f"{task.name}: stopped before depth {depth}")
-        conv_call, fallback = _window_for_call(conversation, model, cfg.feedback_mode)
-        request = GenerationRequest(
-            conversation=conv_call,
-            model=model,
-            num_candidates=cfg.num_candidates,
-            task_name=task.name,
-            depth=depth,
-        )
         evaluate = partial(_evaluate_one, task, cfg, model, depth, evaluator)
-        backend = backends[model.family]
-        candidates, error = _generate(backend, request, evaluate)
-        # Replies that a failed call delivered were paid for: they get ledger
-        # entries at this depth, but are not candidates.
-        if isinstance(error, ContextOverflowError) and not fallback and len(conversation.messages) > 4:
-            # One failover retry with the succinct window; if that cannot
-            # shrink the prompt (or already failed), the depth is lost.
+        for window, fallback in _windows(conversation, model, cfg.feedback_mode):
+            request = GenerationRequest(
+                conversation=window,
+                model=model,
+                num_candidates=cfg.num_candidates,
+                task_name=task.name,
+                depth=depth,
+            )
+            candidates, error = _generate(backends[model.family], request, evaluate)
+            # Replies that a failed call delivered were paid for: they get
+            # ledger entries at this depth, but are not candidates.
             ledger_entries.extend(_ledger_entries(candidates, model))
-            conv_call, fallback = succinct_window(conversation), True
-            request = replace(request, conversation=conv_call)
+            if not isinstance(error, ContextOverflowError):
+                break
             evaluate = partial(evaluate, clear_workdir=True)
-            candidates, error = _generate(backend, request, evaluate)
-        ledger_entries.extend(_ledger_entries(candidates, model))
         if error is not None:
             termination = Termination.BACKEND_ERROR
             break
@@ -233,8 +227,7 @@ def run_search(
         )
 
     # A reused outdir keeps the folders of an earlier, deeper or wider search.
-    written = len(nodes) + (termination is Termination.BACKEND_ERROR)
-    _remove_stale_dirs(cfg.outdir, written, cfg.num_candidates)
+    _remove_stale_dirs(cfg.outdir, ledger_entries)
     return SearchTrace(nodes, termination, CostLedger(tuple(ledger_entries)))
 
 
@@ -248,31 +241,38 @@ def numbered(parent: Path, prefix: str) -> list[tuple[int, Path]]:
     return sorted(found, key=lambda pair: pair[0])
 
 
-def _remove_stale_dirs(outdir: Path, depths: int, num_candidates: int) -> None:
+def _remove_stale_dirs(outdir: Path, paid: Iterable[LedgerEntry]) -> None:
+    # Exactly the folders of the replies in the ledger stay.
     if not outdir.is_dir():
         return
+    keep = {(entry.depth, entry.index) for entry in paid}
+    depths = {depth for depth, _ in keep}
     for depth, depth_dir in numbered(outdir, "iter"):
-        if depth >= depths:
+        if depth not in depths:
             shutil.rmtree(depth_dir)
             continue
         for index, response_dir in numbered(depth_dir, "response"):
-            if index >= num_candidates:
+            if (depth, index) not in keep:
                 shutil.rmtree(response_dir)
 
 
-def _window_for_call(
+def _windows(
     conversation: Conversation, model: ModelSpec, mode: FeedbackMode
-) -> tuple[Conversation, bool]:
-    # Full-context histories that would blow the context window fail over to
-    # the succinct shape for this call only; the canonical history keeps
-    # growing so later, roomier models still see everything.
-    if (
-        mode is FeedbackMode.FULL_CONTEXT
-        and len(conversation.messages) > 4
-        and estimate_tokens(conversation) > model.max_context_tokens
-    ):
-        return succinct_window(conversation), True
-    return conversation, False
+) -> Iterable[tuple[Conversation, bool]]:
+    """The windows a depth may send, in order, each with whether it is the
+    succinct failover.
+
+    A full-context history of more than four messages falls back to the
+    succinct shape when its estimate is over the model's context limit, or
+    when the provider rejects it as too long. The fallback is for this depth's
+    call only: the canonical history keeps growing, so later, roomier models
+    still see everything.
+    """
+    long_history = mode is FeedbackMode.FULL_CONTEXT and len(conversation.messages) > 4
+    if not long_history or estimate_tokens(conversation) <= model.max_context_tokens:
+        yield conversation, False
+    if long_history:
+        yield succinct_window(conversation), True
 
 
 def _evaluate_one(
@@ -316,8 +316,8 @@ def _generate(
 
     Returns the evaluated replies in index order (for a failed call, those
     delivered before it failed) and the backend error, if any. Replies
-    returned without being handed to ``GenerationRequest.on_reply`` are
-    evaluated here, serially. The first evaluator error stops evaluation and
+    returned without being handed to ``GenerationRequest.on_reply`` go
+    through it here, serially. The first evaluator error stops evaluation and
     is raised as is once the call is over, never passing for a backend error.
     """
     arrived: dict[int, CandidateResponse] = {}
@@ -331,18 +331,17 @@ def _generate(
         except Exception as exc:
             failures.append(exc)
 
-    replies: tuple[Reply, ...] = ()
     error = None
     try:
         replies = backend.generate(replace(request, on_reply=on_reply))
+        for index, reply in enumerate(replies):
+            if index not in arrived:
+                on_reply(index, reply)
     except BackendError as exc:
         error = exc
     finally:
         if failures:
             raise failures[0]
-    for index, reply in enumerate(replies):
-        if index not in arrived:
-            arrived[index] = evaluate(index, reply)
     return [arrived[index] for index in sorted(arrived)], error
 
 

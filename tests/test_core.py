@@ -193,9 +193,6 @@ class TestTypeInvariants:
         with pytest.raises(ValueError):
             TokenUsage(-1, 0)
 
-    def test_token_usage_sums(self):
-        assert TokenUsage(1, 2) + TokenUsage(3, 4) == TokenUsage(4, 6)
-
     def test_model_spec_rejects_float_price(self):
         with pytest.raises(TypeError):
             ModelSpec("fam", "m", 0.15, Decimal("0.6"), 1000)

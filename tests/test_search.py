@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import math
 import os
 import sys
 import tempfile
@@ -494,6 +495,61 @@ class TestBackendFailures:
         ]
 
 
+class _RejectingBackend:
+    """A mock backend that rejects its first ``rejections`` calls at ``depth``
+    as too long, recording each call's depth and window size."""
+
+    def __init__(self, depth, rejections):
+        self.inner = MockBackend({})
+        self.depth, self.rejections = depth, rejections
+        self.windows = []
+
+    def generate(self, req):
+        self.windows.append((req.depth, len(req.conversation.messages)))
+        if req.depth == self.depth and self.rejections > 0:
+            self.rejections -= 1
+            raise ContextOverflowError("prompt is too long")
+        return self.inner.generate(req)
+
+
+ALWAYS = math.inf
+# mode, model context limit, rejected depth, rejections at it: the message
+# count of each call at that depth, each node's context_fallback, termination.
+WINDOW_CASES = {
+    "succinct, always rejected": (
+        FeedbackMode.SUCCINCT, 128_000, 2, ALWAYS, [4], [False, False], Termination.BACKEND_ERROR),
+    "full, under the estimate, rejected once": (
+        FeedbackMode.FULL_CONTEXT, 128_000, 2, 1, [6, 4], [False, False, True], Termination.MAX_DEPTH_REACHED),
+    "full, under the estimate, always rejected": (
+        FeedbackMode.FULL_CONTEXT, 128_000, 2, ALWAYS, [6, 4], [False, False], Termination.BACKEND_ERROR),
+    "full, over the estimate, never rejected": (
+        FeedbackMode.FULL_CONTEXT, 60, 2, 0, [4], [False, False, True], Termination.MAX_DEPTH_REACHED),
+    "full, over the estimate, always rejected": (
+        FeedbackMode.FULL_CONTEXT, 60, 2, ALWAYS, [4], [False, False], Termination.BACKEND_ERROR),
+    "full with only 4 messages, rejected": (
+        FeedbackMode.FULL_CONTEXT, 128_000, 1, 1, [4], [False], Termination.BACKEND_ERROR),
+}
+
+
+class TestDepthWindows:
+    """The windows a depth sends: the full one unless its estimate is over the
+    limit, then, after a rejection as too long, the succinct one, but only
+    for a full-context history of more than four messages."""
+
+    @pytest.mark.parametrize("case", WINDOW_CASES.values(), ids=WINDOW_CASES.keys())
+    def test_windows_sent_at_the_rejected_depth(self, task, tmp_path, case):
+        mode, limit, depth, rejections, sizes, fallbacks, termination = case
+        backend = _RejectingBackend(depth, rejections)
+        model = ModelSpec("mock", "small", 0, 0, limit)
+        trace = run_search(
+            task, search_config(1, 2, tmp_path, mode), ModelSchedule.single(model),
+            {"mock": backend}, evaluator=offline_evaluate,
+        )
+        assert [n for d, n in backend.windows if d == depth] == sizes
+        assert [node.context_fallback for node in trace.nodes] == fallbacks
+        assert trace.termination is termination
+
+
 class _ReturnOnlyBackend:
     """A third-party backend: returns its replies, never calls ``on_reply``."""
 
@@ -931,6 +987,29 @@ class TestReusedOutdir:
         assert len(trace.nodes) == 2
         assert scan_output_tree(outdir) == trace_shape(trace)
         assert (outdir / "iter\u00b2").is_dir()
+
+    def test_failed_depth_keeps_only_its_paid_replies(self, task, tmp_path, monkeypatch):
+        outdir = tmp_path / "out"
+
+        def transport(url, headers, body):
+            return 200, chat_payload(reply_with_module("mismatches=1 samples=10"))
+
+        run_http_search(task, tmp_path, monkeypatch, transport, k=3, d=2)
+        assert [len(row) for row in scan_output_tree(outdir)] == [3] * 3
+
+        # Depth 0 is answered in full; at depth 1 one request is answered
+        # (and billed), the others are refused.
+        served = iter(range(100))
+
+        def failing(url, headers, body):
+            if next(served) >= 4:
+                return 401, {"error": {"message": "invalid api key"}}
+            return transport(url, headers, body)
+
+        trace = run_http_search(task, tmp_path, monkeypatch, failing, k=3, d=2)
+        assert trace.termination is Termination.BACKEND_ERROR
+        assert [(e.depth, e.index) for e in trace.ledger.entries] == [(0, 0), (0, 1), (0, 2), (1, 0)]
+        assert scan_output_tree(outdir) == trace_shape(trace) + [[OutcomeKind.SIMULATED.value]]
 
 
 class TestWireConversations:
