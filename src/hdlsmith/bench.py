@@ -204,6 +204,8 @@ def run_suite(
     I/O error, ends the sweep: no other search sends a request after its
     current depth, and once they have all stopped the first error raised is
     raised here. An interrupt (``KeyboardInterrupt``) stops them the same way.
+    Either way the sweep returns or raises only once every worker it started
+    has ended, so no search still writes under ``workdir``.
     """
     grid = list(grid)
     if not grid:
@@ -249,16 +251,23 @@ def run_suite(
 
     from concurrent.futures import ThreadPoolExecutor, wait  # only a sweep needs a pool
 
-    with tree as top, ThreadPoolExecutor(max_workers=parallelism) as pool:
-        root = Path(top)
+    # Each worker records itself: an interrupt inside submit can land after a
+    # worker started but before the pool kept it, and shutdown joins only those kept.
+    workers: list[threading.Thread] = []
+    with tree as top:
+        pool = ThreadPoolExecutor(parallelism, initializer=lambda: workers.append(threading.current_thread()))
         try:
-            futures = [pool.submit(search, root, cfg, task) for cfg in searched for task in tasks]
+            futures = [pool.submit(search, Path(top), cfg, task) for cfg in searched for task in tasks]
             pending = set(futures)
             while pending:
                 _, pending = wait(pending, timeout=_INTERRUPT_POLL_S)
         except BaseException:
             stop.set()
             raise
+        finally:
+            pool.shutdown(cancel_futures=stop.is_set())
+            for worker in workers:
+                worker.join()
     if failures:
         raise failures[0]
     found = (future.result() for future in futures)

@@ -69,6 +69,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     backends = _registry_with_backend(args.backend)
     evaluator = offline_evaluate if args.offline_tools else None
     trace = runcfg.execute_run(cfg, backends, evaluator=evaluator)
+    if trace.backend_error is not None:
+        print(f"hdlsmith: backend error: {trace.backend_error}", file=sys.stderr)
     best = trace.best()
     print(f"Termination: {trace.termination.value}")
     if best is not None:

@@ -316,6 +316,9 @@ class SearchTrace:
     nodes: tuple[DepthNode, ...]
     termination: Termination
     ledger: CostLedger
+    # The backend error's message for a BACKEND_ERROR termination; it says
+    # why the search ended, not what it found, so equality ignores it.
+    backend_error: str | None = field(default=None, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "nodes", tuple(self.nodes))
@@ -326,7 +329,8 @@ class SearchTrace:
         Greedy search makes a shallower search the prefix of a deeper one, as
         long as the schedule has no final-iteration model. A trace that went
         on past ``depth``, or whose backend failed only after it, ends with
-        ``MAX_DEPTH_REACHED``; otherwise the termination is kept.
+        ``MAX_DEPTH_REACHED``; otherwise the termination is kept, and with it
+        any backend error's message.
         """
         if depth < 0:
             raise ValueError("depth must be non-negative")
@@ -337,7 +341,8 @@ class SearchTrace:
         ):
             termination = Termination.MAX_DEPTH_REACHED
         ledger = CostLedger(tuple(e for e in self.ledger.entries if e.depth <= depth))
-        return SearchTrace(nodes, termination, ledger)
+        error = self.backend_error if termination is Termination.BACKEND_ERROR else None
+        return SearchTrace(nodes, termination, ledger, error)
 
     def all_candidates(self) -> list[CandidateResponse]:
         return [c for node in self.nodes for c in node.candidates]

@@ -206,13 +206,24 @@ def tool_version(tools: ToolchainConfig = DEFAULT_TOOLS) -> str | None:
     return banner[0] if banner and not (proc.timed_out or proc.dropped) else None
 
 
+class CandidateFiles(NamedTuple):
+    module: Path
+    testbench: Path
+    artifact: Path
+
+
+def candidate_files(workdir: Path, top_name: str) -> CandidateFiles:
+    """The files a candidate's evaluation may write beside its ``log.txt``:
+    ``<top>.sv``, ``<top>_tb.sv`` and the compiled ``<top>.vvp``."""
+    return CandidateFiles(workdir / f"{top_name}.sv", workdir / f"{top_name}_tb.sv", workdir / f"{top_name}.vvp")
+
+
 def write_candidate_sources(
     module_src: str, testbench_src: str, workdir: Path, top_name: str
 ) -> tuple[Path, Path]:
     """Materialize ``<top>.sv`` and ``<top>_tb.sv`` inside the work directory."""
     workdir.mkdir(parents=True, exist_ok=True)
-    module_path = workdir / f"{top_name}.sv"
-    tb_path = workdir / f"{top_name}_tb.sv"
+    module_path, tb_path, _ = candidate_files(workdir, top_name)
     module_path.write_text(module_src, encoding="utf-8")
     tb_path.write_text(testbench_src, encoding="utf-8")
     return module_path, tb_path
@@ -252,7 +263,7 @@ def compile_design(
     killed and the result is an ``ERROR`` saying so.
     """
     module_path, tb_path = write_candidate_sources(module_src, testbench_src, workdir, top_name)
-    artifact = workdir / f"{top_name}.vvp"
+    artifact = candidate_files(workdir, top_name).artifact
     argv = [tools.compiler, LANGUAGE_FLAG, "-o", artifact.name, module_path.name, tb_path.name]
     proc = _run_tool(argv, COMPILE_TIMEOUT, workdir, "compiler")
     if proc.dropped:
@@ -323,9 +334,13 @@ def evaluate(
     A parsed testbench summary always yields ``SIMULATED`` (warnings do not
     demote it); a warned compile with no summary is ``COMPILE_WARNED_NO_SIM``;
     a clean compile whose simulation crashed, hung or stayed silent is
-    ``SIM_CRASH_OR_TIMEOUT``. The work directory must be fresh per candidate
-    and ends up holding the sources, the artifact when one was built, and a
-    ``log.txt`` transcript.
+    ``SIM_CRASH_OR_TIMEOUT``.
+
+    The work directory, fresh or holding an earlier evaluation's files, ends
+    up holding exactly this outcome's: a ``log.txt`` transcript, the sources
+    unless the reply had no module, and the artifact unless the compile
+    failed. Any of :func:`candidate_files` that this outcome did not write is
+    removed; no other file is touched.
     """
     workdir = Path(workdir)
     workdir.mkdir(parents=True, exist_ok=True)
@@ -337,12 +352,16 @@ def evaluate(
     extraction = extract_module(candidate_text)
     module_src = extraction.module_src
     compiled = sim = summary = diagnosis = None
+    files = candidate_files(workdir, task.name)
     if module_src is None:
         kind, feedback = OutcomeKind.NO_MODULE, NO_MODULE_FEEDBACK
+        for path in files:
+            path.unlink(missing_ok=True)
     else:
         compiled = compile_fn(module_src, task.testbench_src, workdir, task.name)
         if compiled.status is CompileStatus.ERROR:
             kind, feedback = OutcomeKind.COMPILE_ERROR, _diagnostics(compiled)
+            files.artifact.unlink(missing_ok=True)
         else:
             sim = simulate_fn(compiled.artifact_path, timeout)
             summary = parse_summary(sim.stdout)

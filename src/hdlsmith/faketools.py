@@ -23,7 +23,7 @@ from functools import partial
 from pathlib import Path
 
 from .core import DesignTask, EvalOutcome
-from .edatools import CompileResult, ProcessRun, ToolIoError, evaluate, write_candidate_sources
+from .edatools import CompileResult, ProcessRun, ToolIoError, candidate_files, evaluate, write_candidate_sources
 
 _DIRECTIVE_RE = re.compile(r"//\s*eda:\s*(.+?)\s*$", re.MULTILINE)
 _MISMATCH_DIRECTIVE_RE = re.compile(r"mismatches=(\d+)\s+samples=(\d+)")
@@ -39,15 +39,15 @@ def _directives(module_src: str) -> list[str]:
 def fake_compile(
     module_src: str, testbench_src: str, workdir: Path, top_name: str
 ) -> CompileResult:
-    write_candidate_sources(module_src, testbench_src, workdir, top_name)
+    module_path, _ = write_candidate_sources(module_src, testbench_src, workdir, top_name)
     directives = _directives(module_src)
     if "compile-error" in directives:
-        message = f"{top_name}.sv:1: error: scripted compile failure"
+        message = f"{module_path.name}:1: error: scripted compile failure"
         return CompileResult((("error", message),), None)
-    artifact = workdir / f"{top_name}.vvp"
+    artifact = candidate_files(workdir, top_name).artifact
     artifact.write_text("fake compiled artifact\n", encoding="utf-8")
     if "warning" in directives:
-        message = f"{top_name}.sv:1: warning: scripted warning"
+        message = f"{module_path.name}:1: warning: scripted warning"
         return CompileResult((("warning", message),), artifact)
     return CompileResult((), artifact)
 

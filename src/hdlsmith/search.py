@@ -170,8 +170,9 @@ def run_search(
     ``GenerationRequest.on_reply`` (else once the call returns). On return,
     the outdir keeps one ``response<i>`` folder per reply in the ledger and
     no other; a search that raises leaves its tree. A backend failure
-    terminates the trace with partial results preserved, and the replies
-    the failed depth already paid for stay in the ledger; at most
+    terminates the trace with partial results preserved and the error's
+    message in ``backend_error``, and the replies the failed depth already
+    paid for stay in the ledger; at most
     ``k * (d + 1)`` candidates are ever generated. A scheduled model whose
     family has no backend raises :class:`NoBackendError` before the first
     request, even one that no depth of this search reaches.
@@ -184,6 +185,7 @@ def run_search(
     nodes: list[DepthNode] = []
     ledger_entries: list[LedgerEntry] = []
     termination = Termination.MAX_DEPTH_REACHED
+    backend_error = None
 
     # Every scheduled model's backend is found before the first request is paid for.
     sched.check_backends(backends)
@@ -205,9 +207,8 @@ def run_search(
             ledger_entries.extend(_ledger_entries(candidates, model))
             if not isinstance(error, ContextOverflowError):
                 break
-            evaluate = partial(evaluate, clear_workdir=True)
         if error is not None:
-            termination = Termination.BACKEND_ERROR
+            termination, backend_error = Termination.BACKEND_ERROR, str(error)
             break
 
         node = DepthNode(depth, model.family, model.model_id, tuple(candidates), fallback)
@@ -228,7 +229,7 @@ def run_search(
 
     # A reused outdir keeps the folders of an earlier, deeper or wider search.
     _remove_stale_dirs(cfg.outdir, ledger_entries)
-    return SearchTrace(nodes, termination, CostLedger(tuple(ledger_entries)))
+    return SearchTrace(nodes, termination, CostLedger(tuple(ledger_entries)), backend_error)
 
 
 def numbered(parent: Path, prefix: str) -> list[tuple[int, Path]]:
@@ -283,17 +284,11 @@ def _evaluate_one(
     evaluator: Evaluator,
     index: int,
     reply: Reply,
-    *,
-    clear_workdir: bool = False,
 ) -> CandidateResponse:
-    # A failover retry evaluates into the workdirs whose replies the rejected
-    # call may already have written; the candidate's files replace theirs.
     text, usage = reply
     # A lone surrogate (JSON "\ud800") cannot be written; U+FFFD keeps trace and files equal.
     text = _SURROGATE_RE.sub("\ufffd", text)
     workdir = cfg.outdir / f"iter{depth}" / f"response{index}"
-    if clear_workdir and workdir.exists():
-        shutil.rmtree(workdir)
     outcome = evaluator(text, task, workdir, cfg.sim_timeout)
     return CandidateResponse(
         raw_text=text,

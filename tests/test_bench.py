@@ -8,6 +8,7 @@ import json
 import math
 import tempfile
 import threading
+import time
 import warnings
 from collections import Counter
 from decimal import Decimal
@@ -270,6 +271,42 @@ class TestRunSuite:
         running = [t.name for t in tasks[:parallelism]]
         assert stopped == [True] * (parallelism - (not interrupt))
         assert sorted((c.task_name, c.depth) for c in backend.calls) == [(t, d) for t in running for d in (0, 1)]
+
+    @pytest.mark.usefixtures("no_thread_leak")
+    def test_interrupt_while_a_worker_starts_waits_for_its_search(self, tmp_path, monkeypatch):
+        # The interrupt lands in submit, just after the worker running a0 has
+        # started and before the pool has kept it.
+        tasks = load_suite(make_suite_dir(tmp_path, stems=("a0",)))
+        at_depth_1 = threading.Event()
+        stops, finished = [], []
+        real_start = threading.Thread.start
+
+        def start(thread):
+            real_start(thread)
+            if thread.name.startswith("ThreadPoolExecutor"):
+                at_depth_1.wait(timeout=10)
+                raise KeyboardInterrupt
+
+        def spy(*args, **kwargs):
+            stops.append(kwargs["stop"])
+            return run_search(*args, **kwargs)
+
+        def evaluator(text, task, workdir, timeout):
+            if "iter1" in workdir.parts:
+                at_depth_1.set()
+                stops[0].wait(timeout=10)
+                time.sleep(0.2)
+                finished.append(task.name)
+            return offline_evaluate(text, task, workdir, timeout)
+
+        monkeypatch.setattr(threading.Thread, "start", start)
+        monkeypatch.setattr(bench, "run_search", spy)
+        with pytest.raises(KeyboardInterrupt):
+            run_suite(
+                tasks, [GridPoint(1, 5)], self.schedule(), {"mock": MockBackend({})},
+                evaluator=evaluator, workdir=tmp_path / "work",
+            )
+        assert finished == ["a0"]
 
     @pytest.mark.parametrize("final", [False, True], ids=["model", "final model"])
     def test_family_without_backend_raises_before_any_search(self, tmp_path, final):

@@ -659,6 +659,17 @@ class TestCli:
         )
         assert not (tmp_path / "output_dir").exists()
 
+    def test_run_backend_error_names_its_cause(self, tmp_path, capsys, monkeypatch):
+        # The configured ChatGPT family needs an API key before any request.
+        monkeypatch.delenv("OPENAI_API_KEY", raising=False)
+        config_path = write_config(tmp_path)
+        code = cli_main(["run", "--config", str(config_path), "--override", "general.iterations=0",
+                         "--offline-tools"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "Termination: backend_error" in captured.out
+        assert captured.err == "hdlsmith: backend error: environment variable OPENAI_API_KEY is not set\n"
+
     def test_bench_without_toolchain_is_tool_error(self, tmp_path, capsys, monkeypatch):
         argv = [arg for arg in self.bench_argv(tmp_path, "--workdir", str(tmp_path / "work"))
                 if arg != "--offline-tools"]

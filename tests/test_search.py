@@ -964,6 +964,13 @@ class TestPaidReplies:
         assert [(e.depth, e.index) for e in shallow.ledger.entries] == [(0, 0), (0, 1), (0, 2)]
         assert pass_at_budget(shallow) == (3, False)
 
+    def test_trace_keeps_the_backend_error_message(self, task, tmp_path, monkeypatch):
+        trace = self.failing_at_depth_one(task, tmp_path, monkeypatch)
+        assert trace.backend_error.startswith("server error 503")
+        assert trace.upto(1).backend_error == trace.backend_error
+        assert trace.upto(0).backend_error is None
+        assert replace(trace, backend_error=None) == trace
+
 
 class TestReusedOutdir:
     """An outdir reused by a shallower, narrower search ends up holding its tree alone."""
@@ -1010,6 +1017,22 @@ class TestReusedOutdir:
         assert trace.termination is Termination.BACKEND_ERROR
         assert [(e.depth, e.index) for e in trace.ledger.entries] == [(0, 0), (0, 1), (0, 2), (1, 0)]
         assert scan_output_tree(outdir) == trace_shape(trace) + [[OutcomeKind.SIMULATED.value]]
+
+    @pytest.mark.parametrize(
+        "reply, files",
+        [
+            ("no module here", ["log.txt"]),
+            (reply_with_module("compile-error"), ["log.txt", "top_module.sv", "top_module_tb.sv"]),
+            (passing_reply(), ["log.txt", "top_module.sv", "top_module.vvp", "top_module_tb.sv"]),
+        ],
+        ids=["no module", "compile error", "pass"],
+    )
+    def test_kept_folder_holds_only_the_new_outcome_files(self, task, tmp_path, reply, files):
+        outdir = tmp_path / "out"
+        run_mock_search(task, tmp_path, k=1, d=0, script={("top_module", 0, 0): passing_reply()})
+        trace, _ = run_mock_search(task, tmp_path, k=1, d=0, script={("top_module", 0, 0): reply})
+        assert sorted(p.name for p in (outdir / "iter0" / "response0").iterdir()) == files
+        assert scan_output_tree(outdir) == trace_shape(trace)
 
 
 class TestWireConversations:
