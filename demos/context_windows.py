@@ -1,11 +1,14 @@
-# Succinct versus full-context conversation windows.
+# One history, and the window each feedback mode sends from it.
 #
-# The succinct window stays at four messages no matter how deep the repair
-# loop goes; the full-context window grows by a reply and a feedback message
-# per iteration.
+# The history grows by the chosen reply and its feedback at every iteration,
+# whatever the mode. Succinct mode sends the succinct window, which stays at
+# four messages no matter how deep the repair loop goes; full-context mode
+# sends the whole history, and fails over to the succinct window only when the
+# history would not fit the model's context window.
 
-from hdlsmith import DesignTask, FeedbackMode
+from hdlsmith import DesignTask
 from hdlsmith.prompts import (
+    Conversation,
     estimate_tokens,
     initial_conversation,
     next_conversation,
@@ -20,25 +23,21 @@ task = DesignTask(
 )
 
 
-def show(mode: FeedbackMode) -> None:
-    print(f"\n{mode.value} window evolution:")
-    conv = initial_conversation(task)
-    print(f"  iteration 0: {len(conv.messages)} messages "
-          f"({', '.join(m.role.value for m in conv.messages)})")
-    for n in range(1, 5):
-        conv = next_conversation(
-            conv,
+def describe(conv: Conversation) -> str:
+    roles = ", ".join(m.role.value for m in conv.messages)
+    return f"{len(conv.messages)} messages, ~{estimate_tokens(conv)} tokens ({roles})"
+
+
+history = initial_conversation(task)
+for n in range(5):
+    if n:
+        history = next_conversation(
+            history,
             f"```verilog\nmodule counter(); // attempt {n}\nendmodule\n```",
             f"Mismatches: {40 - 10 * n} in 40 samples",
-            mode,
         )
-        roles = ", ".join(m.role.value for m in conv.messages)
-        print(f"  iteration {n}: {len(conv.messages)} messages ({roles})")
-    if mode is FeedbackMode.FULL_CONTEXT:
-        window = succinct_window(conv)
-        print(f"  overflow failover would send {len(window.messages)} messages "
-              f"(~{estimate_tokens(window)} tokens instead of ~{estimate_tokens(conv)})")
-
-
-for mode in FeedbackMode:
-    show(mode)
+    print(f"\niteration {n}:")
+    print(f"  history:              {describe(history)}")
+    print(f"  succinct mode sends:  {describe(succinct_window(history))}")
+    print(f"  full_context sends:   {describe(history)}")
+print("\nOver the model's context limit, full_context fails over to the succinct window.")

@@ -24,7 +24,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .backends import BackendRegistry
 from .core import DesignTask, SearchTrace, TokenUsage
-from .edatools import DEFAULT_SIM_TIMEOUT, require_tools
+from .edatools import DEFAULT_SIM_TIMEOUT
 from .prompts import FeedbackMode
 from .search import (
     Evaluator,
@@ -193,11 +193,11 @@ def run_suite(
     each d, so then every d is searched. Only the searched trees are written
     under ``workdir``, one ``k<k>_d<d>_<mode>`` directory per search.
 
-    A model family with no backend raises ``NoBackendError``, and with the default
-    evaluator a compiler or runtime that cannot be found raises
-    ``ToolNotFoundError``, and a grid point or a ``sim_timeout`` that
-    :class:`SearchConfig` rejects, or a ``parallelism`` below 1, raises
-    ``ValueError``, before any search.
+    A model family with no backend raises ``NoBackendError``, and a grid point
+    or a ``sim_timeout`` that :class:`SearchConfig` rejects, or a
+    ``parallelism`` below 1, raises ``ValueError``, before any search. With the
+    default evaluator, a compiler or runtime that cannot be found raises
+    ``ToolNotFoundError`` before any request.
     Up to ``parallelism`` searches from anywhere in the sweep run at once.
     They start by ``(num_candidates, mode)`` in grid order, then by d, then
     in task order. Any error a search raises, such as an evaluator or tool
@@ -207,7 +207,7 @@ def run_suite(
     Either way the sweep returns or raises only once every worker it started
     has ended, so no search still writes under ``workdir``.
     """
-    grid = list(grid)
+    grid = list(dict.fromkeys(grid))  # a repeated point is run and reported once
     if not grid:
         raise ValueError("parameter grid is empty")
     if not tasks:
@@ -215,8 +215,6 @@ def run_suite(
     schedule.check_backends(backends)
     if parallelism < 1:
         raise ValueError(f"parallelism must be at least 1, got {parallelism}")
-    if evaluator is None:
-        require_tools()
     # Every grid point's config is built, and so checked, before the first
     # search; its outdir is relative to root.
     points = [(p.num_candidates, p.mode, p.max_depth) for p in grid]
@@ -374,6 +372,11 @@ class ReportFormat(Enum):
     CSV = "csv"
     JSON = "json"
 
+    @classmethod
+    def of(cls, path: Path) -> "ReportFormat":
+        """The format a report path names: CSV for a ``.csv`` suffix in any case, else JSON."""
+        return cls.CSV if path.suffix.lower() == ".csv" else cls.JSON
+
 
 class _Field(NamedTuple):
     """One report column: its name, its JSON value read from the dataclass,
@@ -475,8 +478,7 @@ def export_report(
 def load_report(path: str | Path, format: ReportFormat | None = None) -> list[SuiteResult]:
     """Read a report back; ``load_report(export_report(x)) == x``."""
     path = Path(path)
-    if format is None:
-        format = ReportFormat.CSV if path.suffix.lower() == ".csv" else ReportFormat.JSON
+    format = format or ReportFormat.of(path)
     text = path.read_text(encoding="utf-8")
     if format is ReportFormat.JSON:
         return [

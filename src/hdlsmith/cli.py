@@ -127,8 +127,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         workdir=args.workdir,
         parallelism=args.parallel,
     )
-    format = ReportFormat.CSV if (args.format or out.suffix.lstrip(".")).lower() == "csv" else ReportFormat.JSON
-    export_report(results, format, out)
+    export_report(results, ReportFormat.of(out), out)
     for result in results:
         passed = sum(r.success for r in result.per_task)
         print(
@@ -167,8 +166,7 @@ def main(argv: list[str] | None = None) -> int:
     bench_p.add_argument("--suite", required=True, help="suite directory")
     bench_p.add_argument("--grid", default="k=1;d=0", help='e.g. "k=1,5;d=0,1,5,10"')
     bench_p.add_argument("--mode", choices=["succinct", "full"], default="succinct")
-    bench_p.add_argument("--out", required=True, help="report file (.json or .csv)")
-    bench_p.add_argument("--format", choices=["json", "csv"], default=None)
+    bench_p.add_argument("--out", required=True, help="report file: CSV for a .csv suffix, else JSON")
     bench_p.add_argument("--model", default=f"{MOCK_FAMILY}:mock", metavar="FAMILY:ID")
     bench_p.add_argument("--final-model", default=None, metavar="FAMILY:ID")
     bench_p.add_argument("--backend", default=None, metavar="mock:SCRIPT")

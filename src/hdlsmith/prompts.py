@@ -2,8 +2,9 @@
 
 Three prompt kinds exist: a fixed system prompt, the per-task design prompt,
 and the feedback prompt that ``edatools.evaluate`` builds from tool output.
-The conversation window either stays succinct (system, design, last reply,
-last feedback) or keeps the full history.
+The history always grows by the chosen reply and its feedback; the window a
+depth sends from it is either succinct (system, design, last reply, last
+feedback) or the full history.
 """
 
 from __future__ import annotations
@@ -91,18 +92,9 @@ def initial_conversation(task: DesignTask) -> Conversation:
     return Conversation((system, Message(Role.USER, task.prompt_text)))
 
 
-def next_conversation(
-    prev: Conversation,
-    best_response_text: str,
-    tool_feedback: str,
-    mode: FeedbackMode,
-) -> Conversation:
-    """Fold the chosen reply and its tool feedback into the next window.
-
-    Succinct mode rebuilds the fixed four-message shape around the original
-    design prompt; full-context mode appends, growing by two messages per
-    iteration.
-    """
+def next_conversation(prev: Conversation, best_response_text: str, tool_feedback: str) -> Conversation:
+    """Append the chosen reply and its tool feedback to the history, which
+    grows by two messages per iteration."""
     if not tool_feedback:
         raise ValueError("tool feedback must be non-empty")
     if not best_response_text:
@@ -111,8 +103,6 @@ def next_conversation(
         raise ValueError("previous conversation lacks the design prompt")
     reply = Message(Role.ASSISTANT, best_response_text)
     feedback = Message(Role.USER, tool_feedback)
-    if mode is FeedbackMode.SUCCINCT:
-        return Conversation((prev.messages[0], prev.messages[1], reply, feedback))
     return Conversation(prev.messages + (reply, feedback))
 
 
@@ -135,11 +125,11 @@ def estimate_tokens(conv: Conversation) -> int:
 
 
 def succinct_window(conv: Conversation) -> Conversation:
-    """Collapse a full-context conversation to the succinct four-message shape.
+    """The succinct shape of a history: system, design, last reply, last feedback.
 
-    Used as the overflow failover when a grown history would exceed the
-    model's context window. Conversations of up to four messages are already
-    in shape and pass through unchanged.
+    It is the succinct mode's window, and full-context mode's failover when
+    the history would exceed the model's context window. A history of up to
+    four messages is already in shape and is returned as is.
     """
     msgs = conv.messages
     if len(msgs) <= 4:

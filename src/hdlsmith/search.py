@@ -175,25 +175,29 @@ def run_search(
     paid for stay in the ledger; at most
     ``k * (d + 1)`` candidates are ever generated. A scheduled model whose
     family has no backend raises :class:`NoBackendError` before the first
-    request, even one that no depth of this search reaches.
+    request, even one that no depth of this search reaches. With no
+    ``evaluator``, a compiler or runtime that cannot be found raises
+    ``ToolNotFoundError`` before the first request, too.
     Once ``stop`` is set, the search raises ``SearchStopped`` before its next
     depth's request; the depth in progress finishes first.
     """
+    # Every scheduled model's backend, and the default toolchain, is found
+    # before the first request is paid for.
+    sched.check_backends(backends)
     if evaluator is None:
+        edatools.require_tools()
         evaluator = edatools.evaluate
-    conversation = initial_conversation(task)
+    history = initial_conversation(task)
     nodes: list[DepthNode] = []
     ledger_entries: list[LedgerEntry] = []
     termination = Termination.MAX_DEPTH_REACHED
     backend_error = None
 
-    # Every scheduled model's backend is found before the first request is paid for.
-    sched.check_backends(backends)
     for depth, model in enumerate(sched.models(cfg.max_depth)):
         if stop is not None and stop.is_set():
             raise SearchStopped(f"{task.name}: stopped before depth {depth}")
         evaluate = partial(_evaluate_one, task, cfg, model, depth, evaluator)
-        for window, fallback in _windows(conversation, model, cfg.feedback_mode):
+        for window, fallback in _windows(history, model, cfg.feedback_mode):
             request = GenerationRequest(
                 conversation=window,
                 model=model,
@@ -220,12 +224,7 @@ def run_search(
             break
         if depth == cfg.max_depth:
             break
-        conversation = next_conversation(
-            conversation,
-            chosen.raw_text or EMPTY_REPLY_PLACEHOLDER,
-            chosen.outcome.feedback,
-            cfg.feedback_mode,
-        )
+        history = next_conversation(history, chosen.raw_text or EMPTY_REPLY_PLACEHOLDER, chosen.outcome.feedback)
 
     # A reused outdir keeps the folders of an earlier, deeper or wider search.
     _remove_stale_dirs(cfg.outdir, ledger_entries)
@@ -258,22 +257,25 @@ def _remove_stale_dirs(outdir: Path, paid: Iterable[LedgerEntry]) -> None:
 
 
 def _windows(
-    conversation: Conversation, model: ModelSpec, mode: FeedbackMode
+    history: Conversation, model: ModelSpec, mode: FeedbackMode
 ) -> Iterable[tuple[Conversation, bool]]:
-    """The windows a depth may send, in order, each with whether it is the
-    succinct failover.
+    """The windows a depth may send from the history, in order, each with
+    whether it is the succinct failover.
 
-    A full-context history of more than four messages falls back to the
-    succinct shape when its estimate is over the model's context limit, or
-    when the provider rejects it as too long. The fallback is for this depth's
-    call only: the canonical history keeps growing, so later, roomier models
-    still see everything.
+    Succinct mode sends the succinct window. Full-context mode sends the
+    history, unless its estimate is over the model's context limit; then, or
+    when the provider rejects the history as too long, it sends the succinct
+    window, if that is shorter. The failover is for this depth's call only:
+    the history keeps growing, so later, roomier models still see everything.
     """
-    long_history = mode is FeedbackMode.FULL_CONTEXT and len(conversation.messages) > 4
-    if not long_history or estimate_tokens(conversation) <= model.max_context_tokens:
-        yield conversation, False
-    if long_history:
-        yield succinct_window(conversation), True
+    succinct = succinct_window(history)
+    if mode is FeedbackMode.SUCCINCT:
+        yield succinct, False
+        return
+    if succinct is history or estimate_tokens(history) <= model.max_context_tokens:
+        yield history, False
+    if succinct is not history:
+        yield succinct, True
 
 
 def _evaluate_one(

@@ -180,6 +180,24 @@ class TestRunSuite:
             for r in results
         )
 
+    @pytest.mark.parametrize(
+        "grid, points",
+        [
+            ([GridPoint(1, 0)] * 2, [(1, 0)]),
+            ([GridPoint(1, 1), GridPoint(2, 0), GridPoint(1, 1), GridPoint(2, 0)], [(1, 1), (2, 0)]),
+        ],
+        ids=["one point twice", "two points twice"],
+    )
+    def test_repeated_grid_point_is_one_result(self, tmp_path, grid, points):
+        # Each point is reported once, at its first place, and round-trips.
+        results = run_suite(
+            load_suite(make_suite_dir(tmp_path)), grid, self.schedule(), {"mock": MockBackend({})},
+            evaluator=offline_evaluate, workdir=tmp_path / "work",
+        )
+        assert [(r.params.num_candidates, r.params.max_depth) for r in results] == points
+        for fmt in ReportFormat:
+            assert load_report(export_report(results, fmt, tmp_path / f"report.{fmt.value}")) == results
+
     def test_pass_at_depth_zero_uses_k_queries(self, tmp_path):
         tasks = load_suite(make_suite_dir(tmp_path, stems=("adder",)))
         backend = MockBackend({("adder", 0, 0): passing_reply(name="adder")})

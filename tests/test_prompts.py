@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from hdlsmith.prompts import (
     Conversation,
-    FeedbackMode,
     Message,
     Role,
     estimate_tokens,
@@ -47,64 +46,64 @@ class TestInitialConversation:
         assert conv.messages[1].content == task.prompt_text
 
     def test_mode_does_not_change_shape(self, task):
-        # Both modes start from the same window, and one round makes the
-        # same four messages in each.
-        conv = initial_conversation(task)
-        succinct = next_conversation(conv, "reply", "feedback", FeedbackMode.SUCCINCT)
-        full = next_conversation(conv, "reply", "feedback", FeedbackMode.FULL_CONTEXT)
-        assert succinct == full
+        # One history serves both modes: after one round it is four messages,
+        # and the succinct window is that history itself, as full context
+        # sends it.
+        conv = next_conversation(initial_conversation(task), "reply", "feedback")
+        assert [m.role for m in conv.messages] == [
+            Role.SYSTEM, Role.USER, Role.ASSISTANT, Role.USER,
+        ]
+        assert succinct_window(conv) is conv
 
 
 class TestNextConversation:
-    def _iterate(self, task, mode, rounds):
+    def _iterate(self, task, rounds):
         conv = initial_conversation(task)
         for n in range(rounds):
-            conv = next_conversation(conv, f"reply {n}", f"feedback {n}", mode)
+            conv = next_conversation(conv, f"reply {n}", f"feedback {n}")
         return conv
 
     def test_succinct_is_four_messages_at_any_depth(self, task):
-        conv = self._iterate(task, FeedbackMode.SUCCINCT, 3)
-        assert len(conv.messages) == 4
-        assert [m.role for m in conv.messages] == [
+        window = succinct_window(self._iterate(task, 3))
+        assert len(window.messages) == 4
+        assert [m.role for m in window.messages] == [
             Role.SYSTEM, Role.USER, Role.ASSISTANT, Role.USER,
         ]
 
     @pytest.mark.parametrize("rounds", range(6))
     def test_full_context_grows_by_two(self, task, rounds):
-        conv = self._iterate(task, FeedbackMode.FULL_CONTEXT, rounds)
+        conv = self._iterate(task, rounds)
         assert len(conv.messages) == 2 + 2 * rounds
 
     def test_succinct_keeps_original_design_prompt(self, task):
-        mode = FeedbackMode.SUCCINCT
-        conv = self._iterate(task, mode, 1)
-        first = conv.messages[1].content
-        conv = next_conversation(conv, "another reply", "more feedback", mode)
-        assert conv.messages[1].content == first == task.prompt_text
+        conv = self._iterate(task, 1)
+        first = succinct_window(conv).messages[1].content
+        conv = next_conversation(conv, "another reply", "more feedback")
+        assert succinct_window(conv).messages[1].content == first == task.prompt_text
 
     def test_design_prompt_present_every_round_both_modes(self, task):
-        for mode in FeedbackMode:
-            conv = initial_conversation(task)
-            for n in range(5):
-                conv = next_conversation(conv, f"r{n}", f"f{n}", mode)
-                assert conv.messages[1].content == task.prompt_text
-                if mode is FeedbackMode.SUCCINCT:
-                    assert len(conv.messages) <= 4
+        conv = initial_conversation(task)
+        for n in range(5):
+            conv = next_conversation(conv, f"r{n}", f"f{n}")
+            window = succinct_window(conv)
+            assert conv.messages[1].content == window.messages[1].content == task.prompt_text
+            assert len(window.messages) <= 4
 
     def test_rejects_empty_feedback(self, task):
         conv = initial_conversation(task)
         with pytest.raises(ValueError):
-            next_conversation(conv, "reply", "", FeedbackMode.SUCCINCT)
+            next_conversation(conv, "reply", "")
 
     def test_rejects_empty_reply(self, task):
         conv = initial_conversation(task)
         with pytest.raises(ValueError):
-            next_conversation(conv, "", "feedback", FeedbackMode.SUCCINCT)
+            next_conversation(conv, "", "feedback")
 
     def test_latest_reply_and_feedback_are_last_two(self, task):
-        for mode in FeedbackMode:
-            conv = self._iterate(task, mode, 4)
-            assert conv.messages[-2] == Message(Role.ASSISTANT, "reply 3")
-            assert conv.messages[-1] == Message(Role.USER, "feedback 3")
+        conv = self._iterate(task, 4)
+        for window in (conv, succinct_window(conv)):
+            assert window.messages[-2] == Message(Role.ASSISTANT, "reply 3")
+            assert window.messages[-1] == Message(Role.USER, "feedback 3")
 
 
 class TestFlatten:
@@ -143,10 +142,9 @@ class TestWindowHelpers:
         assert estimate_tokens(conv) == 2
 
     def test_succinct_window_collapses_long_history(self, task):
-        mode = FeedbackMode.FULL_CONTEXT
         conv = initial_conversation(task)
         for n in range(4):
-            conv = next_conversation(conv, f"r{n}", f"f{n}", mode)
+            conv = next_conversation(conv, f"r{n}", f"f{n}")
         window = succinct_window(conv)
         assert len(window.messages) == 4
         assert window.messages[0] == conv.messages[0]

@@ -14,6 +14,7 @@ import pytest
 from conftest import make_candidate, run_fresh
 from hdlsmith import cli
 from hdlsmith.backends import CommandBackend, MockBackend, lookup_model
+from hdlsmith.bench import ReportFormat, load_report, render_report
 from hdlsmith.cli import main as cli_main
 from hdlsmith.core import (
     CostLedger,
@@ -948,6 +949,21 @@ class TestCli:
         assert cli_main(self.bench_argv(tmp_path, "--parallel", value, "--workdir", str(tmp_path / "work"))) == 2
         self.assert_config_error(capsys, tmp_path, f"--parallel: {value}: must be at least 1\n")
         assert not (tmp_path / "work").exists()
+
+    def test_bench_out_suffix_picks_the_format(self, tmp_path):
+        # CSV for a .csv suffix in any case, JSON for any other suffix.
+        script = self.write_mock_script(tmp_path, {"alpha/1/0": passing_reply(name="alpha")})
+        formats = {"r.json": ReportFormat.JSON, "r.csv": ReportFormat.CSV,
+                   "r.CSV": ReportFormat.CSV, "r.txt": ReportFormat.JSON}
+        reports = {}
+        for name, format in formats.items():
+            argv = self.bench_argv(tmp_path, "--grid", "k=1,2;d=0,1", "--backend", f"mock:{script}")
+            argv[argv.index("--out") + 1] = str(tmp_path / name)
+            assert cli_main(argv) == 0
+            reports[name] = load_report(tmp_path / name)
+            assert (tmp_path / name).read_text(encoding="utf-8") == render_report(reports[name], format)
+        assert len(reports["r.json"]) == 4
+        assert all(results == reports["r.json"] for results in reports.values())
 
     def test_bench_cli_writes_report(self, tmp_path, capsys):
         suite = tmp_path / "suite"

@@ -37,13 +37,14 @@ from hdlsmith.core import (
     candidate_order_key,
     compute_cost,
 )
-from hdlsmith.edatools import CompileResult, ProcessRun, ToolIoError, evaluate
+from hdlsmith.edatools import CompileResult, ProcessRun, ToolIoError, ToolNotFoundError, evaluate
 from hdlsmith.extract import extract_module
 from hdlsmith.faketools import fake_compile, offline_evaluate, passing_reply, reply_with_module
 from hdlsmith.prompts import (
     EMPTY_REPLY_PLACEHOLDER,
     NO_MODULE_FEEDBACK,
     FeedbackMode,
+    Message,
     Role,
     estimate_tokens,
     initial_conversation,
@@ -307,6 +308,32 @@ class TestConversationFlow:
         assert sent[-1].content == chosen.outcome.feedback
         assert sent[-2].content == chosen.raw_text
 
+    # Depth n's chosen candidate is index n % 2, with n + 1 mismatches, so no
+    # two depths choose the same reply.
+    WINDOW_SCRIPT = {
+        ("top_module", n, i): reply_with_module(f"mismatches={n + 1 if i == n % 2 else 8} samples=9")
+        for n in range(4) for i in range(2)
+    }
+
+    @pytest.mark.parametrize("mode", list(FeedbackMode), ids=lambda mode: mode.value)
+    def test_window_at_every_depth_holds_the_chosen_replies(self, task, tmp_path, mode):
+        trace, backend = run_mock_search(task, tmp_path, k=2, d=3, script=self.WINDOW_SCRIPT, mode=mode)
+        assert [node.chosen_index for node in trace.nodes] == [0, 1, 0, 1]
+        head = (Message(Role.SYSTEM, system_prompt()), Message(Role.USER, task.prompt_text))
+        folds = [
+            (Message(Role.ASSISTANT, node.chosen.raw_text), Message(Role.USER, node.chosen.outcome.feedback))
+            for node in trace.nodes
+        ]
+        assert len({reply for reply, _ in folds}) == len({feedback for _, feedback in folds}) == 4
+        assert [call.depth for call in backend.calls] == [0, 1, 2, 3]
+        for n, call in enumerate(backend.calls):
+            if mode is FeedbackMode.SUCCINCT:
+                # The last depth's reply and feedback, and no older one.
+                expected = head + (folds[n - 1] if n else ())
+            else:
+                expected = head + sum(folds[:n], ())
+            assert call.conversation.messages == expected
+
     def test_crash_output_on_one_line_fits_the_next_window(self, task, tmp_path):
         # A simulation printing 1 MiB without a newline is fed back as its tail.
         def flood(artifact_path, timeout):
@@ -450,6 +477,14 @@ class TestBackendFailures:
         assert trace.termination is Termination.MAX_DEPTH_REACHED
         assert trace.nodes[2].context_fallback
         assert len(backend.calls[2].conversation.messages) == 4
+
+    def test_missing_toolchain_raises_before_any_request(self, task, tmp_path, monkeypatch):
+        monkeypatch.setenv("PATH", str(tmp_path / "empty-bin"))
+        backend = MockBackend({(task.name, 0, i): reply_with_module() for i in range(3)})
+        with pytest.raises(ToolNotFoundError, match="compiler not found: iverilog"):
+            run_search(task, search_config(3, 2, tmp_path), single_schedule(), {"mock": backend})
+        assert backend.calls == []
+        assert not (tmp_path / "out").exists()
 
     def test_missing_family_is_a_configuration_error(self, task, tmp_path):
         with pytest.raises(KeyError):
