@@ -61,12 +61,11 @@ class GenerationRequest:
 
     ``on_reply``, when set, is called once per reply as ``on_reply(index,
     reply)`` as soon as that reply has its arrival index, so the caller can
-    work on each reply while the others are still in flight. Every built-in
-    backend calls it: the HTTP and command backends on the thread that
-    received the reply, also for the replies of a call that then raises (see
-    ``_FanOut``), and ``MockBackend`` on the calling thread, in index order.
-    A reply returned but never handed over is the caller's to handle. It
-    takes no part in equality.
+    work on each reply while the others are still in flight. The HTTP and
+    command backends call it on the thread that received the reply, also for
+    the replies of a call that then raises (see ``_FanOut``); ``MockBackend``
+    only returns its replies. A reply returned but never handed over is the
+    caller's to handle. It takes no part in equality.
     """
 
     conversation: Conversation
@@ -509,14 +508,10 @@ class MockBackend:
             self.calls.append(
                 MockCall(req.task_name, req.depth, req.model.model_id, req.num_candidates, req.conversation)
             )
-        replies = tuple(
+        return tuple(
             (self.script.get((req.task_name, req.depth, i), self.default_reply), self.tokens_per_reply)
             for i in range(req.num_candidates)
         )
-        if req.on_reply is not None:
-            for index, reply in enumerate(replies):
-                req.on_reply(index, reply)
-        return replies
 
 
 def load_mock_script(path: str | Path) -> MockBackend:

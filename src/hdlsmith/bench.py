@@ -11,6 +11,8 @@ import csv
 import io
 import json
 import math
+import re
+import shutil
 import tempfile
 import threading
 import warnings
@@ -39,6 +41,7 @@ PROMPT_SUFFIX = "_prompt.sv"
 TESTBENCH_SUFFIX = "_tb.sv"
 MANIFEST_NAME = "manifest.json"
 UNCATEGORIZED = "uncategorized"
+_TREE_NAME = re.compile(rf"k\d+_d\d+_(?:{'|'.join(mode.value for mode in FeedbackMode)})")
 # How long the thread waiting for a sweep's searches sleeps at a time: an
 # interrupt reaches it only when it wakes, not while it blocks on a lock.
 _INTERRUPT_POLL_S = 0.1
@@ -190,8 +193,9 @@ def run_suite(
     task is searched once at the group's deepest d and every shallower point
     reads the prefix of that trace (:meth:`SearchTrace.upto`). A schedule
     with a final-iteration model serves depth d with a different model at
-    each d, so then every d is searched. Only the searched trees are written
-    under ``workdir``, one ``k<k>_d<d>_<mode>`` directory per search.
+    each d, so then every d is searched. Under ``workdir`` each search writes
+    a ``k<k>_d<d>_<mode>/<task>`` tree. A sweep that returns, not one that
+    raises, removes every other such tree and task folder, and nothing else.
 
     A model family with no backend raises ``NoBackendError``, and a grid point
     or a ``sim_timeout`` that :class:`SearchConfig` rejects, or a
@@ -221,7 +225,7 @@ def run_suite(
     configs: dict[tuple[int, FeedbackMode, int], SearchConfig] = {}
     deepest: dict[tuple[int, FeedbackMode], int] = {}
     for k, mode, d in points:
-        configs[k, mode, d] = SearchConfig(k, d, mode, sim_timeout, Path(f"k{k}_d{d}_{mode.value}"))
+        configs[k, mode, d] = SearchConfig(k, d, mode, sim_timeout, outdir=Path(f"k{k}_d{d}_{mode.value}"))
         deepest[k, mode] = max(d, deepest.get((k, mode), d))
     # A point reads the search at its group's deepest d, or at its own d when
     # a final-iteration model serves each d differently.
@@ -268,6 +272,8 @@ def run_suite(
                 worker.join()
     if failures:
         raise failures[0]
+    if workdir is not None and Path(workdir).is_dir():
+        _remove_stale_trees(Path(workdir), {cfg.outdir.name for cfg in searched}, {task.name for task in tasks})
     found = (future.result() for future in futures)
     traces = {cfg: [next(found) for _ in tasks] for cfg in searched}
     schedule_desc = schedule.describe()
@@ -278,6 +284,14 @@ def run_suite(
         )
         for (k, mode, d), cfg in zip(points, reads)
     ]
+
+
+def _remove_stale_trees(workdir: Path, trees: set[str], tasks: set[str]) -> None:
+    for tree in workdir.iterdir():
+        if _TREE_NAME.fullmatch(tree.name) and tree.is_dir():
+            stale = [tree] if tree.name not in trees else [p for p in tree.iterdir() if p.name not in tasks]
+            for path in filter(Path.is_dir, stale):
+                shutil.rmtree(path)
 
 
 def _task_summary(task: DesignTask, trace: SearchTrace) -> TaskRow:
@@ -471,16 +485,17 @@ def export_report(
     results: Sequence[SuiteResult], format: ReportFormat, path: str | Path
 ) -> Path:
     path = Path(path)
+    if format is not ReportFormat.of(path):
+        raise ValueError(f"{path} names a {ReportFormat.of(path).value} report, not a {format.value} one")
     path.write_text(render_report(results, format), encoding="utf-8")
     return path
 
 
-def load_report(path: str | Path, format: ReportFormat | None = None) -> list[SuiteResult]:
-    """Read a report back; ``load_report(export_report(x)) == x``."""
+def load_report(path: str | Path) -> list[SuiteResult]:
+    """Read a report back in the format its suffix names; ``load_report(export_report(x)) == x``."""
     path = Path(path)
-    format = format or ReportFormat.of(path)
     text = path.read_text(encoding="utf-8")
-    if format is ReportFormat.JSON:
+    if ReportFormat.of(path) is ReportFormat.JSON:
         return [
             SuiteResult(
                 SuiteParams(*_decode(_PARAM_FIELDS, entry["params"])),

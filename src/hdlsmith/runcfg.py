@@ -12,20 +12,12 @@ import json
 import math
 import warnings
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
 from typing import IO, Mapping, Sequence
 
 from .backends import BackendRegistry, default_registry, lookup_model
 from .core import DesignTask, EvalOutcome, ModelSpec, OutcomeKind, SearchTrace, format_usd
-from .edatools import (
-    DEFAULT_SIM_TIMEOUT,
-    DEFAULT_TOOLS,
-    ToolchainConfig,
-    evaluate,
-    require_tools,
-    tool_version,
-)
+from .edatools import DEFAULT_SIM_TIMEOUT, require_tools, tool_version
 from .prompts import FeedbackMode
 from .search import (
     Evaluator,
@@ -182,9 +174,8 @@ def _apply_overrides(document: object, overrides: Sequence[str]) -> object:
     return document
 
 
-def parse_config(raw: object, base_dir: Path | None = None) -> RunConfig:
-    """Validate an already-parsed configuration document."""
-    base_dir = Path(base_dir) if base_dir is not None else Path.cwd()
+def parse_config(raw: object, base_dir: Path) -> RunConfig:
+    """Validate an already-parsed configuration document; its paths are relative to ``base_dir``."""
     if not isinstance(raw, dict):
         raise TypeMismatchError("<root>", "expected a JSON object")
     for key in raw:
@@ -289,19 +280,18 @@ def execute_run(
     backends: BackendRegistry | None = None,
     *,
     evaluator: Evaluator | None = None,
-    tools: ToolchainConfig = DEFAULT_TOOLS,
 ) -> SearchTrace:
     """Drive a full search run and materialize the output directory.
 
     Produces ``outdir/iter<N>/response<M>/`` per generated candidate (source
     and artifact files as far as its evaluation got, plus a per-candidate
     log) and the top-level run log. A partial tree is left on disk when the
-    run aborts. When the real toolchain is in use, its version banner heads
-    the run log so warning-text classifications stay traceable, and a
-    compiler or runtime that cannot be found raises ``ToolNotFoundError``,
-    and a scheduled model family with no backend raises ``ConfigError``,
-    before the output directory is created or any reply is requested. A run
-    log that cannot be opened raises ``OSError`` before any reply, too.
+    run aborts. ``evaluator`` goes to :func:`run_search` as is; with none, the
+    default toolchain's version banner heads the run log so warning-text
+    classifications stay traceable, and a missing compiler or runtime raises
+    ``ToolNotFoundError``, as a model family with no backend raises
+    ``ConfigError``, before the output directory is created or any reply is
+    requested. An unopenable run log raises ``OSError`` before any reply, too.
     """
     if backends is None:
         backends = default_registry()
@@ -312,9 +302,8 @@ def execute_run(
         raise ConfigError(key_path, str(exc)) from None
     version = None
     if evaluator is None:
-        require_tools(tools)
-        evaluator = partial(evaluate, tools=tools)
-        version = tool_version(tools)
+        require_tools()
+        version = tool_version()
     search_cfg = SearchConfig(
         num_candidates=cfg.num_candidates,
         max_depth=cfg.iterations,

@@ -12,7 +12,7 @@ import math
 import re
 import shutil
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import partial
 from pathlib import Path
 from typing import Callable, Iterable
@@ -53,13 +53,13 @@ _SURROGATE_RE = re.compile("[\ud800-\udfff]")
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Search parameters: k candidates per depth, maximum depth d, window mode."""
+    """Search parameters: k candidates per depth, maximum depth d, window mode, and the required outdir."""
 
     num_candidates: int
     max_depth: int
     feedback_mode: FeedbackMode = FeedbackMode.SUCCINCT
     sim_timeout: float = edatools.DEFAULT_SIM_TIMEOUT
-    outdir: Path = Path("output_dir")
+    outdir: Path = field(kw_only=True)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "outdir", Path(self.outdir))
@@ -312,10 +312,10 @@ def _generate(
     """One ``generate`` call whose replies are evaluated as they arrive.
 
     Returns the evaluated replies in index order (for a failed call, those
-    delivered before it failed) and the backend error, if any. Replies
-    returned without being handed to ``GenerationRequest.on_reply`` go
-    through it here, serially. The first evaluator error stops evaluation and
-    is raised as is once the call is over, never passing for a backend error.
+    delivered before it failed) and the backend error, if any. Replies returned
+    but not handed to ``on_reply``, as all of ``MockBackend``'s, go through it
+    here in index order on the calling thread. The first evaluator error stops
+    evaluation and is raised once the call is over, never as a backend error.
     """
     arrived: dict[int, CandidateResponse] = {}
     failures: list[Exception] = []

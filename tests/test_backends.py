@@ -123,32 +123,14 @@ class TestMockBackend:
         second = MockBackend(script).generate(req)
         assert first == second
 
-    def test_replies_handed_over_in_index_order_on_the_calling_thread(self):
+    def test_replies_returned_in_index_order_never_handed_over(self):
+        # The caller evaluates them (search._generate); see TestReplyHandOver.
         script = {("t", 0, i): f"r{i}" for i in range(3)}
         handed = []
         req = GenerationRequest(two_turn_conversation(), lookup_model("mock"), 3, task_name="t", depth=0)
-        replies = MockBackend(script).generate(
-            replace(req, on_reply=lambda index, reply: handed.append((index, reply, threading.current_thread())))
-        )
-        assert replies == MockBackend(script).generate(req)
-        assert handed == [(i, reply, threading.current_thread()) for i, reply in enumerate(replies)]
-        assert [text for _, (text, _), _ in handed] == ["r0", "r1", "r2"]
-
-    def test_replies_handed_over_outside_the_lock(self):
-        # Another call (a concurrent task's) completes while a reply is handled.
-        backend = MockBackend({})
-        req = GenerationRequest(two_turn_conversation(), lookup_model("mock"), 1, task_name="t", depth=0)
-        other = threading.Thread(target=backend.generate, args=(req,))
-        other_finished = []
-
-        def on_reply(index, reply):
-            other.start()
-            other.join(2)
-            other_finished.append(not other.is_alive())
-
-        backend.generate(replace(req, on_reply=on_reply))
-        other.join(5)
-        assert other_finished == [True]
+        replies = MockBackend(script).generate(replace(req, on_reply=lambda *args: handed.append(args)))
+        assert handed == []
+        assert [text for text, _ in replies] == ["r0", "r1", "r2"]
 
     def test_calls_are_recorded(self):
         backend = MockBackend({})

@@ -436,6 +436,33 @@ class TestRunSuite:
         assert backend.calls == []
         assert not (tmp_path / "work").exists()
 
+    def test_reused_workdir_holds_only_the_last_sweep(self, tmp_path):
+        tasks = load_suite(make_suite_dir(tmp_path))
+        work, fresh = tmp_path / "work", tmp_path / "fresh"
+        for folder in ("notes", "k1_d1_notes"):
+            (work / folder).mkdir(parents=True)
+        (work / "k1_d1_succinct.txt").write_text("not a tree")
+
+        def sweep(tasks, grid, workdir, evaluator=offline_evaluate):
+            run_suite(tasks, grid, self.schedule(), {"mock": MockBackend({})},
+                      evaluator=evaluator, workdir=workdir)
+            return sorted(str(p.relative_to(workdir)) for p in workdir.rglob("*"))
+
+        sweep(tasks, [GridPoint(1, 2), GridPoint(2, 1)], work)
+        # A smaller suite at one of the same trees, and one tree fewer.
+        last = sweep(tasks[:1], [GridPoint(1, 1), GridPoint(1, 2)], work)
+        unrelated = ["k1_d1_notes", "k1_d1_succinct.txt", "notes"]
+        assert [p for p in last if p not in unrelated] == sweep(tasks[:1], [GridPoint(1, 2)], fresh)
+        assert set(unrelated) < set(last)
+
+        def evaluator(text, task, workdir, timeout):
+            raise ToolIoError("disk full")
+
+        # A sweep that raises removes no tree.
+        with pytest.raises(ToolIoError):
+            sweep(tasks, [GridPoint(1, 0)], work, evaluator)
+        assert (work / "k1_d2_succinct" / "adder" / "iter2").is_dir()
+
     @pytest.mark.parametrize(
         "grid, schedule",
         [
@@ -743,6 +770,15 @@ class TestReports:
         loaded = _load_from_text(text, ReportFormat.CSV)
         assert loaded == list(results)
 
+    @pytest.mark.parametrize("format, name", [
+        (ReportFormat.CSV, "r.json"), (ReportFormat.CSV, "report"), (ReportFormat.JSON, "r.CSV"),
+    ])
+    def test_format_the_path_contradicts_is_refused(self, tmp_path, format, name):
+        # load_report reads a report by its suffix alone.
+        with pytest.raises(ValueError, match="report, not a"):
+            export_report([make_result([True])], format, tmp_path / name)
+        assert list(tmp_path.iterdir()) == []
+
     def test_render_is_deterministic(self):
         results = [make_result([True, False, True])]
         assert render_report(results, ReportFormat.JSON) == render_report(results, ReportFormat.JSON)
@@ -822,6 +858,6 @@ def _load_from_text(text: str, format: ReportFormat):
         handle.write(text)
         name = handle.name
     try:
-        return load_report(name, format)
+        return load_report(name)
     finally:
         Path(name).unlink()

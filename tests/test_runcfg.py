@@ -521,14 +521,25 @@ class TestExecuteRun:
         assert len(logged) == 4
         assert sum(logged, Decimal(0)) == trace.ledger.totals.cost_usd
 
-    def test_tool_version_header_with_real_toolchain(self, tmp_path):
+    DEFAULT_TOOL_NAMES = {"compiler": "iverilog", "runtime": "vvp"}
+
+    def put_fake_tools_on_path(self, tmp_path, monkeypatch, missing=None):
+        # The default toolchain is found on PATH: the fake binaries, but the missing one.
         from test_edatools import write_fake_binaries
 
+        tools = write_fake_binaries(tmp_path)
+        bin_dir = tmp_path / "bin"
+        bin_dir.mkdir()
+        for role, name in self.DEFAULT_TOOL_NAMES.items():
+            if role != missing:
+                (bin_dir / name).symlink_to(getattr(tools, role))
+        monkeypatch.setenv("PATH", str(bin_dir))
+
+    def test_tool_version_header_with_real_toolchain(self, tmp_path, monkeypatch):
+        self.put_fake_tools_on_path(tmp_path, monkeypatch)
         cfg = self.run_config(tmp_path, k=1, d=0)
         script = {("top_module", 0, 0): reply_with_module()}
-        trace = execute_run(
-            cfg, {"mock": MockBackend(script)}, tools=write_fake_binaries(tmp_path)
-        )
+        trace = execute_run(cfg, {"mock": MockBackend(script)})
         text = (cfg.outdir / "log.txt").read_text()
         assert text.startswith("Tool version: Fake Verilog Compiler 99.0\n")
         assert trace.best().outcome.kind is OutcomeKind.SIMULATED
@@ -537,16 +548,13 @@ class TestExecuteRun:
         "missing, message",
         [("compiler", "compiler not found: {tool}"), ("runtime", "simulation runtime not found: {tool}")],
     )
-    def test_missing_tool_raises_before_any_request(self, tmp_path, missing, message):
-        from test_edatools import write_fake_binaries
-
-        absent = str(tmp_path / "no-such-tool")
-        tools = replace(write_fake_binaries(tmp_path), **{missing: absent})
+    def test_missing_tool_raises_before_any_request(self, tmp_path, monkeypatch, missing, message):
+        self.put_fake_tools_on_path(tmp_path, monkeypatch, missing)
         cfg = self.run_config(tmp_path)
         backend = MockBackend({})
         with pytest.raises(ToolNotFoundError) as info:
-            execute_run(cfg, {"mock": backend}, tools=tools)
-        assert str(info.value) == message.format(tool=absent)
+            execute_run(cfg, {"mock": backend})
+        assert str(info.value) == message.format(tool=self.DEFAULT_TOOL_NAMES[missing])
         assert backend.calls == []
         assert not cfg.outdir.exists()
 

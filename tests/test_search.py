@@ -22,6 +22,7 @@ from hdlsmith.backends import (
     BackendError,
     ChatCompletionsBackend,
     ContextOverflowError,
+    GenerationRequest,
     MessagesBackend,
     MockBackend,
     RetryPolicy,
@@ -152,6 +153,15 @@ class TestScheduleModels:
         assert type(info.value) is NoBackendError and info.value.model is model
         assert str(info.value) == "no backend registered for model family 'foo'"
 
+
+
+class TestSearchConfig:
+    def test_outdir_has_no_default_and_is_passed_by_keyword(self, tmp_path):
+        # No search writes into the working directory unasked.
+        with pytest.raises(TypeError):
+            SearchConfig(1, 0)
+        with pytest.raises(TypeError):
+            SearchConfig(1, 0, FeedbackMode.SUCCINCT, 60.0, tmp_path)
 
 
 class TestBudgets:
@@ -630,6 +640,23 @@ class TestReplyHandOver:
             write_run_log(trace, sink)
             logs.append(sink.getvalue())
         assert logs[0] == logs[1]
+
+    def test_another_call_completes_while_a_reply_is_evaluated(self, task, tmp_path):
+        # A concurrent task's call to the same backend is not held up by an evaluation.
+        backend = MockBackend({})
+        other = GenerationRequest(initial_conversation(task), MOCK_MODEL, 1, task_name="other", depth=0)
+        finished = []
+
+        def evaluator(text, task, workdir, timeout):
+            thread = threading.Thread(target=backend.generate, args=(other,))
+            thread.start()
+            thread.join(5)
+            finished.append(not thread.is_alive())
+            return offline_evaluate(text, task, workdir, timeout)
+
+        run_mock_search(task, tmp_path, k=2, d=0, backend=backend, evaluator=evaluator)
+        assert finished == [True, True]
+        assert [call.task_name for call in backend.calls] == ["top_module", "other", "other"]
 
     def test_first_evaluator_error_stops_the_depth(self, task, tmp_path):
         calls = []
