@@ -160,7 +160,8 @@ class _FanOut:
     answered, and again once a call ends with a request that finally failed;
     a request that a retry recovered was answered. A request holds one of the
     backend's ``MAX_IN_FLIGHT`` slots only while in flight, so the backend's
-    calls share the cap, no thread holds two, and the others queue.
+    calls share the cap, no thread holds two, and the others queue. A call
+    starts its own helper threads and joins them before it returns or raises.
     """
 
     def __init__(self) -> None:
@@ -173,16 +174,18 @@ class _FanOut:
 
         When the call probes and the probe succeeds, the other k-1 go out at
         once; otherwise all k go out at once, one of them from the calling
-        thread. Replies are indexed and returned in arrival order: the
-        requests are indistinguishable, and a provider that serves one
-        request at a time then yields the same order as a serial loop.
-        ``req.on_reply(index, reply)`` runs on the thread that received the
-        reply, right after it got its index; a probe's reply is received on
-        the calling thread and handed over there once the others are
-        submitted. If any request fails, its error is raised only after every
-        in-flight request has returned and been handed over, so no thread
-        outlives the call. However the call ends, the backend then counts as
-        failing exactly when one of its requests failed.
+        thread. The other k-1 are made by ``min(k, MAX_IN_FLIGHT) - 1``
+        helper threads, each taking the next one until none is left.
+        Replies are indexed and returned in arrival order: the requests are
+        indistinguishable, and a provider that serves one request at a time
+        then yields the same order as a serial loop. ``req.on_reply(index,
+        reply)`` runs on the thread that received the reply, right after it
+        got its index; a probe's reply is received on the calling thread and
+        handed over there once the helpers have started. If any request
+        fails, or ``on_reply`` raises on a helper, that error is raised only
+        after every helper has been joined, so no thread outlives the call.
+        However the call ends, the backend then counts as failing exactly
+        when one of its requests failed.
         """
         k = req.num_candidates
         deliver = req.on_reply or (lambda index, reply: None)
@@ -206,8 +209,18 @@ class _FanOut:
             if received is not None:
                 deliver(*received)
 
+        others = threading.Semaphore(k - 1)  # the requests besides the calling thread's
+        raised: list[BaseException] = []
+
+        def help_out() -> None:
+            while others.acquire(blocking=False):
+                try:
+                    attempt()
+                except BaseException as exc:  # raised on the calling thread
+                    raised.append(exc)
+
         try:
-            # Decide on the probe once, up front: the pool threads are appending
+            # Decide on the probe once, up front: the helper threads are appending
             # to ``replies`` while the calling thread makes its own request.
             limit = req.model.max_context_tokens
             near_limit = estimate_tokens(req.conversation) >= (1 - NEAR_LIMIT_MARGIN) * limit
@@ -219,18 +232,20 @@ class _FanOut:
             if k == 1:
                 deliver(*probe)
                 return tuple(replies)
-            # Imported here, not at module scope: the import takes milliseconds,
-            # and a process that only ever asks for one reply at a time needs no pool.
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=min(k, MAX_IN_FLIGHT) - 1) as pool:
-                futures = [pool.submit(attempt) for _ in range(k - 1)]
+            helpers = [threading.Thread(target=help_out) for _ in range(min(k, MAX_IN_FLIGHT) - 1)]
+            try:
+                for helper in helpers:
+                    helper.start()
                 if probe is None:
                     attempt()
                 else:
                     deliver(*probe)
-            for future in futures:
-                future.result()  # re-raises anything ``attempt`` does not catch
+            finally:
+                for helper in helpers:
+                    if helper.is_alive():  # one whose start() raised may never have run
+                        helper.join()
+            if raised:
+                raise raised[0]  # what ``on_reply`` raised on a helper
             if errors:
                 raise errors[0]
             return tuple(replies)

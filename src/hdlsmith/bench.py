@@ -42,8 +42,11 @@ TESTBENCH_SUFFIX = "_tb.sv"
 MANIFEST_NAME = "manifest.json"
 UNCATEGORIZED = "uncategorized"
 _TREE_NAME = re.compile(rf"k\d+_d\d+_(?:{'|'.join(mode.value for mode in FeedbackMode)})")
-# How long the thread waiting for a sweep's searches sleeps at a time: an
-# interrupt reaches it only when it wakes, not while it blocks on a lock.
+# How long the thread waiting for a sweep's workers sleeps at a time: an
+# interrupt reaches it only when it wakes, not while it blocks on a lock. It
+# waits on a condition, never in ``Thread.join`` while a worker runs: on
+# CPython 3.10-3.12 an interrupted join marks the live thread stopped, so a
+# later join, and the interpreter's exit, no longer wait for it.
 _INTERRUPT_POLL_S = 0.1
 
 
@@ -202,14 +205,17 @@ def run_suite(
     ``parallelism`` below 1, raises ``ValueError``, before any search. With the
     default evaluator, a compiler or runtime that cannot be found raises
     ``ToolNotFoundError`` before any request.
-    Up to ``parallelism`` searches from anywhere in the sweep run at once.
-    They start by ``(num_candidates, mode)`` in grid order, then by d, then
-    in task order. Any error a search raises, such as an evaluator or tool
-    I/O error, ends the sweep: no other search sends a request after its
-    current depth, and once they have all stopped the first error raised is
-    raised here. An interrupt (``KeyboardInterrupt``) stops them the same way.
-    Either way the sweep returns or raises only once every worker it started
-    has ended, so no search still writes under ``workdir``.
+    Up to ``parallelism`` searches from anywhere in the sweep run at once,
+    one on each of ``min(parallelism, searches)`` worker threads named
+    ``hdlsmith-sweep-<n>``; a worker takes the next search once its last
+    has ended. Searches start by ``(num_candidates, mode)`` in grid order,
+    then by d, then in task order. Any error a search raises, such as an
+    evaluator or tool I/O error, ends the sweep: no worker takes another
+    search, no running search sends a request after its current depth, and
+    once they have all stopped the first error raised is raised here. An
+    interrupt (``KeyboardInterrupt``) stops them the same way. Either way the
+    sweep returns or raises only once every worker it started has ended, so
+    no search still writes under ``workdir``.
     """
     grid = list(dict.fromkeys(grid))  # a repeated point is run and reported once
     if not grid:
@@ -235,10 +241,15 @@ def run_suite(
     searched = sorted(
         set(reads), key=lambda cfg: (groups.index((cfg.num_candidates, cfg.feedback_mode)), cfg.max_depth)
     )
-    # Without a workdir the tree is scratch, removed once the pool has finished.
+    # Without a workdir the tree is scratch, removed once every worker has ended.
     tree = nullcontext(workdir) if workdir is not None else tempfile.TemporaryDirectory(prefix="suite_")
     stop = threading.Event()
     failures: list[BaseException] = []
+    jobs = [(cfg, task) for cfg in searched for task in tasks]
+    found: list[SearchTrace | None] = [None] * len(jobs)
+    order = iter(range(len(jobs)))
+    state = threading.Condition()
+    begun = ended = 0  # workers that have begun, and that have ended
 
     def search(root: Path, cfg: SearchConfig, task: DesignTask) -> SearchTrace | None:
         task_cfg = replace(cfg, outdir=root / cfg.outdir / task.name)
@@ -246,36 +257,57 @@ def run_suite(
             return run_search(task, task_cfg, schedule, backends, evaluator=evaluator, stop=stop)
         except SearchStopped:
             return None  # never read: the sweep raises
-        except BaseException as exc:
+        except BaseException as exc:  # raised by the sweep, not on this thread
             failures.append(exc)
             stop.set()
-            raise
+            return None
 
-    from concurrent.futures import ThreadPoolExecutor, wait  # only a sweep needs a pool
-
-    # Each worker records itself: an interrupt inside submit can land after a
-    # worker started but before the pool kept it, and shutdown joins only those kept.
-    workers: list[threading.Thread] = []
-    with tree as top:
-        pool = ThreadPoolExecutor(parallelism, initializer=lambda: workers.append(threading.current_thread()))
+    def work(root: Path) -> None:
+        nonlocal begun, ended
+        with state:
+            begun += 1
         try:
-            futures = [pool.submit(search, Path(top), cfg, task) for cfg in searched for task in tasks]
-            pending = set(futures)
-            while pending:
-                _, pending = wait(pending, timeout=_INTERRUPT_POLL_S)
+            while True:
+                with state:
+                    index = None if stop.is_set() else next(order, None)
+                if index is None:
+                    return
+                found[index] = search(root, *jobs[index])
+        finally:
+            with state:
+                ended += 1
+                state.notify()
+
+    def wait_until(done: Callable[[], bool]) -> None:
+        with state:
+            while not done():
+                state.wait(_INTERRUPT_POLL_S)
+
+    with tree as top:
+        workers = [
+            threading.Thread(target=work, args=(Path(top),), name=f"hdlsmith-sweep-{n}")
+            for n in range(min(parallelism, len(jobs)))
+        ]
+        try:
+            for worker in workers:
+                worker.start()
+            wait_until(lambda: ended == len(workers))
         except BaseException:
             stop.set()
             raise
         finally:
-            pool.shutdown(cancel_futures=stop.is_set())
+            # After an error, a worker that begins from now on finds ``stop``
+            # set and takes no search; the others are waited for here.
+            wait_until(lambda: ended == begun)
             for worker in workers:
-                worker.join()
+                # An interrupt inside start() can land once the worker runs.
+                if worker.is_alive():
+                    worker.join()
     if failures:
         raise failures[0]
     if workdir is not None and Path(workdir).is_dir():
         _remove_stale_trees(Path(workdir), {cfg.outdir.name for cfg in searched}, {task.name for task in tasks})
-    found = (future.result() for future in futures)
-    traces = {cfg: [next(found) for _ in tasks] for cfg in searched}
+    traces = {cfg: found[i * len(tasks) : (i + 1) * len(tasks)] for i, cfg in enumerate(searched)}
     schedule_desc = schedule.describe()
     return [
         SuiteResult(

@@ -336,11 +336,12 @@ def evaluate(
     a clean compile whose simulation crashed, hung or stayed silent is
     ``SIM_CRASH_OR_TIMEOUT``.
 
-    The work directory, fresh or holding an earlier evaluation's files, ends
-    up holding exactly this outcome's: a ``log.txt`` transcript, the sources
-    unless the reply had no module, and the artifact unless the compile
-    failed. Any of :func:`candidate_files` that this outcome did not write is
-    removed; no other file is touched.
+    The work directory, fresh or holding an earlier evaluation's files, of
+    this task or another, ends up holding this outcome's: a ``log.txt``
+    transcript, the sources unless the reply had no module, and the artifact
+    unless the compile failed. Once the log is written, every ``.sv`` and
+    ``.vvp`` file that this outcome did not write is removed; no other file
+    or folder is touched.
     """
     workdir = Path(workdir)
     workdir.mkdir(parents=True, exist_ok=True)
@@ -353,16 +354,16 @@ def evaluate(
     module_src = extraction.module_src
     compiled = sim = summary = diagnosis = None
     files = candidate_files(workdir, task.name)
+    written: Sequence[Path] = ()
     if module_src is None:
         kind, feedback = OutcomeKind.NO_MODULE, NO_MODULE_FEEDBACK
-        for path in files:
-            path.unlink(missing_ok=True)
     else:
         compiled = compile_fn(module_src, task.testbench_src, workdir, task.name)
+        written = files[:2]
         if compiled.status is CompileStatus.ERROR:
             kind, feedback = OutcomeKind.COMPILE_ERROR, _diagnostics(compiled)
-            files.artifact.unlink(missing_ok=True)
         else:
+            written = files
             sim = simulate_fn(compiled.artifact_path, timeout)
             summary = parse_summary(sim.stdout)
             if summary is not None:
@@ -384,7 +385,19 @@ def evaluate(
         feedback=feedback,
     )
     _write_candidate_log(workdir, task, extraction.source, compiled, sim, outcome)
+    _remove_unwritten_sources(workdir, written)
     return outcome
+
+
+def _remove_unwritten_sources(workdir: Path, written: Sequence[Path]) -> None:
+    # Any task's sources and artifact, this one's or an earlier evaluation's
+    # of another task, end in these suffixes; a file the simulation wrote,
+    # such as a testbench's waveform dump, does not.
+    kept = {path.name for path in written}
+    with os.scandir(workdir) as entries:
+        for entry in entries:
+            if entry.name.endswith((".sv", ".vvp")) and entry.name not in kept and entry.is_file():
+                os.unlink(entry.path)
 
 
 def _diagnostics(compiled: CompileResult) -> str:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Mapping, Sequence
 
-from .backends import BackendRegistry, default_registry, lookup_model
+from .backends import BackendRegistry, lookup_model
 from .core import DesignTask, EvalOutcome, ModelSpec, OutcomeKind, SearchTrace, format_usd
 from .edatools import DEFAULT_SIM_TIMEOUT, require_tools, tool_version
 from .prompts import FeedbackMode
@@ -277,7 +277,7 @@ def _parse_schedule_entries(section: object) -> tuple[ScheduleEntry, ...]:
 
 def execute_run(
     cfg: RunConfig,
-    backends: BackendRegistry | None = None,
+    backends: BackendRegistry,
     *,
     evaluator: Evaluator | None = None,
 ) -> SearchTrace:
@@ -293,8 +293,6 @@ def execute_run(
     ``ConfigError``, before the output directory is created or any reply is
     requested. An unopenable run log raises ``OSError`` before any reply, too.
     """
-    if backends is None:
-        backends = default_registry()
     try:
         cfg.schedule.check_backends(backends)
     except NoBackendError as exc:

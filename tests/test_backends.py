@@ -448,6 +448,28 @@ class TestChatCompletionsBackend:
             backend.generate(fan_out_request(k, log))
         assert sorted((index, reply[0]) for index, reply, _ in log.handed) == [(0, "r0"), (1, "r1")]
 
+    def test_on_reply_error_on_a_helper_is_raised_once_every_request_returned(self, monkeypatch):
+        # pytest turns an exception that escapes a thread into an error, so
+        # this also fails if the helper's error is left unhandled there.
+        k = 4
+        calls = iter(range(k))
+        returned = []
+
+        def transport(url, headers, body):
+            n = next(calls)
+            if n == 3:
+                time.sleep(0.2)  # still in flight when a helper's on_reply raises
+            returned.append(n)
+            return 200, chat_payload(f"r{n}")
+
+        def on_reply(index, reply):
+            if threading.current_thread() is not threading.main_thread():
+                raise ValueError(f"cannot handle {reply[0]}")
+
+        with pytest.raises(ValueError, match="cannot handle"):
+            self.make_backend(transport, monkeypatch).generate(fan_out_request(k, on_reply))
+        assert sorted(returned) == list(range(k))
+
     def test_on_reply_takes_no_part_in_equality(self):
         assert fan_out_request(2, ReplyLog()) == fan_out_request(2)
         assert "on_reply" not in repr(fan_out_request(2, ReplyLog()))

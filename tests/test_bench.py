@@ -6,6 +6,7 @@ import _thread
 import itertools
 import json
 import math
+import sys
 import tempfile
 import threading
 import time
@@ -47,6 +48,8 @@ from hdlsmith.faketools import offline_evaluate, passing_reply, reply_with_modul
 from hdlsmith.prompts import FeedbackMode
 from hdlsmith.search import ModelSchedule, ScheduleEntry, SearchConfig, run_search
 from hdlsmith.backends import lookup_model
+
+pytestmark = pytest.mark.usefixtures("no_thread_leak")
 
 
 def make_suite_dir(tmp_path: Path, stems=("adder", "counter", "mux"), manifest=None) -> Path:
@@ -221,7 +224,6 @@ class TestRunSuite:
             assert row.tokens == TokenUsage(4 * 50, 4 * 70)
             assert row.cost_usd == Decimal(0)
 
-    @pytest.mark.usefixtures("no_thread_leak")
     @pytest.mark.parametrize("parallelism", [1, 3])
     def test_task_failure_ends_the_sweep(self, tmp_path, parallelism):
         tasks = load_suite(make_suite_dir(tmp_path, stems=("a0", "a1", "a2", "a3", "a4", "a5")))
@@ -254,7 +256,6 @@ class TestRunSuite:
         assert late == []
         assert {c.task_name for c in backend.calls} == {"a0", "a1", "a2"}
 
-    @pytest.mark.usefixtures("no_thread_leak")
     @pytest.mark.parametrize(
         "parallelism, interrupt", [(3, False), (1, True), (3, True)], ids=["error", "interrupt", "interrupt, 3"]
     )
@@ -290,10 +291,9 @@ class TestRunSuite:
         assert stopped == [True] * (parallelism - (not interrupt))
         assert sorted((c.task_name, c.depth) for c in backend.calls) == [(t, d) for t in running for d in (0, 1)]
 
-    @pytest.mark.usefixtures("no_thread_leak")
     def test_interrupt_while_a_worker_starts_waits_for_its_search(self, tmp_path, monkeypatch):
-        # The interrupt lands in submit, just after the worker running a0 has
-        # started and before the pool has kept it.
+        # The interrupt lands in start(), just after the worker running a0 has
+        # started and before start() has returned.
         tasks = load_suite(make_suite_dir(tmp_path, stems=("a0",)))
         at_depth_1 = threading.Event()
         stops, finished = [], []
@@ -301,7 +301,7 @@ class TestRunSuite:
 
         def start(thread):
             real_start(thread)
-            if thread.name.startswith("ThreadPoolExecutor"):
+            if thread.name.startswith("hdlsmith-sweep-"):
                 at_depth_1.wait(timeout=10)
                 raise KeyboardInterrupt
 
@@ -485,6 +485,26 @@ class TestRunSuite:
             tree = {p.relative_to(workdir): p.read_bytes() for p in workdir.rglob("*") if p.is_file()}
             runs.append((reports, tree))
         assert runs[0] == runs[1]
+
+    def test_each_search_runs_once_under_fast_thread_switching(self, tmp_path):
+        # More workers than cores take the searches from one shared order.
+        tasks = load_suite(make_suite_dir(tmp_path, stems=tuple(f"t{i}" for i in range(8))))
+        backend = MockBackend({})
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = run_suite(
+                tasks, [GridPoint(1, 2), GridPoint(2, 1)], self.schedule(), {"mock": backend},
+                evaluator=offline_evaluate, parallelism=6,
+            )
+        finally:
+            sys.setswitchinterval(interval)
+        # Every reply is a no-module one, so each search runs to its last depth.
+        assert Counter((c.task_name, c.num_candidates, c.depth) for c in backend.calls) == {
+            (t.name, k, depth): 1 for t in tasks for k, d in ((1, 2), (2, 1)) for depth in range(d + 1)
+        }
+        assert [[row.task_name for row in result.per_task] for result in results] == [[t.name for t in tasks]] * 2
+        assert [row.queries_used for result in results for row in result.per_task] == [3] * 8 + [4] * 8
 
 
 def reference_sweep(tasks, grid, schedule, outdir: Path) -> list[SuiteResult]:

@@ -84,6 +84,32 @@ assert_not_loaded("hdlsmith.bench", "subprocess")
 """, str(config), str(script))
 
 
+def test_fan_out_and_sweep_load_no_thread_pool(tmp_path):
+    for stem in ("alpha", "beta"):
+        (tmp_path / f"{stem}_prompt.sv").write_text(f"// build {stem}")
+        (tmp_path / f"{stem}_tb.sv").write_text("module tb(); endmodule")
+    run_fresh(GUARD + """
+from hdlsmith.backends import ChatCompletionsBackend, GenerationRequest, MockBackend, lookup_model
+from hdlsmith.bench import GridPoint, load_suite, run_suite
+from hdlsmith.faketools import offline_evaluate
+from hdlsmith.prompts import initial_conversation
+from hdlsmith.search import ModelSchedule
+
+def transport(url, headers, body):
+    return 200, {"choices": [{"message": {"content": "no module"}}], "usage": {}}
+
+tasks = load_suite(sys.argv[1])
+req = GenerationRequest(initial_conversation(tasks[0]), lookup_model("gpt-4o-mini"), 3)
+assert len(ChatCompletionsBackend(transport=transport).generate(req)) == 3
+results = run_suite(
+    tasks, [GridPoint(3, 1)], ModelSchedule.single(lookup_model("mock")),
+    {"mock": MockBackend({})}, evaluator=offline_evaluate, parallelism=2,
+)
+assert len(results[0].per_task) == 2
+assert_not_loaded("concurrent.futures", "logging")
+""", str(tmp_path), OPENAI_API_KEY="test-key")
+
+
 def test_every_export_is_its_submodules_object():
     for name in hdlsmith.__all__:
         export = getattr(hdlsmith, name)
@@ -114,6 +140,20 @@ def test_only_run_process_imports_subprocess():
                 scope = [f.name for f in functions if node in ast.walk(f)]
                 sites.append((path.name, scope))
     assert sites == [("edatools.py", ["run_process"])]
+
+
+def test_no_module_imports_concurrent():
+    # The fan-out and the sweep run on threads they start themselves; a
+    # thread pool would load logging, traceback and queue into every run.
+    sites = []
+    for path in sorted(Path(hdlsmith.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = [a.name for a in node.names] if isinstance(node, ast.Import) else []
+            if isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            if any(name.split(".")[0] == "concurrent" for name in names):
+                sites.append(f"{path.name}:{node.lineno}")
+    assert sites == []
 
 
 def test_every_text_file_is_opened_as_utf8():

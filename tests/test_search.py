@@ -1096,6 +1096,18 @@ class TestReusedOutdir:
         assert sorted(p.name for p in (outdir / "iter0" / "response0").iterdir()) == files
         assert scan_output_tree(outdir) == trace_shape(trace)
 
+    def test_folder_reused_by_another_task_keeps_none_of_its_files(self, tmp_path):
+        folder = tmp_path / "out" / "iter0" / "response0"
+        for name in ("alpha", "beta"):
+            other = DesignTask(name, f"module {name}();", "module tb(); endmodule")
+            run_mock_search(other, tmp_path, k=1, d=0, script={(name, 0, 0): passing_reply(name)})
+            if name == "alpha":
+                (folder / "wave.vcd").write_text("$date today $end\n")  # a testbench's dump
+                (folder / "notes").mkdir()
+        assert sorted(p.name for p in folder.iterdir()) == [
+            "beta.sv", "beta.vvp", "beta_tb.sv", "log.txt", "notes", "wave.vcd",
+        ]
+
 
 class TestWireConversations:
     """What the HTTP families put on the wire for a search's windows."""
