@@ -148,6 +148,77 @@ NEAR_LIMIT_MARGIN = 0.10
 MAX_IN_FLIGHT = 8
 
 
+# How long a thread waiting for the threads it started sleeps at a time: an
+# interrupt reaches it only when it wakes, not while it blocks on a lock. It
+# waits on a condition, never in ``Thread.join`` while a thread works: on
+# CPython 3.10-3.12 an interrupted join marks the live thread stopped, so a
+# later join, and the interpreter's exit, no longer wait for it.
+_INTERRUPT_POLL_S = 0.1
+
+
+def _run_threads(
+    work: Callable[[], None], count: int, name: str, stop: threading.Event, here: Callable[[], None] | None = None
+) -> None:
+    """Run ``work`` on ``count`` new threads named ``<name>-<n>``, and
+    ``here`` on the calling thread once they have started; return once every
+    one of them has ended.
+
+    Whatever raises, on any of them or on the calling thread (an interrupt
+    too), sets ``stop``, which ``work`` may read to end early. The call then
+    returns or raises only once every thread that began has ended, so none
+    still works after it. The calling thread's own error is raised first,
+    else the first error a thread raised.
+    """
+    state = threading.Condition()
+    started = begun = ended = 0  # threads whose start() returned, that began, that ended
+    closed = False
+    raised: list[BaseException] = []
+
+    def run() -> None:
+        nonlocal begun, ended
+        with state:
+            if closed:
+                return
+            begun += 1
+        try:
+            work()
+        except BaseException as exc:  # raised on the calling thread
+            raised.append(exc)
+            stop.set()
+        finally:
+            with state:
+                ended += 1
+                state.notify()
+
+    def wait_for_threads() -> None:
+        nonlocal closed
+        with state:
+            while ended < max(started, begun):
+                state.wait(_INTERRUPT_POLL_S)
+            # An interrupt inside start() leaves a thread that may begin only
+            # now, after the call: it does no work.
+            closed = True
+
+    threads = [threading.Thread(target=run, name=f"{name}-{n}") for n in range(count)]
+    try:
+        for thread in threads:
+            thread.start()
+            started += 1
+        if here is not None:
+            here()
+        wait_for_threads()
+    except BaseException:
+        stop.set()
+        raise
+    finally:
+        wait_for_threads()  # again after an error, an interrupt of the first wait included
+        for thread in threads:
+            if thread.is_alive():  # its work is over
+                thread.join()
+    if raised:
+        raise raised[0]
+
+
 class _FanOut:
     """Sends each call's ``num_candidates`` identical requests for one backend.
 
@@ -161,7 +232,8 @@ class _FanOut:
     a request that a retry recovered was answered. A request holds one of the
     backend's ``MAX_IN_FLIGHT`` slots only while in flight, so the backend's
     calls share the cap, no thread holds two, and the others queue. A call
-    starts its own helper threads and joins them before it returns or raises.
+    runs its helper threads with ``_run_threads``, so it returns or raises
+    only once they have all ended, also when interrupted.
     """
 
     def __init__(self) -> None:
@@ -181,11 +253,14 @@ class _FanOut:
         then yields the same order as a serial loop. ``req.on_reply(index,
         reply)`` runs on the thread that received the reply, right after it
         got its index; a probe's reply is received on the calling thread and
-        handed over there once the helpers have started. If any request
-        fails, or ``on_reply`` raises on a helper, that error is raised only
-        after every helper has been joined, so no thread outlives the call.
-        However the call ends, the backend then counts as failing exactly
-        when one of its requests failed.
+        handed over there once the helpers have started. A helper whose
+        ``on_reply`` raised takes no further request; the other helpers still
+        take theirs. Any error, including an interrupt on the calling thread,
+        is raised only once every helper has ended, so no request is still in
+        flight and no reply is handed over after the call; an ``on_reply``
+        error is raised before a request's. However the call ends, the
+        backend then counts as failing exactly when one of its requests
+        failed.
         """
         k = req.num_candidates
         deliver = req.on_reply or (lambda index, reply: None)
@@ -210,14 +285,10 @@ class _FanOut:
                 deliver(*received)
 
         others = threading.Semaphore(k - 1)  # the requests besides the calling thread's
-        raised: list[BaseException] = []
 
         def help_out() -> None:
             while others.acquire(blocking=False):
-                try:
-                    attempt()
-                except BaseException as exc:  # raised on the calling thread
-                    raised.append(exc)
+                attempt()
 
         try:
             # Decide on the probe once, up front: the helper threads are appending
@@ -226,26 +297,13 @@ class _FanOut:
             near_limit = estimate_tokens(req.conversation) >= (1 - NEAR_LIMIT_MARGIN) * limit
             with self._lock:
                 failing = self._failing
-            probe = receive() if failing or near_limit or k == 1 else None
+            probe = receive() if failing or near_limit else None
             if errors:
                 raise errors[0]
-            if k == 1:
-                deliver(*probe)
-                return tuple(replies)
-            helpers = [threading.Thread(target=help_out) for _ in range(min(k, MAX_IN_FLIGHT) - 1)]
-            try:
-                for helper in helpers:
-                    helper.start()
-                if probe is None:
-                    attempt()
-                else:
-                    deliver(*probe)
-            finally:
-                for helper in helpers:
-                    if helper.is_alive():  # one whose start() raised may never have run
-                        helper.join()
-            if raised:
-                raise raised[0]  # what ``on_reply`` raised on a helper
+            here = attempt if probe is None else partial(deliver, *probe)
+            # No helper reads ``stop``: after one helper's ``on_reply`` error the
+            # others still make their requests.
+            _run_threads(help_out, min(k, MAX_IN_FLIGHT) - 1, "hdlsmith-request", threading.Event(), here)
             if errors:
                 raise errors[0]
             return tuple(replies)
@@ -553,13 +611,13 @@ def load_mock_script(path: str | Path) -> MockBackend:
             raise ValueError(f"{path}: reply key {key!r} is not <task>/<depth>/<index>") from None
     default_reply = data.get("default_reply", DEFAULT_MOCK_REPLY)
     tokens = data.get("tokens_per_reply", {})
-    try:
-        usage = TokenUsage(int(tokens.get("input_tokens", 100)), int(tokens.get("output_tokens", 100)))
-    except (AttributeError, TypeError, ValueError):
-        raise ValueError(f"{path}: tokens_per_reply needs integer input_tokens and output_tokens") from None
+    counts = [tokens.get(key, 100) for key in ("input_tokens", "output_tokens")] if isinstance(tokens, dict) else []
+    # JSON 1.5, "7" and true are not counts, though int() reads them as 1, 7 and 1.
+    if len(counts) != 2 or any(type(count) is not int or count < 0 for count in counts):
+        raise ValueError(f"{path}: tokens_per_reply needs integer input_tokens and output_tokens")
     if not all(isinstance(text, str) for text in (*script.values(), default_reply)):
         raise ValueError(f"{path}: every reply must be a string")
-    return MockBackend(script, tokens_per_reply=usage, default_reply=default_reply)
+    return MockBackend(script, tokens_per_reply=TokenUsage(*counts), default_reply=default_reply)
 
 
 BackendRegistry = Mapping[str, Backend]

@@ -8,9 +8,11 @@ exported to JSON or CSV and loaded back losslessly.
 from __future__ import annotations
 
 import csv
+import errno
 import io
 import json
 import math
+import os
 import re
 import shutil
 import tempfile
@@ -20,11 +22,12 @@ from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from decimal import ROUND_HALF_UP, Decimal
 from enum import Enum
+from functools import partial
 from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .backends import BackendRegistry
+from .backends import BackendRegistry, _run_threads
 from .core import DesignTask, SearchTrace, TokenUsage
 from .edatools import DEFAULT_SIM_TIMEOUT
 from .prompts import FeedbackMode
@@ -42,12 +45,6 @@ TESTBENCH_SUFFIX = "_tb.sv"
 MANIFEST_NAME = "manifest.json"
 UNCATEGORIZED = "uncategorized"
 _TREE_NAME = re.compile(rf"k\d+_d\d+_(?:{'|'.join(mode.value for mode in FeedbackMode)})")
-# How long the thread waiting for a sweep's workers sleeps at a time: an
-# interrupt reaches it only when it wakes, not while it blocks on a lock. It
-# waits on a condition, never in ``Thread.join`` while a worker runs: on
-# CPython 3.10-3.12 an interrupted join marks the live thread stopped, so a
-# later join, and the interpreter's exit, no longer wait for it.
-_INTERRUPT_POLL_S = 0.1
 
 
 class EmptySuiteError(Exception):
@@ -202,20 +199,23 @@ def run_suite(
 
     A model family with no backend raises ``NoBackendError``, and a grid point
     or a ``sim_timeout`` that :class:`SearchConfig` rejects, or a
-    ``parallelism`` below 1, raises ``ValueError``, before any search. With the
-    default evaluator, a compiler or runtime that cannot be found raises
-    ``ToolNotFoundError`` before any request.
+    ``parallelism`` below 1, raises ``ValueError``, before any search; so
+    does a ``workdir``, or a folder above it, that exists but is not a
+    directory, with ``NotADirectoryError``. With the default evaluator, a
+    compiler or runtime that cannot be found raises ``ToolNotFoundError``
+    before any request.
     Up to ``parallelism`` searches from anywhere in the sweep run at once,
     one on each of ``min(parallelism, searches)`` worker threads named
-    ``hdlsmith-sweep-<n>``; a worker takes the next search once its last
-    has ended. Searches start by ``(num_candidates, mode)`` in grid order,
-    then by d, then in task order. Any error a search raises, such as an
-    evaluator or tool I/O error, ends the sweep: no worker takes another
-    search, no running search sends a request after its current depth, and
-    once they have all stopped the first error raised is raised here. An
-    interrupt (``KeyboardInterrupt``) stops them the same way. Either way the
-    sweep returns or raises only once every worker it started has ended, so
-    no search still writes under ``workdir``.
+    ``hdlsmith-sweep-<n>``, which ``backends._run_threads`` starts and waits
+    for; a worker takes the next search once its last has ended. Searches
+    start by ``(num_candidates, mode)`` in grid order, then by d, then in
+    task order. Any error a search raises, such as an evaluator or tool I/O
+    error, ends the sweep: no worker takes another search, no running search
+    sends a request after its current depth, and once they have all stopped
+    the first error raised is raised here. An interrupt
+    (``KeyboardInterrupt``) stops them the same way. Either way the sweep
+    returns or raises only once every worker it started has ended, so no
+    search still writes under ``workdir``.
     """
     grid = list(dict.fromkeys(grid))  # a repeated point is run and reported once
     if not grid:
@@ -225,6 +225,12 @@ def run_suite(
     schedule.check_backends(backends)
     if parallelism < 1:
         raise ValueError(f"parallelism must be at least 1, got {parallelism}")
+    if workdir is not None:
+        # Else the first search would fail there only once its first depth was paid for.
+        path = Path(workdir).absolute()
+        existing = next(folder for folder in (path, *path.parents) if folder.exists())  # "/" at the latest
+        if not existing.is_dir():
+            raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(existing))
     # Every grid point's config is built, and so checked, before the first
     # search; its outdir is relative to root.
     points = [(p.num_candidates, p.mode, p.max_depth) for p in grid]
@@ -244,67 +250,26 @@ def run_suite(
     # Without a workdir the tree is scratch, removed once every worker has ended.
     tree = nullcontext(workdir) if workdir is not None else tempfile.TemporaryDirectory(prefix="suite_")
     stop = threading.Event()
-    failures: list[BaseException] = []
     jobs = [(cfg, task) for cfg in searched for task in tasks]
     found: list[SearchTrace | None] = [None] * len(jobs)
     order = iter(range(len(jobs)))
-    state = threading.Condition()
-    begun = ended = 0  # workers that have begun, and that have ended
-
-    def search(root: Path, cfg: SearchConfig, task: DesignTask) -> SearchTrace | None:
-        task_cfg = replace(cfg, outdir=root / cfg.outdir / task.name)
-        try:
-            return run_search(task, task_cfg, schedule, backends, evaluator=evaluator, stop=stop)
-        except SearchStopped:
-            return None  # never read: the sweep raises
-        except BaseException as exc:  # raised by the sweep, not on this thread
-            failures.append(exc)
-            stop.set()
-            return None
+    lock = threading.Lock()
 
     def work(root: Path) -> None:
-        nonlocal begun, ended
-        with state:
-            begun += 1
-        try:
-            while True:
-                with state:
-                    index = None if stop.is_set() else next(order, None)
-                if index is None:
-                    return
-                found[index] = search(root, *jobs[index])
-        finally:
-            with state:
-                ended += 1
-                state.notify()
-
-    def wait_until(done: Callable[[], bool]) -> None:
-        with state:
-            while not done():
-                state.wait(_INTERRUPT_POLL_S)
+        while True:
+            with lock:
+                index = None if stop.is_set() else next(order, None)
+            if index is None:
+                return
+            cfg, task = jobs[index]
+            task_cfg = replace(cfg, outdir=root / cfg.outdir / task.name)
+            try:
+                found[index] = run_search(task, task_cfg, schedule, backends, evaluator=evaluator, stop=stop)
+            except SearchStopped:
+                return  # the sweep raises
 
     with tree as top:
-        workers = [
-            threading.Thread(target=work, args=(Path(top),), name=f"hdlsmith-sweep-{n}")
-            for n in range(min(parallelism, len(jobs)))
-        ]
-        try:
-            for worker in workers:
-                worker.start()
-            wait_until(lambda: ended == len(workers))
-        except BaseException:
-            stop.set()
-            raise
-        finally:
-            # After an error, a worker that begins from now on finds ``stop``
-            # set and takes no search; the others are waited for here.
-            wait_until(lambda: ended == begun)
-            for worker in workers:
-                # An interrupt inside start() can land once the worker runs.
-                if worker.is_alive():
-                    worker.join()
-    if failures:
-        raise failures[0]
+        _run_threads(partial(work, Path(top)), min(parallelism, len(jobs)), "hdlsmith-sweep", stop)
     if workdir is not None and Path(workdir).is_dir():
         _remove_stale_trees(Path(workdir), {cfg.outdir.name for cfg in searched}, {task.name for task in tasks})
     traces = {cfg: found[i * len(tasks) : (i + 1) * len(tasks)] for i, cfg in enumerate(searched)}

@@ -7,6 +7,7 @@ import math
 import os
 import random
 import shlex
+import signal
 import sys
 import tempfile
 import threading
@@ -470,6 +471,70 @@ class TestChatCompletionsBackend:
             self.make_backend(transport, monkeypatch).generate(fan_out_request(k, on_reply))
         assert sorted(returned) == list(range(k))
 
+    def test_interrupt_while_waiting_for_helpers_waits_for_them(self, monkeypatch):
+        # A Ctrl-C while the calling thread waits: the helpers' requests are
+        # still in flight, and their replies are handed over before it raises.
+        k = 3
+        main = threading.main_thread()
+        first = threading.Lock()  # taken by the helper that sends the interrupt
+
+        def transport(url, headers, body):
+            if threading.current_thread() is not main:
+                time.sleep(0.2)
+                if first.acquire(blocking=False):
+                    signal.pthread_kill(main.ident, signal.SIGINT)
+                    time.sleep(0.3)
+            return 200, chat_payload()
+
+        log = ReplyLog()
+        joined = []  # replies handed over when a helper is joined
+        real_join = threading.Thread.join
+
+        def join(thread, timeout=None):
+            joined.append(len(log.handed))
+            real_join(thread, timeout)
+
+        backend = self.make_backend(transport, monkeypatch)
+        backend.generate(fan_out_request(1))  # proves the backend, so the call does not probe
+        threads_before = threading.active_count()
+        monkeypatch.setattr(threading.Thread, "join", join)
+        with pytest.raises(KeyboardInterrupt):
+            try:
+                backend.generate(fan_out_request(k, log))
+            finally:
+                handed, threads = len(log.handed), threading.active_count()
+        assert handed == k
+        assert threads == threads_before
+        # No helper is joined while it works: an interrupted join can leave it running.
+        assert set(joined) <= {k}
+
+    def test_helper_that_begins_after_an_interrupt_in_start_sends_nothing(self, monkeypatch):
+        # The interrupt lands in start() before the helper has begun: the call
+        # is over once it has raised, so the helper makes no request then.
+        sent = []
+        real_start, real_run = threading.Thread.start, threading.Thread.run
+
+        def start(thread):
+            real_start(thread)
+            raise KeyboardInterrupt
+
+        def run(thread):
+            time.sleep(0.5)  # the call raises meanwhile
+            real_run(thread)
+
+        def transport(url, headers, body):
+            sent.append(threading.current_thread().name)
+            return 200, chat_payload()
+
+        backend = self.make_backend(transport, monkeypatch)
+        backend.generate(fan_out_request(1))  # proves the backend, so the call does not probe
+        sent.clear()
+        monkeypatch.setattr(threading.Thread, "start", start)
+        monkeypatch.setattr(threading.Thread, "run", run)
+        with pytest.raises(KeyboardInterrupt):
+            backend.generate(fan_out_request(2))
+        assert sent == []
+
     def test_on_reply_takes_no_part_in_equality(self):
         assert fan_out_request(2, ReplyLog()) == fan_out_request(2)
         assert "on_reply" not in repr(fan_out_request(2, ReplyLog()))
@@ -911,6 +976,9 @@ class TestMockScriptFile:
             ('{"default_reply": null}', "every reply must be a string"),
             ('{"tokens_per_reply": [1]}', "tokens_per_reply needs integer input_tokens and output_tokens"),
             ('{"tokens_per_reply": {"input_tokens": "many"}}', "tokens_per_reply needs integer"),
+            ('{"tokens_per_reply": {"input_tokens": 1.5}}', "tokens_per_reply needs integer"),
+            ('{"tokens_per_reply": {"output_tokens": "7"}}', "tokens_per_reply needs integer"),
+            ('{"tokens_per_reply": {"input_tokens": true}}', "tokens_per_reply needs integer"),
         ],
     )
     def test_malformed_script_names_the_file(self, tmp_path, text, detail):

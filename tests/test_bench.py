@@ -326,6 +326,19 @@ class TestRunSuite:
             )
         assert finished == ["a0"]
 
+    @pytest.mark.parametrize("nested", [False, True], ids=["workdir", "folder above it"])
+    def test_workdir_that_is_a_file_raises_before_any_search(self, tmp_path, nested):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        backend = MockBackend({})
+        with pytest.raises(NotADirectoryError) as info:
+            run_suite(
+                load_suite(make_suite_dir(tmp_path)), [GridPoint(3, 0)], self.schedule(), {"mock": backend},
+                evaluator=offline_evaluate, workdir=blocker / "sub" if nested else blocker,
+            )
+        assert info.value.filename == str(blocker)
+        assert backend.calls == []
+
     @pytest.mark.parametrize("final", [False, True], ids=["model", "final model"])
     def test_family_without_backend_raises_before_any_search(self, tmp_path, final):
         # The foo model replaces the mock model, or joins it as the final model.
