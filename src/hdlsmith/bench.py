@@ -32,10 +32,10 @@ from .core import DesignTask, SearchTrace, TokenUsage
 from .edatools import DEFAULT_SIM_TIMEOUT
 from .prompts import FeedbackMode
 from .search import (
+    NUMBER,
     Evaluator,
     ModelSchedule,
     SearchConfig,
-    SearchStopped,
     pass_at_budget,
     run_search,
 )
@@ -44,7 +44,7 @@ PROMPT_SUFFIX = "_prompt.sv"
 TESTBENCH_SUFFIX = "_tb.sv"
 MANIFEST_NAME = "manifest.json"
 UNCATEGORIZED = "uncategorized"
-_TREE_NAME = re.compile(rf"k\d+_d\d+_(?:{'|'.join(mode.value for mode in FeedbackMode)})")
+_TREE_NAME = re.compile(f"k{NUMBER}_d{NUMBER}_(?:{'|'.join(mode.value for mode in FeedbackMode)})")
 
 
 class EmptySuiteError(Exception):
@@ -195,14 +195,16 @@ def run_suite(
     with a final-iteration model serves depth d with a different model at
     each d, so then every d is searched. Under ``workdir`` each search writes
     a ``k<k>_d<d>_<mode>/<task>`` tree. A sweep that returns, not one that
-    raises, removes every other such tree and task folder, and nothing else.
+    raises, removes every other such tree and task folder, and nothing else:
+    a folder whose name has a number that hdlsmith would not write, such as
+    ``k01``, is not a tree.
 
     A model family with no backend raises ``NoBackendError``, and a grid point
-    or a ``sim_timeout`` that :class:`SearchConfig` rejects, or a
-    ``parallelism`` below 1, raises ``ValueError``, before any search; so
-    does a ``workdir``, or a folder above it, that exists but is not a
-    directory, with ``NotADirectoryError``. With the default evaluator, a
-    compiler or runtime that cannot be found raises ``ToolNotFoundError``
+    or a ``sim_timeout`` that :class:`SearchConfig` rejects, two tasks with
+    one name, or a ``parallelism`` below 1, raises ``ValueError``, before any
+    search; so does a ``workdir``, or a folder above it, that exists but is
+    not a directory, with ``NotADirectoryError``. With the default evaluator,
+    a compiler or runtime that cannot be found raises ``ToolNotFoundError``
     before any request.
     Up to ``parallelism`` searches from anywhere in the sweep run at once,
     one on each of ``min(parallelism, searches)`` worker threads named
@@ -212,7 +214,8 @@ def run_suite(
     task order. Any error a search raises, such as an evaluator or tool I/O
     error, ends the sweep: no worker takes another search, no running search
     sends a request after its current depth, and once they have all stopped
-    the first error raised is raised here. An interrupt
+    the first error raised is raised here; a search that the stop ended
+    raises only after it, so its error is never the one raised. An interrupt
     (``KeyboardInterrupt``) stops them the same way. Either way the sweep
     returns or raises only once every worker it started has ended, so no
     search still writes under ``workdir``.
@@ -222,6 +225,11 @@ def run_suite(
         raise ValueError("parameter grid is empty")
     if not tasks:
         raise EmptySuiteError("no tasks to run")
+    names = [task.name for task in tasks]
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        # Else two searches would write one task folder.
+        raise ValueError(f"task names must be unique, repeated: {', '.join(repeated)}")
     schedule.check_backends(backends)
     if parallelism < 1:
         raise ValueError(f"parallelism must be at least 1, got {parallelism}")
@@ -231,55 +239,52 @@ def run_suite(
         existing = next(folder for folder in (path, *path.parents) if folder.exists())  # "/" at the latest
         if not existing.is_dir():
             raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(existing))
-    # Every grid point's config is built, and so checked, before the first
-    # search; its outdir is relative to root.
-    points = [(p.num_candidates, p.mode, p.max_depth) for p in grid]
-    configs: dict[tuple[int, FeedbackMode, int], SearchConfig] = {}
-    deepest: dict[tuple[int, FeedbackMode], int] = {}
-    for k, mode, d in points:
-        configs[k, mode, d] = SearchConfig(k, d, mode, sim_timeout, outdir=Path(f"k{k}_d{d}_{mode.value}"))
-        deepest[k, mode] = max(d, deepest.get((k, mode), d))
-    # A point reads the search at its group's deepest d, or at its own d when
+    # Every row's config is built, and so checked, before the first search;
+    # its outdir is relative to root.
+    rows = [
+        SearchConfig(k, d, mode, sim_timeout, outdir=Path(f"k{k}_d{d}_{mode.value}"))
+        for k, d, mode in ((point.num_candidates, point.max_depth, point.mode) for point in grid)
+    ]
+    group = attrgetter("num_candidates", "feedback_mode")
+    deepest: dict[tuple[int, FeedbackMode], SearchConfig] = {}  # groups in grid order
+    for row in rows:
+        deepest[group(row)] = max(deepest.get(group(row), row), row, key=attrgetter("max_depth"))
+    # A row reads the search at its group's deepest d, or at its own d when
     # a final-iteration model serves each d differently.
     final = schedule.final is not None
-    reads = [configs[k, mode, d if final else deepest[k, mode]] for k, mode, d in points]
+    reads = [(row, row if final else deepest[group(row)]) for row in rows]
     groups = list(deepest)
-    searched = sorted(
-        set(reads), key=lambda cfg: (groups.index((cfg.num_candidates, cfg.feedback_mode)), cfg.max_depth)
-    )
+    searched = sorted({cfg for _, cfg in reads}, key=lambda cfg: (groups.index(group(cfg)), cfg.max_depth))
     # Without a workdir the tree is scratch, removed once every worker has ended.
     tree = nullcontext(workdir) if workdir is not None else tempfile.TemporaryDirectory(prefix="suite_")
     stop = threading.Event()
-    jobs = [(cfg, task) for cfg in searched for task in tasks]
-    found: list[SearchTrace | None] = [None] * len(jobs)
-    order = iter(range(len(jobs)))
+    jobs = iter([(cfg, task) for cfg in searched for task in tasks])
+    traces: dict[tuple[SearchConfig, DesignTask], SearchTrace] = {}
     lock = threading.Lock()
 
     def work(root: Path) -> None:
         while True:
             with lock:
-                index = None if stop.is_set() else next(order, None)
-            if index is None:
+                job = None if stop.is_set() else next(jobs, None)
+            if job is None:
                 return
-            cfg, task = jobs[index]
+            cfg, task = job
+            # A search ended by stop raises, uncaught: stop is set only after
+            # _run_threads has recorded the error that ends the sweep.
             task_cfg = replace(cfg, outdir=root / cfg.outdir / task.name)
-            try:
-                found[index] = run_search(task, task_cfg, schedule, backends, evaluator=evaluator, stop=stop)
-            except SearchStopped:
-                return  # the sweep raises
+            traces[cfg, task] = run_search(task, task_cfg, schedule, backends, evaluator=evaluator, stop=stop)
 
     with tree as top:
-        _run_threads(partial(work, Path(top)), min(parallelism, len(jobs)), "hdlsmith-sweep", stop)
+        _run_threads(partial(work, Path(top)), min(parallelism, len(searched) * len(tasks)), "hdlsmith-sweep", stop)
     if workdir is not None and Path(workdir).is_dir():
-        _remove_stale_trees(Path(workdir), {cfg.outdir.name for cfg in searched}, {task.name for task in tasks})
-    traces = {cfg: found[i * len(tasks) : (i + 1) * len(tasks)] for i, cfg in enumerate(searched)}
+        _remove_stale_trees(Path(workdir), {cfg.outdir.name for cfg in searched}, set(names))
     schedule_desc = schedule.describe()
     return [
         SuiteResult(
-            SuiteParams(k, d, mode, schedule_desc),
-            tuple(_task_summary(task, trace.upto(d)) for task, trace in zip(tasks, traces[cfg])),
+            SuiteParams(row.num_candidates, row.max_depth, row.feedback_mode, schedule_desc),
+            tuple(_task_summary(task, traces[cfg, task].upto(row.max_depth)) for task in tasks),
         )
-        for (k, mode, d), cfg in zip(points, reads)
+        for row, cfg in reads
     ]
 
 

@@ -49,11 +49,17 @@ from .prompts import (
 )
 
 _SURROGATE_RE = re.compile("[\ud800-\udfff]")
+# A number as the f-strings that name output folders write it.
+NUMBER = "(?:0|[1-9][0-9]*)"
 
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Search parameters: k candidates per depth, maximum depth d, window mode, and the required outdir."""
+    """Search parameters: k candidates per depth, maximum depth d, window mode, and the required outdir.
+
+    A ``feedback_mode`` that is not a :class:`FeedbackMode`, such as the
+    string ``"succinct"``, raises ``ValueError``.
+    """
 
     num_candidates: int
     max_depth: int
@@ -67,6 +73,8 @@ class SearchConfig:
             raise ValueError("num_candidates must be at least 1")
         if self.max_depth < 0:
             raise ValueError("max_depth must be non-negative")
+        if not isinstance(self.feedback_mode, FeedbackMode):
+            raise ValueError(f"feedback_mode must be a FeedbackMode, got {self.feedback_mode!r}")
         if not (math.isfinite(self.sim_timeout) and self.sim_timeout > 0):
             raise ValueError("sim_timeout must be a positive finite number")
 
@@ -232,12 +240,14 @@ def run_search(
 
 
 def numbered(parent: Path, prefix: str) -> list[tuple[int, Path]]:
-    """``(n, path)`` for each ``<prefix><n>`` directory in ``parent``, by ``n``."""
+    """``(n, path)`` for each ``<prefix><n>`` directory in ``parent``, by ``n``,
+    where ``<n>`` is written as the search writes it: ASCII digits, no leading zero."""
+    name = re.compile(f"{re.escape(prefix)}({NUMBER})")
     found = []
     for path in parent.iterdir():
-        number = path.name[len(prefix):]
-        if path.name.startswith(prefix) and number.isdecimal() and path.is_dir():
-            found.append((int(number), path))
+        match = name.fullmatch(path.name)
+        if match and path.is_dir():
+            found.append((int(match[1]), path))
     return sorted(found, key=lambda pair: pair[0])
 
 

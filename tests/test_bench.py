@@ -42,7 +42,7 @@ from hdlsmith.bench import (
     success_percent,
     suite_pareto_point,
 )
-from hdlsmith.core import Termination, TokenUsage
+from hdlsmith.core import DesignTask, Termination, TokenUsage
 from hdlsmith.edatools import ToolIoError, ToolNotFoundError
 from hdlsmith.faketools import offline_evaluate, passing_reply, reply_with_module
 from hdlsmith.prompts import FeedbackMode
@@ -133,6 +133,14 @@ class TestLoadSuite:
         with pytest.warns(UserWarning, match="orphan"):
             tasks = load_suite(suite)
         assert all(t.name != "orphan" for t in tasks)
+
+    def test_prompt_that_is_not_utf8_is_skipped_with_warning(self, tmp_path):
+        suite = make_suite_dir(tmp_path)
+        (suite / "bad_prompt.sv").write_bytes(b"\xff// implement bad\nmodule bad();")
+        (suite / "bad_tb.sv").write_text("module tb(); endmodule", encoding="utf-8")
+        with pytest.warns(UserWarning, match="suite task 'bad' skipped: 'utf-8' codec can't decode"):
+            tasks = load_suite(suite)
+        assert [t.name for t in tasks] == ["adder", "counter", "mux"]
 
     def test_empty_dir_raises(self, tmp_path):
         empty = tmp_path / "empty"
@@ -326,6 +334,37 @@ class TestRunSuite:
             )
         assert finished == ["a0"]
 
+    @pytest.mark.parametrize(
+        "grid, stems, error",
+        [([], ("adder",), ValueError), ([GridPoint(1, 1)], (), EmptySuiteError)],
+        ids=["empty grid", "no tasks"],
+    )
+    def test_nothing_to_run_raises_before_any_search(self, tmp_path, grid, stems, error):
+        tasks = load_suite(make_suite_dir(tmp_path)) if stems else []
+        backend = MockBackend({})
+        with pytest.raises(error):
+            run_suite(
+                tasks, grid, self.schedule(), {"mock": backend},
+                evaluator=offline_evaluate, workdir=tmp_path / "work",
+            )
+        assert backend.calls == []
+        assert not (tmp_path / "work").exists()
+
+    def test_repeated_task_name_raises_before_any_search(self, tmp_path):
+        # Both searches would write the one k1_d0_succinct/adder folder.
+        tasks = [
+            DesignTask("adder", f"// implement adder {n}\nmodule adder();", "module tb(); endmodule")
+            for n in range(2)
+        ]
+        backend = MockBackend({})
+        with pytest.raises(ValueError, match="task names must be unique, repeated: adder"):
+            run_suite(
+                tasks, [GridPoint(1, 0)], self.schedule(), {"mock": backend},
+                evaluator=offline_evaluate, workdir=tmp_path / "work", parallelism=2,
+            )
+        assert backend.calls == []
+        assert not (tmp_path / "work").exists()
+
     @pytest.mark.parametrize("nested", [False, True], ids=["workdir", "folder above it"])
     def test_workdir_that_is_a_file_raises_before_any_search(self, tmp_path, nested):
         blocker = tmp_path / "blocker"
@@ -452,7 +491,7 @@ class TestRunSuite:
     def test_reused_workdir_holds_only_the_last_sweep(self, tmp_path):
         tasks = load_suite(make_suite_dir(tmp_path))
         work, fresh = tmp_path / "work", tmp_path / "fresh"
-        for folder in ("notes", "k1_d1_notes"):
+        for folder in ("notes", "k1_d1_notes", "k01_d1_succinct", "k\u0661_d\u0661_succinct"):
             (work / folder).mkdir(parents=True)
         (work / "k1_d1_succinct.txt").write_text("not a tree")
 
@@ -464,7 +503,7 @@ class TestRunSuite:
         sweep(tasks, [GridPoint(1, 2), GridPoint(2, 1)], work)
         # A smaller suite at one of the same trees, and one tree fewer.
         last = sweep(tasks[:1], [GridPoint(1, 1), GridPoint(1, 2)], work)
-        unrelated = ["k1_d1_notes", "k1_d1_succinct.txt", "notes"]
+        unrelated = ["k01_d1_succinct", "k1_d1_notes", "k1_d1_succinct.txt", "k\u0661_d\u0661_succinct", "notes"]
         assert [p for p in last if p not in unrelated] == sweep(tasks[:1], [GridPoint(1, 2)], fresh)
         assert set(unrelated) < set(last)
 

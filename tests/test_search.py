@@ -163,6 +163,13 @@ class TestSearchConfig:
         with pytest.raises(TypeError):
             SearchConfig(1, 0, FeedbackMode.SUCCINCT, 60.0, tmp_path)
 
+    @pytest.mark.parametrize("mode", ["succinct", "full_context", None])
+    def test_mode_that_is_not_a_feedback_mode_is_rejected(self, tmp_path, mode):
+        # Unchecked, "succinct" would run a full-context search: the window
+        # test is by identity.
+        with pytest.raises(ValueError, match="feedback_mode must be a FeedbackMode"):
+            SearchConfig(1, 3, mode, outdir=tmp_path)
+
 
 class TestBudgets:
     def test_early_exit_at_depth_zero(self, task, tmp_path):
@@ -1051,11 +1058,17 @@ class TestReusedOutdir:
             run_mock_search(task, tmp_path, k=1, d=1, evaluator=evaluator)
         assert [len(row) for row in scan_output_tree(outdir)] == [3] * 4  # left as it is
 
-        (outdir / "iter\u00b2").mkdir()  # a digit that is not a decimal is not a depth
+        # Only "iter" and a number as the search writes it, ASCII digits with
+        # no leading zero, names a depth.
+        others = ["iter\u00b2", "iter01", "iter\u0663"]
+        for name in others:
+            (outdir / name).mkdir()
+        (outdir / "iter01" / "notes.txt").write_text("mine", encoding="utf-8")
         trace, _ = run_mock_search(task, tmp_path, k=1, d=1)
         assert len(trace.nodes) == 2
         assert scan_output_tree(outdir) == trace_shape(trace)
-        assert (outdir / "iter\u00b2").is_dir()
+        assert all((outdir / name).is_dir() for name in others)
+        assert (outdir / "iter01" / "notes.txt").is_file()
 
     def test_failed_depth_keeps_only_its_paid_replies(self, task, tmp_path, monkeypatch):
         outdir = tmp_path / "out"
