@@ -164,24 +164,26 @@ def _run_threads(
     one of them has ended.
 
     Whatever raises, on any of them or on the calling thread (an interrupt
-    too), sets ``stop``, which ``work`` may read to end early. The call then
-    returns or raises only once every thread that began has ended, so none
-    still works after it. The calling thread's own error is raised first,
-    else the first error a thread raised.
+    too), sets ``stop``, which ``work`` may read to end early; a thread that
+    begins once ``stop`` is set does no work. The call then returns or raises
+    only once every thread that began has ended, so none still works after
+    it. The calling thread's own error is raised first, else the first error
+    a thread raised.
     """
     state = threading.Condition()
     started = begun = ended = 0  # threads whose start() returned, that began, that ended
-    closed = False
     raised: list[BaseException] = []
 
     def run() -> None:
         nonlocal begun, ended
         with state:
-            if closed:
-                return
             begun += 1
         try:
-            work()
+            # Read after counting itself: a thread that begins after the last
+            # wait, as one whose start() an interrupt cut short may, finds
+            # ``stop`` set.
+            if not stop.is_set():
+                work()
         except BaseException as exc:  # raised on the calling thread
             raised.append(exc)
             stop.set()
@@ -191,13 +193,9 @@ def _run_threads(
                 state.notify()
 
     def wait_for_threads() -> None:
-        nonlocal closed
         with state:
             while ended < max(started, begun):
                 state.wait(_INTERRUPT_POLL_S)
-            # An interrupt inside start() leaves a thread that may begin only
-            # now, after the call: it does no work.
-            closed = True
 
     threads = [threading.Thread(target=run, name=f"{name}-{n}") for n in range(count)]
     try:
@@ -253,14 +251,13 @@ class _FanOut:
         then yields the same order as a serial loop. ``req.on_reply(index,
         reply)`` runs on the thread that received the reply, right after it
         got its index; a probe's reply is received on the calling thread and
-        handed over there once the helpers have started. A helper whose
-        ``on_reply`` raised takes no further request; the other helpers still
-        take theirs. Any error, including an interrupt on the calling thread,
-        is raised only once every helper has ended, so no request is still in
-        flight and no reply is handed over after the call; an ``on_reply``
-        error is raised before a request's. However the call ends, the
-        backend then counts as failing exactly when one of its requests
-        failed.
+        handed over there once the helpers have started. Once an ``on_reply``
+        raised, on any thread, or the calling thread was interrupted, no
+        helper takes a further request. Any error is raised only once every
+        helper has ended, so no request is still in flight and no reply is
+        handed over after the call; an ``on_reply`` error is raised before a
+        request's. However the call ends, the backend then counts as failing
+        exactly when one of its requests failed.
         """
         k = req.num_candidates
         deliver = req.on_reply or (lambda index, reply: None)
@@ -285,9 +282,10 @@ class _FanOut:
                 deliver(*received)
 
         others = threading.Semaphore(k - 1)  # the requests besides the calling thread's
+        stop = threading.Event()
 
         def help_out() -> None:
-            while others.acquire(blocking=False):
+            while not stop.is_set() and others.acquire(blocking=False):
                 attempt()
 
         try:
@@ -301,9 +299,7 @@ class _FanOut:
             if errors:
                 raise errors[0]
             here = attempt if probe is None else partial(deliver, *probe)
-            # No helper reads ``stop``: after one helper's ``on_reply`` error the
-            # others still make their requests.
-            _run_threads(help_out, min(k, MAX_IN_FLIGHT) - 1, "hdlsmith-request", threading.Event(), here)
+            _run_threads(help_out, min(k, MAX_IN_FLIGHT) - 1, "hdlsmith-request", stop, here)
             if errors:
                 raise errors[0]
             return tuple(replies)

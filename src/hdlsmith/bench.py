@@ -239,12 +239,12 @@ def run_suite(
         existing = next(folder for folder in (path, *path.parents) if folder.exists())  # "/" at the latest
         if not existing.is_dir():
             raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), str(existing))
-    # Every row's config is built, and so checked, before the first search;
-    # its outdir is relative to root.
-    rows = [
-        SearchConfig(k, d, mode, sim_timeout, outdir=Path(f"k{k}_d{d}_{mode.value}"))
-        for k, d, mode in ((point.num_candidates, point.max_depth, point.mode) for point in grid)
-    ]
+    # Every row's config is built, and so checked, before the first search
+    # and before its mode names its tree; its outdir is relative to root.
+    rows = []
+    for point in grid:
+        row = SearchConfig(point.num_candidates, point.max_depth, point.mode, sim_timeout, outdir=Path())
+        rows.append(replace(row, outdir=Path(f"k{row.num_candidates}_d{row.max_depth}_{point.mode.value}")))
     group = attrgetter("num_candidates", "feedback_mode")
     deepest: dict[tuple[int, FeedbackMode], SearchConfig] = {}  # groups in grid order
     for row in rows:

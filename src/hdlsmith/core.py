@@ -113,22 +113,22 @@ class EvalOutcome:
 
     ``mismatches``/``samples`` are present exactly when the candidate
     simulated and its testbench printed a parseable summary. ``diagnosis``
-    carries the one-line crash/timeout note. ``module_span`` holds the
-    half-open offsets of the module the evaluation extracted, into the text it
-    evaluated. ``feedback`` is the repair prompt built from the tool output,
-    which the outcome does not keep.
+    carries the one-line crash/timeout note. ``module_chars`` is the length of
+    the module the evaluation extracted from the text it evaluated, 0 when
+    there was none. ``feedback`` is the repair prompt built from the tool
+    output, which the outcome does not keep.
     """
 
     kind: OutcomeKind
     mismatches: int | None = None
     samples: int | None = None
     diagnosis: str | None = None
-    module_span: tuple[int, int] | None = None
+    module_chars: int = 0
     feedback: str = ""
 
     def __post_init__(self) -> None:
-        if self.module_span is not None and not 0 <= self.module_span[0] <= self.module_span[1]:
-            raise ValueError(f"module_span {self.module_span!r} is not a pair of ordered offsets")
+        if self.module_chars < 0:
+            raise ValueError(f"module_chars {self.module_chars!r} is negative")
         if self.kind is OutcomeKind.SIMULATED:
             if self.mismatches is None or self.samples is None:
                 raise ValueError("simulated outcomes must carry mismatch and sample counts")
@@ -198,25 +198,13 @@ class CandidateResponse:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "rank", rank_outcome(self.outcome))
-        if (self.outcome.module_span is None) != (self.outcome.kind is OutcomeKind.NO_MODULE):
-            raise ValueError("module_span must be absent exactly for a NoModule outcome")
-        span = self.outcome.module_span
-        if span is not None and span[1] > len(self.raw_text):
-            raise ValueError(f"module_span {span!r} lies outside a reply of {len(self.raw_text)} characters")
+        chars = self.outcome.module_chars
+        if (chars == 0) != (self.outcome.kind is OutcomeKind.NO_MODULE):
+            raise ValueError("module_chars must be 0 exactly for a NoModule outcome")
+        if chars > len(self.raw_text):
+            raise ValueError(f"module_chars {chars} exceeds a reply of {len(self.raw_text)} characters")
         if self.depth < 0 or self.index < 0:
             raise ValueError("depth and index must be non-negative")
-
-    @property
-    def module_src(self) -> str | None:
-        """The module the evaluation extracted, a slice of ``raw_text``; None when there was none."""
-        span = self.outcome.module_span
-        return self.raw_text[span[0] : span[1]] if span is not None else None
-
-    @property
-    def char_length(self) -> int:
-        """Length of the extracted module source, 0 when none was found."""
-        span = self.outcome.module_span
-        return span[1] - span[0] if span is not None else 0
 
 
 def candidate_order_key(candidate: CandidateResponse) -> tuple[float, int, int]:

@@ -381,7 +381,7 @@ def evaluate(
         mismatches=summary.total_mismatches if summary is not None else None,
         samples=summary.total_samples if summary is not None else None,
         diagnosis=diagnosis,
-        module_span=extraction.span,
+        module_chars=len(module_src or ""),
         feedback=feedback,
     )
     _write_candidate_log(workdir, task, extraction.source, compiled, sim, outcome)

@@ -382,6 +382,6 @@ def write_run_log(trace: SearchTrace, sink: IO[str]) -> None:
                 f"Cost for response {candidate.index}: {format_usd(candidate.cost_usd)}\n"
             )
         ranks = ", ".join(repr(c.rank.value) for c in node.candidates)
-        lengths = ", ".join(str(c.char_length) for c in node.candidates)
+        lengths = ", ".join(str(c.outcome.module_chars) for c in node.candidates)
         sink.write(f"Response ranks: [{ranks}]\n")
         sink.write(f"Response lengths: [{lengths}]\n")

@@ -153,8 +153,8 @@ class ModelSchedule:
         return ", ".join(parts)
 
 
-# An evaluator's outcome carries the offsets of the module it extracted from
-# the text it was given (None for NO_MODULE).
+# An evaluator's outcome carries the length of the module it extracted from
+# the text it was given (0 for NO_MODULE).
 Evaluator = Callable[[str, DesignTask, Path, float], EvalOutcome]
 
 
@@ -325,7 +325,8 @@ def _generate(
     delivered before it failed) and the backend error, if any. Replies returned
     but not handed to ``on_reply``, as all of ``MockBackend``'s, go through it
     here in index order on the calling thread. The first evaluator error stops
-    evaluation and is raised once the call is over, never as a backend error.
+    evaluation: ``on_reply`` raises it, so the backend sends no further
+    request, and it is raised once the call is over, never as a backend error.
     """
     arrived: dict[int, CandidateResponse] = {}
     failures: list[Exception] = []
@@ -337,6 +338,7 @@ def _generate(
             arrived[index] = evaluate(index, reply)
         except Exception as exc:
             failures.append(exc)
+            raise
 
     error = None
     try:

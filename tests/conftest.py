@@ -93,9 +93,8 @@ def make_candidate(
 ) -> CandidateResponse:
     """Build a consistent candidate; rank_value picks a matching outcome.
 
-    The candidate's module is a span of its reply: ``raw_text`` defaults to
-    ``module_src`` in a fence, and an outcome without a span, unless it is
-    ``NO_MODULE``, gets the span of ``module_src`` in ``raw_text``.
+    ``raw_text`` defaults to ``module_src`` in a fence, and an outcome with
+    no module length, unless it is ``NO_MODULE``, gets ``module_src``'s.
     """
     if raw_text is None:
         raw_text = f"```\n{module_src}\n```"
@@ -115,9 +114,8 @@ def make_candidate(
             outcome = EvalOutcome(
                 OutcomeKind.SIMULATED, mismatches=mismatches, samples=samples
             )
-    if outcome.kind is not OutcomeKind.NO_MODULE and outcome.module_span is None:
-        start = raw_text.index(module_src)
-        outcome = replace(outcome, module_span=(start, start + len(module_src)))
+    if outcome.kind is not OutcomeKind.NO_MODULE and outcome.module_chars == 0:
+        outcome = replace(outcome, module_chars=len(module_src))
     return CandidateResponse(
         raw_text=raw_text,
         usage=usage,

@@ -454,10 +454,11 @@ class TestChatCompletionsBackend:
         # this also fails if the helper's error is left unhandled there.
         k = 4
         calls = iter(range(k))
-        returned = []
+        sent, returned = [], []
 
         def transport(url, headers, body):
             n = next(calls)
+            sent.append(n)
             if n == 3:
                 time.sleep(0.2)  # still in flight when a helper's on_reply raises
             returned.append(n)
@@ -468,8 +469,11 @@ class TestChatCompletionsBackend:
                 raise ValueError(f"cannot handle {reply[0]}")
 
         with pytest.raises(ValueError, match="cannot handle"):
-            self.make_backend(transport, monkeypatch).generate(fan_out_request(k, on_reply))
-        assert sorted(returned) == list(range(k))
+            try:
+                self.make_backend(transport, monkeypatch).generate(fan_out_request(k, on_reply))
+            finally:
+                returned_at_raise = sorted(returned)
+        assert returned_at_raise == sorted(sent)
 
     def test_interrupt_while_waiting_for_helpers_waits_for_them(self, monkeypatch):
         # A Ctrl-C while the calling thread waits: the helpers' requests are
@@ -507,6 +511,29 @@ class TestChatCompletionsBackend:
         assert threads == threads_before
         # No helper is joined while it works: an interrupted join can leave it running.
         assert set(joined) <= {k}
+
+    def test_interrupt_stops_the_requests_not_yet_sent(self, monkeypatch):
+        # More requests than slots: a Ctrl-C while the first MAX_IN_FLIGHT
+        # are in flight leaves the queued ones unsent.
+        k = MAX_IN_FLIGHT + 4
+        main = threading.main_thread()
+        sent = []
+        lock = threading.Lock()
+
+        def transport(url, headers, body):
+            with lock:
+                sent.append(threading.current_thread().name)
+                if len(sent) == MAX_IN_FLIGHT:
+                    signal.pthread_kill(main.ident, signal.SIGINT)
+            time.sleep(0.3)
+            return 200, chat_payload()
+
+        backend = self.make_backend(transport, monkeypatch)
+        backend.generate(fan_out_request(1))  # proves the backend, so the call does not probe
+        sent.clear()
+        with pytest.raises(KeyboardInterrupt):
+            backend.generate(fan_out_request(k))
+        assert len(sent) <= MAX_IN_FLIGHT
 
     def test_helper_that_begins_after_an_interrupt_in_start_sends_nothing(self, monkeypatch):
         # The interrupt lands in start() before the helper has begun: the call

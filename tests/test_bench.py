@@ -394,8 +394,8 @@ class TestRunSuite:
 
     @pytest.mark.parametrize(
         "grid",
-        [[GridPoint(1, 2), GridPoint(0, 1)], [GridPoint(1, 3), GridPoint(1, -1)]],
-        ids=["k=0", "d=-1 under a deeper d"],
+        [[GridPoint(1, 2), GridPoint(0, 1)], [GridPoint(1, 3), GridPoint(1, -1)], [GridPoint(1, 1, "succinct")]],
+        ids=["k=0", "d=-1 under a deeper d", "mode a string"],
     )
     def test_bad_grid_point_raises_before_any_search(self, tmp_path, grid):
         backend = MockBackend({})

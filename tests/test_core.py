@@ -221,8 +221,8 @@ class TestTypeInvariants:
                 Rank(bad)
 
     @staticmethod
-    def candidate(kind, span):
-        outcome = make_outcome(kind, module_span=span)
+    def candidate(kind, chars):
+        outcome = make_outcome(kind, module_chars=chars)
         return CandidateResponse(
             raw_text="text",
             usage=TokenUsage(1, 1),
@@ -233,29 +233,19 @@ class TestTypeInvariants:
         )
 
     def test_candidate_links_module_outcome_rank(self):
-        with pytest.raises(ValueError, match="module_span"):
-            self.candidate(OutcomeKind.NO_MODULE, (0, 4))
-        with pytest.raises(ValueError, match="module_span"):
-            self.candidate(OutcomeKind.COMPILE_ERROR, None)
+        with pytest.raises(ValueError, match="module_chars"):
+            self.candidate(OutcomeKind.NO_MODULE, 4)
+        with pytest.raises(ValueError, match="module_chars"):
+            self.candidate(OutcomeKind.COMPILE_ERROR, 0)
 
-    @pytest.mark.parametrize("span", [(0, 5), (5, 6)], ids=["past the end", "empty, past the end"])
-    def test_candidate_rejects_a_span_outside_its_reply(self, span):
-        with pytest.raises(ValueError, match="lies outside a reply of 4 characters"):
-            self.candidate(OutcomeKind.COMPILE_ERROR, span)
-        assert self.candidate(OutcomeKind.COMPILE_ERROR, (0, 4)).module_src == "text"
+    def test_candidate_rejects_a_module_longer_than_its_reply(self):
+        with pytest.raises(ValueError, match="exceeds a reply of 4 characters"):
+            self.candidate(OutcomeKind.COMPILE_ERROR, 5)
+        assert self.candidate(OutcomeKind.COMPILE_ERROR, 4).outcome.module_chars == 4
 
-    @pytest.mark.parametrize("span", [(-1, 2), (3, 2)])
-    def test_outcome_rejects_unordered_offsets(self, span):
-        with pytest.raises(ValueError, match="module_span"):
-            make_outcome(OutcomeKind.COMPILE_ERROR, module_span=span)
-
-    def test_char_length(self):
-        candidate = make_candidate(0.5, raw_text="Fixed:\nmodule top_module(); endmodule\nDone.")
-        assert candidate.outcome.module_span == (7, 37)
-        assert candidate.module_src == "module top_module(); endmodule"
-        assert candidate.char_length == 30
-        assert make_candidate(-2).module_src is None
-        assert make_candidate(-2).char_length == 0
+    def test_outcome_rejects_a_negative_module_length(self):
+        with pytest.raises(ValueError, match="module_chars"):
+            make_outcome(OutcomeKind.COMPILE_ERROR, module_chars=-1)
 
 
 class TestCostAccounting:

@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import re
+import tempfile
+from pathlib import Path
 
 from hypothesis import given
 from hypothesis import strategies as st
 
+from hdlsmith.core import DesignTask
 from hdlsmith.extract import ExtractionSource, extract_module
+from hdlsmith.faketools import offline_evaluate
 
 
 # Replies that move the module around: indented and tagged fences, padding
@@ -127,10 +131,8 @@ class TestExtractionProperties:
             assert re.search(r"\bendmodule\b", result.module_src)
 
     @given(replies() | jumbles)
-    def test_module_is_the_span_it_reports(self, raw):
-        result = extract_module(raw)
-        assert (result.span is None) == (result.module_src is None)
-        if result.module_src is not None:
-            start, end = result.span
-            assert raw[start : start + len(result.module_src)] == result.module_src
-            assert end - start == len(result.module_src)
+    def test_outcome_keeps_the_length_of_the_extracted_module(self, raw):
+        task = DesignTask(name="m", prompt_text="// design m", testbench_src="module tb(); endmodule")
+        with tempfile.TemporaryDirectory() as workdir:
+            outcome = offline_evaluate(raw, task, Path(workdir), 1.0)
+        assert outcome.module_chars == len(extract_module(raw).module_src or "")

@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hdlsmith.backends import (
+    MAX_IN_FLIGHT,
     BackendError,
     ChatCompletionsBackend,
     ContextOverflowError,
@@ -398,8 +399,9 @@ class TestConversationFlow:
         assert chosen.raw_text == reply.replace("\ud800", "\ufffd")
         assert backend.calls[1].conversation.messages[-2].content == chosen.raw_text
         written = tmp_path / "out" / "iter0" / "response0" / "top_module.sv"
-        assert written.read_text(encoding="utf-8") == chosen.module_src
-        assert "// \ufffd" in chosen.module_src
+        module_src = extract_module(chosen.raw_text).module_src
+        assert written.read_text(encoding="utf-8") == module_src
+        assert "// \ufffd" in module_src
 
     def test_reply_without_surrogates_is_kept_as_sent(self, task, tmp_path):
         reply = reply_with_module("mismatches=3 samples=9") + " \U0001f600 \ufffd \x00"
@@ -928,6 +930,24 @@ class TestArrivalEvaluation:
         with pytest.raises(OSError, match="disk full"):
             run_http_search(task, tmp_path, monkeypatch, transport, k=3, d=1, evaluator=evaluator)
         assert threading.active_count() == threads_before
+
+    def test_evaluator_error_stops_the_requests_not_yet_sent(self, task, tmp_path, monkeypatch):
+        # More requests than slots: once the first reply's evaluation fails,
+        # no helper takes a queued request.
+        k = MAX_IN_FLIGHT + 4
+        sent = []
+
+        def transport(url, headers, body):
+            sent.append(url)
+            time.sleep(0.05)
+            return 200, chat_payload(reply_with_module("mismatches=1 samples=10"))
+
+        def evaluator(text, task, workdir, timeout):
+            raise ToolIoError("disk full")
+
+        with pytest.raises(ToolIoError, match="disk full"):
+            run_http_search(task, tmp_path, monkeypatch, transport, k=k, d=0, evaluator=evaluator)
+        assert len(sent) <= MAX_IN_FLIGHT
 
     def test_overflow_failover_evaluates_only_the_retry_as_candidates(self, task, tmp_path, monkeypatch):
         # At depth 2 the full window (6 messages) gets one reply through, then
