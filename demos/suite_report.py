@@ -1,8 +1,8 @@
 # Benchmark a small suite across a (k, d) grid and report on it.
 #
 # Builds a throwaway three-task suite on disk, sweeps two grid points with a
-# scripted backend and toolchain, then prints success percentages, category
-# rollups, Pareto points, and writes a JSON report.
+# scripted backend and toolchain, then prints success percentages and Pareto
+# points, and writes a JSON report.
 
 import json
 import tempfile
@@ -13,8 +13,6 @@ from hdlsmith.backends import lookup_model
 from hdlsmith.bench import (
     GridPoint,
     ReportFormat,
-    RollupLevel,
-    category_rollup,
     export_report,
     load_suite,
     pareto_front,
@@ -58,10 +56,6 @@ print("\nSuccess by grid point:")
 for result in results:
     print(f"  k={result.params.num_candidates} d={result.params.max_depth}: "
           f"{success_percent(result)}%")
-
-print("\nCategory rollup at the deepest point:")
-for row in category_rollup(results[-1], RollupLevel.CATEGORY):
-    print(f"  {row.label:15s} {row.success_percent:6.1f}% (n={row.n})")
 
 points = [p for p in (suite_pareto_point(r, metric="tokens") for r in results) if p]
 print("\nPareto front over (avg tokens, success %):")

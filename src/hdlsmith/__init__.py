@@ -26,9 +26,9 @@ _EXPORTS = {
             "lookup_model",
         ),
         "bench": (
-            "EmptySuiteError", "GridPoint", "ParetoPoint", "ReportFormat", "RollupLevel",
-            "SuiteResult", "TaskRow", "category_rollup", "export_report", "load_report",
-            "load_suite", "pareto_front", "run_suite", "success_percent",
+            "EmptySuiteError", "GridPoint", "ParetoPoint", "ReportFormat", "SuiteResult",
+            "TaskRow", "export_report", "load_report", "load_suite", "pareto_front", "run_suite",
+            "success_percent",
         ),
         "core": (
             "CandidateResponse", "CostLedger", "DesignTask", "EvalOutcome", "ModelSpec",

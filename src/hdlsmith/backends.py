@@ -157,22 +157,28 @@ _INTERRUPT_POLL_S = 0.1
 
 
 def _run_threads(
-    work: Callable[[], None], count: int, name: str, stop: threading.Event, here: Callable[[], None] | None = None
+    jobs: list[Callable[[], None]], most: int, name: str, stop: threading.Event, here: Callable[[], None] | None = None
 ) -> None:
-    """Run ``work`` on ``count`` new threads named ``<name>-<n>``, and
-    ``here`` on the calling thread once they have started; return once every
-    one of them has ended.
+    """Run ``jobs`` on ``min(most, len(jobs))`` new threads named
+    ``<name>-<n>``, and ``here`` on the calling thread once they have
+    started; return once every one of them has ended.
 
-    Whatever raises, on any of them or on the calling thread (an interrupt
-    too), sets ``stop``, which ``work`` may read to end early; a thread that
-    begins once ``stop`` is set does no work. The call then returns or raises
-    only once every thread that began has ended, so none still works after
-    it. The calling thread's own error is raised first, else the first error
-    a thread raised.
+    Each thread takes the next job in list order, runs it, and then takes
+    another, until none is left or ``stop`` is set: no job is taken once
+    ``stop`` is set. Whatever raises, on any of them or on the calling
+    thread (an interrupt too), sets ``stop``, which a job may read to end
+    early. The call then returns or raises only once every thread that
+    began has ended, so none still works after it. The calling thread's own
+    error is raised first, else the first error a thread raised.
     """
     state = threading.Condition()
     started = begun = ended = 0  # threads whose start() returned, that began, that ended
     raised: list[BaseException] = []
+    todo = iter(jobs)
+
+    def take() -> Callable[[], None] | None:
+        with state:
+            return None if stop.is_set() else next(todo, None)
 
     def run() -> None:
         nonlocal begun, ended
@@ -182,8 +188,8 @@ def _run_threads(
             # Read after counting itself: a thread that begins after the last
             # wait, as one whose start() an interrupt cut short may, finds
             # ``stop`` set.
-            if not stop.is_set():
-                work()
+            while (job := take()) is not None:
+                job()
         except BaseException as exc:  # raised on the calling thread
             raised.append(exc)
             stop.set()
@@ -197,7 +203,7 @@ def _run_threads(
             while ended < max(started, begun):
                 state.wait(_INTERRUPT_POLL_S)
 
-    threads = [threading.Thread(target=run, name=f"{name}-{n}") for n in range(count)]
+    threads = [threading.Thread(target=run, name=f"{name}-{n}") for n in range(min(most, len(jobs)))]
     try:
         for thread in threads:
             thread.start()
@@ -244,8 +250,9 @@ class _FanOut:
 
         When the call probes and the probe succeeds, the other k-1 go out at
         once; otherwise all k go out at once, one of them from the calling
-        thread. The other k-1 are made by ``min(k, MAX_IN_FLIGHT) - 1``
-        helper threads, each taking the next one until none is left.
+        thread. The other k-1 are the jobs of ``_run_threads``, made by up to
+        ``MAX_IN_FLIGHT - 1`` helper threads, each taking the next one until
+        none is left.
         Replies are indexed and returned in arrival order: the requests are
         indistinguishable, and a provider that serves one request at a time
         then yields the same order as a serial loop. ``req.on_reply(index,
@@ -259,7 +266,6 @@ class _FanOut:
         request's. However the call ends, the backend then counts as failing
         exactly when one of its requests failed.
         """
-        k = req.num_candidates
         deliver = req.on_reply or (lambda index, reply: None)
         replies: list[Reply] = []
         errors: list[Exception] = []
@@ -281,13 +287,7 @@ class _FanOut:
             if received is not None:
                 deliver(*received)
 
-        others = threading.Semaphore(k - 1)  # the requests besides the calling thread's
         stop = threading.Event()
-
-        def help_out() -> None:
-            while not stop.is_set() and others.acquire(blocking=False):
-                attempt()
-
         try:
             # Decide on the probe once, up front: the helper threads are appending
             # to ``replies`` while the calling thread makes its own request.
@@ -299,7 +299,8 @@ class _FanOut:
             if errors:
                 raise errors[0]
             here = attempt if probe is None else partial(deliver, *probe)
-            _run_threads(help_out, min(k, MAX_IN_FLIGHT) - 1, "hdlsmith-request", stop, here)
+            # The requests besides the calling thread's.
+            _run_threads([attempt] * (req.num_candidates - 1), MAX_IN_FLIGHT - 1, "hdlsmith-request", stop, here)
             if errors:
                 raise errors[0]
             return tuple(replies)
@@ -508,12 +509,19 @@ class CommandBackend:
     ``_FanOut``); stdout is the reply. A command that cannot start, times
     out, exits non-zero or prints more than ``edatools.OUTPUT_CAP`` bytes on
     a stream is a ``TransportError``. Usage is estimated at ~4 characters
-    per token since there is no provider report.
+    per token since there is no provider report. An empty ``argv``, or a
+    ``timeout`` that is not positive and finite, raises ``ValueError``.
     """
 
     argv: tuple[str, ...]
     timeout: float = 300.0
     _fan_out: _FanOut = field(default_factory=_FanOut, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if not self.argv:
+            raise ValueError("argv must name a command")
+        if not (math.isfinite(self.timeout) and self.timeout > 0):
+            raise ValueError("timeout must be a positive finite number")
 
     @staticmethod
     def _render(conv: Conversation) -> str:

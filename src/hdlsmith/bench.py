@@ -43,7 +43,6 @@ from .search import (
 PROMPT_SUFFIX = "_prompt.sv"
 TESTBENCH_SUFFIX = "_tb.sv"
 MANIFEST_NAME = "manifest.json"
-UNCATEGORIZED = "uncategorized"
 _TREE_NAME = re.compile(f"k{NUMBER}_d{NUMBER}_(?:{'|'.join(mode.value for mode in FeedbackMode)})")
 
 
@@ -101,17 +100,6 @@ class ParetoPoint:
             raise ValueError("pareto coordinates must be finite")
         if self.x < 0 or not 0 <= self.y <= 100:
             raise ValueError("x must be >= 0 and y a percentage in [0, 100]")
-
-
-class RollupLevel(Enum):
-    CATEGORY = "category"
-    SUBCATEGORY = "subcategory"
-
-
-class RollupRow(NamedTuple):
-    label: str
-    success_percent: float
-    n: int
 
 
 def load_suite(directory: str | Path) -> list[DesignTask]:
@@ -206,19 +194,19 @@ def run_suite(
     not a directory, with ``NotADirectoryError``. With the default evaluator,
     a compiler or runtime that cannot be found raises ``ToolNotFoundError``
     before any request.
-    Up to ``parallelism`` searches from anywhere in the sweep run at once,
-    one on each of ``min(parallelism, searches)`` worker threads named
-    ``hdlsmith-sweep-<n>``, which ``backends._run_threads`` starts and waits
-    for; a worker takes the next search once its last has ended. Searches
-    start by ``(num_candidates, mode)`` in grid order, then by d, then in
-    task order. Any error a search raises, such as an evaluator or tool I/O
-    error, ends the sweep: no worker takes another search, no running search
-    sends a request after its current depth, and once they have all stopped
-    the first error raised is raised here; a search that the stop ended
-    raises only after it, so its error is never the one raised. An interrupt
-    (``KeyboardInterrupt``) stops them the same way. Either way the sweep
-    returns or raises only once every worker it started has ended, so no
-    search still writes under ``workdir``.
+    Each search is one job of ``backends._run_threads``, so up to
+    ``parallelism`` searches from anywhere in the sweep run at once, on
+    worker threads named ``hdlsmith-sweep-<n>``; a worker takes the next
+    search once its last has ended. Searches start by ``(num_candidates,
+    mode)`` in grid order, then by d, then in task order. Any error a search
+    raises, such as an evaluator or tool I/O error, ends the sweep: no worker
+    takes another search, no running search sends a request after its
+    current depth, and once they have all stopped the first error raised is
+    raised here; a search that the stop ended raises only after it, so its
+    error is never the one raised. An interrupt (``KeyboardInterrupt``)
+    stops them the same way. Either way the sweep returns or raises only
+    once every worker it started has ended, so no search still writes under
+    ``workdir``.
     """
     grid = list(dict.fromkeys(grid))  # a repeated point is run and reported once
     if not grid:
@@ -258,24 +246,17 @@ def run_suite(
     # Without a workdir the tree is scratch, removed once every worker has ended.
     tree = nullcontext(workdir) if workdir is not None else tempfile.TemporaryDirectory(prefix="suite_")
     stop = threading.Event()
-    jobs = iter([(cfg, task) for cfg in searched for task in tasks])
     traces: dict[tuple[SearchConfig, DesignTask], SearchTrace] = {}
-    lock = threading.Lock()
 
-    def work(root: Path) -> None:
-        while True:
-            with lock:
-                job = None if stop.is_set() else next(jobs, None)
-            if job is None:
-                return
-            cfg, task = job
-            # A search ended by stop raises, uncaught: stop is set only after
-            # _run_threads has recorded the error that ends the sweep.
-            task_cfg = replace(cfg, outdir=root / cfg.outdir / task.name)
-            traces[cfg, task] = run_search(task, task_cfg, schedule, backends, evaluator=evaluator, stop=stop)
+    def search(root: Path, cfg: SearchConfig, task: DesignTask) -> None:
+        # A search ended by stop raises, uncaught: stop is set only after
+        # _run_threads has recorded the error that ends the sweep.
+        task_cfg = replace(cfg, outdir=root / cfg.outdir / task.name)
+        traces[cfg, task] = run_search(task, task_cfg, schedule, backends, evaluator=evaluator, stop=stop)
 
     with tree as top:
-        _run_threads(partial(work, Path(top)), min(parallelism, len(searched) * len(tasks)), "hdlsmith-sweep", stop)
+        jobs = [partial(search, Path(top), cfg, task) for cfg in searched for task in tasks]
+        _run_threads(jobs, parallelism, "hdlsmith-sweep", stop)
     if workdir is not None and Path(workdir).is_dir():
         _remove_stale_trees(Path(workdir), {cfg.outdir.name for cfg in searched}, set(names))
     schedule_desc = schedule.describe()
@@ -312,19 +293,13 @@ def _task_summary(task: DesignTask, trace: SearchTrace) -> TaskRow:
     )
 
 
-def _percent(successes: int, total: int) -> float:
-    # One decimal place, round half up, as success tables expect.
-    value = (Decimal(100 * successes) / Decimal(total)).quantize(
-        Decimal("0.1"), rounding=ROUND_HALF_UP
-    )
-    return float(value)
-
-
 def success_percent(result: SuiteResult) -> float:
     """Share of tasks that passed all testbench samples, in percent."""
     if not result.per_task:
         raise ValueError("cannot compute a percentage over zero tasks")
-    return _percent(sum(row.success for row in result.per_task), len(result.per_task))
+    # One decimal place, round half up, as success tables expect.
+    value = Decimal(100 * sum(row.success for row in result.per_task)) / Decimal(len(result.per_task))
+    return float(value.quantize(Decimal("0.1"), rounding=ROUND_HALF_UP))
 
 
 def average_tokens(result: SuiteResult, successes_only: bool = False) -> float | None:
@@ -369,19 +344,6 @@ def suite_pareto_point(
     if average is None:
         return None
     return ParetoPoint(average, success_percent(result))
-
-
-def category_rollup(result: SuiteResult, level: RollupLevel) -> list[RollupRow]:
-    """Per-category (or per-subcategory) success table; untagged tasks group
-    under "uncategorized". Row counts sum to the task count."""
-    groups: dict[str, list[bool]] = {}
-    for row in result.per_task:
-        label = row.category if level is RollupLevel.CATEGORY else row.subcategory
-        groups.setdefault(label or UNCATEGORIZED, []).append(row.success)
-    return [
-        RollupRow(label, _percent(sum(flags), len(flags)), len(flags))
-        for label, flags in sorted(groups.items())
-    ]
 
 
 class ReportFormat(Enum):

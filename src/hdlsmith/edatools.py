@@ -325,11 +325,12 @@ def evaluate(
 ) -> EvalOutcome:
     """Full pipeline for one candidate: extract, compile, simulate, classify.
 
-    The returned outcome carries the extracted module's offsets into
-    ``candidate_text``, so callers never extract a second time, and the
-    repair prompt for its kind, so none reads the tool output again: the
-    compile diagnostics, the testbench's ``Hint:`` and summary lines, or a
-    crash diagnosis with the output's last 20 non-blank lines.
+    The returned outcome carries the extracted module's length
+    (``module_chars``, 0 when there is none), so callers never extract a
+    second time, and the repair prompt for its kind, so none reads the tool
+    output again: the compile diagnostics, the testbench's ``Hint:`` and
+    summary lines, or a crash diagnosis with the output's last 20 non-blank
+    lines.
 
     A parsed testbench summary always yields ``SIMULATED`` (warnings do not
     demote it); a warned compile with no summary is ``COMPILE_WARNED_NO_SIM``;

@@ -14,6 +14,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import run_fresh
+from hdlsmith import edatools
 from hdlsmith.backends import (
     MAX_IN_FLIGHT,
     NEAR_LIMIT_MARGIN,
@@ -36,6 +38,7 @@ from hdlsmith.backends import (
     RateLimitedError,
     RetryPolicy,
     TransportError,
+    _run_threads,
     backoff_delay,
     load_mock_script,
     lookup_model,
@@ -905,6 +908,24 @@ class TestCommandBackend:
         with pytest.raises(TransportError):
             backend.generate(req)
 
+    @pytest.mark.parametrize(
+        "argv, timeout",
+        [((), 300.0), (("cat",), math.inf), (("cat",), math.nan), (("cat",), 0.0), (("cat",), -1.0)],
+        ids=["no argv", "inf", "nan", "zero", "negative"],
+    )
+    def test_bad_argv_or_timeout_refused_before_any_process(self, monkeypatch, argv, timeout):
+        started = []
+
+        def run_process(*args, **kwargs):
+            started.append(args)
+            raise OSError("not started in this test")
+
+        monkeypatch.setattr(edatools, "run_process", run_process)
+        req = GenerationRequest(two_turn_conversation(), lookup_model("local-model", "local"), 2)
+        with pytest.raises(ValueError, match="argv" if not argv else "timeout"):
+            CommandBackend(argv, timeout).generate(req)
+        assert started == []
+
     def test_candidates_run_concurrently(self):
         k, delay = 3, 0.5
         backend = CommandBackend(("/bin/sh", "-c", f"sleep {delay}; echo 'module m(); endmodule'"))
@@ -946,6 +967,56 @@ class TestCommandBackend:
             backend.generate(req)
         assert probed()
         assert not probed()
+
+
+class TestRunThreads:
+    """``_run_threads`` is the one place that hands out the fan-out's and the sweep's jobs."""
+
+    @pytest.mark.parametrize("most, count", [(3, 7), (8, 2), (1, 3), (2, 0)])
+    def test_threads_take_jobs_once_in_list_order(self, most, count):
+        threads = min(most, count)
+        taken, held = [], []
+        # The first job on each thread holds it until ``here`` has looked,
+        # so exactly the first ``threads`` jobs are taken by then.
+        gate, release = threading.Barrier(threads + 1, timeout=10), threading.Event()
+
+        def job(i):
+            taken.append((i, threading.current_thread().name))
+            if i < threads:
+                gate.wait()
+                release.wait(10)
+
+        def here():
+            gate.wait()
+            held.extend(taken)
+            release.set()
+
+        _run_threads([partial(job, i) for i in range(count)], most, "worker", threading.Event(), here)
+        assert sorted(i for i, _ in held) == list(range(threads))
+        names = {f"worker-{n}" for n in range(threads)}
+        assert {name for _, name in held} == {name for _, name in taken} == names
+        assert sorted(i for i, _ in taken) == list(range(count))
+        if most == 1:
+            assert [i for i, _ in taken] == list(range(count))
+
+    def test_error_raised_and_no_later_job_taken(self):
+        ran = []
+
+        def boom():
+            ran.append("boom")
+            raise RuntimeError("boom")
+
+        jobs = [lambda: ran.append("ok"), boom, lambda: ran.append("never")]
+        with pytest.raises(RuntimeError, match="boom"):
+            _run_threads(jobs, 1, "worker", threading.Event())
+        assert ran == ["ok", "boom"]
+
+    def test_no_job_taken_once_stop_is_set(self):
+        stop = threading.Event()
+        stop.set()
+        ran = []
+        _run_threads([partial(ran.append, i) for i in range(3)], 2, "worker", stop, lambda: ran.append("here"))
+        assert ran == ["here"]
 
 
 class TestRetryPolicy:

@@ -1,4 +1,4 @@
-"""Suite loading, grid runs, success/rollup math, Pareto, report round-trips."""
+"""Suite loading, grid runs, success math, Pareto, report round-trips."""
 
 from __future__ import annotations
 
@@ -16,23 +16,21 @@ from decimal import Decimal
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hdlsmith import bench
-from hdlsmith.backends import MockBackend
+from hdlsmith.backends import DEFAULT_MOCK_REPLY, MockBackend, TransportError
 from hdlsmith.bench import (
     EmptySuiteError,
     GridPoint,
     ParetoPoint,
     ReportFormat,
-    RollupLevel,
     SuiteParams,
     SuiteResult,
     TaskRow,
     average_cost,
     average_tokens,
-    category_rollup,
     export_report,
     load_report,
     load_suite,
@@ -45,7 +43,7 @@ from hdlsmith.bench import (
 from hdlsmith.core import DesignTask, Termination, TokenUsage
 from hdlsmith.edatools import ToolIoError, ToolNotFoundError
 from hdlsmith.faketools import offline_evaluate, passing_reply, reply_with_module
-from hdlsmith.prompts import FeedbackMode
+from hdlsmith.prompts import FeedbackMode, estimate_tokens
 from hdlsmith.search import ModelSchedule, ScheduleEntry, SearchConfig, run_search
 from hdlsmith.backends import lookup_model
 
@@ -559,7 +557,7 @@ class TestRunSuite:
         assert [row.queries_used for result in results for row in result.per_task] == [3] * 8 + [4] * 8
 
 
-def reference_sweep(tasks, grid, schedule, outdir: Path) -> list[SuiteResult]:
+def reference_sweep(tasks, grid, schedule, outdir: Path, backend: MockBackend) -> list[SuiteResult]:
     """The naive sweep: one search per task per grid point, summarized here."""
     results = []
     for point in grid:
@@ -567,7 +565,7 @@ def reference_sweep(tasks, grid, schedule, outdir: Path) -> list[SuiteResult]:
         for task in tasks:
             cfg = SearchConfig(point.num_candidates, point.max_depth, point.mode,
                                outdir=outdir / f"{point}" / task.name)
-            trace = run_search(task, cfg, schedule, {"mock": sweep_backend()},
+            trace = run_search(task, cfg, schedule, {"mock": backend},
                                evaluator=offline_evaluate)
             totals = trace.ledger.totals
             best = trace.best()
@@ -598,7 +596,7 @@ class TestPrefixSweep:
             tasks, SWEEP_GRID, schedule, {"mock": backend},
             evaluator=offline_evaluate, workdir=tmp_path / "work",
         )
-        reference = reference_sweep(tasks, SWEEP_GRID, schedule, tmp_path / "reference")
+        reference = reference_sweep(tasks, SWEEP_GRID, schedule, tmp_path / "reference", sweep_backend())
         return results, reference, backend
 
     @pytest.mark.parametrize("format", list(ReportFormat))
@@ -643,6 +641,98 @@ class TestPrefixSweep:
         assert [w.message for w in caught if issubclass(w.category, UserWarning)] == []
         # The d=5 search of alpha stopped at depth 3; beta's never started.
         assert [(c.task_name, c.depth) for c in backend.calls] == [("alpha", d) for d in range(4)]
+
+
+PROPERTY_TASKS = tuple(DesignTask(name, f"// implement {name}\nmodule {name}();", "module tb(); endmodule")
+                       for name in ("t0", "t1"))
+# Each reply's eda directive; None is a reply with no module.
+PROPERTY_REPLIES = ("pass", "compile-error", *(f"mismatches={n} samples=10" for n in (1, 5, 9)), None, "hang")
+PROPERTY_KEYS = [(task.name, depth, index) for task in PROPERTY_TASKS for depth in range(5) for index in range(3)]
+
+NEVER_PASSES = {key: reply_with_module("mismatches=5 samples=10", key[0]) for key in PROPERTY_KEYS}
+
+
+class WindowBilledBackend(MockBackend):
+    """Mock replies billed by the size of the window they answer, so rows
+    that read another mode's search differ in tokens; a call at a ``faults``
+    key ``(task, depth, model)`` raises ``TransportError`` after it is recorded."""
+
+    def __init__(self, script, faults=frozenset()):
+        super().__init__(script)
+        self.faults = faults
+
+    def generate(self, req):
+        replies = super().generate(req)
+        if (req.task_name, req.depth, req.model.model_id) in self.faults:
+            raise TransportError("scripted outage")
+        usage = TokenUsage(estimate_tokens(req.conversation), 45)
+        return tuple((text, usage) for text, _ in replies)
+
+
+@st.composite
+def sweep_cases(draw):
+    kinds = draw(st.lists(st.sampled_from(PROPERTY_REPLIES), min_size=len(PROPERTY_KEYS), max_size=len(PROPERTY_KEYS)))
+    script = {
+        key: DEFAULT_MOCK_REPLY if kind is None else reply_with_module(kind, key[0])
+        for key, kind in zip(PROPERTY_KEYS, kinds)
+    }
+    point = st.builds(GridPoint, st.integers(1, 3), st.integers(0, 4), st.sampled_from(list(FeedbackMode)))
+    grid = draw(st.lists(point, min_size=1, max_size=6))
+    schedule = draw(st.sampled_from([ModelSchedule.single(PRICED_MOCK), FINAL_MODEL_SCHEDULE]))
+    parallelism = draw(st.sampled_from([1, 3]))
+    models = sorted({model.model_id for model in schedule.models(4)})
+    names = [task.name for task in PROPERTY_TASKS]
+    faults = draw(st.sets(st.tuples(st.sampled_from(names), st.integers(0, 4), st.sampled_from(models)), max_size=2))
+    return script, grid, schedule, parallelism, faults
+
+
+class TestSweepEqualsNaiveSweep:
+    """Whatever searches a sweep shares, its report is that of one search
+    per row and task, and it sends no request the naive sweep would not."""
+
+    @given(case=sweep_cases())
+    # A backend error after a shallower row's depth, and rows whose (k, mode)
+    # groups differ only in mode or only in k, are always among the cases.
+    @example(case=(NEVER_PASSES, [GridPoint(1, 0), GridPoint(1, 2)], ModelSchedule.single(PRICED_MOCK), 1,
+                   {("t1", 2, PRICED_MOCK.model_id)}))
+    @example(case=(NEVER_PASSES, [GridPoint(2, 4, mode) for mode in FeedbackMode] + [GridPoint(1, 3)],
+                   ModelSchedule.single(PRICED_MOCK), 3, set()))
+    @settings(max_examples=60, deadline=None)
+    def test_report_equals_naive_sweep(self, case):
+        script, grid, schedule, parallelism, faults = case
+        backend, naive = WindowBilledBackend(script, faults), WindowBilledBackend(script, faults)
+        results = run_suite(PROPERTY_TASKS, grid, schedule, {"mock": backend},
+                            evaluator=offline_evaluate, parallelism=parallelism)
+        with tempfile.TemporaryDirectory() as outdir:
+            # A repeated grid point is reported once.
+            reference = reference_sweep(PROPERTY_TASKS, list(dict.fromkeys(grid)), schedule, Path(outdir), naive)
+        assert render_report(results, ReportFormat.JSON) == render_report(reference, ReportFormat.JSON)
+        assert len(backend.calls) <= len(naive.calls)
+
+    @given(case=sweep_cases(), fault=st.sampled_from(PROPERTY_KEYS))
+    @settings(max_examples=40, deadline=None)
+    def test_evaluator_fault_ends_the_sweep(self, case, fault):
+        script, grid, schedule, parallelism, _ = case
+        backend = WindowBilledBackend(script)
+        calls_at_fault = []
+
+        def evaluator(text, task, workdir, timeout):
+            if (task.name, *workdir.parts[-2:]) == (fault[0], f"iter{fault[1]}", f"response{fault[2]}"):
+                calls_at_fault.append(len(backend.calls))
+                raise ToolIoError("disk full")
+            return offline_evaluate(text, task, workdir, timeout)
+
+        threads = threading.active_count()
+        try:
+            run_suite(PROPERTY_TASKS, grid, schedule, {"mock": backend},
+                      evaluator=evaluator, parallelism=parallelism)
+        except ToolIoError:
+            assert calls_at_fault
+            if parallelism == 1:
+                assert len(backend.calls) == calls_at_fault[0]
+        else:
+            assert not calls_at_fault
+        assert threading.active_count() == threads
 
 
 class TestSuccessPercent:
@@ -747,38 +837,6 @@ class TestAveragesAndParetoPoints:
     def test_no_successes_yields_no_point(self):
         result = make_result([False])
         assert suite_pareto_point(result, metric="cost", successes_only=True) is None
-
-
-class TestCategoryRollup:
-    def test_single_category_equals_overall(self):
-        result = make_result([True, False, True], category="logic")
-        rows = category_rollup(result, RollupLevel.CATEGORY)
-        assert rows == [("logic", success_percent(result), 3)]
-
-    def test_two_categories(self):
-        result = SuiteResult(
-            SuiteParams(1, 0, FeedbackMode.SUCCINCT, "m@0"),
-            (
-                make_row("a", True, category="seq"),
-                make_row("b", False, category="comb"),
-            ),
-        )
-        rows = dict((r.label, (r.success_percent, r.n)) for r in category_rollup(result, RollupLevel.CATEGORY))
-        assert rows == {"seq": (100.0, 1), "comb": (0.0, 1)}
-
-    def test_untagged_group(self):
-        result = make_result([True])
-        rows = category_rollup(result, RollupLevel.SUBCATEGORY)
-        assert rows[0].label == "uncategorized"
-
-    @given(st.lists(st.tuples(st.booleans(), st.sampled_from([None, "a", "b", "c"])), min_size=1, max_size=30))
-    def test_rollup_counts_sum_to_task_count(self, rows_spec):
-        rows = tuple(
-            make_row(f"t{i}", flag, category=cat) for i, (flag, cat) in enumerate(rows_spec)
-        )
-        result = SuiteResult(SuiteParams(1, 0, FeedbackMode.SUCCINCT, "m@0"), rows)
-        rollup = category_rollup(result, RollupLevel.CATEGORY)
-        assert sum(r.n for r in rollup) == len(rows)
 
 
 row_strategy = st.builds(
