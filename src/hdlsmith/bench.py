@@ -19,7 +19,7 @@ import tempfile
 import threading
 import warnings
 from contextlib import nullcontext
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from decimal import ROUND_HALF_UP, Decimal
 from enum import Enum
 from functools import partial
@@ -77,6 +77,10 @@ class TaskRow:
     best_rank: float | None
     category: str | None = None
     subcategory: str | None = None
+    # The backend error's message when one ended this task's search at or
+    # before the row's depth; reports have no column for it, so equality
+    # ignores it.
+    backend_error: str | None = field(default=None, compare=False)
 
 
 @dataclass(frozen=True)
@@ -177,11 +181,12 @@ def run_suite(
 ) -> list[SuiteResult]:
     """Run every task at every grid point and summarize per-task traces.
 
-    Grid points that share ``(num_candidates, mode)`` share searches: each
-    task is searched once at the group's deepest d and every shallower point
-    reads the prefix of that trace (:meth:`SearchTrace.upto`). A schedule
-    with a final-iteration model serves depth d with a different model at
-    each d, so then every d is searched. Under ``workdir`` each search writes
+    Grid points in one group share searches: each task is searched once at
+    the group's deepest d and every point reads the prefix of that trace
+    (:meth:`SearchTrace.upto`). A group is the points that share
+    ``(num_candidates, mode)``; a schedule with a final-iteration model
+    serves depth d with a different model at each d, so then each point is
+    its own group. Under ``workdir`` each search writes
     a ``k<k>_d<d>_<mode>/<task>`` tree. A sweep that returns, not one that
     raises, removes every other such tree and task folder, and nothing else:
     a folder whose name has a number that hdlsmith would not write, such as
@@ -197,8 +202,8 @@ def run_suite(
     Each search is one job of ``backends._run_threads``, so up to
     ``parallelism`` searches from anywhere in the sweep run at once, on
     worker threads named ``hdlsmith-sweep-<n>``; a worker takes the next
-    search once its last has ended. Searches start by ``(num_candidates,
-    mode)`` in grid order, then by d, then in task order. Any error a search
+    search once its last has ended. Searches start in the grid order of the
+    first point each serves, then in task order. Any error a search
     raises, such as an evaluator or tool I/O error, ends the sweep: no worker
     takes another search, no running search sends a request after its
     current depth, and once they have all stopped the first error raised is
@@ -233,16 +238,12 @@ def run_suite(
     for point in grid:
         row = SearchConfig(point.num_candidates, point.max_depth, point.mode, sim_timeout, outdir=Path())
         rows.append(replace(row, outdir=Path(f"k{row.num_candidates}_d{row.max_depth}_{point.mode.value}")))
-    group = attrgetter("num_candidates", "feedback_mode")
-    deepest: dict[tuple[int, FeedbackMode], SearchConfig] = {}  # groups in grid order
+    # A row reads the search at its group's deepest d. A final-iteration
+    # model serves each d differently, so then each row is its own group.
+    group = attrgetter("num_candidates", "feedback_mode") if schedule.final is None else (lambda row: row)
+    deepest: dict[object, SearchConfig] = {}  # groups in grid order
     for row in rows:
         deepest[group(row)] = max(deepest.get(group(row), row), row, key=attrgetter("max_depth"))
-    # A row reads the search at its group's deepest d, or at its own d when
-    # a final-iteration model serves each d differently.
-    final = schedule.final is not None
-    reads = [(row, row if final else deepest[group(row)]) for row in rows]
-    groups = list(deepest)
-    searched = sorted({cfg for _, cfg in reads}, key=lambda cfg: (groups.index(group(cfg)), cfg.max_depth))
     # Without a workdir the tree is scratch, removed once every worker has ended.
     tree = nullcontext(workdir) if workdir is not None else tempfile.TemporaryDirectory(prefix="suite_")
     stop = threading.Event()
@@ -255,17 +256,17 @@ def run_suite(
         traces[cfg, task] = run_search(task, task_cfg, schedule, backends, evaluator=evaluator, stop=stop)
 
     with tree as top:
-        jobs = [partial(search, Path(top), cfg, task) for cfg in searched for task in tasks]
+        jobs = [partial(search, Path(top), cfg, task) for cfg in deepest.values() for task in tasks]
         _run_threads(jobs, parallelism, "hdlsmith-sweep", stop)
     if workdir is not None and Path(workdir).is_dir():
-        _remove_stale_trees(Path(workdir), {cfg.outdir.name for cfg in searched}, set(names))
+        _remove_stale_trees(Path(workdir), {cfg.outdir.name for cfg in deepest.values()}, set(names))
     schedule_desc = schedule.describe()
     return [
         SuiteResult(
             SuiteParams(row.num_candidates, row.max_depth, row.feedback_mode, schedule_desc),
-            tuple(_task_summary(task, traces[cfg, task].upto(row.max_depth)) for task in tasks),
+            tuple(_task_summary(task, traces[deepest[group(row)], task].upto(row.max_depth)) for task in tasks),
         )
-        for row, cfg in reads
+        for row in rows
     ]
 
 
@@ -290,6 +291,7 @@ def _task_summary(task: DesignTask, trace: SearchTrace) -> TaskRow:
         best_rank=best.rank.value if best is not None else None,
         category=task.category,
         subcategory=task.subcategory,
+        backend_error=trace.backend_error,
     )
 
 

@@ -129,12 +129,12 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     )
     export_report(results, ReportFormat.of(out), out)
     for result in results:
+        label = f"k={result.params.num_candidates} d={result.params.max_depth} {result.params.mode.value}"
+        for r in result.per_task:
+            if r.backend_error is not None:
+                print(f"hdlsmith: backend error: {label} {r.task_name}: {r.backend_error}", file=sys.stderr)
         passed = sum(r.success for r in result.per_task)
-        print(
-            f"k={result.params.num_candidates} d={result.params.max_depth} "
-            f"{result.params.mode.value}: {success_percent(result)}% "
-            f"({passed}/{len(result.per_task)})"
-        )
+        print(f"{label}: {success_percent(result)}% ({passed}/{len(result.per_task)})")
     print(f"Report written to {out}")
     return 0
 

@@ -100,6 +100,12 @@ def chat_payload(text="reply", prompt_tokens=10, completion_tokens=20):
     }
 
 
+class TestGenerationRequest:
+    def test_request_asks_for_at_least_one_candidate(self):
+        with pytest.raises(ValueError, match="num_candidates must be at least 1"):
+            GenerationRequest(two_turn_conversation(), lookup_model("mock"), 0)
+
+
 class TestMockBackend:
     def test_scripted_replies_in_index_order(self, task):
         backend = MockBackend(

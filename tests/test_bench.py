@@ -578,6 +578,7 @@ def reference_sweep(tasks, grid, schedule, outdir: Path, backend: MockBackend) -
                 best.rank.value if best is not None else None,
                 task.category,
                 task.subcategory,
+                trace.backend_error,
             ))
         params = SuiteParams(point.num_candidates, point.max_depth, point.mode,
                              schedule.describe())
@@ -620,6 +621,23 @@ class TestPrefixSweep:
         assert render_report(results, ReportFormat.JSON) == render_report(reference, ReportFormat.JSON)
         assert sum(c.depth == 0 for c in backend.calls) == 3 * len(SWEEP_GRID)
         assert len(list((tmp_path / "work").iterdir())) == len(SWEEP_GRID)
+
+    def test_final_model_searches_start_in_grid_order(self, tmp_path):
+        # Each row is its own group, so its searches start in grid order
+        # (d=3, 0, 1), not by d, and send the naive sweep's requests in order.
+        tasks = load_suite(make_suite_dir(tmp_path))
+        grid = [GridPoint(1, d) for d in (3, 0, 1)]
+        backend, naive = sweep_backend(), sweep_backend()
+        results = run_suite(tasks, grid, FINAL_MODEL_SCHEDULE, {"mock": backend},
+                            evaluator=offline_evaluate, parallelism=1)
+        reference = reference_sweep(tasks, grid, FINAL_MODEL_SCHEDULE, tmp_path / "reference", naive)
+        assert render_report(results, ReportFormat.JSON) == render_report(reference, ReportFormat.JSON)
+        # Each depth-0 call starts a search: the depths each search sent, in
+        # start order, are d + 1 for adder and mux, 1 for counter (it passes).
+        starts = [i for i, call in enumerate(backend.calls) if call.depth == 0]
+        sent = [end - start for start, end in zip(starts, starts[1:] + [len(backend.calls)])]
+        assert sent == [4, 1, 4] + [1, 1, 1] + [2, 1, 2]
+        assert backend.calls == naive.calls
 
     def test_tool_error_in_deepest_search_ends_the_sweep(self, tmp_path):
         tasks = load_suite(make_suite_dir(tmp_path, stems=("alpha", "beta")))
@@ -691,9 +709,10 @@ class TestSweepEqualsNaiveSweep:
     per row and task, and it sends no request the naive sweep would not."""
 
     @given(case=sweep_cases())
-    # A backend error after a shallower row's depth, and rows whose (k, mode)
-    # groups differ only in mode or only in k, are always among the cases.
-    @example(case=(NEVER_PASSES, [GridPoint(1, 0), GridPoint(1, 2)], ModelSchedule.single(PRICED_MOCK), 1,
+    # A backend error one and two depths after shallower rows' depths, and
+    # rows whose (k, mode) groups differ only in mode or only in k, are
+    # always among the cases.
+    @example(case=(NEVER_PASSES, [GridPoint(1, d) for d in (0, 1, 2)], ModelSchedule.single(PRICED_MOCK), 1,
                    {("t1", 2, PRICED_MOCK.model_id)}))
     @example(case=(NEVER_PASSES, [GridPoint(2, 4, mode) for mode in FeedbackMode] + [GridPoint(1, 3)],
                    ModelSchedule.single(PRICED_MOCK), 3, set()))
@@ -707,6 +726,10 @@ class TestSweepEqualsNaiveSweep:
             # A repeated grid point is reported once.
             reference = reference_sweep(PROPERTY_TASKS, list(dict.fromkeys(grid)), schedule, Path(outdir), naive)
         assert render_report(results, ReportFormat.JSON) == render_report(reference, ReportFormat.JSON)
+        # A report has no column for a backend error, so it is compared here.
+        assert [row.backend_error for result in results for row in result.per_task] == [
+            row.backend_error for result in reference for row in result.per_task
+        ]
         assert len(backend.calls) <= len(naive.calls)
 
     @given(case=sweep_cases(), fault=st.sampled_from(PROPERTY_KEYS))
@@ -833,6 +856,10 @@ class TestAveragesAndParetoPoints:
         result = make_result([True, False])
         point = suite_pareto_point(result, metric="tokens")
         assert point == ParetoPoint(200.0, 50.0)
+
+    def test_unknown_metric_is_rejected(self):
+        with pytest.raises(ValueError, match="unknown pareto metric 'steps'"):
+            suite_pareto_point(make_result([True]), metric="steps")
 
     def test_no_successes_yields_no_point(self):
         result = make_result([False])

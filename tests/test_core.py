@@ -247,6 +247,24 @@ class TestTypeInvariants:
         with pytest.raises(ValueError, match="module_chars"):
             make_outcome(OutcomeKind.COMPILE_ERROR, module_chars=-1)
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: ModelSpec("fam", "m", "-0.01", "0.6", 1000), "price_in must be non-negative"),
+            (lambda: ModelSpec("fam", "m", "0.15", -1, 1000), "price_out must be non-negative"),
+            (lambda: ModelSpec("fam", "m", "0.15", "0.6", 0), "max_context_tokens must be positive"),
+            (lambda: EvalOutcome(OutcomeKind.SIMULATED, 0, 0), "sample count must be positive"),
+            (lambda: make_candidate(depth=-1), "depth and index must be non-negative"),
+            (lambda: make_candidate(index=-1), "depth and index must be non-negative"),
+            (lambda: best_candidate([]), "cannot pick a best candidate from an empty batch"),
+        ],
+        ids=["negative price_in", "negative price_out", "no context", "zero samples",
+             "negative depth", "negative index", "no candidates"],
+    )
+    def test_value_is_rejected(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
+
 
 class TestCostAccounting:
     def test_log_cost_values(self):

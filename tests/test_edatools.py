@@ -125,6 +125,22 @@ class TestToolErrors:
         with pytest.raises(ToolIoError):
             simulate(tmp_path / "missing.vvp", timeout=1.0)
 
+    @pytest.mark.parametrize(
+        "make", [lambda path: path.mkdir(), lambda path: path.write_text("#!/bin/sh\n")],
+        ids=["directory", "not executable"],
+    )
+    def test_compiler_that_cannot_start_is_tool_io_error(self, tmp_path, make):
+        # Any start failure but a missing binary is an I/O error, not a missing tool.
+        compiler = tmp_path / "iverilog"
+        make(compiler)
+        tools = ToolchainConfig(compiler=str(compiler))
+        with pytest.raises(ToolIoError):
+            compile_design("module m(); endmodule", "module tb(); endmodule", tmp_path / "work", "m", tools)
+
+    def test_fake_simulate_missing_artifact(self, tmp_path):
+        with pytest.raises(ToolIoError, match="simulation artifact missing"):
+            fake_simulate(tmp_path / "missing.vvp", 1.0)
+
     def test_tool_version_none_for_missing_binary(self):
         assert tool_version(ToolchainConfig(compiler="definitely-not-a-real-compiler-xyz")) is None
 

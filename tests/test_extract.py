@@ -6,11 +6,12 @@ import re
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from hdlsmith.core import DesignTask
-from hdlsmith.extract import ExtractionSource, extract_module
+from hdlsmith.extract import ExtractionResult, ExtractionSource, extract_module
 from hdlsmith.faketools import offline_evaluate
 
 
@@ -107,6 +108,16 @@ class TestSpanExtraction:
 
 
 class TestExtractionProperties:
+    @pytest.mark.parametrize(
+        "module_src, source",
+        [(None, ExtractionSource.FENCED_BLOCK), (None, ExtractionSource.MODULE_SPAN),
+         ("module m(); endmodule", ExtractionSource.NONE)],
+        ids=["fenced without module", "span without module", "module without source"],
+    )
+    def test_result_has_a_module_exactly_when_a_source_was_found(self, module_src, source):
+        with pytest.raises(ValueError, match="module_src present exactly when a source was found"):
+            ExtractionResult(module_src, source)
+
     def test_refusal_yields_none(self):
         result = extract_module("I cannot help with that request.")
         assert result.module_src is None

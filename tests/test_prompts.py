@@ -99,6 +99,22 @@ class TestNextConversation:
         with pytest.raises(ValueError):
             next_conversation(conv, "", "feedback")
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda: Message(Role.USER, ""), "message content must be non-empty"),
+            (lambda: Conversation(()), "conversation must hold at least one message"),
+            (lambda: Conversation((Message(Role.ASSISTANT, "hi"),)),
+             "conversation cannot open with an assistant message"),
+            (lambda: next_conversation(Conversation((Message(Role.SYSTEM, "sys"),)), "reply", "feedback"),
+             "previous conversation lacks the design prompt"),
+        ],
+        ids=["empty message", "empty conversation", "assistant first", "no design prompt"],
+    )
+    def test_malformed_conversation_is_rejected(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
+
     def test_latest_reply_and_feedback_are_last_two(self, task):
         conv = self._iterate(task, 4)
         for window in (conv, succinct_window(conv)):

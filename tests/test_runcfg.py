@@ -171,6 +171,32 @@ class TestLoadConfig:
         with pytest.warns(UserWarning, match="unknown configuration key"):
             load_config(write_config(tmp_path, document))
 
+    def test_unknown_top_level_key_warns(self, tmp_path):
+        document = {**EXAMPLE_CONFIG, "extras": {}}
+        with pytest.warns(UserWarning, match="^unknown configuration key: extras$"):
+            load_config(write_config(tmp_path, document))
+
+    @pytest.mark.parametrize(
+        "document, overrides, key_path",
+        [
+            ([], [], "<root>"),
+            (None, ["general=[]"], "general"),
+            (None, ["general.model_id=3"], "general.model_id"),
+            (None, ['general.outdir=""'], "general.outdir"),
+            (None, ["general.feedback_mode=verbose"], "general.feedback_mode"),
+            (None, ["general.mixed-model=1"], "general.mixed-model"),
+            (None, ["mixed-model=[]"], "mixed-model"),
+            (None, ["mixed-model.model1=3"], "mixed-model.model1"),
+            (None, ["mixed-model.model2.start_iteration=1.5"], "mixed-model.model2.start_iteration"),
+        ],
+        ids=["root", "general", "non-string", "empty string", "mode", "mixed-model flag",
+             "mixed-model section", "mixed-model entry", "start_iteration"],
+    )
+    def test_wrong_type_names_its_key(self, tmp_path, document, overrides, key_path):
+        with pytest.raises(TypeMismatchError) as excinfo:
+            load_config(write_config(tmp_path, document), overrides)
+        assert excinfo.value.key_path == key_path
+
     @pytest.mark.parametrize(
         "mutate",
         [
@@ -679,6 +705,28 @@ class TestCli:
         assert "Termination: backend_error" in captured.out
         assert captured.err == "hdlsmith: backend error: environment variable OPENAI_API_KEY is not set\n"
 
+    def test_bench_backend_error_names_its_row_and_task(self, tmp_path, capsys, monkeypatch):
+        # The error goes to stderr once per row and task it ended; the
+        # report and the exit code count the task as failed, as before.
+        monkeypatch.delenv("OPENAI_API_KEY", raising=False)
+        argv = self.bench_argv(tmp_path, "--grid", "k=1,2;d=0,1", "--model", "ChatGPT:gpt-4o-mini")
+        (tmp_path / "suite" / "beta_prompt.sv").write_text("// build beta")
+        (tmp_path / "suite" / "beta_tb.sv").write_text("module tb(); endmodule")
+        assert cli_main(argv) == 0
+        captured = capsys.readouterr()
+        rows = [f"k={k} d={d} succinct" for k in (1, 2) for d in (0, 1)]
+        assert captured.out == "".join(f"{row}: 0.0% (0/2)\n" for row in rows) + (
+            f"Report written to {tmp_path / 'report.json'}\n"
+        )
+        assert captured.err == "".join(
+            f"hdlsmith: backend error: {row} {task}: environment variable OPENAI_API_KEY is not set\n"
+            for row in rows
+            for task in ("alpha", "beta")
+        )
+        payload = json.loads((tmp_path / "report.json").read_text())
+        assert {(row["success"], row["queries_used"], row["best_rank"])
+                for result in payload["results"] for row in result["per_task"]} == {(False, 0, None)}
+
     def test_bench_without_toolchain_is_tool_error(self, tmp_path, capsys, monkeypatch):
         argv = [arg for arg in self.bench_argv(tmp_path, "--workdir", str(tmp_path / "work"))
                 if arg != "--offline-tools"]
@@ -834,6 +882,13 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("hdlsmith: configuration error: general.num_candidates")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "grid, points", [("k=1;", [(1, 0)]), (" ; k=1,2 ;; d=3 ;", [(1, 3), (2, 3)]), ("", [(1, 0)])],
+        ids=["trailing", "blank and repeated", "empty"],
+    )
+    def test_grid_skips_empty_clauses(self, grid, points):
+        assert cli._parse_grid(grid) == points
 
     @pytest.mark.parametrize(
         "grid, detail",
