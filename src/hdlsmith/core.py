@@ -11,7 +11,7 @@ import re
 from dataclasses import dataclass, field
 from decimal import Decimal
 from enum import Enum
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 _IDENTIFIER_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
@@ -224,7 +224,7 @@ def best_candidate(candidates: Sequence[CandidateResponse]) -> CandidateResponse
 
 
 class LedgerEntry(NamedTuple):
-    """Billing record for one generated candidate."""
+    """Billing record for one paid reply."""
 
     depth: int
     index: int
@@ -256,6 +256,11 @@ class CostLedger:
             sum(e.usage.output_tokens for e in self.entries),
             cost,
         )
+
+
+def ledger_entries(candidates: Iterable[CandidateResponse], model_id: str) -> tuple[LedgerEntry, ...]:
+    """One billing record per candidate, in the order given."""
+    return tuple(LedgerEntry(c.depth, c.index, model_id, c.usage, c.cost_usd) for c in candidates)
 
 
 def compute_cost(usage: TokenUsage, model: ModelSpec) -> Decimal:
@@ -299,17 +304,32 @@ class DepthNode:
 
 @dataclass(frozen=True)
 class SearchTrace:
-    """The full tree produced by one search run."""
+    """The full tree produced by one search run.
+
+    ``unheld`` bills the paid replies that no node holds: those a call
+    delivered before a context overflow or a backend error ended it.
+    """
 
     nodes: tuple[DepthNode, ...]
     termination: Termination
-    ledger: CostLedger
+    unheld: tuple[LedgerEntry, ...] = field(default=(), kw_only=True)
     # The backend error's message for a BACKEND_ERROR termination; it says
     # why the search ended, not what it found, so equality ignores it.
-    backend_error: str | None = field(default=None, compare=False)
+    backend_error: str | None = field(default=None, compare=False, kw_only=True)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "nodes", tuple(self.nodes))
+        object.__setattr__(self, "unheld", tuple(self.unheld))
+
+    @property
+    def ledger(self) -> CostLedger:
+        """Every paid reply: the nodes' candidates and ``unheld``, by depth.
+
+        The sort is stable, so within a depth the unheld replies, paid for
+        before the call that gave the node its candidates, come first.
+        """
+        held = [e for node in self.nodes for e in ledger_entries(node.candidates, node.model_id)]
+        return CostLedger(tuple(sorted([*self.unheld, *held], key=lambda e: e.depth)))
 
     def upto(self, depth: int) -> "SearchTrace":
         """The trace a search with maximum depth ``depth`` would have produced.
@@ -328,9 +348,9 @@ class SearchTrace:
             len(self.nodes) == depth + 1 and termination is Termination.BACKEND_ERROR
         ):
             termination = Termination.MAX_DEPTH_REACHED
-        ledger = CostLedger(tuple(e for e in self.ledger.entries if e.depth <= depth))
+        unheld = tuple(e for e in self.unheld if e.depth <= depth)
         error = self.backend_error if termination is Termination.BACKEND_ERROR else None
-        return SearchTrace(nodes, termination, ledger, error)
+        return SearchTrace(nodes, termination, unheld=unheld, backend_error=error)
 
     def all_candidates(self) -> list[CandidateResponse]:
         return [c for node in self.nodes for c in node.candidates]

@@ -28,7 +28,6 @@ from .backends import (
 )
 from .core import (
     CandidateResponse,
-    CostLedger,
     DepthNode,
     DesignTask,
     EvalOutcome,
@@ -37,6 +36,7 @@ from .core import (
     SearchTrace,
     Termination,
     compute_cost,
+    ledger_entries,
 )
 from .prompts import (
     EMPTY_REPLY_PLACEHOLDER,
@@ -179,8 +179,9 @@ def run_search(
     the outdir keeps one ``response<i>`` folder per reply in the ledger and
     no other; a search that raises leaves its tree. A backend failure
     terminates the trace with partial results preserved and the error's
-    message in ``backend_error``, and the replies the failed depth already
-    paid for stay in the ledger; at most
+    message in ``backend_error``. A failed call's paid replies (a backend
+    error's, or a context overflow's before the failover) are the trace's
+    ``unheld`` entries, which its ledger counts; at most
     ``k * (d + 1)`` candidates are ever generated. A scheduled model whose
     family has no backend raises :class:`NoBackendError` before the first
     request, even one that no depth of this search reaches. With no
@@ -197,7 +198,7 @@ def run_search(
         evaluator = edatools.evaluate
     history = initial_conversation(task)
     nodes: list[DepthNode] = []
-    ledger_entries: list[LedgerEntry] = []
+    unheld: list[LedgerEntry] = []
     termination = Termination.MAX_DEPTH_REACHED
     backend_error = None
 
@@ -214,9 +215,10 @@ def run_search(
                 depth=depth,
             )
             candidates, error = _generate(backends[model.family], request, evaluate)
-            # Replies that a failed call delivered were paid for: they get
-            # ledger entries at this depth, but are not candidates.
-            ledger_entries.extend(_ledger_entries(candidates, model))
+            if error is not None:
+                # Replies that a failed call delivered were paid for, but no
+                # node holds them.
+                unheld.extend(ledger_entries(candidates, model.model_id))
             if not isinstance(error, ContextOverflowError):
                 break
         if error is not None:
@@ -234,9 +236,10 @@ def run_search(
             break
         history = next_conversation(history, chosen.raw_text or EMPTY_REPLY_PLACEHOLDER, chosen.outcome.feedback)
 
+    trace = SearchTrace(nodes, termination, unheld=tuple(unheld), backend_error=backend_error)
     # A reused outdir keeps the folders of an earlier, deeper or wider search.
-    _remove_stale_dirs(cfg.outdir, ledger_entries)
-    return SearchTrace(nodes, termination, CostLedger(tuple(ledger_entries)), backend_error)
+    _remove_stale_dirs(cfg.outdir, trace.ledger.entries)
+    return trace
 
 
 def numbered(parent: Path, prefix: str) -> list[tuple[int, Path]]:
@@ -312,10 +315,6 @@ def _evaluate_one(
     )
 
 
-def _ledger_entries(candidates: Iterable[CandidateResponse], model: ModelSpec) -> list[LedgerEntry]:
-    return [LedgerEntry(c.depth, c.index, model.model_id, c.usage, c.cost_usd) for c in candidates]
-
-
 def _generate(
     backend: Backend, request: GenerationRequest, evaluate: Callable[[int, Reply], CandidateResponse]
 ) -> tuple[list[CandidateResponse], BackendError | None]:
@@ -357,10 +356,10 @@ def _generate(
 def pass_at_budget(trace: SearchTrace) -> tuple[int, bool]:
     """Queries actually consumed and whether the search succeeded.
 
-    Every billed reply counts, including those of a depth whose backend call
-    failed, which are ledger entries without being candidates. The comparable
-    zero-shot budget for a ``(k, d)`` search is ``k * (d + 1)`` candidates;
-    traces that exit early consume fewer.
+    Every billed reply counts: the ledger holds a failed call's paid
+    replies as the trace's ``unheld`` entries, though they are not
+    candidates. The comparable zero-shot budget for a ``(k, d)`` search is
+    ``k * (d + 1)`` candidates; traces that exit early consume fewer.
     """
     used = len(trace.ledger.entries)
     return used, trace.termination is Termination.ALL_TESTS_PASSED

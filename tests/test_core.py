@@ -156,7 +156,7 @@ class TestDerivedChoice:
             )
             for depth, ranks in enumerate(ranks_per_depth)
         ]
-        trace = SearchTrace(nodes, Termination.MAX_DEPTH_REACHED, CostLedger())
+        trace = SearchTrace(nodes, Termination.MAX_DEPTH_REACHED)
         for node in trace.nodes:
             assert node.chosen is best_candidate(node.candidates)
             assert node.chosen_index == node.chosen.index
@@ -171,9 +171,71 @@ class TestDerivedChoice:
             DepthNode(0, "mock", "mock", ())
 
     def test_empty_trace_has_no_best(self):
-        trace = SearchTrace((), Termination.BACKEND_ERROR, CostLedger())
+        trace = SearchTrace((), Termination.BACKEND_ERROR)
         assert trace.best() is None
         assert trace.best_overall is None
+
+
+PRICED = ModelSpec("fam", "m", Decimal("0.15"), Decimal("0.60"), 128_000)
+
+
+def priced_node(depth: int, model_id: str, k: int, *, fallback: bool = False) -> DepthNode:
+    """A depth of k candidates, each with its own usage and cost."""
+    candidates = []
+    for index in range(k):
+        usage = TokenUsage(100 * depth + index + 1, 7 * index + 3)
+        candidates.append(make_candidate(depth=depth, index=index, usage=usage, cost=compute_cost(usage, PRICED)))
+    return DepthNode(depth, "fam", model_id, tuple(candidates), fallback)
+
+
+def unheld_entry(depth: int, index: int) -> LedgerEntry:
+    usage = TokenUsage(1000 * depth + index + 50, 11)
+    return LedgerEntry(depth, index, "m", usage, compute_cost(usage, PRICED))
+
+
+class TestDerivedLedger:
+    """A trace's ledger is its nodes' candidates plus the replies no node holds."""
+
+    @pytest.mark.parametrize(
+        "nodes, termination, unheld",
+        [
+            ((priced_node(0, "mini", 3), priced_node(1, "4o", 2)), Termination.MAX_DEPTH_REACHED, ()),
+            ((priced_node(0, "m", 2), priced_node(1, "m", 2, fallback=True), priced_node(2, "m", 2)),
+             Termination.MAX_DEPTH_REACHED, (unheld_entry(1, 0),)),
+            ((priced_node(0, "m", 3), priced_node(1, "m", 3)),
+             Termination.BACKEND_ERROR, (unheld_entry(2, 0), unheld_entry(2, 2))),
+            # A failover whose retry then failed: both calls' replies are unheld.
+            ((priced_node(0, "m", 2), priced_node(1, "m", 2, fallback=True)),
+             Termination.BACKEND_ERROR, (unheld_entry(1, 1), unheld_entry(2, 0), unheld_entry(2, 0))),
+            ((), Termination.BACKEND_ERROR, (unheld_entry(0, 1),)),
+        ],
+        ids=["nodes only", "context fallback", "backend error", "fallback and backend error", "no node"],
+    )
+    def test_ledger_is_derived(self, nodes, termination, unheld):
+        trace = SearchTrace(nodes, termination, unheld=unheld)
+        entries = trace.ledger.entries
+        held = sorted(
+            ((c.depth, c.index, node.model_id, c.usage, c.cost_usd) for node in nodes for c in node.candidates),
+            key=lambda e: e[:2],
+        )
+        assert [e.depth for e in entries] == sorted(e.depth for e in entries)
+        assert len(entries) == len(held) + len(unheld)
+        for depth in {e.depth for e in entries}:
+            first = [e for e in unheld if e.depth == depth]
+            rest = [e for e in held if e[0] == depth]
+            assert [e for e in entries if e.depth == depth] == first + rest
+        billed = [LedgerEntry(*e) for e in held] + list(unheld)
+        assert trace.ledger.totals == (
+            sum(e.usage.input_tokens for e in billed),
+            sum(e.usage.output_tokens for e in billed),
+            sum((e.cost_usd for e in billed), Decimal(0)),
+        )
+        for depth in range(4):
+            shallow = trace.upto(depth)
+            assert shallow.unheld == tuple(e for e in unheld if e.depth <= depth)
+            assert shallow.ledger.entries == tuple(e for e in entries if e.depth <= depth)
+        with pytest.raises(TypeError):
+            SearchTrace(nodes, termination, CostLedger())
 
 
 class TestTypeInvariants:

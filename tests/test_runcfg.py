@@ -17,7 +17,6 @@ from hdlsmith.backends import CommandBackend, MockBackend, lookup_model
 from hdlsmith.bench import ReportFormat, load_report, render_report
 from hdlsmith.cli import main as cli_main
 from hdlsmith.core import (
-    CostLedger,
     DepthNode,
     DesignTask,
     EvalOutcome,
@@ -415,11 +414,12 @@ class TestRunLogGrammar:
                 )
             )
         node = DepthNode(0, "ChatGPT", "gpt-4o-mini", tuple(candidates))
-        return SearchTrace((node,), Termination.MAX_DEPTH_REACHED, CostLedger())
+        return SearchTrace((node,), Termination.MAX_DEPTH_REACHED)
 
     def test_log_lines(self):
+        trace = self.make_trace()
         sink = io.StringIO()
-        write_run_log(self.make_trace(), sink)
+        write_run_log(trace, sink)
         lines = sink.getvalue().splitlines()
         assert lines[0] == "Iteration: 0"
         assert lines[1] == "Model type: ChatGPT"
@@ -432,11 +432,13 @@ class TestRunLogGrammar:
         assert "Cost for response 1: $0.0002832000" in lines
         assert "Response ranks: [0.010027057138309725, 0.010027057138309725]" in lines
         assert "Response lengths: [627, 1036]" in lines
+        # The ledger bills the candidates the log prints.
+        assert trace.ledger.totals.cost_usd == Decimal("0.0004872")
 
     def test_passing_candidate_label(self):
         outcome = EvalOutcome(OutcomeKind.SIMULATED, mismatches=0, samples=8)
         node = DepthNode(0, "mock", "mock", (make_candidate(outcome=outcome),))
-        trace = SearchTrace((node,), Termination.ALL_TESTS_PASSED, CostLedger())
+        trace = SearchTrace((node,), Termination.ALL_TESTS_PASSED)
         sink = io.StringIO()
         write_run_log(trace, sink)
         assert "Simulation passed" in sink.getvalue()
@@ -448,7 +450,7 @@ class TestRunLogGrammar:
             diagnosis="Simulation timed out after 60 seconds and was killed.",
         )
         node = DepthNode(0, "mock", "mock", (make_candidate(outcome=outcome),))
-        trace = SearchTrace((node,), Termination.MAX_DEPTH_REACHED, CostLedger())
+        trace = SearchTrace((node,), Termination.MAX_DEPTH_REACHED)
         sink = io.StringIO()
         write_run_log(trace, sink)
         assert "Simulation timed out after 60 seconds" in sink.getvalue()

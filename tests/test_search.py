@@ -34,6 +34,7 @@ from hdlsmith.core import (
     DesignTask,
     ModelSpec,
     OutcomeKind,
+    SearchTrace,
     Termination,
     TokenUsage,
     candidate_order_key,
@@ -1264,6 +1265,12 @@ class TestFaultMatrix:
         # Every 200 answer, and only those, is in the ledger (billed in input_tokens order).
         assert sorted((e.usage for e in trace.ledger.entries), key=lambda u: u.input_tokens) == transport.billed
         assert all(e.cost_usd == compute_cost(e.usage, model) for e in trace.ledger.entries)
+        # Only a failed call's replies are unheld: the first call of a window
+        # failover, or the call whose backend error ended the search.
+        fallbacks = {node.depth for node in trace.nodes if node.context_fallback}
+        failed = len(trace.nodes) if trace.termination is Termination.BACKEND_ERROR else None
+        assert all(e.depth in fallbacks or e.depth == failed for e in trace.unheld)
+        assert SearchTrace(trace.nodes, trace.termination, unheld=trace.unheld) == trace
         # A failed depth keeps the directories of the replies it paid for.
         shape = trace_shape(trace)
         assert scanned[:len(shape)] == shape
