@@ -32,7 +32,11 @@ class OutcomeKind(Enum):
 
 
 class Termination(Enum):
-    """Why a tree search stopped."""
+    """Why a tree search stopped, as :attr:`SearchTrace.termination` derives it.
+
+    ``ALL_TESTS_PASSED`` when the trace's best candidate has rank 1.0, else
+    ``BACKEND_ERROR`` when it holds a backend error, else ``MAX_DEPTH_REACHED``.
+    """
 
     ALL_TESTS_PASSED = "all_tests_passed"
     MAX_DEPTH_REACHED = "max_depth_reached"
@@ -308,18 +312,26 @@ class SearchTrace:
 
     ``unheld`` bills the paid replies that no node holds: those a call
     delivered before a context overflow or a backend error ended it.
+    ``backend_error`` is the message of the error that ended the search.
     """
 
     nodes: tuple[DepthNode, ...]
-    termination: Termination
     unheld: tuple[LedgerEntry, ...] = field(default=(), kw_only=True)
-    # The backend error's message for a BACKEND_ERROR termination; it says
-    # why the search ended, not what it found, so equality ignores it.
-    backend_error: str | None = field(default=None, compare=False, kw_only=True)
+    backend_error: str | None = field(default=None, kw_only=True)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "nodes", tuple(self.nodes))
         object.__setattr__(self, "unheld", tuple(self.unheld))
+
+    @property
+    def termination(self) -> Termination:
+        """Derived from :meth:`best` and ``backend_error``, as :class:`Termination` says."""
+        best = self.best()
+        if best is not None and best.rank.value == 1.0:
+            return Termination.ALL_TESTS_PASSED
+        if self.backend_error is not None:
+            return Termination.BACKEND_ERROR
+        return Termination.MAX_DEPTH_REACHED
 
     @property
     def ledger(self) -> CostLedger:
@@ -335,22 +347,15 @@ class SearchTrace:
         """The trace a search with maximum depth ``depth`` would have produced.
 
         Greedy search makes a shallower search the prefix of a deeper one, as
-        long as the schedule has no final-iteration model. A trace that went
-        on past ``depth``, or whose backend failed only after it, ends with
-        ``MAX_DEPTH_REACHED``; otherwise the termination is kept, and with it
-        any backend error's message.
+        long as the schedule has no final-iteration model. The backend error
+        is kept only when it ended the search before a node at ``depth``;
+        the termination then follows from the kept nodes and error.
         """
         if depth < 0:
             raise ValueError("depth must be non-negative")
-        nodes = self.nodes[: depth + 1]
-        termination = self.termination
-        if len(self.nodes) > depth + 1 or (
-            len(self.nodes) == depth + 1 and termination is Termination.BACKEND_ERROR
-        ):
-            termination = Termination.MAX_DEPTH_REACHED
         unheld = tuple(e for e in self.unheld if e.depth <= depth)
-        error = self.backend_error if termination is Termination.BACKEND_ERROR else None
-        return SearchTrace(nodes, termination, unheld=unheld, backend_error=error)
+        error = self.backend_error if len(self.nodes) <= depth else None
+        return SearchTrace(self.nodes[: depth + 1], unheld=unheld, backend_error=error)
 
     def all_candidates(self) -> list[CandidateResponse]:
         return [c for node in self.nodes for c in node.candidates]

@@ -199,7 +199,6 @@ def run_search(
     history = initial_conversation(task)
     nodes: list[DepthNode] = []
     unheld: list[LedgerEntry] = []
-    termination = Termination.MAX_DEPTH_REACHED
     backend_error = None
 
     for depth, model in enumerate(sched.models(cfg.max_depth)):
@@ -222,21 +221,18 @@ def run_search(
             if not isinstance(error, ContextOverflowError):
                 break
         if error is not None:
-            termination, backend_error = Termination.BACKEND_ERROR, str(error)
+            backend_error = str(error)
             break
 
         node = DepthNode(depth, model.family, model.model_id, tuple(candidates), fallback)
         nodes.append(node)
         chosen = node.chosen
 
-        if chosen.rank.value == 1.0:
-            termination = Termination.ALL_TESTS_PASSED
-            break
-        if depth == cfg.max_depth:
+        if chosen.rank.value == 1.0 or depth == cfg.max_depth:
             break
         history = next_conversation(history, chosen.raw_text or EMPTY_REPLY_PLACEHOLDER, chosen.outcome.feedback)
 
-    trace = SearchTrace(nodes, termination, unheld=tuple(unheld), backend_error=backend_error)
+    trace = SearchTrace(nodes, unheld=tuple(unheld), backend_error=backend_error)
     # A reused outdir keeps the folders of an earlier, deeper or wider search.
     _remove_stale_dirs(cfg.outdir, trace.ledger.entries)
     return trace

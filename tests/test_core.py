@@ -29,6 +29,7 @@ from hdlsmith.core import (
     format_usd,
     rank_outcome,
 )
+from hdlsmith.search import pass_at_budget
 
 from conftest import make_candidate, make_outcome
 
@@ -156,7 +157,7 @@ class TestDerivedChoice:
             )
             for depth, ranks in enumerate(ranks_per_depth)
         ]
-        trace = SearchTrace(nodes, Termination.MAX_DEPTH_REACHED)
+        trace = SearchTrace(nodes)
         for node in trace.nodes:
             assert node.chosen is best_candidate(node.candidates)
             assert node.chosen_index == node.chosen.index
@@ -171,9 +172,10 @@ class TestDerivedChoice:
             DepthNode(0, "mock", "mock", ())
 
     def test_empty_trace_has_no_best(self):
-        trace = SearchTrace((), Termination.BACKEND_ERROR)
+        trace = SearchTrace((), backend_error="server error 503")
         assert trace.best() is None
         assert trace.best_overall is None
+        assert trace.termination is Termination.BACKEND_ERROR
 
 
 PRICED = ModelSpec("fam", "m", Decimal("0.15"), Decimal("0.60"), 128_000)
@@ -212,7 +214,9 @@ class TestDerivedLedger:
         ids=["nodes only", "context fallback", "backend error", "fallback and backend error", "no node"],
     )
     def test_ledger_is_derived(self, nodes, termination, unheld):
-        trace = SearchTrace(nodes, termination, unheld=unheld)
+        error = "server error 503" if termination is Termination.BACKEND_ERROR else None
+        trace = SearchTrace(nodes, unheld=unheld, backend_error=error)
+        assert trace.termination is termination
         entries = trace.ledger.entries
         held = sorted(
             ((c.depth, c.index, node.model_id, c.usage, c.cost_usd) for node in nodes for c in node.candidates),
@@ -236,6 +240,54 @@ class TestDerivedLedger:
             assert shallow.ledger.entries == tuple(e for e in entries if e.depth <= depth)
         with pytest.raises(TypeError):
             SearchTrace(nodes, termination, CostLedger())
+        with pytest.raises(TypeError):
+            SearchTrace(nodes, termination)
+
+
+MISSES = st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.25, 0.5])
+
+
+@st.composite
+def searched_ranks(draw):
+    """Ranks per depth as a search leaves them: 1.0 only at the last depth."""
+    ranks = draw(st.lists(st.lists(MISSES, min_size=1, max_size=4), max_size=4))
+    if ranks:
+        ranks[-1] = draw(st.lists(TestDerivedChoice.ranks, min_size=1, max_size=4))
+    return ranks
+
+
+def stored_upto_termination(termination: Termination, depths: int, depth: int) -> Termination:
+    """The termination ``upto(depth)`` gave while a trace stored its own."""
+    if depths > depth + 1 or (depths == depth + 1 and termination is Termination.BACKEND_ERROR):
+        return Termination.MAX_DEPTH_REACHED
+    return termination
+
+
+class TestDerivedTermination:
+    """A trace's termination is derived from its best candidate and its backend error."""
+
+    @given(searched_ranks(), st.none() | st.text(max_size=12))
+    def test_termination_follows_the_trace(self, ranks_per_depth, error):
+        nodes = [
+            DepthNode(depth, "mock", "mock",
+                      tuple(make_candidate(rank, depth=depth, index=index) for index, rank in enumerate(ranks)))
+            for depth, ranks in enumerate(ranks_per_depth)
+        ]
+        trace = SearchTrace(nodes, backend_error=error)
+        best = trace.best()
+        passed = best is not None and best.rank.value == 1.0
+        if passed:
+            assert trace.termination is Termination.ALL_TESTS_PASSED
+        elif error is not None:
+            assert trace.termination is Termination.BACKEND_ERROR
+        else:
+            assert trace.termination is Termination.MAX_DEPTH_REACHED
+        assert pass_at_budget(trace)[1] is passed
+        for depth in range(len(nodes) + 2):
+            shallow = trace.upto(depth)
+            # The error ended the search at depth len(nodes).
+            assert shallow.backend_error == (error if len(nodes) <= depth else None)
+            assert shallow.termination is stored_upto_termination(trace.termination, len(nodes), depth)
 
 
 class TestTypeInvariants:

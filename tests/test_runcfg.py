@@ -414,7 +414,7 @@ class TestRunLogGrammar:
                 )
             )
         node = DepthNode(0, "ChatGPT", "gpt-4o-mini", tuple(candidates))
-        return SearchTrace((node,), Termination.MAX_DEPTH_REACHED)
+        return SearchTrace((node,))
 
     def test_log_lines(self):
         trace = self.make_trace()
@@ -438,7 +438,7 @@ class TestRunLogGrammar:
     def test_passing_candidate_label(self):
         outcome = EvalOutcome(OutcomeKind.SIMULATED, mismatches=0, samples=8)
         node = DepthNode(0, "mock", "mock", (make_candidate(outcome=outcome),))
-        trace = SearchTrace((node,), Termination.ALL_TESTS_PASSED)
+        trace = SearchTrace((node,))
         sink = io.StringIO()
         write_run_log(trace, sink)
         assert "Simulation passed" in sink.getvalue()
@@ -450,7 +450,7 @@ class TestRunLogGrammar:
             diagnosis="Simulation timed out after 60 seconds and was killed.",
         )
         node = DepthNode(0, "mock", "mock", (make_candidate(outcome=outcome),))
-        trace = SearchTrace((node,), Termination.MAX_DEPTH_REACHED)
+        trace = SearchTrace((node,))
         sink = io.StringIO()
         write_run_log(trace, sink)
         assert "Simulation timed out after 60 seconds" in sink.getvalue()

@@ -1059,7 +1059,10 @@ class TestPaidReplies:
         assert trace.backend_error.startswith("server error 503")
         assert trace.upto(1).backend_error == trace.backend_error
         assert trace.upto(0).backend_error is None
-        assert replace(trace, backend_error=None) == trace
+        # The error decides the termination, so a trace without it differs.
+        cleared = replace(trace, backend_error=None)
+        assert cleared.termination is Termination.MAX_DEPTH_REACHED
+        assert cleared != trace
 
 
 class TestReusedOutdir:
@@ -1270,7 +1273,7 @@ class TestFaultMatrix:
         fallbacks = {node.depth for node in trace.nodes if node.context_fallback}
         failed = len(trace.nodes) if trace.termination is Termination.BACKEND_ERROR else None
         assert all(e.depth in fallbacks or e.depth == failed for e in trace.unheld)
-        assert SearchTrace(trace.nodes, trace.termination, unheld=trace.unheld) == trace
+        assert SearchTrace(trace.nodes, unheld=trace.unheld, backend_error=trace.backend_error) == trace
         # A failed depth keeps the directories of the replies it paid for.
         shape = trace_shape(trace)
         assert scanned[:len(shape)] == shape
