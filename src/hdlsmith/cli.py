@@ -17,7 +17,6 @@ from .backends import (
 from .core import Termination, format_usd
 from .edatools import ToolIoError, ToolNotFoundError
 from .faketools import offline_evaluate
-from .prompts import FeedbackMode
 from .search import ModelSchedule, NoBackendError
 
 
@@ -38,15 +37,17 @@ def _registry_with_backend(spec: str | None):
 
 def _parse_grid(raw: str) -> list[tuple[int, int]]:
     # "k=1,5;d=0,1,5,10" expands to the cartesian product of the two axes.
-    axes = {"k": [1], "d": [0]}
+    axes: dict[str, list[int]] = {}
     for clause in raw.split(";"):
         clause = clause.strip()
         if not clause:
             continue
         key, _, values = clause.partition("=")
         key = key.strip()
-        if key not in axes or not values:
+        if key not in ("k", "d") or not values:
             raise runcfg.ConfigError("--grid", f"bad clause {clause!r}; expected k=... or d=...")
+        if key in axes:
+            raise runcfg.ConfigError("--grid", f"{clause!r}: {key} is given twice")
         try:
             axes[key] = [int(v) for v in values.split(",")]
         except ValueError:
@@ -54,7 +55,7 @@ def _parse_grid(raw: str) -> list[tuple[int, int]]:
         lowest = 1 if key == "k" else 0  # k candidates per depth, d repair depths
         if min(axes[key]) < lowest:
             raise runcfg.ConfigError("--grid", f"{clause!r}: {key} must be at least {lowest}")
-    return [(k, d) for k in axes["k"] for d in axes["d"]]
+    return [(k, d) for k in axes.get("k", [1]) for d in axes.get("d", [0])]
 
 
 def _parse_model(spec: str, flag: str):
@@ -90,7 +91,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         EmptySuiteError, GridPoint, ReportFormat, export_report, load_suite, run_suite, success_percent,
     )
 
-    mode = FeedbackMode.SUCCINCT if args.mode == "succinct" else FeedbackMode.FULL_CONTEXT
+    mode = runcfg.parse_mode(args.mode, "--mode")
     grid = [GridPoint(k, d, mode) for k, d in _parse_grid(args.grid)]
     if args.parallel < 1:
         raise runcfg.ConfigError("--parallel", f"{args.parallel}: must be at least 1")
@@ -165,7 +166,10 @@ def main(argv: list[str] | None = None) -> int:
     bench_p = sub.add_parser("bench", help="run a benchmark suite over a parameter grid")
     bench_p.add_argument("--suite", required=True, help="suite directory")
     bench_p.add_argument("--grid", default="k=1;d=0", help='e.g. "k=1,5;d=0,1,5,10"')
-    bench_p.add_argument("--mode", choices=["succinct", "full"], default="succinct")
+    bench_p.add_argument(
+        "--mode", default="succinct",
+        help=f"feedback mode: {', '.join(runcfg.MODE_SPELLINGS)}, in any case (default: succinct)",
+    )
     bench_p.add_argument("--out", required=True, help="report file: CSV for a .csv suffix, else JSON")
     bench_p.add_argument("--model", default=f"{MOCK_FAMILY}:mock", metavar="FAMILY:ID")
     bench_p.add_argument("--final-model", default=None, metavar="FAMILY:ID")

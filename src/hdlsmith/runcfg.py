@@ -33,27 +33,11 @@ _FINAL_ITERATION = -1  # the start_iteration that marks the final-iteration mode
 
 
 class ConfigError(Exception):
-    """Configuration problem; carries the offending key path."""
+    """The one error for a bad config value or CLI flag; carries its key path."""
 
     def __init__(self, key_path: str, detail: str = ""):
         self.key_path = key_path
         super().__init__(f"{key_path}: {detail}" if detail else key_path)
-
-
-class MissingKeyError(ConfigError):
-    pass
-
-
-class TypeMismatchError(ConfigError):
-    pass
-
-
-class InvalidScheduleError(ConfigError):
-    pass
-
-
-class MissingFileError(ConfigError):
-    pass
 
 
 _KNOWN_GENERAL_KEYS = {
@@ -97,36 +81,40 @@ class RunConfig:
 
 def _require(mapping: Mapping, key: str, path: str):
     if key not in mapping:
-        raise MissingKeyError(f"{path}.{key}", "required key is missing")
+        raise ConfigError(f"{path}.{key}", "required key is missing")
     return mapping[key]
 
 
 def _require_str(mapping: Mapping, key: str, path: str) -> str:
     value = _require(mapping, key, path)
     if not isinstance(value, str) or not value:
-        raise TypeMismatchError(f"{path}.{key}", "expected a non-empty string")
+        raise ConfigError(f"{path}.{key}", "expected a non-empty string")
     return value
 
 
 def _require_int(mapping: Mapping, key: str, path: str, minimum: int) -> int:
     value = _require(mapping, key, path)
     if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeMismatchError(f"{path}.{key}", "expected an integer")
+        raise ConfigError(f"{path}.{key}", "expected an integer")
     if value < minimum:
-        raise TypeMismatchError(f"{path}.{key}", f"must be at least {minimum}")
+        raise ConfigError(f"{path}.{key}", f"must be at least {minimum}")
     return value
 
 
-def _parse_mode(value: object, path: str) -> FeedbackMode:
-    aliases = {
-        "succinct": FeedbackMode.SUCCINCT,
-        "full": FeedbackMode.FULL_CONTEXT,
-        "full_context": FeedbackMode.FULL_CONTEXT,
-        "full-context": FeedbackMode.FULL_CONTEXT,
-    }
-    if not isinstance(value, str) or value.lower() not in aliases:
-        raise TypeMismatchError(path, "expected 'succinct' or 'full_context'")
-    return aliases[value.lower()]
+# The one table of a feedback mode's spellings, read in any case.
+MODE_SPELLINGS = {
+    "succinct": FeedbackMode.SUCCINCT,
+    "full": FeedbackMode.FULL_CONTEXT,
+    "full_context": FeedbackMode.FULL_CONTEXT,
+    "full-context": FeedbackMode.FULL_CONTEXT,
+}
+
+
+def parse_mode(value: object, path: str) -> FeedbackMode:
+    """Read a config's ``feedback_mode`` or ``bench --mode``; ``path`` names it in the error."""
+    if not isinstance(value, str) or value.lower() not in MODE_SPELLINGS:
+        raise ConfigError(path, "expected 'succinct' or 'full_context'")
+    return MODE_SPELLINGS[value.lower()]
 
 
 def load_config(path: str | Path, overrides: Sequence[str] = ()) -> RunConfig:
@@ -141,9 +129,9 @@ def load_config(path: str | Path, overrides: Sequence[str] = ()) -> RunConfig:
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
-        raise MissingFileError(str(path), str(exc)) from exc
+        raise ConfigError(str(path), str(exc)) from exc
     except ValueError as exc:  # invalid JSON, or bytes that are not UTF-8
-        raise TypeMismatchError(str(path), f"not valid JSON: {exc}") from exc
+        raise ConfigError(str(path), f"not valid JSON: {exc}") from exc
     return parse_config(_apply_overrides(raw, overrides), base_dir=path.parent)
 
 
@@ -151,7 +139,7 @@ def _parse_override(raw: str) -> tuple[list[str], object]:
     # The value is JSON when it parses as JSON and a plain string otherwise.
     key, sep, value = raw.partition("=")
     if not sep or not key:
-        raise TypeMismatchError(key or raw, "override must look like key.path=value")
+        raise ConfigError(key or raw, "override must look like key.path=value")
     try:
         parsed = json.loads(value)
     except json.JSONDecodeError:
@@ -166,7 +154,7 @@ def _apply_overrides(document: object, overrides: Sequence[str]) -> object:
         for depth, part in enumerate(path):
             if not isinstance(node, dict):
                 key_path = ".".join(path[:depth]) or "<root>"
-                raise TypeMismatchError(key_path, "expected a JSON object")
+                raise ConfigError(key_path, "expected a JSON object")
             if depth == len(path) - 1:
                 node[part] = value
             else:
@@ -177,13 +165,13 @@ def _apply_overrides(document: object, overrides: Sequence[str]) -> object:
 def parse_config(raw: object, base_dir: Path) -> RunConfig:
     """Validate an already-parsed configuration document; its paths are relative to ``base_dir``."""
     if not isinstance(raw, dict):
-        raise TypeMismatchError("<root>", "expected a JSON object")
+        raise ConfigError("<root>", "expected a JSON object")
     for key in raw:
         if key not in ("general", "mixed-model"):
             warnings.warn(f"unknown configuration key: {key}", stacklevel=2)
     general = _require(raw, "general", "<root>")
     if not isinstance(general, dict):
-        raise TypeMismatchError("general", "expected a JSON object")
+        raise ConfigError("general", "expected a JSON object")
     for key in general:
         if key not in _KNOWN_GENERAL_KEYS:
             warnings.warn(f"unknown configuration key: general.{key}", stacklevel=2)
@@ -192,7 +180,7 @@ def parse_config(raw: object, base_dir: Path) -> RunConfig:
 
     mixed_flag = general.get("mixed-model", False)
     if not isinstance(mixed_flag, bool):
-        raise TypeMismatchError("general.mixed-model", "expected a boolean")
+        raise ConfigError("general.mixed-model", "expected a boolean")
 
     entries = _parse_schedule_entries(raw.get("mixed-model"))
 
@@ -200,13 +188,13 @@ def parse_config(raw: object, base_dir: Path) -> RunConfig:
     sim_timeout = general.get("sim_timeout", DEFAULT_SIM_TIMEOUT)
     is_number = isinstance(sim_timeout, (int, float)) and not isinstance(sim_timeout, bool)
     if not is_number or not math.isfinite(sim_timeout) or sim_timeout <= 0:
-        raise TypeMismatchError("general.sim_timeout", "expected a positive finite number")
+        raise ConfigError("general.sim_timeout", "expected a positive finite number")
 
     name = _require_str(general, "name", "general")
     try:
         task = DesignTask(name, prompt_text, testbench_text)
     except ValueError as exc:  # the texts are non-empty, so the name is at fault
-        raise TypeMismatchError("general.name", str(exc)) from None
+        raise ConfigError("general.name", str(exc)) from None
     family = _require_str(general, "model_family", "general")
     model = lookup_model(_require_str(general, "model_id", "general"), family)
     return RunConfig(
@@ -216,7 +204,7 @@ def parse_config(raw: object, base_dir: Path) -> RunConfig:
         outdir=base_dir / _require_str(general, "outdir", "general"),
         log=Path(_require_str(general, "log", "general")),
         mixed_model=mixed_flag,
-        feedback_mode=_parse_mode(mode, "general.feedback_mode"),
+        feedback_mode=parse_mode(mode, "general.feedback_mode"),
         sim_timeout=float(sim_timeout),
         # Last: the schedule rules are checked after every key is read.
         schedule=_active_schedule(mixed_flag, entries, model),
@@ -226,13 +214,13 @@ def parse_config(raw: object, base_dir: Path) -> RunConfig:
 def _read_task_file(general: Mapping, key: str, base_dir: Path) -> str:
     file = base_dir / _require_str(general, key, "general")
     if not file.is_file():
-        raise MissingFileError(f"general.{key}", f"file not found: {file}")
+        raise ConfigError(f"general.{key}", f"file not found: {file}")
     try:
         text = file.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
-        raise TypeMismatchError(f"general.{key}", f"{file} is not UTF-8 text: {exc}") from None
+        raise ConfigError(f"general.{key}", f"{file} is not UTF-8 text: {exc}") from None
     if not text:
-        raise TypeMismatchError(f"general.{key}", f"file is empty: {file}")
+        raise ConfigError(f"general.{key}", f"file is empty: {file}")
     return text
 
 
@@ -244,29 +232,29 @@ def _active_schedule(
     staged = tuple(e for e in entries if e.start_iteration != _FINAL_ITERATION)
     finals = [e.model for e in entries if e.start_iteration == _FINAL_ITERATION]
     if len(finals) > 1:
-        raise InvalidScheduleError("mixed-model", "at most one final-iteration entry is allowed")
+        raise ConfigError("mixed-model", "at most one final-iteration entry is allowed")
     # ModelSchedule holds the other schedule invariants.
     try:
         return ModelSchedule(staged, *finals)
     except ValueError as exc:
-        raise InvalidScheduleError("mixed-model", str(exc)) from exc
+        raise ConfigError("mixed-model", str(exc)) from exc
 
 
 def _parse_schedule_entries(section: object) -> tuple[ScheduleEntry, ...]:
     if section is None:
         return ()
     if not isinstance(section, dict):
-        raise TypeMismatchError("mixed-model", "expected a JSON object of entries")
+        raise ConfigError("mixed-model", "expected a JSON object of entries")
     entries = []
     for name, entry in section.items():
         path = f"mixed-model.{name}"
         if not isinstance(entry, dict):
-            raise TypeMismatchError(path, "expected a JSON object")
+            raise ConfigError(path, "expected a JSON object")
         start = _require(entry, "start_iteration", path)
         if isinstance(start, bool) or not isinstance(start, int):
-            raise TypeMismatchError(f"{path}.start_iteration", "expected an integer")
+            raise ConfigError(f"{path}.start_iteration", "expected an integer")
         if start < _FINAL_ITERATION:
-            raise InvalidScheduleError(
+            raise ConfigError(
                 f"{path}.start_iteration", "must be >= 0, or -1 for the final iteration"
             )
         family = _require_str(entry, "model_family", path)

@@ -32,10 +32,6 @@ from hdlsmith.prompts import FeedbackMode
 from hdlsmith.search import ModelSchedule
 from hdlsmith.runcfg import (
     ConfigError,
-    InvalidScheduleError,
-    MissingFileError,
-    MissingKeyError,
-    TypeMismatchError,
     execute_run,
     load_config,
     write_run_log,
@@ -77,6 +73,112 @@ def write_config(tmp_path: Path, document: dict | None = None) -> Path:
     return path
 
 
+def edited_config(edit):
+    """A preparer that writes the example config after ``edit(document)``."""
+    def prepare(tmp_path: Path) -> Path:
+        document = json.loads(json.dumps(EXAMPLE_CONFIG))
+        edit(document)
+        return write_config(tmp_path, document)
+    return prepare
+
+
+def config_with_bytes(name: str, content: bytes):
+    """A preparer that writes the example config, then ``content`` to ``name``."""
+    def prepare(tmp_path: Path) -> Path:
+        path = write_config(tmp_path)
+        (tmp_path / name).write_bytes(content)
+        return path
+    return prepare
+
+
+def deleted(*keys):
+    return edited_config(lambda document: [document["general"].pop(key) for key in keys])
+
+
+def without_prompt_file(tmp_path: Path) -> Path:
+    path = write_config(tmp_path)
+    (tmp_path / "design_prompt.sv").unlink()
+    return path
+
+
+# Every config-failure input of this file's tests, with the key path and the
+# message its ConfigError carries; "{tmp}" stands for the config's directory.
+NOT_UTF8 = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+NOT_POSITIVE = "general.sim_timeout: expected a positive finite number"
+CONFIG_FAILURES = [
+    ("missing config", lambda tmp_path: tmp_path / "missing.json", [], "{tmp}/missing.json",
+     "{tmp}/missing.json: [Errno 2] No such file or directory: '{tmp}/missing.json'"),
+    ("invalid json", config_with_bytes("config.json", b"{not json"), [], "{tmp}/config.json",
+     "{tmp}/config.json: not valid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    ("config not utf8", config_with_bytes("config.json", b"\xff" + json.dumps(EXAMPLE_CONFIG).encode()), [],
+     "{tmp}/config.json", f"{{tmp}}/config.json: not valid JSON: {NOT_UTF8}"),
+    ("root", lambda tmp_path: write_config(tmp_path, []), [], "<root>", "<root>: expected a JSON object"),
+    ("general", write_config, ["general=[]"], "general", "general: expected a JSON object"),
+    ("missing testbench key", deleted("testbench"), [], "general.testbench",
+     "general.testbench: required key is missing"),
+    ("missing prompt file", without_prompt_file, [], "general.prompt",
+     "general.prompt: file not found: {tmp}/design_prompt.sv"),
+    ("empty prompt", config_with_bytes("design_prompt.sv", b""), [], "general.prompt",
+     "general.prompt: file is empty: {tmp}/design_prompt.sv"),
+    ("empty testbench", config_with_bytes("testbench.sv", b""), [], "general.testbench",
+     "general.testbench: file is empty: {tmp}/testbench.sv"),
+    ("undecodable prompt", config_with_bytes("design_prompt.sv", b"// caf\xe9"), [], "general.prompt",
+     "general.prompt: {tmp}/design_prompt.sv is not UTF-8 text: "
+     "'utf-8' codec can't decode byte 0xe9 in position 6: unexpected end of data"),
+    ("undecodable testbench", config_with_bytes("testbench.sv", b"\xff"), [], "general.testbench",
+     f"general.testbench: {{tmp}}/testbench.sv is not UTF-8 text: {NOT_UTF8}"),
+    *((f"name {name}", write_config, [f"general.name={name}"], "general.name",
+       f"general.name: task name {name!r} is not a legal HDL identifier")
+      for name in ("bad-name", "9lives", "two words")),
+    ("negative iterations", edited_config(lambda document: document["general"].update(iterations=-3)), [],
+     "general.iterations", "general.iterations: must be at least 0"),
+    ("zero candidates", edited_config(lambda document: document["general"].update(num_candidates=0)), [],
+     "general.num_candidates", "general.num_candidates: must be at least 1"),
+    ("non-integer candidates", write_config, ["general.num_candidates=two"], "general.num_candidates",
+     "general.num_candidates: expected an integer"),
+    ("override without =", write_config, ["general.num_candidates"], "general.num_candidates",
+     "general.num_candidates: override must look like key.path=value"),
+    ("override below a string", write_config, ["general.name.first=x"], "general.name",
+     "general.name: expected a JSON object"),
+    ("non-string", write_config, ["general.model_id=3"], "general.model_id",
+     "general.model_id: expected a non-empty string"),
+    ("empty string", write_config, ['general.outdir=""'], "general.outdir",
+     "general.outdir: expected a non-empty string"),
+    ("mode", write_config, ["general.feedback_mode=verbose"], "general.feedback_mode",
+     "general.feedback_mode: expected 'succinct' or 'full_context'"),
+    ("mixed-model flag", write_config, ["general.mixed-model=1"], "general.mixed-model",
+     "general.mixed-model: expected a boolean"),
+    ("mixed-model section", write_config, ["mixed-model=[]"], "mixed-model",
+     "mixed-model: expected a JSON object of entries"),
+    ("mixed-model entry", write_config, ["mixed-model.model1=3"], "mixed-model.model1",
+     "mixed-model.model1: expected a JSON object"),
+    ("start_iteration type", write_config, ["mixed-model.model2.start_iteration=1.5"],
+     "mixed-model.model2.start_iteration", "mixed-model.model2.start_iteration: expected an integer"),
+    ("start_iteration below -1", write_config, ["mixed-model.model2.start_iteration=-2"],
+     "mixed-model.model2.start_iteration",
+     "mixed-model.model2.start_iteration: must be >= 0, or -1 for the final iteration"),
+    ("no 0 entry", write_config, ["general.mixed-model=true", "mixed-model.model1.start_iteration=1"],
+     "mixed-model", "mixed-model: a schedule needs an entry starting at iteration 0"),
+    ("duplicate 0", write_config, ["general.mixed-model=true", "mixed-model.model2.start_iteration=0"],
+     "mixed-model", "mixed-model: start iterations must be distinct"),
+    ("second sentinel", write_config,
+     ["general.mixed-model=true",
+      'mixed-model.model3={"start_iteration": -1, "model_family": "ChatGPT", "model_id": "x"}'],
+     "mixed-model", "mixed-model: at most one final-iteration entry is allowed"),
+    ("first fault: name", deleted("name"), ["general.mixed-model=true", "mixed-model.model1.start_iteration=1"],
+     "general.name", "general.name: required key is missing"),
+    ("first fault: sim_timeout", deleted("model_id"), ["general.sim_timeout=0"], "general.sim_timeout",
+     NOT_POSITIVE),
+    ("first fault: model_family", deleted("model_family", "model_id"), [], "general.model_family",
+     "general.model_family: required key is missing"),
+    *((f"sim_timeout override {text}", write_config, [f"general.sim_timeout={text}"], "general.sim_timeout",
+       NOT_POSITIVE) for text in ("0", "-1", "true", '"x"', "NaN", "Infinity")),
+    *((f"sim_timeout {text}", edited_config(lambda document, text=text: document["general"].update(
+        sim_timeout=json.loads(text))), [], "general.sim_timeout", NOT_POSITIVE)
+      for text in ("0", "-1", "true", '"x"', "NaN", "Infinity")),
+]
+
+
 class TestLoadConfig:
     def test_published_shape_parses(self, tmp_path):
         cfg = load_config(write_config(tmp_path))
@@ -91,7 +193,7 @@ class TestLoadConfig:
         schedule = load_config(path, ["general.mixed-model=true"]).schedule
         assert [(e.start_iteration, e.model.model_id) for e in schedule.entries] == [(0, "gpt-4o-mini")]
         assert schedule.final.model_id == "gpt-4o"
-        with pytest.raises(InvalidScheduleError) as excinfo:
+        with pytest.raises(ConfigError) as excinfo:
             load_config(path, ["mixed-model.model2.start_iteration=-2"])
         assert excinfo.value.key_path == "mixed-model.model2.start_iteration"
 
@@ -104,27 +206,28 @@ class TestLoadConfig:
     def test_missing_testbench_key(self, tmp_path):
         document = json.loads(json.dumps(EXAMPLE_CONFIG))
         del document["general"]["testbench"]
-        with pytest.raises(MissingKeyError) as excinfo:
+        with pytest.raises(ConfigError) as excinfo:
             load_config(write_config(tmp_path, document))
         assert excinfo.value.key_path == "general.testbench"
 
     def test_negative_iterations(self, tmp_path):
         document = json.loads(json.dumps(EXAMPLE_CONFIG))
         document["general"]["iterations"] = -3
-        with pytest.raises(TypeMismatchError) as excinfo:
+        with pytest.raises(ConfigError) as excinfo:
             load_config(write_config(tmp_path, document))
         assert excinfo.value.key_path == "general.iterations"
 
     def test_zero_candidates(self, tmp_path):
         document = json.loads(json.dumps(EXAMPLE_CONFIG))
         document["general"]["num_candidates"] = 0
-        with pytest.raises(TypeMismatchError):
+        with pytest.raises(ConfigError) as excinfo:
             load_config(write_config(tmp_path, document))
+        assert excinfo.value.key_path == "general.num_candidates"
 
     def test_missing_prompt_file(self, tmp_path):
         path = write_config(tmp_path)
         (tmp_path / "design_prompt.sv").unlink()
-        with pytest.raises(MissingFileError) as excinfo:
+        with pytest.raises(ConfigError) as excinfo:
             load_config(path)
         assert excinfo.value.key_path == "general.prompt"
 
@@ -146,13 +249,13 @@ class TestLoadConfig:
     def test_empty_or_undecodable_task_file_names_its_key(self, tmp_path, key, content):
         path = write_config(tmp_path)
         (tmp_path / EXAMPLE_CONFIG["general"][key]).write_bytes(content)
-        with pytest.raises(TypeMismatchError) as excinfo:
+        with pytest.raises(ConfigError) as excinfo:
             load_config(path)
         assert excinfo.value.key_path == f"general.{key}"
 
     @pytest.mark.parametrize("name", ["bad-name", "9lives", "two words"])
     def test_name_must_be_an_hdl_identifier(self, tmp_path, name):
-        with pytest.raises(TypeMismatchError) as excinfo:
+        with pytest.raises(ConfigError) as excinfo:
             load_config(write_config(tmp_path), [f"general.name={name}"])
         assert excinfo.value.key_path == "general.name"
         assert str(excinfo.value) == f"general.name: task name {name!r} is not a legal HDL identifier"
@@ -160,7 +263,7 @@ class TestLoadConfig:
     def test_config_file_that_is_not_utf8_is_config_error(self, tmp_path):
         path = write_config(tmp_path)
         path.write_bytes(b"\xff" + path.read_bytes())
-        with pytest.raises(TypeMismatchError) as excinfo:
+        with pytest.raises(ConfigError) as excinfo:
             load_config(path)
         assert excinfo.value.key_path == str(path)
 
@@ -192,7 +295,7 @@ class TestLoadConfig:
              "mixed-model section", "mixed-model entry", "start_iteration"],
     )
     def test_wrong_type_names_its_key(self, tmp_path, document, overrides, key_path):
-        with pytest.raises(TypeMismatchError) as excinfo:
+        with pytest.raises(ConfigError) as excinfo:
             load_config(write_config(tmp_path, document), overrides)
         assert excinfo.value.key_path == key_path
 
@@ -210,7 +313,7 @@ class TestLoadConfig:
         document = json.loads(json.dumps(EXAMPLE_CONFIG))
         document["general"]["mixed-model"] = True
         mutate(document["mixed-model"])
-        with pytest.raises(InvalidScheduleError) as excinfo:
+        with pytest.raises(ConfigError) as excinfo:
             load_config(write_config(tmp_path, document))
         assert excinfo.value.key_path == "mixed-model"
 
@@ -241,18 +344,19 @@ class TestLoadConfig:
     def test_invalid_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
-        with pytest.raises(TypeMismatchError):
+        with pytest.raises(ConfigError) as excinfo:
             load_config(path)
+        assert excinfo.value.key_path == str(path)
 
     @pytest.mark.parametrize("text", ["0", "-1", "true", '"x"', "NaN", "Infinity"])
     def test_sim_timeout_must_be_a_positive_finite_number(self, tmp_path, text):
         # Python's json reads NaN and Infinity, in the file and in an override.
         document = json.loads(json.dumps(EXAMPLE_CONFIG))
         document["general"]["sim_timeout"] = json.loads(text)
-        with pytest.raises(TypeMismatchError) as excinfo:
+        with pytest.raises(ConfigError) as excinfo:
             load_config(write_config(tmp_path, document))
         assert excinfo.value.key_path == "general.sim_timeout"
-        with pytest.raises(TypeMismatchError) as excinfo:
+        with pytest.raises(ConfigError) as excinfo:
             load_config(write_config(tmp_path), [f"general.sim_timeout={text}"])
         assert excinfo.value.key_path == "general.sim_timeout"
 
@@ -261,18 +365,31 @@ class TestLoadConfig:
         cfg = load_config(path, ["general.num_candidates=2", "general.model_id=mock"])
         assert cfg.num_candidates == 2
         assert cfg.schedule.entries[0].model.model_id == "mock"
-        with pytest.raises(TypeMismatchError) as excinfo:
+        with pytest.raises(ConfigError) as excinfo:
             load_config(path, ["general.num_candidates=two"])
         assert excinfo.value.key_path == "general.num_candidates"
 
     def test_malformed_override_is_config_error(self, tmp_path):
         path = write_config(tmp_path)
-        with pytest.raises(TypeMismatchError) as excinfo:
+        with pytest.raises(ConfigError) as excinfo:
             load_config(path, ["general.num_candidates"])
         assert excinfo.value.key_path == "general.num_candidates"
-        with pytest.raises(TypeMismatchError) as excinfo:
+        with pytest.raises(ConfigError) as excinfo:
             load_config(path, ["general.name.first=x"])
         assert excinfo.value.key_path == "general.name"
+
+    @pytest.mark.parametrize("prepare, overrides, key_path, message",
+                             [case[1:] for case in CONFIG_FAILURES], ids=[case[0] for case in CONFIG_FAILURES])
+    def test_config_error_key_path_and_message(self, tmp_path, capsys, prepare, overrides, key_path, message):
+        # load_config and `hdlsmith run` report the same key path and message.
+        path = prepare(tmp_path)
+        key_path, message = (text.replace("{tmp}", str(tmp_path)) for text in (key_path, message))
+        with pytest.raises(ConfigError) as excinfo:
+            load_config(path, overrides)
+        assert (excinfo.value.key_path, str(excinfo.value)) == (key_path, message)
+        flags = [arg for override in overrides for arg in ("--override", override)]
+        assert cli_main(["run", "--config", str(path), *flags]) == 2
+        assert capsys.readouterr() == ("", f"hdlsmith: configuration error: {message}\n")
 
 
 class TestCliInputBytes:
@@ -900,6 +1017,7 @@ class TestCli:
             ("k=0", "'k=0': k must be at least 1"),
             ("k=1;d=0,-1", "'d=0,-1': d must be at least 0"),
             ("n=3", "bad clause 'n=3'"),
+            ("k=1;d=0;k=2", "'k=2': k is given twice"),
         ],
     )
     def test_bench_bad_grid_is_usage_error(self, tmp_path, capsys, grid, detail):
@@ -985,11 +1103,29 @@ class TestCli:
             ("--backend", "foo", "bad spec 'foo'; expected mock:<script.json>"),
             ("--backend", "mock", "bad spec 'mock'; expected mock:<script.json>"),
             ("--backend", "mock:", "bad spec 'mock:'; expected mock:<script.json>"),
+            ("--mode", "bogus", "expected 'succinct' or 'full_context'\n"),
         ],
     )
-    def test_bench_bad_spec_is_config_error(self, tmp_path, capsys, flag, spec, detail):
+    def test_bench_bad_spec_is_config_error(self, tmp_path, capsys, monkeypatch, flag, spec, detail):
+        mock = MockBackend({})
+        monkeypatch.setattr(cli, "default_registry", lambda **extra: {"mock": mock, **extra})
         assert cli_main(self.bench_argv(tmp_path, flag, spec)) == 2
         self.assert_config_error(capsys, tmp_path, f"{flag}: {detail}")
+        assert mock.calls == []
+
+    def test_bench_mode_spellings_write_one_report(self, tmp_path, capsys):
+        # The spellings a config's feedback_mode accepts, in any case.
+        script = self.write_mock_script(tmp_path, {"alpha/1/0": passing_reply(name="alpha")})
+        outputs = set()
+        for spelling in ("full", "full_context", "full-context", "FULL"):
+            argv = self.bench_argv(tmp_path, "--grid", "k=1,2;d=0,1", "--mode", spelling,
+                                   "--backend", f"mock:{script}")
+            assert cli_main(argv) == 0
+            outputs.add((capsys.readouterr().out, (tmp_path / "report.json").read_bytes()))
+        [(out, _)] = outputs  # one stdout and one report for every spelling
+        assert "k=1 d=1 full_context: 100.0% (1/1)\n" in out
+        assert {result.params.mode for result in load_report(tmp_path / "report.json")} == {
+            FeedbackMode.FULL_CONTEXT}
 
     def test_run_bad_backend_spec_is_config_error(self, tmp_path, capsys):
         assert cli_main(["run", "--config", str(write_config(tmp_path)), "--backend", "foo"]) == 2
