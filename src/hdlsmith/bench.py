@@ -14,7 +14,6 @@ import json
 import math
 import os
 import re
-import shutil
 import tempfile
 import threading
 import warnings
@@ -37,6 +36,7 @@ from .search import (
     ModelSchedule,
     SearchConfig,
     pass_at_budget,
+    remove_folder,
     run_search,
 )
 
@@ -275,7 +275,7 @@ def _remove_stale_trees(workdir: Path, trees: set[str], tasks: set[str]) -> None
         if _TREE_NAME.fullmatch(tree.name) and tree.is_dir():
             stale = [tree] if tree.name not in trees else [p for p in tree.iterdir() if p.name not in tasks]
             for path in filter(Path.is_dir, stale):
-                shutil.rmtree(path)
+                remove_folder(path)
 
 
 def _task_summary(task: DesignTask, trace: SearchTrace) -> TaskRow:

@@ -12,8 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterable
 
-from .core import DesignTask
+from .core import DepthNode, DesignTask
 
 
 class Role(Enum):
@@ -104,6 +105,17 @@ def next_conversation(prev: Conversation, best_response_text: str, tool_feedback
     reply = Message(Role.ASSISTANT, best_response_text)
     feedback = Message(Role.USER, tool_feedback)
     return Conversation(prev.messages + (reply, feedback))
+
+
+def history(task: DesignTask, nodes: Iterable[DepthNode]) -> Conversation:
+    """The history after ``nodes``: the initial conversation, then each
+    node's chosen reply (an empty one as :data:`EMPTY_REPLY_PLACEHOLDER`)
+    and that reply's tool feedback."""
+    conv = initial_conversation(task)
+    for node in nodes:
+        chosen = node.chosen
+        conv = next_conversation(conv, chosen.raw_text or EMPTY_REPLY_PLACEHOLDER, chosen.outcome.feedback)
+    return conv
 
 
 def flatten_for_backend(conv: Conversation) -> Conversation:

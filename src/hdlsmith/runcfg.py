@@ -273,8 +273,9 @@ def execute_run(
 
     Produces ``outdir/iter<N>/response<M>/`` per generated candidate (source
     and artifact files as far as its evaluation got, plus a per-candidate
-    log) and the top-level run log. A partial tree is left on disk when the
-    run aborts. ``evaluator`` goes to :func:`run_search` as is; with none, the
+    log) and the top-level run log. A run that aborts leaves its own
+    folders, that of the failed evaluation among them, and the empty run
+    log. ``evaluator`` goes to :func:`run_search` as is; with none, the
     default toolchain's version banner heads the run log so warning-text
     classifications stay traceable, and a missing compiler or runtime raises
     ``ToolNotFoundError``, as a model family with no backend raises
@@ -300,8 +301,8 @@ def execute_run(
     cfg.outdir.mkdir(parents=True, exist_ok=True)
     log_path = cfg.log if cfg.log.is_absolute() else cfg.outdir / cfg.log
     # A backend error only ends the trace; an evaluator or tool I/O error
-    # raises out of run_search and leaves the partial tree, and an empty
-    # log, on disk for post-mortem inspection.
+    # raises out of run_search, which leaves this run's folders, the failed
+    # one among them, and the empty log on disk for post-mortem inspection.
     with open(log_path, "w", encoding="utf-8") as sink:
         trace = run_search(cfg.task, search_cfg, cfg.schedule, backends, evaluator=evaluator)
         if version:

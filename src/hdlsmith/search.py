@@ -39,12 +39,10 @@ from .core import (
     ledger_entries,
 )
 from .prompts import (
-    EMPTY_REPLY_PLACEHOLDER,
     Conversation,
     FeedbackMode,
     estimate_tokens,
-    initial_conversation,
-    next_conversation,
+    history,
     succinct_window,
 )
 
@@ -175,9 +173,12 @@ def run_search(
 
     Candidate ``i`` at depth ``n`` is evaluated inside
     ``outdir/iter<n>/response<i>`` when the backend hands its reply to
-    ``GenerationRequest.on_reply`` (else once the call returns). On return,
-    the outdir keeps one ``response<i>`` folder per reply in the ledger and
-    no other; a search that raises leaves its tree. A backend failure
+    ``GenerationRequest.on_reply`` (else once the call returns). However
+    the search ends, the outdir then keeps one ``response<i>`` folder per
+    reply it evaluated and no other ``iter<n>`` or ``response<i>`` folder:
+    on return, the replies in the ledger; on a raise, also the folder whose
+    evaluation raised, as that evaluation left it. A stale folder that is a
+    symbolic link is unlinked, its target untouched. A backend failure
     terminates the trace with partial results preserved and the error's
     message in ``backend_error``. A failed call's paid replies (a backend
     error's, or a context overflow's before the failover) are the trace's
@@ -186,7 +187,8 @@ def run_search(
     family has no backend raises :class:`NoBackendError` before the first
     request, even one that no depth of this search reaches. With no
     ``evaluator``, a compiler or runtime that cannot be found raises
-    ``ToolNotFoundError`` before the first request, too.
+    ``ToolNotFoundError`` before the first request, too. Either removes
+    nothing from the outdir.
     Once ``stop`` is set, the search raises ``SearchStopped`` before its next
     depth's request; the depth in progress finishes first.
     """
@@ -196,46 +198,45 @@ def run_search(
     if evaluator is None:
         edatools.require_tools()
         evaluator = edatools.evaluate
-    history = initial_conversation(task)
     nodes: list[DepthNode] = []
     unheld: list[LedgerEntry] = []
     backend_error = None
+    evaluated: set[tuple[int, int]] = set()  # (depth, index) of each folder evaluated into
 
-    for depth, model in enumerate(sched.models(cfg.max_depth)):
-        if stop is not None and stop.is_set():
-            raise SearchStopped(f"{task.name}: stopped before depth {depth}")
-        evaluate = partial(_evaluate_one, task, cfg, model, depth, evaluator)
-        for window, fallback in _windows(history, model, cfg.feedback_mode):
-            request = GenerationRequest(
-                conversation=window,
-                model=model,
-                num_candidates=cfg.num_candidates,
-                task_name=task.name,
-                depth=depth,
-            )
-            candidates, error = _generate(backends[model.family], request, evaluate)
+    try:
+        for depth, model in enumerate(sched.models(cfg.max_depth)):
+            if stop is not None and stop.is_set():
+                raise SearchStopped(f"{task.name}: stopped before depth {depth}")
+            evaluate = partial(_evaluate_one, task, cfg, model, depth, evaluator, evaluated)
+            for window, fallback in _windows(history(task, nodes), model, cfg.feedback_mode):
+                request = GenerationRequest(
+                    conversation=window,
+                    model=model,
+                    num_candidates=cfg.num_candidates,
+                    task_name=task.name,
+                    depth=depth,
+                )
+                candidates, error = _generate(backends[model.family], request, evaluate)
+                if error is not None:
+                    # Replies that a failed call delivered were paid for, but no
+                    # node holds them.
+                    unheld.extend(ledger_entries(candidates, model.model_id))
+                if not isinstance(error, ContextOverflowError):
+                    break
             if error is not None:
-                # Replies that a failed call delivered were paid for, but no
-                # node holds them.
-                unheld.extend(ledger_entries(candidates, model.model_id))
-            if not isinstance(error, ContextOverflowError):
+                backend_error = str(error)
                 break
-        if error is not None:
-            backend_error = str(error)
-            break
 
-        node = DepthNode(depth, model.family, model.model_id, tuple(candidates), fallback)
-        nodes.append(node)
-        chosen = node.chosen
-
-        if chosen.rank.value == 1.0 or depth == cfg.max_depth:
-            break
-        history = next_conversation(history, chosen.raw_text or EMPTY_REPLY_PLACEHOLDER, chosen.outcome.feedback)
-
-    trace = SearchTrace(nodes, unheld=tuple(unheld), backend_error=backend_error)
-    # A reused outdir keeps the folders of an earlier, deeper or wider search.
-    _remove_stale_dirs(cfg.outdir, trace.ledger.entries)
-    return trace
+            node = DepthNode(depth, model.family, model.model_id, tuple(candidates), fallback)
+            nodes.append(node)
+            if node.chosen.rank.value == 1.0:
+                break
+    finally:
+        # A reused outdir keeps the folders of an earlier, deeper or wider
+        # search. No evaluation runs now: a fan-out call returns or raises
+        # only once every helper thread it started has ended.
+        _remove_stale_dirs(cfg.outdir, evaluated)
+    return SearchTrace(nodes, unheld=tuple(unheld), backend_error=backend_error)
 
 
 def numbered(parent: Path, prefix: str) -> list[tuple[int, Path]]:
@@ -250,19 +251,26 @@ def numbered(parent: Path, prefix: str) -> list[tuple[int, Path]]:
     return sorted(found, key=lambda pair: pair[0])
 
 
-def _remove_stale_dirs(outdir: Path, paid: Iterable[LedgerEntry]) -> None:
-    # Exactly the folders of the replies in the ledger stay.
+def remove_folder(path: Path) -> None:
+    """Remove a folder and its files; a symbolic link is unlinked, its target untouched."""
+    if path.is_symlink():
+        path.unlink()
+    else:
+        shutil.rmtree(path)
+
+
+def _remove_stale_dirs(outdir: Path, keep: set[tuple[int, int]]) -> None:
+    # Exactly the folders that keep names by (depth, index) stay.
     if not outdir.is_dir():
         return
-    keep = {(entry.depth, entry.index) for entry in paid}
     depths = {depth for depth, _ in keep}
     for depth, depth_dir in numbered(outdir, "iter"):
         if depth not in depths:
-            shutil.rmtree(depth_dir)
+            remove_folder(depth_dir)
             continue
         for index, response_dir in numbered(depth_dir, "response"):
             if (depth, index) not in keep:
-                shutil.rmtree(response_dir)
+                remove_folder(response_dir)
 
 
 def _windows(
@@ -293,6 +301,7 @@ def _evaluate_one(
     model: ModelSpec,
     depth: int,
     evaluator: Evaluator,
+    evaluated: set[tuple[int, int]],
     index: int,
     reply: Reply,
 ) -> CandidateResponse:
@@ -300,6 +309,8 @@ def _evaluate_one(
     # A lone surrogate (JSON "\ud800") cannot be written; U+FFFD keeps trace and files equal.
     text = _SURROGATE_RE.sub("\ufffd", text)
     workdir = cfg.outdir / f"iter{depth}" / f"response{index}"
+    # Recorded first, so the folder whose evaluation raises is kept as it was left.
+    evaluated.add((depth, index))
     outcome = evaluator(text, task, workdir, cfg.sim_timeout)
     return CandidateResponse(
         raw_text=text,

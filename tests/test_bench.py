@@ -513,6 +513,20 @@ class TestRunSuite:
             sweep(tasks, [GridPoint(1, 0)], work, evaluator)
         assert (work / "k1_d2_succinct" / "adder" / "iter2").is_dir()
 
+    def test_stale_tree_link_is_unlinked_and_its_target_kept(self, tmp_path):
+        tasks = load_suite(make_suite_dir(tmp_path))[:1]
+        work, target = tmp_path / "work", tmp_path / "elsewhere"
+        (target / "adder").mkdir(parents=True)
+        (target / "adder" / "notes.txt").write_text("mine")
+        work.mkdir()
+        (work / "k2_d1_succinct").symlink_to(target, target_is_directory=True)
+        backend = MockBackend({})
+        results = run_suite(tasks, [GridPoint(1, 1)], self.schedule(), {"mock": backend},
+                            evaluator=offline_evaluate, workdir=work)
+        assert len(backend.calls) == 2 and len(results) == 1
+        assert not (work / "k2_d1_succinct").is_symlink()
+        assert (target / "adder" / "notes.txt").read_text() == "mine"
+
     @pytest.mark.parametrize(
         "grid, schedule",
         [

@@ -8,12 +8,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import make_candidate, make_outcome
+from hdlsmith.core import DepthNode, OutcomeKind
 from hdlsmith.prompts import (
+    EMPTY_REPLY_PLACEHOLDER,
     Conversation,
     Message,
     Role,
     estimate_tokens,
     flatten_for_backend,
+    history,
     initial_conversation,
     next_conversation,
     succinct_window,
@@ -120,6 +124,22 @@ class TestNextConversation:
         for window in (conv, succinct_window(conv)):
             assert window.messages[-2] == Message(Role.ASSISTANT, "reply 3")
             assert window.messages[-1] == Message(Role.USER, "feedback 3")
+
+
+class TestHistory:
+    def test_appends_each_nodes_chosen_reply_and_its_feedback(self, task):
+        no_module = make_outcome(OutcomeKind.NO_MODULE, feedback="no module")
+        nodes = [
+            DepthNode(0, "mock", "mock", (make_candidate(raw_text="", outcome=no_module),)),
+            DepthNode(1, "mock", "mock", (
+                make_candidate(-2, depth=1, index=0),
+                make_candidate(depth=1, index=1, outcome=make_outcome(feedback="2 mismatches")),
+            )),
+        ]
+        assert history(task, []) == initial_conversation(task)
+        expected = next_conversation(initial_conversation(task), EMPTY_REPLY_PLACEHOLDER, "no module")
+        expected = next_conversation(expected, nodes[1].candidates[1].raw_text, "2 mismatches")
+        assert history(task, nodes) == expected
 
 
 class TestFlatten:

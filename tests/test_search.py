@@ -15,7 +15,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hdlsmith.backends import (
@@ -50,7 +50,9 @@ from hdlsmith.prompts import (
     Message,
     Role,
     estimate_tokens,
+    history,
     initial_conversation,
+    succinct_window,
     system_prompt,
 )
 from hdlsmith.runcfg import scan_output_tree, trace_shape, write_run_log
@@ -59,6 +61,8 @@ from hdlsmith.search import (
     NoBackendError,
     ScheduleEntry,
     SearchConfig,
+    SearchStopped,
+    numbered,
     pass_at_budget,
     run_search,
 )
@@ -759,6 +763,25 @@ class TestPrefixTraces:
         for shallow_d in range(d + 1):
             assert deep.upto(shallow_d) == self.search(task, case, shallow_d, outdir)
 
+    @given(case=prefix_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_each_call_sends_a_window_of_the_history_of_the_depths_before(self, case, tmp_path_factory):
+        k, d, replies, failure, _, mode, schedule = case
+        assume(failure is None)
+        task = DesignTask("top_module", "design prompt", "module tb(); endmodule")
+        backend = MockBackend(replies)
+        cfg = SearchConfig(num_candidates=k, max_depth=d, feedback_mode=mode,
+                           sim_timeout=60.0, outdir=tmp_path_factory.mktemp("history"))
+        trace = run_search(task, cfg, schedule, {"mock": backend}, evaluator=offline_evaluate)
+        assert [call.depth for call in backend.calls] == list(range(len(trace.nodes)))
+        for call in backend.calls:
+            h = history(task, trace.nodes[:call.depth])
+            model = schedule.models(d)[call.depth]
+            if mode is FeedbackMode.FULL_CONTEXT and estimate_tokens(h) <= model.max_context_tokens:
+                assert call.conversation == h
+            else:
+                assert call.conversation == succinct_window(h)
+
     @pytest.mark.parametrize("depth, termination", [
         (0, Termination.MAX_DEPTH_REACHED),
         (1, Termination.MAX_DEPTH_REACHED),
@@ -1065,6 +1088,15 @@ class TestPaidReplies:
         assert cleared != trace
 
 
+def response_folders(outdir: Path) -> list[str]:
+    """The ``iter<n>/response<i>`` folders under ``outdir``, in order."""
+    return [
+        f"{depth_dir.name}/{response_dir.name}"
+        for _, depth_dir in numbered(outdir, "iter")
+        for _, response_dir in numbered(depth_dir, "response")
+    ]
+
+
 class TestReusedOutdir:
     """An outdir reused by a shallower, narrower search ends up holding its tree alone."""
 
@@ -1080,7 +1112,8 @@ class TestReusedOutdir:
 
         with pytest.raises(ToolIoError):
             run_mock_search(task, tmp_path, k=1, d=1, evaluator=evaluator)
-        assert [len(row) for row in scan_output_tree(outdir)] == [3] * 4  # left as it is
+        # The raised run's folders alone stay, the one whose evaluation raised among them.
+        assert response_folders(outdir) == ["iter0/response0", "iter1/response0"]
 
         # Only "iter" and a number as the search writes it, ASCII digits with
         # no leading zero, names a depth.
@@ -1093,6 +1126,60 @@ class TestReusedOutdir:
         assert scan_output_tree(outdir) == trace_shape(trace)
         assert all((outdir / name).is_dir() for name in others)
         assert (outdir / "iter01" / "notes.txt").is_file()
+
+    def test_stopped_search_keeps_only_its_finished_depths(self, task, tmp_path):
+        outdir = tmp_path / "out"
+        run_mock_search(task, tmp_path, k=2, d=3)
+        stop = threading.Event()
+
+        def evaluator(text, task, workdir, timeout):
+            if "iter1" in workdir.parts:
+                stop.set()
+            return offline_evaluate(text, task, workdir, timeout)
+
+        with pytest.raises(SearchStopped):
+            run_search(task, search_config(1, 3, tmp_path), single_schedule(), {"mock": MockBackend({})},
+                       evaluator=evaluator, stop=stop)
+        assert response_folders(outdir) == ["iter0/response0", "iter1/response0"]
+
+    def test_folders_recorded_on_fan_out_threads_all_stay(self, task, tmp_path, monkeypatch):
+        # Up to MAX_IN_FLIGHT threads record their folders at once; a lost
+        # record would remove the folder of a paid reply.
+        def transport(url, headers, body):
+            return 200, chat_payload(reply_with_module("mismatches=1 samples=10"))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            trace = run_http_search(task, tmp_path, monkeypatch, transport, k=2 * MAX_IN_FLIGHT, d=2)
+        finally:
+            sys.setswitchinterval(interval)
+        assert scan_output_tree(tmp_path / "out") == trace_shape(trace)
+        assert len(trace.ledger.entries) == 6 * MAX_IN_FLIGHT
+
+    def test_search_refused_before_its_first_request_removes_nothing(self, task, tmp_path, monkeypatch):
+        outdir = tmp_path / "out"
+        run_mock_search(task, tmp_path, k=2, d=1)
+        before = response_folders(outdir)
+        no_final = ModelSchedule((ScheduleEntry(0, MOCK_MODEL),), final=lookup_model("x", "foo"))
+        with pytest.raises(NoBackendError):
+            run_mock_search(task, tmp_path, k=1, d=0, schedule=no_final)
+        monkeypatch.setenv("PATH", str(tmp_path / "empty-bin"))
+        with pytest.raises(ToolNotFoundError):
+            run_mock_search(task, tmp_path, k=1, d=0, evaluator=None)
+        assert response_folders(outdir) == before == [f"iter{d}/response{i}" for d in (0, 1) for i in (0, 1)]
+
+    def test_stale_link_is_unlinked_and_its_target_kept(self, task, tmp_path):
+        outdir, target = tmp_path / "out", tmp_path / "elsewhere"
+        (target / "response0").mkdir(parents=True)
+        (target / "response0" / "log.txt").write_text("mine", encoding="utf-8")
+        outdir.mkdir()
+        (outdir / "iter5").symlink_to(target, target_is_directory=True)
+        trace, backend = run_mock_search(task, tmp_path, k=1, d=1)
+        assert len(backend.calls) == 2
+        assert not (outdir / "iter5").is_symlink()
+        assert scan_output_tree(outdir) == trace_shape(trace)
+        assert (target / "response0" / "log.txt").read_text(encoding="utf-8") == "mine"
 
     def test_failed_depth_keeps_only_its_paid_replies(self, task, tmp_path, monkeypatch):
         outdir = tmp_path / "out"
