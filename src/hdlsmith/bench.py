@@ -36,7 +36,7 @@ from .search import (
     ModelSchedule,
     SearchConfig,
     pass_at_budget,
-    remove_folder,
+    prune,
     run_search,
 )
 
@@ -188,9 +188,10 @@ def run_suite(
     serves depth d with a different model at each d, so then each point is
     its own group. Under ``workdir`` each search writes
     a ``k<k>_d<d>_<mode>/<task>`` tree. A sweep that returns, not one that
-    raises, removes every other such tree and task folder, and nothing else:
-    a folder whose name has a number that hdlsmith would not write, such as
-    ``k01``, is not a tree.
+    raises, then prunes ``workdir`` as a search prunes its tree
+    (:func:`search.prune`): every other such tree and task folder is
+    removed, and nothing else; a folder whose name has a number that
+    hdlsmith would not write, such as ``k01``, is not a tree.
 
     A model family with no backend raises ``NoBackendError``, and a grid point
     or a ``sim_timeout`` that :class:`SearchConfig` rejects, two tasks with
@@ -258,8 +259,9 @@ def run_suite(
     with tree as top:
         jobs = [partial(search, Path(top), cfg, task) for cfg in deepest.values() for task in tasks]
         _run_threads(jobs, parallelism, "hdlsmith-sweep", stop)
-    if workdir is not None and Path(workdir).is_dir():
-        _remove_stale_trees(Path(workdir), {cfg.outdir.name for cfg in deepest.values()}, set(names))
+    if workdir is not None:
+        searched = [Path(workdir) / cfg.outdir / name for cfg in deepest.values() for name in names]
+        prune(Path(workdir), searched, _TREE_NAME, re.compile(".*", re.DOTALL))
     schedule_desc = schedule.describe()
     return [
         SuiteResult(
@@ -268,14 +270,6 @@ def run_suite(
         )
         for row in rows
     ]
-
-
-def _remove_stale_trees(workdir: Path, trees: set[str], tasks: set[str]) -> None:
-    for tree in workdir.iterdir():
-        if _TREE_NAME.fullmatch(tree.name) and tree.is_dir():
-            stale = [tree] if tree.name not in trees else [p for p in tree.iterdir() if p.name not in tasks]
-            for path in filter(Path.is_dir, stale):
-                remove_folder(path)
 
 
 def _task_summary(task: DesignTask, trace: SearchTrace) -> TaskRow:

@@ -82,6 +82,7 @@ COMPILE_TIMEOUT = 60.0
 # disk until its timeout.
 OUTPUT_CAP = 1 << 20
 _READ_SIZE = 1 << 16
+_SELECT_SLICE = 3600.0  # seconds a pipe poll waits at most
 # Characters of tool output a repair prompt keeps from each source: compile
 # diagnostics and testbench Hint lines from their start (the first errors are
 # the ones to fix), crash or timeout output from its end. Output up to
@@ -176,7 +177,9 @@ def _read_capped(proc, deadline: float) -> tuple[bytes, bytes, int]:
             remaining = deadline - time.monotonic()
             if remaining <= 0:
                 break
-            for key, _ in selector.select(remaining):
+            # Epoll takes its timeout in int milliseconds, so a wait past
+            # about 24.8 days would overflow; the loop re-checks the deadline.
+            for key, _ in selector.select(min(remaining, _SELECT_SLICE)):
                 chunk = os.read(key.fd, _READ_SIZE)
                 if not chunk:
                     selector.unregister(key.fd)
@@ -342,7 +345,8 @@ def evaluate(
     transcript, the sources unless the reply had no module, and the artifact
     unless the compile failed. Once the log is written, every ``.sv`` and
     ``.vvp`` file that this outcome did not write is removed; no other file
-    or folder is touched.
+    or folder is touched. An evaluation that raises removes the folder's
+    ``log.txt``, so no earlier transcript is left beside its files.
     """
     workdir = Path(workdir)
     workdir.mkdir(parents=True, exist_ok=True)
@@ -351,42 +355,47 @@ def evaluate(
     if simulate_fn is None:
         simulate_fn = partial(simulate, tools=tools)
 
-    extraction = extract_module(candidate_text)
-    module_src = extraction.module_src
-    compiled = sim = summary = diagnosis = None
-    files = candidate_files(workdir, task.name)
-    written: Sequence[Path] = ()
-    if module_src is None:
-        kind, feedback = OutcomeKind.NO_MODULE, NO_MODULE_FEEDBACK
-    else:
-        compiled = compile_fn(module_src, task.testbench_src, workdir, task.name)
-        written = files[:2]
-        if compiled.status is CompileStatus.ERROR:
-            kind, feedback = OutcomeKind.COMPILE_ERROR, _diagnostics(compiled)
+    try:
+        extraction = extract_module(candidate_text)
+        module_src = extraction.module_src
+        compiled = sim = summary = diagnosis = None
+        files = candidate_files(workdir, task.name)
+        written: Sequence[Path] = ()
+        if module_src is None:
+            kind, feedback = OutcomeKind.NO_MODULE, NO_MODULE_FEEDBACK
         else:
-            written = files
-            sim = simulate_fn(compiled.artifact_path, timeout)
-            summary = parse_summary(sim.stdout)
-            if summary is not None:
-                kind, feedback = OutcomeKind.SIMULATED, _summary_block(sim.stdout)
-            elif compiled.status is CompileStatus.OK_WITH_WARNINGS:
-                kind, feedback = OutcomeKind.COMPILE_WARNED_NO_SIM, _diagnostics(compiled)
+            compiled = compile_fn(module_src, task.testbench_src, workdir, task.name)
+            written = files[:2]
+            if compiled.status is CompileStatus.ERROR:
+                kind, feedback = OutcomeKind.COMPILE_ERROR, _diagnostics(compiled)
             else:
-                kind = OutcomeKind.SIM_CRASH_OR_TIMEOUT
-                diagnosis = feedback = _diagnose(sim, timeout)
-                tail = _output_tail(sim.stdout)
-                if tail:
-                    feedback += "\n" + tail
-    outcome = EvalOutcome(
-        kind,
-        mismatches=summary.total_mismatches if summary is not None else None,
-        samples=summary.total_samples if summary is not None else None,
-        diagnosis=diagnosis,
-        module_chars=len(module_src or ""),
-        feedback=feedback,
-    )
-    _write_candidate_log(workdir, task, extraction.source, compiled, sim, outcome)
-    _remove_unwritten_sources(workdir, written)
+                written = files
+                sim = simulate_fn(compiled.artifact_path, timeout)
+                summary = parse_summary(sim.stdout)
+                if summary is not None:
+                    kind, feedback = OutcomeKind.SIMULATED, _summary_block(sim.stdout)
+                elif compiled.status is CompileStatus.OK_WITH_WARNINGS:
+                    kind, feedback = OutcomeKind.COMPILE_WARNED_NO_SIM, _diagnostics(compiled)
+                else:
+                    kind = OutcomeKind.SIM_CRASH_OR_TIMEOUT
+                    diagnosis = feedback = _diagnose(sim, timeout)
+                    tail = _output_tail(sim.stdout)
+                    if tail:
+                        feedback += "\n" + tail
+        outcome = EvalOutcome(
+            kind,
+            mismatches=summary.total_mismatches if summary is not None else None,
+            samples=summary.total_samples if summary is not None else None,
+            diagnosis=diagnosis,
+            module_chars=len(module_src or ""),
+            feedback=feedback,
+        )
+        _write_candidate_log(workdir, task, extraction.source, compiled, sim, outcome)
+        _remove_unwritten_sources(workdir, written)
+    except BaseException:
+        # The folder keeps no transcript of an earlier evaluation.
+        (workdir / "log.txt").unlink(missing_ok=True)
+        raise
     return outcome
 
 

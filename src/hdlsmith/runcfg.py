@@ -274,8 +274,10 @@ def execute_run(
     Produces ``outdir/iter<N>/response<M>/`` per generated candidate (source
     and artifact files as far as its evaluation got, plus a per-candidate
     log) and the top-level run log. A run that aborts leaves its own
-    folders, that of the failed evaluation among them, and the empty run
-    log. ``evaluator`` goes to :func:`run_search` as is; with none, the
+    folders and the empty run log: :func:`search.prune` removes every other
+    ``iter<N>`` or ``response<M>`` folder, and the folder whose evaluation
+    raised stays, with no ``log.txt`` under the default evaluator.
+    ``evaluator`` goes to :func:`run_search` as is; with none, the
     default toolchain's version banner heads the run log so warning-text
     classifications stay traceable, and a missing compiler or runtime raises
     ``ToolNotFoundError``, as a model family with no backend raises

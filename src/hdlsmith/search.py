@@ -49,6 +49,8 @@ from .prompts import (
 _SURROGATE_RE = re.compile("[\ud800-\udfff]")
 # A number as the f-strings that name output folders write it.
 NUMBER = "(?:0|[1-9][0-9]*)"
+ITER = re.compile(f"iter{NUMBER}")
+RESPONSE = re.compile(f"response{NUMBER}")
 
 
 @dataclass(frozen=True)
@@ -152,7 +154,8 @@ class ModelSchedule:
 
 
 # An evaluator's outcome carries the length of the module it extracted from
-# the text it was given (0 for NO_MODULE).
+# the text it was given (0 for NO_MODULE). It owns the files in the folder
+# it is given: the search removes stale folders, never a file in a kept one.
 Evaluator = Callable[[str, DesignTask, Path, float], EvalOutcome]
 
 
@@ -173,12 +176,13 @@ def run_search(
 
     Candidate ``i`` at depth ``n`` is evaluated inside
     ``outdir/iter<n>/response<i>`` when the backend hands its reply to
-    ``GenerationRequest.on_reply`` (else once the call returns). However
-    the search ends, the outdir then keeps one ``response<i>`` folder per
-    reply it evaluated and no other ``iter<n>`` or ``response<i>`` folder:
-    on return, the replies in the ledger; on a raise, also the folder whose
-    evaluation raised, as that evaluation left it. A stale folder that is a
-    symbolic link is unlinked, its target untouched. A backend failure
+    ``GenerationRequest.on_reply`` (else once the call returns); its folder
+    is recorded before the evaluator runs. However the search ends,
+    :func:`prune` then keeps the recorded folders and removes every other
+    ``iter<n>`` or ``response<i>`` folder: on return, the replies in the
+    ledger stay; on a raise, also the folder whose evaluation raised, as
+    that evaluation left it (``edatools.evaluate`` leaves it no
+    ``log.txt``). A backend failure
     terminates the trace with partial results preserved and the error's
     message in ``backend_error``. A failed call's paid replies (a backend
     error's, or a context overflow's before the failover) are the trace's
@@ -201,7 +205,7 @@ def run_search(
     nodes: list[DepthNode] = []
     unheld: list[LedgerEntry] = []
     backend_error = None
-    evaluated: set[tuple[int, int]] = set()  # (depth, index) of each folder evaluated into
+    evaluated: set[Path] = set()  # each folder evaluated into
 
     try:
         for depth, model in enumerate(sched.models(cfg.max_depth)):
@@ -235,7 +239,7 @@ def run_search(
         # A reused outdir keeps the folders of an earlier, deeper or wider
         # search. No evaluation runs now: a fan-out call returns or raises
         # only once every helper thread it started has ended.
-        _remove_stale_dirs(cfg.outdir, evaluated)
+        prune(cfg.outdir, evaluated, ITER, RESPONSE)
     return SearchTrace(nodes, unheld=tuple(unheld), backend_error=backend_error)
 
 
@@ -251,26 +255,26 @@ def numbered(parent: Path, prefix: str) -> list[tuple[int, Path]]:
     return sorted(found, key=lambda pair: pair[0])
 
 
-def remove_folder(path: Path) -> None:
-    """Remove a folder and its files; a symbolic link is unlinked, its target untouched."""
-    if path.is_symlink():
-        path.unlink()
-    else:
-        shutil.rmtree(path)
+def prune(root: Path, keep: Iterable[Path], *levels: re.Pattern[str]) -> None:
+    """Remove each folder ``root/<a>/<b>/...`` whose names match ``levels``,
+    one pattern per level, unless it is a path in ``keep`` or holds one.
+    Each kept path names a folder at the last level.
 
-
-def _remove_stale_dirs(outdir: Path, keep: set[tuple[int, int]]) -> None:
-    # Exactly the folders that keep names by (depth, index) stay.
-    if not outdir.is_dir():
-        return
-    depths = {depth for depth, _ in keep}
-    for depth, depth_dir in numbered(outdir, "iter"):
-        if depth not in depths:
-            remove_folder(depth_dir)
-            continue
-        for index, response_dir in numbered(depth_dir, "response"):
-            if (depth, index) not in keep:
-                remove_folder(response_dir)
+    A kept folder's children are read at the next level. A folder that is a
+    symbolic link is unlinked, its target untouched (``rmtree`` refuses a
+    link). Files, names that do not match and a missing ``root`` are left
+    alone.
+    """
+    # Only ancestors below root can match a level; hashing the rest, up to
+    # "/", would cost several times the walk itself.
+    held = {folder for path in keep for folder in (path, *path.parents[: len(levels) - 1])}
+    parents = [root] if root.is_dir() else []
+    for pattern in levels:
+        found = [path for parent in parents for path in parent.iterdir() if pattern.fullmatch(path.name)]
+        parents = [path for path in found if path in held and path.is_dir()]
+        for path in found:
+            if path not in held and path.is_dir():
+                path.unlink() if path.is_symlink() else shutil.rmtree(path)
 
 
 def _windows(
@@ -301,7 +305,7 @@ def _evaluate_one(
     model: ModelSpec,
     depth: int,
     evaluator: Evaluator,
-    evaluated: set[tuple[int, int]],
+    evaluated: set[Path],
     index: int,
     reply: Reply,
 ) -> CandidateResponse:
@@ -310,7 +314,7 @@ def _evaluate_one(
     text = _SURROGATE_RE.sub("\ufffd", text)
     workdir = cfg.outdir / f"iter{depth}" / f"response{index}"
     # Recorded first, so the folder whose evaluation raises is kept as it was left.
-    evaluated.add((depth, index))
+    evaluated.add(workdir)
     outcome = evaluator(text, task, workdir, cfg.sim_timeout)
     return CandidateResponse(
         raw_text=text,

@@ -870,6 +870,11 @@ class TestCommandBackend:
         assert all("module m()" in text for text, _ in replies)
         assert all(usage.input_tokens > 0 for _, usage in replies)
 
+    def test_timeout_past_what_epoll_takes_in_one_call_still_replies(self):
+        backend = CommandBackend(("cat",), timeout=1e7)
+        req = GenerationRequest(two_turn_conversation(), lookup_model("local-model", "local"), 2)
+        assert len(backend.generate(req)) == 2
+
     def test_bytes_that_are_not_utf8_become_replacement_characters(self):
         backend = CommandBackend(("/bin/sh", "-c", "cat > /dev/null; printf 'module m(); endmodule \\377\\r\\n'"))
         req = GenerationRequest(two_turn_conversation(), lookup_model("local-model", "local"), 1)

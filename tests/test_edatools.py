@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import os
 import shutil
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -478,6 +479,11 @@ class TestOutputDecoding:
     def test_run_process_timeout_has_no_exit_code(self):
         run = edatools.run_process(["/bin/sh", "-c", "echo started; exec sleep 30"], 0.2)
         assert run == edatools.ProcessRun(None, "started\n", "")
+
+    def test_run_process_waits_past_what_epoll_takes_in_one_call(self):
+        # Epoll takes int milliseconds: one wait for the whole timeout would overflow.
+        run = edatools.run_process([sys.executable, "-c", "print(1)"], 1e300)
+        assert run == edatools.ProcessRun(0, "1\n", "")
 
     def test_run_process_start_failure_propagates(self, tmp_path):
         with pytest.raises(FileNotFoundError):

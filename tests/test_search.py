@@ -57,6 +57,8 @@ from hdlsmith.prompts import (
 )
 from hdlsmith.runcfg import scan_output_tree, trace_shape, write_run_log
 from hdlsmith.search import (
+    ITER,
+    RESPONSE,
     ModelSchedule,
     NoBackendError,
     ScheduleEntry,
@@ -64,6 +66,7 @@ from hdlsmith.search import (
     SearchStopped,
     numbered,
     pass_at_budget,
+    prune,
     run_search,
 )
 
@@ -1220,6 +1223,16 @@ class TestReusedOutdir:
         assert sorted(p.name for p in (outdir / "iter0" / "response0").iterdir()) == files
         assert scan_output_tree(outdir) == trace_shape(trace)
 
+    def test_folder_whose_evaluation_raised_keeps_no_earlier_transcript(self, task, tmp_path):
+        folder = tmp_path / "out" / "iter0" / "response0"
+        run_mock_search(task, tmp_path, k=1, d=0, script={("top_module", 0, 0): passing_reply()})
+        (folder / "top_module.sv").unlink()
+        (folder / "top_module.sv").mkdir()  # the module source cannot be written
+        with pytest.raises(OSError):
+            run_mock_search(task, tmp_path, k=1, d=0, script={("top_module", 0, 0): passing_reply()})
+        assert folder.is_dir()
+        assert not (folder / "log.txt").exists()
+
     def test_folder_reused_by_another_task_keeps_none_of_its_files(self, tmp_path):
         folder = tmp_path / "out" / "iter0" / "response0"
         for name in ("alpha", "beta"):
@@ -1231,6 +1244,90 @@ class TestReusedOutdir:
         assert sorted(p.name for p in folder.iterdir()) == [
             "beta.sv", "beta.vvp", "beta_tb.sv", "log.txt", "notes", "wave.vcd",
         ]
+
+
+PRUNE_NAMES = ("iter0", "iter3", "response0", "response1", "iter01", "iter\u00b2", "notes")
+PRUNE_KINDS = ("folder", "file", "link")
+
+
+def snapshot(top: Path) -> dict[str, object]:
+    """Every entry under ``top`` by relative path: a folder, a link's target
+    or a file's bytes. Links are not followed."""
+    found: dict[str, object] = {}
+    for folder, dirs, files in os.walk(top):
+        for name in dirs + files:
+            path = Path(folder, name)
+            rel = path.relative_to(top).as_posix()
+            if path.is_symlink():
+                found[rel] = os.readlink(path)
+            else:
+                found[rel] = "folder" if path.is_dir() else path.read_bytes()
+    return found
+
+
+class TestPrune:
+    """``prune`` removes exactly the matching folders that neither are nor hold a kept path."""
+
+    @given(
+        tree=st.dictionaries(
+            st.sampled_from(PRUNE_NAMES),
+            st.tuples(
+                st.sampled_from(PRUNE_KINDS),
+                st.dictionaries(st.sampled_from(PRUNE_NAMES), st.sampled_from(PRUNE_KINDS)),
+            ),
+        ),
+        keep=st.sets(st.tuples(st.sampled_from(PRUNE_NAMES), st.sampled_from(PRUNE_NAMES))),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_removes_exactly_the_stale_matching_folders(self, tree, keep, tmp_path_factory):
+        top = tmp_path_factory.mktemp("prune")
+        root, outside = top / "root", top / "outside"
+        root.mkdir()
+        outside.mkdir()
+
+        def make(path: Path, kind: str) -> None:
+            # Each folder and each link's target outside the root holds a file.
+            if kind == "file":
+                path.write_text(path.name, encoding="utf-8")
+                return
+            folder = path
+            if kind == "link":
+                folder = outside / str(len(os.listdir(outside)))
+                path.symlink_to(folder, target_is_directory=True)
+            folder.mkdir()
+            (folder / "log.txt").write_text(str(path), encoding="utf-8")
+
+        for first, (kind, children) in tree.items():
+            make(root / first, kind)
+            if kind == "folder":
+                for second, child_kind in children.items():
+                    make(root / first / second, child_kind)
+        before, targets = snapshot(root), snapshot(outside)
+
+        kept_firsts = {first for first, _ in keep}
+        removed = []
+        for first, (kind, children) in tree.items():
+            if kind == "file" or not ITER.fullmatch(first):
+                continue
+            if first not in kept_firsts:
+                removed.append(first)
+            elif kind == "folder":
+                removed += [
+                    f"{first}/{second}"
+                    for second, child_kind in children.items()
+                    if child_kind != "file" and RESPONSE.fullmatch(second) and (first, second) not in keep
+                ]
+
+        prune(root, [root / first / second for first, second in keep], ITER, RESPONSE)
+        assert snapshot(root) == {
+            rel: entry for rel, entry in before.items()
+            if not any(rel == gone or rel.startswith(gone + "/") for gone in removed)
+        }
+        assert snapshot(outside) == targets
+
+    def test_missing_root_is_left_alone(self, tmp_path):
+        prune(tmp_path / "missing", [], ITER, RESPONSE)
+        assert not (tmp_path / "missing").exists()
 
 
 class TestWireConversations:
