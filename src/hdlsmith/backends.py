@@ -12,6 +12,7 @@ import json
 import math
 import os
 import random
+import sys
 import threading
 import time
 from dataclasses import dataclass, field, replace
@@ -120,9 +121,9 @@ class RetryPolicy:
     def __post_init__(self) -> None:
         if self.attempts < 1:
             raise ValueError("attempts must be at least 1")
-        if not (math.isfinite(self.base_delay) and self.base_delay >= 0):
+        if not 0 <= self.base_delay <= sys.float_info.max:
             raise ValueError("base_delay must be a non-negative finite number")
-        if not (math.isfinite(self.factor) and self.factor >= 1):
+        if not 1 <= self.factor <= sys.float_info.max:
             raise ValueError("factor must be a finite number of at least 1")
 
 
@@ -520,7 +521,7 @@ class CommandBackend:
     def __post_init__(self) -> None:
         if not self.argv:
             raise ValueError("argv must name a command")
-        if not (math.isfinite(self.timeout) and self.timeout > 0):
+        if not 0 < self.timeout <= sys.float_info.max:
             raise ValueError("timeout must be a positive finite number")
 
     @staticmethod

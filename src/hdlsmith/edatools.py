@@ -88,13 +88,15 @@ _SELECT_SLICE = 3600.0  # seconds a pipe poll waits at most
 # the ones to fix), crash or timeout output from its end. Output up to
 # OUTPUT_CAP must not overflow the next window.
 FEEDBACK_CHARS = 4096
+# Non-blank lines kept from the end of a crashed or timed-out simulation's output.
+_TAIL_LINES = 20
 # The authoritative summary line of a self-checking testbench.
 MISMATCH_LINE_RE = re.compile(r"^Mismatches: (\d+) in (\d+) samples\s*$")
 
-def require_tools(tools: ToolchainConfig = DEFAULT_TOOLS) -> None:
-    """Raise ``ToolNotFoundError`` unless both the compiler and the runtime
-    resolve to executables (a name on ``PATH`` or a path)."""
-    for role, binary in (("compiler", tools.compiler), ("simulation runtime", tools.runtime)):
+def require_tools() -> None:
+    """Raise ``ToolNotFoundError`` unless both the default compiler and
+    runtime resolve to executables (a name on ``PATH`` or a path)."""
+    for role, binary in (("compiler", DEFAULT_TOOLS.compiler), ("simulation runtime", DEFAULT_TOOLS.runtime)):
         if shutil.which(binary) is None:
             raise ToolNotFoundError(f"{role} not found: {binary}")
 
@@ -199,10 +201,10 @@ def _run_tool(argv: list[str], timeout: float, cwd: Path, role: str) -> ProcessR
         raise ToolIoError(str(exc)) from exc
 
 
-def tool_version(tools: ToolchainConfig = DEFAULT_TOOLS) -> str | None:
-    """First line of the compiler's version banner; None if it cannot start or is killed."""
+def tool_version() -> str | None:
+    """First line of the default compiler's version banner; None if it cannot start or is killed."""
     try:
-        proc = run_process([tools.compiler, "-V"], timeout=10.0)
+        proc = run_process([DEFAULT_TOOLS.compiler, "-V"], timeout=10.0)
     except OSError:
         return None
     banner = (proc.stdout or proc.stderr).strip().splitlines()
@@ -424,9 +426,9 @@ def _summary_block(stdout: str) -> str:
     return f"{hints}\n{final}" if hints else final
 
 
-def _output_tail(stdout: str, max_lines: int = 20) -> str:
+def _output_tail(stdout: str) -> str:
     lines = [line for line in stdout.splitlines() if line.strip()]
-    return "\n".join(lines[-max_lines:])[-FEEDBACK_CHARS:]
+    return "\n".join(lines[-_TAIL_LINES:])[-FEEDBACK_CHARS:]
 
 
 def _diagnose(sim: ProcessRun, timeout: float) -> str:

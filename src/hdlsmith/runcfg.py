@@ -9,7 +9,7 @@ top-level ``log.txt`` in a fixed line grammar.
 from __future__ import annotations
 
 import json
-import math
+import sys
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -187,7 +187,7 @@ def parse_config(raw: object, base_dir: Path) -> RunConfig:
     mode = general.get("feedback_mode", "succinct")
     sim_timeout = general.get("sim_timeout", DEFAULT_SIM_TIMEOUT)
     is_number = isinstance(sim_timeout, (int, float)) and not isinstance(sim_timeout, bool)
-    if not is_number or not math.isfinite(sim_timeout) or sim_timeout <= 0:
+    if not (is_number and 0 < sim_timeout <= sys.float_info.max):
         raise ConfigError("general.sim_timeout", "expected a positive finite number")
 
     name = _require_str(general, "name", "general")

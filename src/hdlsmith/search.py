@@ -8,9 +8,9 @@ and otherwise reports the best candidate seen anywhere in the tree.
 
 from __future__ import annotations
 
-import math
 import re
 import shutil
+import sys
 import threading
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -75,7 +75,7 @@ class SearchConfig:
             raise ValueError("max_depth must be non-negative")
         if not isinstance(self.feedback_mode, FeedbackMode):
             raise ValueError(f"feedback_mode must be a FeedbackMode, got {self.feedback_mode!r}")
-        if not (math.isfinite(self.sim_timeout) and self.sim_timeout > 0):
+        if not 0 < self.sim_timeout <= sys.float_info.max:
             raise ValueError("sim_timeout must be a positive finite number")
 
 
@@ -126,17 +126,11 @@ class ModelSchedule:
     def single(cls, model: ModelSpec) -> "ModelSchedule":
         return cls((ScheduleEntry(0, model),))
 
-    def models(self, max_depth: int) -> list[ModelSpec]:
-        """The model serving each depth ``0..max_depth`` of a search."""
-        starts = {e.start_iteration: e.model for e in self.entries}
-        model = starts[0]
-        served = []
-        for depth in range(max_depth + 1):
-            model = starts.get(depth, model)
-            served.append(model)
-        if self.final is not None and max_depth > 0:
-            served[-1] = self.final
-        return served
+    def model(self, depth: int, max_depth: int) -> ModelSpec:
+        """The model serving ``depth`` of a search whose depths are ``0..max_depth``."""
+        if self.final is not None and depth == max_depth > 0:
+            return self.final
+        return next(e.model for e in reversed(self.entries) if e.start_iteration <= depth)
 
     def check_backends(self, backends: BackendRegistry) -> None:
         """Raise :class:`NoBackendError` for the first model whose family has
@@ -208,9 +202,10 @@ def run_search(
     evaluated: set[Path] = set()  # each folder evaluated into
 
     try:
-        for depth, model in enumerate(sched.models(cfg.max_depth)):
+        for depth in range(cfg.max_depth + 1):
             if stop is not None and stop.is_set():
                 raise SearchStopped(f"{task.name}: stopped before depth {depth}")
+            model = sched.model(depth, cfg.max_depth)
             evaluate = partial(_evaluate_one, task, cfg, model, depth, evaluator, evaluated)
             for window, fallback in _windows(history(task, nodes), model, cfg.feedback_mode):
                 request = GenerationRequest(

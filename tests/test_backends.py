@@ -921,8 +921,9 @@ class TestCommandBackend:
 
     @pytest.mark.parametrize(
         "argv, timeout",
-        [((), 300.0), (("cat",), math.inf), (("cat",), math.nan), (("cat",), 0.0), (("cat",), -1.0)],
-        ids=["no argv", "inf", "nan", "zero", "negative"],
+        [((), 300.0), (("cat",), math.inf), (("cat",), math.nan), (("cat",), 0.0), (("cat",), -1.0),
+         (("cat",), 10**400)],
+        ids=["no argv", "inf", "nan", "zero", "negative", "too large for a float"],
     )
     def test_bad_argv_or_timeout_refused_before_any_process(self, monkeypatch, argv, timeout):
         started = []
@@ -1048,7 +1049,9 @@ class TestRetryPolicy:
     @pytest.mark.parametrize(
         "field, value",
         [("base_delay", -1.0), ("base_delay", math.nan), ("base_delay", math.inf),
-         ("factor", 0.5), ("factor", math.nan), ("factor", math.inf)],
+         pytest.param("base_delay", 10**400, id="base_delay-10**400"),
+         ("factor", 0.5), ("factor", math.nan), ("factor", math.inf),
+         pytest.param("factor", 10**400, id="factor-10**400")],
     )
     def test_delays_are_finite_and_never_shrink(self, field, value):
         # A negative delay would reach time.sleep; a factor below 1 shrinks delays.

@@ -231,10 +231,14 @@ class TestRunSuite:
             assert row.cost_usd == Decimal(0)
 
     @pytest.mark.parametrize("parallelism", [1, 3])
-    def test_task_failure_ends_the_sweep(self, tmp_path, parallelism):
+    def test_task_failure_ends_the_sweep(self, tmp_path, monkeypatch, parallelism):
         tasks = load_suite(make_suite_dir(tmp_path, stems=("a0", "a1", "a2", "a3", "a4", "a5")))
         failure = threading.Event()
-        late = []
+        late, stops = [], []
+
+        def spy(*args, **kwargs):
+            stops.append(kwargs["stop"])
+            return run_search(*args, **kwargs)
 
         class Spy(MockBackend):
             def generate(self, req):
@@ -248,10 +252,12 @@ class TestRunSuite:
                 raise RuntimeError("tool exploded")
             if parallelism > 1:
                 # a0 and a1 run beside a2, so their workers come free only
-                # after it failed, while a3 and later are still queued.
-                failure.wait(timeout=10)
+                # once its error has stopped the sweep, while a3 and later
+                # are still queued.
+                stops[0].wait(timeout=10)
             return offline_evaluate(text, task, workdir, timeout)
 
+        monkeypatch.setattr(bench, "run_search", spy)
         backend = Spy({})
         with pytest.raises(RuntimeError, match="tool exploded"):
             run_suite(
@@ -405,10 +411,12 @@ class TestRunSuite:
         assert backend.calls == []
         assert not (tmp_path / "work").exists()
 
-    @pytest.mark.parametrize("sim_timeout", [math.nan, math.inf, 0, -1])
+    @pytest.mark.parametrize("sim_timeout", [math.nan, math.inf, 0, -1, 10**400],
+                             ids=["nan", "inf", "0", "-1", "10**400"])
     def test_bad_sim_timeout_raises_before_any_search(self, tmp_path, sim_timeout):
         # Unchecked, NaN or inf would fail in the simulator after a billed
-        # query, and 0 or -1 would time out every simulation as 0% success.
+        # query, and 0 or -1 would time out every simulation as 0% success;
+        # 10**400 is too large for a float.
         backend = MockBackend({})
         with pytest.raises(ValueError, match="sim_timeout must be a positive finite number"):
             run_suite(
@@ -712,7 +720,7 @@ def sweep_cases(draw):
     grid = draw(st.lists(point, min_size=1, max_size=6))
     schedule = draw(st.sampled_from([ModelSchedule.single(PRICED_MOCK), FINAL_MODEL_SCHEDULE]))
     parallelism = draw(st.sampled_from([1, 3]))
-    models = sorted({model.model_id for model in schedule.models(4)})
+    models = sorted({schedule.model(i, 4).model_id for i in range(5)})
     names = [task.name for task in PROPERTY_TASKS]
     faults = draw(st.sets(st.tuples(st.sampled_from(names), st.integers(0, 4), st.sampled_from(models)), max_size=2))
     return script, grid, schedule, parallelism, faults

@@ -142,8 +142,9 @@ class TestToolErrors:
         with pytest.raises(ToolIoError, match="simulation artifact missing"):
             fake_simulate(tmp_path / "missing.vvp", 1.0)
 
-    def test_tool_version_none_for_missing_binary(self):
-        assert tool_version(ToolchainConfig(compiler="definitely-not-a-real-compiler-xyz")) is None
+    def test_tool_version_none_for_missing_binary(self, monkeypatch):
+        monkeypatch.setattr(edatools, "DEFAULT_TOOLS", ToolchainConfig(compiler="definitely-not-a-real-compiler-xyz"))
+        assert tool_version() is None
 
 
 class TestEvaluateOffline:
@@ -344,9 +345,9 @@ class TestRealDriverWithFakeBinaries:
         names = sorted(p.name for p in (tmp_path / "r0").iterdir())
         assert names == ["log.txt", "top_module.sv", "top_module.vvp", "top_module_tb.sv"]
 
-    def test_version_banner(self, tmp_path):
-        tools = write_fake_binaries(tmp_path)
-        assert tool_version(tools) == "Fake Verilog Compiler 99.0"
+    def test_version_banner(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(edatools, "DEFAULT_TOOLS", write_fake_binaries(tmp_path))
+        assert tool_version() == "Fake Verilog Compiler 99.0"
 
     def test_hanging_compiler_is_killed_at_compile_timeout(self, task, tmp_path, monkeypatch):
         compiler = tmp_path / "slow_iverilog"

@@ -101,10 +101,16 @@ def without_prompt_file(tmp_path: Path) -> Path:
     return path
 
 
+def timeout_id(text: str) -> str:
+    return text if len(text) < 20 else f"1e{len(text) - 1} as an integer"
+
+
 # Every config-failure input of this file's tests, with the key path and the
 # message its ConfigError carries; "{tmp}" stands for the config's directory.
 NOT_UTF8 = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
 NOT_POSITIVE = "general.sim_timeout: expected a positive finite number"
+# JSON texts of bad timeouts; the last is an integer too large for a float.
+BAD_SIM_TIMEOUTS = ("0", "-1", "true", '"x"', "NaN", "Infinity", "1" + "0" * 309)
 CONFIG_FAILURES = [
     ("missing config", lambda tmp_path: tmp_path / "missing.json", [], "{tmp}/missing.json",
      "{tmp}/missing.json: [Errno 2] No such file or directory: '{tmp}/missing.json'"),
@@ -171,11 +177,11 @@ CONFIG_FAILURES = [
      NOT_POSITIVE),
     ("first fault: model_family", deleted("model_family", "model_id"), [], "general.model_family",
      "general.model_family: required key is missing"),
-    *((f"sim_timeout override {text}", write_config, [f"general.sim_timeout={text}"], "general.sim_timeout",
-       NOT_POSITIVE) for text in ("0", "-1", "true", '"x"', "NaN", "Infinity")),
-    *((f"sim_timeout {text}", edited_config(lambda document, text=text: document["general"].update(
+    *((f"sim_timeout override {timeout_id(text)}", write_config, [f"general.sim_timeout={text}"], "general.sim_timeout",
+       NOT_POSITIVE) for text in BAD_SIM_TIMEOUTS),
+    *((f"sim_timeout {timeout_id(text)}", edited_config(lambda document, text=text: document["general"].update(
         sim_timeout=json.loads(text))), [], "general.sim_timeout", NOT_POSITIVE)
-      for text in ("0", "-1", "true", '"x"', "NaN", "Infinity")),
+      for text in BAD_SIM_TIMEOUTS),
 ]
 
 
@@ -348,7 +354,7 @@ class TestLoadConfig:
             load_config(path)
         assert excinfo.value.key_path == str(path)
 
-    @pytest.mark.parametrize("text", ["0", "-1", "true", '"x"', "NaN", "Infinity"])
+    @pytest.mark.parametrize("text", BAD_SIM_TIMEOUTS, ids=timeout_id)
     def test_sim_timeout_must_be_a_positive_finite_number(self, tmp_path, text):
         # Python's json reads NaN and Infinity, in the file and in an override.
         document = json.loads(json.dumps(EXAMPLE_CONFIG))

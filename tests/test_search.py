@@ -9,6 +9,7 @@ import sys
 import tempfile
 import threading
 import time
+import tracemalloc
 from dataclasses import replace
 from decimal import Decimal
 from pathlib import Path
@@ -103,12 +104,12 @@ class TestScheduleModels:
     def test_final_model_serves_only_the_final_iteration(self):
         a, b = lookup_model("a"), lookup_model("b")
         sched = ModelSchedule((ScheduleEntry(0, a),), final=b)
-        assert sched.models(10) == [a] * 10 + [b]
+        assert [sched.model(i, 10) for i in range(11)] == [a] * 10 + [b]
 
     def test_single_model_everywhere(self):
         a = lookup_model("a")
         sched = ModelSchedule.single(a)
-        assert sched.models(5) == [a] * 6
+        assert [sched.model(i, 5) for i in range(6)] == [a] * 6
 
     @given(
         starts=st.sets(st.integers(1, 14), max_size=4),
@@ -132,12 +133,12 @@ class TestScheduleModels:
                         chosen = entry
             return chosen.model
 
-        assert sched.models(d) == [oracle(i) for i in range(d + 1)]
+        assert [sched.model(i, d) for i in range(d + 1)] == [oracle(i) for i in range(d + 1)]
 
     def test_final_model_never_serves_depth_zero(self):
         a, b = lookup_model("a"), lookup_model("b")
         sched = ModelSchedule((ScheduleEntry(0, a),), final=b)
-        assert sched.models(0) == [a]
+        assert sched.model(0, 0) == a
 
     def test_schedule_invariants(self):
         a, b = lookup_model("a"), lookup_model("b")
@@ -199,6 +200,19 @@ class TestBudgets:
         assert pass_at_budget(trace) == (20, True)
         assert trace.best_overall == (3, 2)
         assert trace.best().rank.value == 1.0
+
+    def test_depths_never_reached_cost_nothing(self, task, tmp_path):
+        script = {("top_module", 0, 0): passing_reply()}
+        run_mock_search(task, tmp_path / "warm", k=1, d=1, script=script)  # imports and caches
+        tracemalloc.start()
+        try:
+            trace, _ = run_mock_search(task, tmp_path, k=1, d=10**6, script=script)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert trace.termination is Termination.ALL_TESTS_PASSED
+        assert len(trace.nodes) == 1
+        assert peak < 1 << 20
 
     @given(
         k=st.integers(min_value=1, max_value=3),
@@ -779,7 +793,7 @@ class TestPrefixTraces:
         assert [call.depth for call in backend.calls] == list(range(len(trace.nodes)))
         for call in backend.calls:
             h = history(task, trace.nodes[:call.depth])
-            model = schedule.models(d)[call.depth]
+            model = schedule.model(call.depth, d)
             if mode is FeedbackMode.FULL_CONTEXT and estimate_tokens(h) <= model.max_context_tokens:
                 assert call.conversation == h
             else:
